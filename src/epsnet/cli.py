@@ -19,10 +19,11 @@ from .core import (
     RangeSpace,
     TheoremViolationError,
     format_rational,
+    parse_json,
     parse_rational,
     stream_rng,
 )
-from .complexity import compute_profile, vc_dimension
+from .complexity import compute_profile, vc_or_lower_bound
 from .packing import greedy_packing, haussler_certificate, max_packing_exact
 from .oneinclusion import build_oig, density_check, loo_error, orient_bounded
 from .generators import (
@@ -32,20 +33,13 @@ from .generators import (
     gen_random,
     random_points,
 )
-from .nets import (
-    cal_net,
-    doubling_net,
-    doubling_net_small_d,
-    greedy_net,
-    iid_net,
-    min_net_exact,
-    stratified_net,
-    verify_net,
-)
+from .nets import verify_net
 from .experiment import (
+    METHODS,
     ExperimentConfig,
     load_instance,
     run_experiment,
+    run_method,
     write_csv,
     write_summary,
 )
@@ -173,38 +167,17 @@ def cmd_oig(args) -> int:
 def cmd_net(args) -> int:
     space = load_instance(args.instance)
     eps = parse_rational(args.eps)
-    delta = parse_rational(args.delta)
-    method = args.method
+    config = ExperimentConfig(
+        C=args.C, delta=parse_rational(args.delta), cal_budget=args.budget_n
+    )
     d = args.d
-    if d is None and method in (
-        "iid", "iid-capacity", "stratified", "doubling", "doubling-small",
-    ):
-        try:
-            d = vc_dimension(space).value
-        except CapExceededError:
-            # Too large for the exact search; size with the sampled lower
-            # bound. The exact verifier still decides is_net, and the
-            # guaranteed builders repair until it holds.
-            d = vc_dimension(space, mode="lower_bound", seed=args.seed).value
-    if method == "iid":
-        report = iid_net(space, eps, delta, "vc", args.C, args.seed, d=d)
-    elif method == "iid-capacity":
-        report = iid_net(space, eps, delta, "capacity", args.C, args.seed,
-                         d=d)
-    elif method == "stratified":
-        report = stratified_net(space, eps, args.C, args.seed, d=d)
-    elif method == "doubling":
-        report = doubling_net(space, eps, args.C, args.seed, d=d)
-    elif method == "doubling-small":
-        report = doubling_net_small_d(space, eps, args.C, args.seed, d=d)
-    elif method == "cal":
-        report = cal_net(space, eps, args.budget_n, args.seed)
-    elif method == "greedy":
-        report = greedy_net(space, eps)
-    elif method == "exact":
-        report = min_net_exact(space, eps)
-    else:
-        raise InstanceError(f"unknown method '{method}'")
+    if d is None and METHODS[args.method].uses_d:
+        # Over the exact search's cap, d is the sampled lower bound. The
+        # exact verifier still decides is_net, and the guaranteed builders
+        # repair until it holds.
+        d = vc_or_lower_bound(space, seed=args.seed).value
+    # D stays None: the doubling builders compute it themselves.
+    report = run_method(space, eps, args.method, args.seed, config, d)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), args.out)
     print(
         f"{report.method} {report.size} "
@@ -234,14 +207,17 @@ def cmd_verify(args) -> int:
 
 def cmd_experiment(args) -> int:
     path = Path(args.config)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = parse_json(path.read_text(encoding="utf-8"), "config")
     config = ExperimentConfig.from_dict(doc, base_dir=path.parent)
     rows, summary = run_experiment(config, timings=args.timings)
     write_csv(rows, args.out)
     if args.summary:
         write_summary(summary, args.summary)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    if summary["theorem_violations"]:
+        print(f"check failed: {summary['theorem_violations']} rows raised "
+              f"TheoremViolationError", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -300,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("net", help="construct a net")
     p.add_argument("instance")
-    p.add_argument("--method", required=True,
-                   choices=("iid", "iid-capacity", "stratified", "doubling",
-                            "doubling-small", "cal", "greedy", "exact"))
+    p.add_argument("--method", required=True, choices=tuple(METHODS))
     p.add_argument("--eps", required=True)
     p.add_argument("--delta", default="1/10")
     p.add_argument("--C", type=float, default=8.0)
@@ -335,7 +309,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InstanceError, CapExceededError, FileNotFoundError,
-            json.JSONDecodeError, ValueError) as exc:
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TheoremViolationError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +24,7 @@ from .core import (
     points_of,
     stream_rng,
 )
-from .packing import max_clique
+from .packing import far_adjacency, greedy_packing, max_clique
 
 DEFAULT_VC_CAP = 24
 DEFAULT_ENUM_CAP = 300_000
@@ -127,6 +127,17 @@ def vc_dimension(
         if size > best:
             best, best_mask = size, y
     return VCResult(best, False, points_of(best_mask))
+
+
+def vc_or_lower_bound(
+    space: RangeSpace, cap: int = DEFAULT_VC_CAP, seed: int = 0
+) -> VCResult:
+    """Exact dimension, or the seeded sampled lower bound (flagged
+    inexact) when n is over the exact search's cap."""
+    try:
+        return vc_dimension(space, cap=cap)
+    except CapExceededError:
+        return vc_dimension(space, mode="lower_bound", seed=seed)
 
 
 @dataclass(frozen=True)
@@ -283,7 +294,7 @@ def capacity_vector(space: RangeSpace, eps: Fraction) -> list[Fraction]:
 class DoublingResult:
     mode: str  # "exact" or "bracket"
     lower: int
-    upper: float
+    upper: float  # least known ceiling on D; equals lower in exact mode
     eps0: Fraction | None = None
     members: tuple[int, ...] = ()
 
@@ -292,21 +303,6 @@ class DoublingResult:
         if self.mode != "exact":
             raise ValueError("no single exact value in bracket mode")
         return self.lower
-
-
-def _far_adjacency(space: RangeSpace, eligible: list[int], eps0: Fraction):
-    """Adjacency bitmasks of the graph with edges where rho >= eps0."""
-    k = len(eligible)
-    adj = [0] * k
-    num, den = eps0.numerator, eps0.denominator
-    w = space.total_weight
-    masks = [space.ranges[i] for i in eligible]
-    for a in range(k):
-        for b in range(a + 1, k):
-            if space.mask_weight(masks[a] ^ masks[b]) * den >= num * w:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return adj
 
 
 def doubling_constant(
@@ -365,7 +361,7 @@ def doubling_constant(
             elig = eligible_at(eps0)
             if len(elig) <= best:
                 continue
-            adj = _far_adjacency(space, elig, eps0)
+            adj = far_adjacency(space, elig, eps0)
             size, members = max_clique(adj, lower_bound=best)
             if size > best:
                 best = size
@@ -381,28 +377,17 @@ def doubling_constant(
     rng = stream_rng(seed, "doubling-bracket")
     lower, lower_eps0, lower_members = 0, None, ()
     for eps0 in levels:
-        elig = eligible_at(eps0)
-        order = list(range(len(elig)))
-        rng.shuffle(order)
-        chosen: list[int] = []
-        num, den = eps0.numerator, eps0.denominator
-        w = space.total_weight
-        for v in order:
-            rv = space.ranges[elig[v]]
-            if all(
-                space.mask_weight(rv ^ space.ranges[elig[u]]) * den >= num * w
-                for u in chosen
-            ):
-                chosen.append(v)
-        if len(chosen) > lower:
-            lower = len(chosen)
+        packing = greedy_packing(
+            space, eps0, eligible_at(eps0), rng=rng, shuffle=True
+        )
+        if len(packing.members) > lower:
+            lower = len(packing.members)
             lower_eps0 = eps0
-            lower_members = tuple(sorted(elig[v] for v in chosen))
+            lower_members = packing.members
     upper = float(m)
     if d is None:
         try:
-            d_res = vc_dimension(space)
-            d = d_res.value
+            d = vc_dimension(space).value
         except CapExceededError:
             d = None
     if d is not None and d >= 1:
@@ -605,10 +590,7 @@ def compute_profile(
 ) -> ComplexityProfile:
     """One-stop profile at scale eps, exact where caps permit."""
     eps = Fraction(eps)
-    try:
-        d = vc_dimension(space, cap=vc_cap)
-    except CapExceededError:
-        d = vc_dimension(space, mode="lower_bound", seed=seed)
+    d = vc_or_lower_bound(space, vc_cap, seed)
     tau = alexander_capacity(space, eps)
     tau_vec = tuple(capacity_vector(space, eps))
     z, _ = capacity_levels(eps)

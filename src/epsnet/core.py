@@ -163,6 +163,13 @@ class RangeSpace:
             self.n, new_weights, new_ranges, name=f"{self.name}|cond"
         )
 
+    def subfamily(self, indices: Iterable[int]) -> "RangeSpace":
+        """Same points and weights, keeping only the ranges at indices."""
+        return build_range_space(
+            self.n, self.weights, [self.ranges[i] for i in indices],
+            name=f"{self.name}|sub",
+        )
+
     def support_points(self) -> tuple[int, ...]:
         return points_of(self.support_mask)
 
@@ -192,11 +199,26 @@ class RangeSpace:
 
     @staticmethod
     def loads(text: str) -> "RangeSpace":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"bad instance JSON: {exc}") from exc
-        return RangeSpace.from_dict(data)
+        return RangeSpace.from_dict(parse_json(text, "instance"))
+
+
+def parse_json(text: str, what: str):
+    """The JSON document in text; malformed or too deeply nested input is
+    an InstanceError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InstanceError(f"bad {what} JSON: {exc}") from exc
+
+
+def _items(value, what: str) -> tuple:
+    """value as a tuple; strings, mappings and scalars are not lists."""
+    if isinstance(value, (str, bytes, dict)):
+        raise InstanceError(f"{what} must be a list, got {value!r}")
+    try:
+        return tuple(value)
+    except TypeError as exc:
+        raise InstanceError(f"{what} must be a list, got {value!r}") from exc
 
 
 def build_range_space(
@@ -209,11 +231,17 @@ def build_range_space(
 
     Accepts ranges as point iterables or prebuilt masks, in any order and
     with duplicates; output ranges are deduplicated, empty ranges dropped,
-    and the family sorted by point tuples.
+    and the family sorted by point tuples. Every count, weight and point
+    must be a true int (not a bool, float or string); anything else is an
+    InstanceError rather than a silent coercion.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InstanceError(f"n must be a positive integer, got {n!r}")
-    weights = tuple(int(w) for w in weights)
+    if not isinstance(name, str):
+        raise InstanceError(f"name must be a string, got {name!r}")
+    weights = _items(weights, "weights")
+    if not all(type(w) is int for w in weights):
+        raise InstanceError(f"weights must be integers, got {list(weights)!r}")
     if len(weights) != n:
         raise InstanceError(f"expected {n} weights, got {len(weights)}")
     if any(w < 0 for w in weights):
@@ -222,11 +250,18 @@ def build_range_space(
         raise InstanceError("total weight must be at least 1")
     full = (1 << n) - 1
     masks = set()
-    for r in ranges:
-        m = r if isinstance(r, int) else mask_of(r)
-        if m < 0 or m & ~full:
-            bad = points_of(m & ~full) if m >= 0 else m
-            raise InstanceError(f"range contains out-of-range points: {bad}")
+    for r in _items(ranges, "ranges"):
+        if type(r) is int:
+            if r < 0 or r & ~full:
+                raise InstanceError(f"range mask {r} has bits outside 0..{n - 1}")
+            m = r
+        else:
+            pts = _items(r, "a range")
+            if not all(type(p) is int and 0 <= p < n for p in pts):
+                raise InstanceError(
+                    f"range points must be integers in 0..{n - 1}, got {list(pts)!r}"
+                )
+            m = mask_of(pts)
         if m:
             masks.add(m)
     canon = tuple(sorted(masks, key=points_of))

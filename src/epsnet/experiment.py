@@ -1,9 +1,9 @@
 """Sweep harness: (instance x eps x method x seed) -> CSV rows plus a
 JSON summary.
 
-Rows are computed in parallel (EPSNET_THREADS caps the pool) but always
-written in configuration order, so output bytes are a pure function of
-the config. Wall times are opt-in because they would break that.
+Rows are computed one after another in configuration order, so output
+bytes are a pure function of the config. Wall times are opt-in because
+they would break that.
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .core import (
     CapExceededError,
@@ -27,11 +26,11 @@ from .core import (
     parse_rational,
 )
 from .complexity import (
+    VCResult,
     alexander_capacity,
-    capacity_levels,
     capacity_vector,
     doubling_constant,
-    vc_dimension,
+    vc_or_lower_bound,
 )
 from .nets import (
     cal_net,
@@ -69,32 +68,54 @@ CSV_COLUMNS = [
     "wall_ms",
 ]
 
-METHODS = (
-    "iid",
-    "iid-capacity",
-    "stratified",
-    "doubling",
-    "doubling-small",
-    "cal",
-    "greedy",
-    "exact",
-)
 
-METHOD_BOUND_COLUMN = {
-    "stratified": "bound_stratified",
-    "doubling": "bound_doubling",
-    "doubling-small": "bound_doubling_small",
-    "iid": "bound_capacity",
-    "iid-capacity": "bound_capacity",
+@dataclass(frozen=True)
+class Method:
+    """A net builder as called by the sweep and the CLI: build(space, eps,
+    seed, config, d, D), where D is None when the builder should compute
+    it. uses_d marks builders sized by the VC dimension d."""
+
+    build: Callable
+    uses_d: bool = False
+    bound_column: str | None = None  # CSV column of its size bound
+
+
+# The one method registry: config validation, the CLI's --method choices
+# and run_method all read it. Each entry looks its builder up by name at
+# call time, so a wrapper rebound over that name (as a tracer does) sees
+# the calls.
+METHODS: dict[str, Method] = {
+    "iid": Method(
+        lambda s, e, seed, c, d, D: iid_net(s, e, c.delta, "vc", c.C, seed, d=d),
+        True, "bound_capacity"),
+    "iid-capacity": Method(
+        lambda s, e, seed, c, d, D: iid_net(s, e, c.delta, "capacity", c.C, seed, d=d),
+        True, "bound_capacity"),
+    "stratified": Method(
+        lambda s, e, seed, c, d, D: stratified_net(s, e, c.C, seed, d=d),
+        True, "bound_stratified"),
+    "doubling": Method(
+        lambda s, e, seed, c, d, D: doubling_net(s, e, c.C, seed, D=D, d=d),
+        True, "bound_doubling"),
+    "doubling-small": Method(
+        lambda s, e, seed, c, d, D: doubling_net_small_d(s, e, c.C, seed, D=D, d=d),
+        True, "bound_doubling_small"),
+    "cal": Method(lambda s, e, seed, c, d, D: cal_net(s, e, c.cal_budget, seed)),
+    "greedy": Method(lambda s, e, seed, c, d, D: greedy_net(s, e)),
+    "exact": Method(lambda s, e, seed, c, d, D: min_net_exact(s, e, cap=c.oracle_cap)),
 }
 
 
 @dataclass
 class ExperimentConfig:
-    instances: list
-    eps_grid: list
-    methods: list
-    seeds: list
+    """A sweep (instances x eps_grid x methods x seeds) and the settings
+    its builders and profiles read. The CLI's net command fills in only
+    the settings."""
+
+    instances: list = field(default_factory=list)
+    eps_grid: list = field(default_factory=list)
+    methods: list = field(default_factory=list)
+    seeds: list = field(default_factory=list)
     C: float = 8.0
     delta: Fraction = Fraction(1, 10)
     cal_budget: int = 20
@@ -128,8 +149,7 @@ class ExperimentConfig:
 
 
 def load_instance(path: Path | str) -> RangeSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RangeSpace.from_dict(json.load(fh))
+    return RangeSpace.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def resolve_instances(config: ExperimentConfig) -> list[RangeSpace]:
@@ -155,15 +175,15 @@ def _fmt_float(x: float) -> str:
     return f"{x:.6f}"
 
 
-def instance_profile(space: RangeSpace, eps: Fraction, config: ExperimentConfig) -> dict:
-    """Shared per-(instance, eps) facts for every row of the sweep."""
-    try:
-        d_res = vc_dimension(space, cap=config.vc_cap)
-    except CapExceededError:
-        d_res = vc_dimension(space, mode="lower_bound")
+def instance_profile(
+    space: RangeSpace, eps: Fraction, config: ExperimentConfig, d_res: VCResult
+) -> dict:
+    """Shared per-(instance, eps) facts for every row of the sweep: d and
+    D for the builders, and the formatted CSV columns. d_res is the
+    instance's VC result, computed once per instance."""
     tau = alexander_capacity(space, eps)
     taus = [tau] + capacity_vector(space, eps)
-    D = doubling_constant(
+    doubling = doubling_constant(
         space, eps,
         d=d_res.value if d_res.exact else None,
         range_cap=config.doubling_range_cap,
@@ -172,22 +192,24 @@ def instance_profile(space: RangeSpace, eps: Fraction, config: ExperimentConfig)
         min_net = str(min_net_exact(space, eps, cap=config.oracle_cap).size)
     except CapExceededError:
         min_net = ""
-    d = d_res.value
-    D_num = float(D.lower) if D.mode == "exact" else D.upper
+    d, D = d_res.value, max(doubling.upper, 1.0)
+    exact = doubling.mode == "exact"
     return {
         "d": d,
-        "d_exact": d_res.exact,
-        "tau": tau,
-        "taus": taus,
-        "tau_vec_hash": tau_vector_hash(taus[1:]),
-        "D_value": D.lower if D.mode == "exact" else D.upper,
-        "D_mode": D.mode,
-        "D_num": max(D_num, 1.0),
-        "min_net": min_net,
-        "bound_stratified": stratified_size_bound(d, taus),
-        "bound_capacity": capacity_size_bound(d, tau, eps),
-        "bound_doubling": doubling_size_bound(d, taus, max(D_num, 1.0)),
-        "bound_doubling_small": small_doubling_size_bound(d, max(D_num, 1.0), eps),
+        "D": D,
+        "columns": {
+            "d": str(d),
+            "d_exact": "true" if d_res.exact else "false",
+            "tau": format_rational(tau),
+            "tau_vec_hash": tau_vector_hash(taus[1:]),
+            "D_value": str(doubling.lower) if exact else _fmt_float(doubling.upper),
+            "D_mode": doubling.mode,
+            "min_net": min_net,
+            "bound_stratified": _fmt_float(stratified_size_bound(d, taus)),
+            "bound_capacity": _fmt_float(capacity_size_bound(d, tau, eps)),
+            "bound_doubling": _fmt_float(doubling_size_bound(d, taus, D)),
+            "bound_doubling_small": _fmt_float(small_doubling_size_bound(d, D, eps)),
+        },
     }
 
 
@@ -197,96 +219,61 @@ def run_method(
     method: str,
     seed: int,
     config: ExperimentConfig,
-    profile: dict,
+    d: int | None = None,
+    D: float | None = None,
 ):
-    d = profile["d"]
-    if method == "iid":
-        return iid_net(space, eps, config.delta, "vc", config.C, seed, d=d)
-    if method == "iid-capacity":
-        return iid_net(space, eps, config.delta, "capacity", config.C, seed, d=d)
-    if method == "stratified":
-        return stratified_net(space, eps, config.C, seed, d=d)
-    if method == "doubling":
-        return doubling_net(space, eps, config.C, seed, D=profile["D_num"], d=d)
-    if method == "doubling-small":
-        return doubling_net_small_d(
-            space, eps, config.C, seed, D=profile["D_num"], d=d
-        )
-    if method == "cal":
-        return cal_net(space, eps, config.cal_budget, seed)
-    if method == "greedy":
-        return greedy_net(space, eps)
-    if method == "exact":
-        return min_net_exact(space, eps, cap=config.oracle_cap)
-    raise InstanceError(f"unknown method '{method}'")
+    """Build a net with a registered method. The builders compute d and D
+    themselves where they are None."""
+    if method not in METHODS:
+        raise InstanceError(f"unknown method '{method}'")
+    return METHODS[method].build(space, eps, seed, config, d, D)
+
+
+def _row(space, eps, method, seed, config, profile, timings) -> dict:
+    row = {
+        "instance": space.name,
+        "eps": format_rational(eps),
+        "method": method,
+        "seed": str(seed),
+        **profile["columns"],
+        "wall_ms": "",
+    }
+    start = time.perf_counter()
+    try:
+        report = run_method(space, eps, method, seed, config,
+                            profile["d"], profile["D"])
+        row["size"] = str(report.size)
+        row["is_net"] = "true" if report.is_net else "false"
+        row["draws"] = str(report.stats.get("draws", 0))
+    except Exception as exc:  # recorded in-row, sweep never aborts
+        row["size"] = ""
+        row["is_net"] = f"error:{type(exc).__name__}"
+        row["draws"] = ""
+    if timings:
+        row["wall_ms"] = str(int((time.perf_counter() - start) * 1000))
+    return row
 
 
 def run_experiment(config: ExperimentConfig, timings: bool = False) -> tuple[list[dict], dict]:
-    spaces = resolve_instances(config)
-    profiles = {}
-    for space in spaces:
+    rows = []
+    for space in resolve_instances(config):
+        d_res = vc_or_lower_bound(space, config.vc_cap)
         for eps in config.eps_grid:
-            profiles[(space.name, eps)] = instance_profile(space, eps, config)
-
-    jobs = [
-        (space, eps, method, seed)
-        for space in spaces
-        for eps in config.eps_grid
-        for method in config.methods
-        for seed in config.seeds
-    ]
-
-    def one(job):
-        space, eps, method, seed = job
-        profile = profiles[(space.name, eps)]
-        row = {
-            "instance": space.name,
-            "eps": format_rational(eps),
-            "method": method,
-            "seed": str(seed),
-            "d": str(profile["d"]),
-            "d_exact": "true" if profile["d_exact"] else "false",
-            "tau": format_rational(profile["tau"]),
-            "tau_vec_hash": profile["tau_vec_hash"],
-            "D_value": (
-                str(profile["D_value"])
-                if profile["D_mode"] == "exact"
-                else _fmt_float(profile["D_value"])
-            ),
-            "D_mode": profile["D_mode"],
-            "min_net": profile["min_net"],
-            "bound_stratified": _fmt_float(profile["bound_stratified"]),
-            "bound_capacity": _fmt_float(profile["bound_capacity"]),
-            "bound_doubling": _fmt_float(profile["bound_doubling"]),
-            "bound_doubling_small": _fmt_float(profile["bound_doubling_small"]),
-            "wall_ms": "",
-        }
-        start = time.perf_counter()
-        try:
-            report = run_method(space, eps, method, seed, config, profile)
-            row["size"] = str(report.size)
-            row["is_net"] = "true" if report.is_net else "false"
-            row["draws"] = str(report.stats.get("draws", 0))
-        except Exception as exc:  # recorded in-row, sweep never aborts
-            row["size"] = ""
-            row["is_net"] = f"error:{type(exc).__name__}"
-            row["draws"] = ""
-        if timings:
-            row["wall_ms"] = str(int((time.perf_counter() - start) * 1000))
-        return row
-
-    workers = os.environ.get("EPSNET_THREADS")
-    max_workers = max(int(workers), 1) if workers else min(8, os.cpu_count() or 1)
-    if max_workers == 1 or len(jobs) <= 1:
-        rows = [one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(one, jobs))
+            profile = instance_profile(space, eps, config, d_res)
+            for method in config.methods:
+                for seed in config.seeds:
+                    rows.append(
+                        _row(space, eps, method, seed, config, profile, timings)
+                    )
 
     summary: dict = {
         "schema": 1,
         "prng": PRNG_ALGORITHM,
         "rows": len(rows),
+        # A TheoremViolationError means a bug; the CLI exits 1 on any.
+        "theorem_violations": sum(
+            r["is_net"] == "error:TheoremViolationError" for r in rows
+        ),
         "methods": {},
     }
     for method in config.methods:
@@ -302,7 +289,7 @@ def run_experiment(config: ExperimentConfig, timings: bool = False) -> tuple[lis
         sizes = [int(r["size"]) for r in sub if r["size"]]
         if sizes:
             entry["mean_size"] = round(sum(sizes) / len(sizes), 6)
-        bound_col = METHOD_BOUND_COLUMN.get(method)
+        bound_col = METHODS[method].bound_column
         if bound_col and nets:
             ratios = [
                 int(r["size"]) / float(r[bound_col])

@@ -19,6 +19,7 @@ from .core import (
     InstanceError,
     RangeSpace,
     TheoremViolationError,
+    ceil_log2,
     draw_points,
     format_rational,
     iter_bits,
@@ -28,9 +29,10 @@ from .core import (
 from .complexity import (
     alexander_capacity,
     capacity_levels,
+    doubling_constant,
     vc_dimension,
 )
-from .packing import greedy_packing
+from .packing import E_UPPER, greedy_packing
 
 LN2 = math.log(2.0)
 DEFAULT_C = 8.0
@@ -75,7 +77,17 @@ class NetReport:
         }
 
 
+def _heavy(space: RangeSpace, eps: Fraction) -> list[int]:
+    """Indices of the ranges of measure >= eps, the ones a net must hit."""
+    num, den = eps.numerator, eps.denominator
+    w = space.total_weight
+    return [i for i, rw in enumerate(space.range_weights) if rw * den >= num * w]
+
+
 def _violations(space: RangeSpace, mask: int, eps: Fraction) -> tuple[int, ...]:
+    # One pass with the measure test inlined rather than a filter over
+    # _heavy's indices, which takes a second pass: verify_net runs after
+    # every construction.
     num, den = eps.numerator, eps.denominator
     w = space.total_weight
     out = []
@@ -129,6 +141,31 @@ def _greedy_hit(space: RangeSpace, masks: list[int], have: int = 0) -> list[int]
         bit = 1 << best_p
         todo = [m for m in todo if not (m & bit)]
     return chosen
+
+
+def _quarter_classes(
+    space: RangeSpace, bucket, members: tuple[int, ...], sep: Fraction
+) -> dict[int, list[int]]:
+    """Packing member q -> the bucket ranges R with P(R & Q) >= P(Q)/4.
+
+    Maximality of a sep-packing of the bucket forces every bucket range
+    into some class; a range without one is a TheoremViolationError.
+    """
+    classes: dict[int, list[int]] = {q: [] for q in members}
+    for i in bucket:
+        ri = space.ranges[i]
+        homes = [
+            q
+            for q in members
+            if 4 * space.mask_weight(ri & space.ranges[q]) >= space.range_weights[q]
+        ]
+        if not homes:
+            raise TheoremViolationError(
+                f"range {i} shares no quarter-mass packing member at scale {sep}"
+            )
+        for q in homes:
+            classes[q].append(i)
+    return classes
 
 
 # -- dyadic decomposition ----------------------------------------------------
@@ -390,10 +427,7 @@ def doubling_net(
         d = vc_dimension(space).value
     d_eff = max(d, 1)
     if D is None:
-        from .complexity import doubling_constant
-
-        res = doubling_constant(space, eps)
-        D = float(res.lower) if res.mode == "exact" else res.upper
+        D = doubling_constant(space, eps).upper
     D = max(D, 1.0)
     dec = build_decomposition(space, eps)
     rng = stream_rng(seed, "doubling")
@@ -413,24 +447,7 @@ def doubling_net(
         sep = dec.levels[b - 1]
         packing = greedy_packing(space, sep, list(bucket))
         packing_sizes.append(len(packing.members))
-        # Membership: R belongs to Q when P(R & Q) >= P(Q)/4. Maximality
-        # of the packing forces every bucket member into some class.
-        classes: dict[int, list[int]] = {q: [] for q in packing.members}
-        for i in bucket:
-            ri = space.ranges[i]
-            homes = [
-                q
-                for q in packing.members
-                if 4 * space.mask_weight(ri & space.ranges[q])
-                >= space.range_weights[q]
-            ]
-            if not homes:
-                raise TheoremViolationError(
-                    f"range {i} shares no quarter-mass packing member at "
-                    f"scale {sep}"
-                )
-            for q in homes:
-                classes[q].append(i)
+        classes = _quarter_classes(space, bucket, packing.members, sep)
         tau_prev = dec.taus[b - 1]
         t_i = max(math.log(D / float(dec.taus[b])), LN2)
         base_m = math.ceil(C * (t_i + d_eff) * float(tau_prev))
@@ -495,16 +512,11 @@ def doubling_net_small_d(
     by the packing-guided builder at the rational scale levels[i0].
     Falls back to the plain builder outside the small-D regime.
     """
-    from .packing import E_UPPER
-
     eps = Fraction(eps)
     if d is None:
         d = vc_dimension(space).value
     if D is None:
-        from .complexity import doubling_constant
-
-        res = doubling_constant(space, eps)
-        D = float(res.lower) if res.mode == "exact" else res.upper
+        D = doubling_constant(space, eps).upper
     D = max(D, 1.0)
     DF = Fraction(D)  # exact binary value of the float
     if DF > Fraction(1, 2) / eps:
@@ -517,8 +529,6 @@ def doubling_net_small_d(
         )
     dec = build_decomposition(space, eps)
     # Rational cut: smallest i0 with 2^i0 >= e/(D*eps), capped at z.
-    from .core import ceil_log2
-
     i0 = min(ceil_log2(E_UPPER / (DF * eps)), dec.z)
     i0 = max(i0, 1)
     net_mask = 0
@@ -531,14 +541,10 @@ def doubling_net_small_d(
         sep = dec.levels[b - 1]
         packing = greedy_packing(space, sep, list(bucket))
         added = 0
-        for q in packing.members:
+        classes = _quarter_classes(space, bucket, packing.members, sep)
+        for q, members in classes.items():
             rq = space.ranges[q]
-            targets = [
-                space.ranges[i] & rq
-                for i in bucket
-                if 4 * space.mask_weight(space.ranges[i] & rq)
-                >= space.range_weights[q]
-            ]
+            targets = [space.ranges[i] & rq for i in members]
             repair_pts = _greedy_hit(space, targets, net_mask)
             added += len(repair_pts)
             for p in repair_pts:
@@ -551,16 +557,8 @@ def doubling_net_small_d(
     ]
     tail_stats: dict = {"size": 0}
     if tail:
-        from .core import build_range_space
-
         lam = dec.levels[i0]
-        sub = build_range_space(
-            space.n,
-            list(space.weights),
-            [sorted(iter_bits(space.ranges[i])) for i in tail],
-            name=space.name + "|tail",
-        )
-        tail_rep = doubling_net(sub, lam, C=C, seed=seed, d=d)
+        tail_rep = doubling_net(space.subfamily(tail), lam, C=C, seed=seed, d=d)
         for p in tail_rep.points:
             net_mask |= 1 << p
         tail_stats = {"size": tail_rep.size, "scale": lam,
@@ -633,13 +631,7 @@ def cal_net(
 def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
     """Deterministic greedy hitting set over the qualifying ranges."""
     eps = Fraction(eps)
-    num, den = eps.numerator, eps.denominator
-    w = space.total_weight
-    targets = [
-        r
-        for i, r in enumerate(space.ranges)
-        if space.range_weights[i] * den >= num * w
-    ]
+    targets = [space.ranges[i] for i in _heavy(space, eps)]
     pts = _greedy_hit(space, targets)
     return verify_net(
         space, pts, eps, method="greedy",
@@ -668,24 +660,17 @@ def _components(masks: list[int]) -> list[list[int]]:
     return comps
 
 
-def _min_hit_component(masks: list[int], node_budget: list[int]) -> list[int]:
-    """Exact minimum hitting set of one component via branch and bound.
+def _min_hit_component(
+    space: RangeSpace, masks: list[int], node_budget: list[int]
+) -> list[int]:
+    """Exact minimum hitting set of one component (masks within the
+    support) via branch and bound.
 
     Branches on the smallest uncovered mask; a greedy set of pairwise
     disjoint uncovered masks gives the admissible lower bound.
     """
     # Greedy upper bound primes the incumbent.
-    todo = list(masks)
-    ub_pts: list[int] = []
-    while todo:
-        counts: dict[int, int] = {}
-        for m in todo:
-            for p in iter_bits(m):
-                counts[p] = counts.get(p, 0) + 1
-        best_p = min(counts, key=lambda p: (-counts[p], p))
-        ub_pts.append(best_p)
-        todo = [m for m in todo if not (m >> best_p & 1)]
-    best = list(ub_pts)
+    best = _greedy_hit(space, masks)
 
     def lower_bound(unc: list[int]) -> int:
         used = 0
@@ -734,13 +719,7 @@ def min_net_exact(
     components are solved independently.
     """
     eps = Fraction(eps)
-    num, den = eps.numerator, eps.denominator
-    w = space.total_weight
-    targets = [
-        r & space.support_mask
-        for i, r in enumerate(space.ranges)
-        if space.range_weights[i] * den >= num * w
-    ]
+    targets = [space.ranges[i] & space.support_mask for i in _heavy(space, eps)]
     if len(targets) > cap:
         raise CapExceededError(
             f"exact net oracle capped at {cap} qualifying ranges, "
@@ -754,7 +733,7 @@ def min_net_exact(
     pts: list[int] = []
     budget = [node_budget]
     for comp in _components(pruned):
-        pts.extend(_min_hit_component([pruned[i] for i in comp], budget))
+        pts.extend(_min_hit_component(space, [pruned[i] for i in comp], budget))
     return verify_net(
         space, pts, eps, method="exact",
         stats={"draws": 0, "targets": len(targets),

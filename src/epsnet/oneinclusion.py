@@ -10,7 +10,6 @@ out_degree(truth) / sample size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 

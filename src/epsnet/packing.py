@@ -94,15 +94,17 @@ class Packing:
     exact: bool
 
 
-def _far_adj(space: RangeSpace, indices: list[int], delta: Fraction) -> list[int]:
+def far_adjacency(space: RangeSpace, indices: list[int], delta: Fraction) -> list[int]:
+    """Adjacency bitmasks over positions in indices of the far graph:
+    an edge joins two ranges at distance rho >= delta."""
     k = len(indices)
     adj = [0] * k
     num, den = delta.numerator, delta.denominator
     w = space.total_weight
+    masks = [space.ranges[i] for i in indices]
     for a in range(k):
-        ra = space.ranges[indices[a]]
         for b in range(a + 1, k):
-            if space.mask_weight(ra ^ space.ranges[indices[b]]) * den >= num * w:
+            if space.mask_weight(masks[a] ^ masks[b]) * den >= num * w:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     return adj
@@ -156,7 +158,7 @@ def max_packing_exact(
         )
     if not indices:
         return Packing(delta, (), True)
-    adj = _far_adj(space, indices, delta)
+    adj = far_adjacency(space, indices, delta)
     # Seed the incumbent with the greedy solution so pruning bites early.
     greedy = greedy_packing(space, delta, indices)
     greedy_local = [indices.index(i) for i in greedy.members]
@@ -199,7 +201,7 @@ def haussler_certificate(
         return HausslerReport(delta, 0, packing.exact, -1, 0.0, True)
     from .complexity import vc_dimension  # local import avoids a cycle
 
-    sub = _subfamily(space, packing.members)
+    sub = space.subfamily(packing.members)
     d = vc_dimension(sub).value
     if d <= 0:
         # A 1-point-shatterable or constant family: packing is at most
@@ -216,17 +218,6 @@ def haussler_certificate(
             f"delta={delta} vs bound {bound:.3f} (d={d})"
         )
     return HausslerReport(delta, len(packing.members), packing.exact, d, bound, ok)
-
-
-def _subfamily(space: RangeSpace, indices: tuple[int, ...]) -> RangeSpace:
-    from .core import build_range_space
-
-    return build_range_space(
-        space.n,
-        list(space.weights),
-        [sorted(iter_bits(space.ranges[i])) for i in indices],
-        name=space.name + "|sub",
-    )
 
 
 def projection_count_estimate(
@@ -254,7 +245,7 @@ def projection_count_estimate(
     if len(packing.members) <= 1:
         return {"family": len(packing.members), "ok": True, "mean": None,
                 "sample_size": 0, "trials": 0}
-    sub = _subfamily(space, packing.members)
+    sub = space.subfamily(packing.members)
     d = max(vc_dimension(sub).value, 1)
     if sample_size is None:
         sample_size = math.ceil(Fraction(2 * d) / (delta * slack))

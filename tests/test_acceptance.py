@@ -7,6 +7,7 @@ lower-bound family that the exact oracles refute; they are implemented
 faithfully and fail honestly rather than being weakened to pass.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -469,6 +470,11 @@ def test_criterion_10_doubling_vs_shallow_cell():
 # -- 11. experiment CSV determinism ----------------------------------------------
 
 
+CORPUS_SWEEP_SHA256 = (
+    "0d7a350cf8e68b7942a643254b8383ebea0290c70a521e83edf5f35158a5408f"
+)
+
+
 def test_criterion_11_csv_determinism(tmp_path):
     t0 = time.time()
     config_doc = {
@@ -485,10 +491,14 @@ def test_criterion_11_csv_determinism(tmp_path):
     write_csv(rows1, a)
     write_csv(rows2, b)
     identical = a.read_bytes() == b.read_bytes()
+    # Pinned bytes: a refactor that changes any row, even deterministically,
+    # fails here although both runs still agree.
+    digest = hashlib.sha256(a.read_bytes()).hexdigest()
+    pinned = digest == CORPUS_SWEEP_SHA256
     el = time.time() - t0
-    ok = identical
+    ok = identical and pinned
     assert _report(
         "criterion 11", ok,
-        f"two runs, {len(rows1)} rows each, byte-identical={identical} "
-        f"({el:.1f}s)",
+        f"two runs, {len(rows1)} rows each, byte-identical={identical}, "
+        f"sha256 matches the pinned sweep={pinned} ({el:.1f}s)",
     )

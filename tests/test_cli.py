@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from epsnet import experiment
 from epsnet.cli import main
-from epsnet.core import RangeSpace
+from epsnet.core import RangeSpace, TheoremViolationError
 from epsnet.experiment import (
     ExperimentConfig,
     run_experiment,
@@ -121,6 +122,23 @@ def test_unknown_input_is_exit_2(tmp_path, capsys):
     assert main(["verify", str(inst), "--eps", "0", "--points", "0"]) == 2
 
 
+def test_verify_on_float_point_instance_is_exit_2(tmp_path, capsys):
+    inst = tmp_path / "float.json"
+    inst.write_text(json.dumps({"n": 2, "weights": [1, 1], "ranges": [[0.0]]}))
+    assert main(["verify", str(inst), "--eps", "1/4", "--points", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    assert main(["verify", str(deep), "--eps", "1/4", "--points", "0"]) == 2
+    assert main(["profile", str(deep), "--eps", "1/4"]) == 2
+    assert main(["experiment", str(deep), "--out",
+                 str(tmp_path / "rows.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_pack_subcommand(chain_file, capsys):
     assert main(["pack", str(chain_file), "--delta", "1/4"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -186,6 +204,46 @@ def test_experiment_inline_instance_and_error_rows(tmp_path):
     rows, summary = run_experiment(config)
     assert rows[0]["is_net"] == "false"
     assert summary["methods"]["cal"]["success_rate"] == 0.0
+
+
+def test_experiment_rows_keep_their_own_profile_under_a_shared_name():
+    singles = {"name": "x", "n": 3, "weights": [1, 1, 1],
+               "ranges": [[0], [1], [2]]}
+    block = {"name": "x", "n": 4, "weights": [1, 1, 1, 1],
+             "ranges": [[0, 1, 2, 3]]}
+    config = ExperimentConfig.from_dict({
+        "instances": [{"inline": singles}, {"inline": block}],
+        "eps": ["1/4"],
+        "methods": ["greedy"],
+        "seeds": [0],
+    })
+    rows, _ = run_experiment(config)
+    assert [(r["d"], r["min_net"], r["size"]) for r in rows] == [
+        ("1", "3", "3"), ("0", "1", "1")]
+
+
+def test_experiment_theorem_violation_is_loud(tmp_path, monkeypatch, capsys):
+    def violate(*args):
+        raise TheoremViolationError("forged")
+
+    monkeypatch.setitem(experiment.METHODS, "greedy",
+                        experiment.Method(violate))
+    inst = tmp_path / "chain8.json"
+    inst.write_text(CORPUS["chain8"].dumps())
+    config = {"instances": ["chain8.json"], "eps": ["1/4"],
+              "methods": ["greedy", "cal"], "seeds": [0, 1]}
+    rows, summary = run_experiment(
+        ExperimentConfig.from_dict(config, base_dir=tmp_path))
+    assert [r["is_net"] for r in rows] == [
+        "error:TheoremViolationError"] * 2 + ["true"] * 2
+    assert summary["theorem_violations"] == 2
+    assert summary["methods"]["greedy"]["errors"] == 2
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 1
+    assert "TheoremViolationError" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 1 + 4
 
 
 def test_tau_vector_hash_stable():

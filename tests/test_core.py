@@ -64,6 +64,25 @@ def test_validation_errors():
         build_range_space(2, [1, 1], [[2]])
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "weights": [1.7, 1], "ranges": [[0]]},
+        {"n": 2, "weights": [True, 1], "ranges": [[0]]},
+        {"n": 2, "weights": ["3", 1], "ranges": [[0]]},
+        {"n": True, "weights": [1], "ranges": [[0]]},
+        {"n": 2, "weights": [1, 1], "ranges": [[0.0]]},
+        {"n": 2, "weights": [1, 1], "ranges": [[-1]]},
+        {"n": 2, "weights": [1, 1], "ranges": "01"},
+    ],
+    ids=["float-weight", "bool-weight", "string-weight", "bool-n",
+         "float-point", "negative-point", "string-ranges"],
+)
+def test_malformed_instance_is_instance_error(doc):
+    with pytest.raises(InstanceError):
+        RangeSpace.from_dict(doc)
+
+
 def test_exact_measures():
     sp = build_range_space(4, [1, 2, 3, 4], [[0, 1], [2, 3], [1, 2]])
     assert sp.total_weight == 10
