@@ -24,7 +24,7 @@ from .core import (
     stream_rng,
 )
 from .complexity import compute_profile, vc_or_lower_bound
-from .packing import greedy_packing, haussler_certificate, max_packing_exact
+from .packing import greedy_packing, haussler_certificate
 from .oneinclusion import build_oig, density_check, loo_error, orient_bounded
 from .generators import (
     LowerBoundParams,
@@ -103,6 +103,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    if args.pi_max_y < 0:
+        raise ValueError(f"--pi-max-y must be >= 0, got {args.pi_max_y}")
     space = load_instance(args.instance)
     profile = compute_profile(
         space, parse_rational(args.eps), pi_max_y=args.pi_max_y, seed=args.seed
@@ -114,11 +116,13 @@ def cmd_profile(args) -> int:
 def cmd_pack(args) -> int:
     space = load_instance(args.instance)
     delta = parse_rational(args.delta)
+    cert = haussler_certificate(space, delta, strict=False)
+    # Exact mode prints the packing the certificate used: the maximum one,
+    # or a greedy one (exact: false) past the range cap or the clique budget.
     if args.mode == "exact":
-        packing = max_packing_exact(space, delta)
+        packing = cert.packing
     else:
         packing = greedy_packing(space, delta)
-    cert = haussler_certificate(space, delta, strict=False)
     doc = {
         "delta": format_rational(delta),
         "mode": args.mode,

@@ -4,27 +4,38 @@ Exact modes enumerate and are guarded by size caps; budget modes return
 flagged lower bounds. Suprema over a continuous scale parameter are
 finite maxima over breakpoint values where the objective can change,
 so every returned rational is exact.
+
+The exact enumerations over point sets (pi, phi, VC) walk the sets depth
+first and keep the partition of the ranges by their trace on the current
+set, one bitmask over range indices per class. Adding a point splits each
+class by that point's incidence column (RangeSpace.incidence), so a step
+costs O(#distinct traces) rather than a pass over all ranges, and a
+subtree is cut only by exact bounds on the traces it can still reach.
+Exact doubling computes each pairwise distance once and sweeps the
+breakpoints upward, deleting far-graph edges as the threshold passes
+them. Data with O(m^2) entries lives in typed arrays, never in Python
+lists or per-pair big ints, because it sets the profile's peak memory.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .core import (
     CapExceededError,
     RangeSpace,
     TheoremViolationError,
     ceil_log2,
-    iter_bits,
+    incidence_columns,
     mask_of,
     points_of,
     stream_rng,
 )
-from .packing import far_adjacency, greedy_packing, max_clique
+from .packing import greedy_packing, max_clique
 
 DEFAULT_VC_CAP = 24
 DEFAULT_ENUM_CAP = 300_000
@@ -44,14 +55,37 @@ class VCResult:
     witness: tuple[int, ...]
 
 
-def _is_shattered(ranges: tuple[int, ...], ymask: int, ysize: int) -> bool:
-    want = 1 << ysize
-    traces = set()
-    for r in ranges:
-        traces.add(r & ymask)
-        if len(traces) == want:
-            return True
-    return len(traces) == want
+def _split(classes: list[int], col: int) -> tuple[list[int], list[int]]:
+    """One refinement step of a trace partition.
+
+    Each class is a bitmask over range indices whose ranges have one
+    common trace on the current point set Y. Adding a point x whose
+    incidence column is col splits a class S into S & col (the ranges
+    containing x) and S & ~col; empty parts are dropped. Returns the two
+    lists (inside, outside). Y is shattered after the step iff every
+    class split, and the number of distinct traces is the class count.
+    """
+    inside: list[int] = []
+    outside: list[int] = []
+    for s in classes:
+        a = s & col
+        if a:
+            inside.append(a)
+            if a != s:
+                outside.append(s ^ a)
+        else:
+            outside.append(s)
+    return inside, outside
+
+
+def _splits_all(classes: list[int], col: int) -> bool:
+    """Whether adding the point with incidence col splits every class,
+    i.e. whether Y + x is shattered when Y is."""
+    for s in classes:
+        a = s & col
+        if not a or a == s:
+            return False
+    return True
 
 
 def vc_of_masks(
@@ -59,10 +93,13 @@ def vc_of_masks(
 ) -> VCResult:
     """Exact dimension of an arbitrary family of subset masks on n points.
 
-    Grows shattered sets level by level; a candidate is tested only if
-    all its one-point-smaller subsets are shattered, which is necessary
-    because shattering is hereditary. The empty family has dimension -1
-    by convention.
+    Walks the shattered sets depth first, adding points in increasing
+    order and refining the trace partition of the family by each new
+    point; shattering is hereditary, so only shattered sets are extended.
+    A set of size k needs 2^k classes, so no set grows past log2 of the
+    family size. The witness is the numerically smallest mask among the
+    largest shattered sets. The empty family has dimension -1 by
+    convention.
     """
     ranges = tuple(masks)
     if not ranges:
@@ -71,28 +108,24 @@ def vc_of_masks(
         raise CapExceededError(
             f"exact VC search capped at n={cap}, instance has n={n}"
         )
-    prev = {0}  # level 0: the empty set is shattered for nonempty families
-    witness = 0
-    level = 0
-    while True:
-        cur = set()
-        for y in prev:
-            top = y.bit_length()  # only extend past the highest point
-            for x in range(top, n):
-                cand = y | (1 << x)
-                if cand in cur:
-                    continue
-                if level >= 1 and any(
-                    cand ^ (1 << b) not in prev for b in iter_bits(cand)
-                ):
-                    continue
-                if _is_shattered(ranges, cand, level + 1):
-                    cur.add(cand)
-        if not cur:
-            return VCResult(level, True, points_of(witness))
-        level += 1
-        prev = cur
-        witness = min(cur)
+    cols = incidence_columns(ranges, n)
+    m = len(ranges)
+    best, witness = 0, 0
+
+    def rec(classes: list[int], y: int, size: int, start: int) -> None:
+        nonlocal best, witness
+        if size > best or (size == best and y < witness):
+            best, witness = size, y
+        if 2 * len(classes) > m or size + n - start < best:
+            return
+        for x in range(start, n):
+            col = cols[x]
+            if _splits_all(classes, col):
+                inside, outside = _split(classes, col)
+                rec(inside + outside, y | 1 << x, size + 1, x + 1)
+
+    rec([(1 << m) - 1], 0, 0, 0)
+    return VCResult(best, True, points_of(witness))
 
 
 def vc_dimension(
@@ -105,7 +138,9 @@ def vc_dimension(
     """Largest cardinality of a shattered point set.
 
     exact mode enumerates via vc_of_masks; lower_bound mode does seeded
-    greedy restarts within budget and flags the result inexact.
+    greedy restarts within budget and flags the result inexact. Each
+    restart grows one trace partition point by point; restarts stop once
+    one reaches log2 of the family size, which no set can exceed.
     """
     ranges = space.ranges
     if not ranges:
@@ -114,18 +149,26 @@ def vc_dimension(
         return vc_of_masks(ranges, space.n, cap)
     if mode != "lower_bound":
         raise ValueError(f"unknown vc mode: {mode}")
+    cols = space.incidence()
+    full = (1 << len(ranges)) - 1
+    top = min(space.n, len(ranges).bit_length() - 1)
     rng = stream_rng(seed, "vc")
     best, best_mask = 0, 0
     for _ in range(max(budget, 1)):
         order = list(range(space.n))
         rng.shuffle(order)
-        y, size = 0, 0
+        classes, y, size = [full], 0, 0
         for x in order:
-            cand = y | (1 << x)
-            if _is_shattered(ranges, cand, size + 1):
-                y, size = cand, size + 1
+            if size == top:
+                break
+            if _splits_all(classes, cols[x]):
+                inside, outside = _split(classes, cols[x])
+                classes = inside + outside
+                y, size = y | 1 << x, size + 1
         if size > best:
             best, best_mask = size, y
+            if best == top:
+                break
     return VCResult(best, False, points_of(best_mask))
 
 
@@ -146,6 +189,49 @@ class PiResult:
     exact: bool
 
 
+def _max_traces(space: RangeSpace, y: int) -> int:
+    """Exact pi(y) for y >= 1: the most trace classes over y-point sets.
+
+    Depth first over the y-subsets in combinations order, refining the
+    partition by each added point. A node with c classes and k points to
+    add reaches at most min(c * 2^k, m) traces, so it is pruned when that
+    cannot beat the incumbent, and the search stops at min(2^y, m).
+    """
+    m = len(space.ranges)
+    if not m:
+        return 0
+    cols = space.incidence()
+    n = space.n
+    top = min(m, 1 << y)
+    best = 0
+
+    def rec(classes: list[int], start: int, k: int) -> bool:
+        nonlocal best
+        c = len(classes)
+        if min(c << k, m) <= best:
+            return False
+        for x in range(start, n - k + 1):
+            col = cols[x]
+            if k == 1:
+                count = c
+                for s in classes:
+                    a = s & col
+                    if a and a != s:
+                        count += 1
+                if count > best:
+                    best = count
+                    if best == top:
+                        return True
+            else:
+                inside, outside = _split(classes, col)
+                if rec(inside + outside, x + 1, k - 1):
+                    return True
+        return False
+
+    rec([(1 << m) - 1], 0, y)
+    return best
+
+
 def projection_function(
     space: RangeSpace,
     y: int,
@@ -162,11 +248,7 @@ def projection_function(
     if y == 0:
         return PiResult(1 if space.ranges else 0, True)
     if math.comb(space.n, y) <= cap:
-        best = 0
-        for pts in combinations(range(space.n), y):
-            ymask = mask_of(pts)
-            best = max(best, len({r & ymask for r in space.ranges}))
-        return PiResult(best, True)
+        return PiResult(_max_traces(space, y), True)
     rng = stream_rng(seed, "pi", y)
     best = 0
     population = list(range(space.n))
@@ -228,25 +310,6 @@ def sauer_check(
 # -- capacity ---------------------------------------------------------------
 
 
-def _sorted_measure_prefixes(space: RangeSpace):
-    """Ranges sorted by measure with prefix-union weights.
-
-    Returns (sorted measures, prefix weights) where prefix[j] is the
-    weight of the union of the j smallest-measure ranges.
-    """
-    order = sorted(range(len(space.ranges)), key=lambda i: (space.measure(i), i))
-    measures = [space.measure(i) for i in order]
-    prefix = [0]
-    union = 0
-    acc = 0
-    for i in order:
-        new = space.ranges[i] & ~union
-        acc += space.mask_weight(new)
-        union |= space.ranges[i]
-        prefix.append(acc)
-    return measures, prefix
-
-
 def alexander_capacity(space: RangeSpace, eps: Fraction) -> Fraction:
     """sup over scales eps0 in [eps, 1] of P(union of ranges with
     P <= eps0) / eps0, clamped below at 1.
@@ -258,13 +321,15 @@ def alexander_capacity(space: RangeSpace, eps: Fraction) -> Fraction:
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
-    measures, prefix = _sorted_measure_prefixes(space)
+    weights, prefix = space.sorted_weights, space.union_prefix
+    w = space.total_weight
+    lo = eps * w
     candidates = {eps}
-    candidates.update(m for m in measures if eps <= m <= 1)
+    candidates.update(Fraction(x, w) for x in set(weights) if x >= lo)
     best = Fraction(0)
     for eps0 in candidates:
-        j = bisect_right(measures, eps0)
-        ratio = Fraction(prefix[j], space.total_weight) / eps0
+        j = bisect_right(weights, eps0.numerator * w // eps0.denominator)
+        ratio = Fraction(prefix[j], w) / eps0
         if ratio > best:
             best = ratio
     return max(best, Fraction(1))
@@ -305,6 +370,75 @@ class DoublingResult:
         return self.lower
 
 
+def _eligible_count(space: RangeSpace, eps0: Fraction) -> int:
+    """How many ranges have measure <= 2 * eps0; they are the first ones
+    of space.measure_order."""
+    w = space.total_weight
+    return bisect_right(
+        space.sorted_weights, 2 * eps0.numerator * w // eps0.denominator
+    )
+
+
+def _doubling_exact(space: RangeSpace, eps: Fraction) -> DoublingResult:
+    """Exact mode of doubling_constant, as one sweep over the breakpoints.
+
+    Ranges are ranked by (measure, index); at scale eps0 the eligible
+    ranges are a rank prefix and the far graph keeps the pairs at integer
+    distance >= ceil(eps0 * W). Each distance is computed once; pair codes
+    p * m + q go into one typed array per distinct distance (O(m^2) data
+    never lives in Python lists), and the sweep deletes each bucket's
+    edges from one adjacency as the threshold passes it. The far graph
+    handed to max_clique at each breakpoint, and so the result, is the one
+    a fresh build at that breakpoint would give.
+    """
+    sorted_idx = space.measure_order
+    m = len(sorted_idx)
+    w = space.total_weight
+    ranked = [space.ranges[i] for i in sorted_idx]
+    typecode = "i" if m * m < 1 << 31 else "q"
+    by_dist: dict[int, array] = {}
+    for p in range(m):
+        rp = ranked[p]
+        code = p * m + p
+        for d in map(space.mask_weight, [rp ^ r for r in ranked[p + 1:]]):
+            code += 1
+            bucket = by_dist.get(d)
+            if bucket is None:
+                bucket = by_dist[d] = array(typecode)
+            bucket.append(code)
+    values = sorted(by_dist)
+
+    candidates = {eps}
+    for x in set(space.sorted_weights):
+        h = Fraction(x, 2 * w)
+        if eps <= h <= 1:
+            candidates.add(h)
+    lo = -(-eps.numerator * w // eps.denominator)
+    candidates.update(Fraction(v, w) for v in values if lo <= v <= w)
+
+    adj = [((1 << m) - 1) ^ (1 << p) for p in range(m)]
+    removed = 0  # buckets whose edges are already gone
+    best, best_eps0, best_members = 0, None, ()
+    for eps0 in sorted(candidates):
+        j = _eligible_count(space, eps0)
+        if j <= best:
+            continue
+        threshold = -(-eps0.numerator * w // eps0.denominator)
+        while removed < len(values) and values[removed] < threshold:
+            for code in by_dist.pop(values[removed]):
+                p, q = divmod(code, m)
+                adj[p] ^= 1 << q
+                adj[q] ^= 1 << p
+            removed += 1
+        low = (1 << j) - 1
+        size, members = max_clique([adj[p] & low for p in range(j)], lower_bound=best)
+        if size > best:
+            best = size
+            best_eps0 = eps0
+            best_members = tuple(sorted(sorted_idx[v] for v in members))
+    return DoublingResult("exact", best, float(best), best_eps0, best_members)
+
+
 def doubling_constant(
     space: RangeSpace,
     eps: Fraction,
@@ -320,7 +454,9 @@ def doubling_constant(
     (half-measures and pairwise distances); between breakpoints eligibility
     is constant and separation only loses pairs, so breakpoints suffice.
     Bracket mode returns a greedy lower bound at dyadic scales plus the
-    capacity ceiling min(|R|, (48e*tau)^d).
+    capacity ceiling min(|R|, (48e*tau)^d). Auto mode is exact up to
+    range_cap ranges and falls back to bracket mode when a max clique
+    search runs out of its node budget; exact mode raises instead.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
@@ -328,46 +464,21 @@ def doubling_constant(
     m = len(space.ranges)
     if m == 0:
         return DoublingResult("exact", 0, 0.0, None, ())
-    if mode == "auto":
+    auto = mode == "auto"
+    if auto:
         mode = "exact" if m <= range_cap else "bracket"
     if mode == "exact" and m > range_cap:
         raise CapExceededError(
             f"exact doubling capped at {range_cap} ranges, instance has {m}"
         )
 
-    measures = sorted((space.measure(i), i) for i in range(m))
-    sorted_meas = [q for q, _ in measures]
-    sorted_idx = [i for _, i in measures]
-
-    def eligible_at(eps0: Fraction) -> list[int]:
-        j = bisect_right(sorted_meas, 2 * eps0)
-        return sorted_idx[:j]
-
     if mode == "exact":
-        candidates = {eps}
-        for q in sorted_meas:
-            h = q / 2
-            if eps <= h <= 1:
-                candidates.add(h)
-        w = space.total_weight
-        for a in range(m):
-            ra = space.ranges[a]
-            for b in range(a + 1, m):
-                q = Fraction(space.mask_weight(ra ^ space.ranges[b]), w)
-                if eps <= q <= 1:
-                    candidates.add(q)
-        best, best_eps0, best_members = 0, None, ()
-        for eps0 in sorted(candidates):
-            elig = eligible_at(eps0)
-            if len(elig) <= best:
-                continue
-            adj = far_adjacency(space, elig, eps0)
-            size, members = max_clique(adj, lower_bound=best)
-            if size > best:
-                best = size
-                best_eps0 = eps0
-                best_members = tuple(sorted(elig[v] for v in members))
-        return DoublingResult("exact", best, float(best), best_eps0, best_members)
+        try:
+            return _doubling_exact(space, eps)
+        except CapExceededError:
+            if not auto:
+                raise
+        mode = "bracket"
 
     if mode != "bracket":
         raise ValueError(f"unknown doubling mode: {mode}")
@@ -377,9 +488,8 @@ def doubling_constant(
     rng = stream_rng(seed, "doubling-bracket")
     lower, lower_eps0, lower_members = 0, None, ()
     for eps0 in levels:
-        packing = greedy_packing(
-            space, eps0, eligible_at(eps0), rng=rng, shuffle=True
-        )
+        eligible = space.measure_order[:_eligible_count(space, eps0)]
+        packing = greedy_packing(space, eps0, eligible, rng=rng, shuffle=True)
         if len(packing.members) > lower:
             lower = len(packing.members)
             lower_eps0 = eps0
@@ -405,6 +515,46 @@ class ShallowResult:
     exact: bool
 
 
+def _max_shallow(space: RangeSpace, y: int, l: int) -> int:
+    """Exact shallow-cell count for a nonempty family: the most trace
+    classes with trace size <= l over point sets of size <= y.
+
+    Depth first over the point sets, keeping the classes grouped by trace
+    size. A trace never shrinks as Y grows, so classes past size l are
+    dropped; each kept class can split into at most 2^k parts with k
+    points to go, and there are never more than m traces.
+    """
+    cols = space.incidence()
+    n, m = space.n, len(space.ranges)
+    best = 0
+
+    def rec(levels: list[list[int]], start: int, k: int) -> bool:
+        # levels[s]: classes whose common trace on Y has s points
+        nonlocal best
+        count = sum(map(len, levels))
+        if count > best:
+            best = count
+            if best == m:
+                return True
+        if not k or min(count << k, m) <= best:
+            return False
+        for x in range(start, n):
+            col = cols[x]
+            new, carry = [], []
+            for classes in levels:
+                inside, outside = _split(classes, col)
+                new.append(carry + outside)
+                carry = inside
+            if len(new) <= l:
+                new.append(carry)
+            if rec(new, x + 1, k - 1):
+                return True
+        return False
+
+    rec([[(1 << m) - 1]], 0, y)
+    return best
+
+
 def shallow_cell(
     space: RangeSpace,
     y: int,
@@ -428,14 +578,7 @@ def shallow_cell(
         return ShallowResult(0, True)
     total = sum(math.comb(space.n, s) for s in range(y + 1))
     if total <= cap:
-        best = 0
-        for s in range(y + 1):
-            for pts in combinations(range(space.n), s):
-                ymask = mask_of(pts)
-                traces = {r & ymask for r in space.ranges}
-                count = sum(1 for t in traces if t.bit_count() <= l)
-                best = max(best, count)
-        return ShallowResult(best, True)
+        return ShallowResult(_max_shallow(space, y, l), True)
     rng = stream_rng(seed, "shallow", y, l)
     best = 0
     population = list(range(space.n))
@@ -474,11 +617,7 @@ def star_number(
     n = space.n
     if not space.ranges:
         return StarResult(0, 0, True, ())
-    # point_ranges[x]: bitmask over range indices containing x
-    point_ranges = [0] * n
-    for ri, r in enumerate(space.ranges):
-        for x in iter_bits(r):
-            point_ranges[x] |= 1 << ri
+    point_ranges = space.incidence()
 
     def try_add(chosen: list[int], wits: list[int], x: int):
         """Witnesses after adding x, or None if infeasible."""

@@ -24,7 +24,12 @@ class InstanceError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An exact oracle was asked to run beyond its configured size cap."""
+    """An exact oracle was asked to run beyond its configured size cap or
+    work budget; spent is the work done before it stopped, when counted."""
+
+    def __init__(self, message: str = "", spent: int | None = None):
+        super().__init__(message)
+        self.spent = spent
 
 
 class TheoremViolationError(RuntimeError):
@@ -47,6 +52,18 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def points_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
+
+
+def incidence_columns(masks: Sequence[int], n: int) -> list[int]:
+    """cols[x]: bitmask over the positions in masks of the masks that
+    contain point x, for x in 0..n-1."""
+    cols = [0] * n
+    full = (1 << n) - 1
+    for i, r in enumerate(masks):
+        bit = 1 << i
+        for x in iter_bits(r & full):
+            cols[x] |= bit
+    return cols
 
 
 def parse_rational(text: str) -> Fraction:
@@ -84,6 +101,12 @@ class RangeSpace:
 
     ranges are canonical: deduplicated, no empty range, sorted by their
     point tuples. The measure of a range is weight(range)/total_weight.
+
+    Derived per-space data follows one rule. What is computed through
+    mask_weight (range_weights, union_prefix) is built with the space, so
+    the mask_weight calls an operation makes do not depend on whether it
+    is the first to touch the space. Everything else (the sampling
+    population, the incidence index) is built on first use.
     """
 
     n: int
@@ -107,7 +130,28 @@ class RangeSpace:
         object.__setattr__(
             self, "range_weights", tuple(self.mask_weight(r) for r in self.ranges)
         )
+        # Range indices by ascending measure (ties by index), their weights
+        # in that order, and union_prefix[j] = weight of the union of the
+        # first j of them, so capacity at a scale and the ranges eligible at
+        # a doubling scale are bisects. union_prefix calls mask_weight, so
+        # it is built here (see the class docstring); the order and the
+        # sorted weights come from range_weights alone.
+        order = tuple(
+            sorted(range(len(self.ranges)), key=self.range_weights.__getitem__)
+        )
+        prefix = [0]
+        union = 0
+        for i in order:
+            prefix.append(prefix[-1] + self.mask_weight(self.ranges[i] & ~union))
+            union |= self.ranges[i]
+        object.__setattr__(self, "measure_order", order)
+        object.__setattr__(
+            self, "sorted_weights", tuple(self.range_weights[i] for i in order)
+        )
+        object.__setattr__(self, "union_prefix", tuple(prefix))
+        # Derived data built on first use (see draw_points and incidence).
         object.__setattr__(self, "_population", None)
+        object.__setattr__(self, "_incidence", None)
 
     # -- measures ---------------------------------------------------------
 
@@ -137,6 +181,15 @@ class RangeSpace:
         return self.rho_masks(self.ranges[i], self.ranges[j])
 
     # -- structure --------------------------------------------------------
+
+    def incidence(self) -> tuple[int, ...]:
+        """cols[x]: bitmask over range indices of the ranges containing
+        point x. Built once per space."""
+        cols = self._incidence  # type: ignore[attr-defined]
+        if cols is None:
+            cols = tuple(incidence_columns(self.ranges, self.n))
+            object.__setattr__(self, "_incidence", cols)
+        return cols
 
     def project(self, y: int | Iterable[int]) -> list[int]:
         """Distinct traces {R & Y} of the family on Y, canonically ordered.

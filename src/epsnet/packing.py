@@ -11,16 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .core import (
     CapExceededError,
     RangeSpace,
     TheoremViolationError,
-    iter_bits,
     stream_rng,
 )
 
 DEFAULT_CLIQUE_CAP = 400
+DEFAULT_CLIQUE_NODES = 200_000
 
 # e > 2718281828/10^9, used for exact-rational bound certificates.
 E_LOWER = Fraction(2718281828, 10**9)
@@ -33,22 +34,28 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
     Branch and bound: vertices ordered by descending degree, greedy
     coloring of each candidate set gives the pruning bound. lower_bound
     primes the incumbent size (the returned members may then be empty if
-    nothing beats it).
+    nothing beats it). A search that would expand more than
+    DEFAULT_CLIQUE_NODES nodes raises CapExceededError carrying the nodes
+    spent.
     """
+    budget = DEFAULT_CLIQUE_NODES
     n = len(adj)
     if n == 0:
         return 0, ()
     order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
     pos = {v: i for i, v in enumerate(order)}
     # Relabel so bit i corresponds to order[i]; candidate masks then shrink
-    # toward high bits as the search deepens.
+    # toward high bits as the search deepens. The bit permutation runs on
+    # binary strings, where character n-1-k holds bit k.
+    pick = itemgetter(*[n - 1 - order[n - 1 - k] for k in range(n)])
     radj = [0] * n
     for v in range(n):
-        for u in iter_bits(adj[v]):
-            radj[pos[v]] |= 1 << pos[u]
+        radj[pos[v]] = int("".join(pick(format(adj[v], f"0{n}b"))), 2)
 
     best = lower_bound
     best_members: tuple[int, ...] = ()
+
+    non_adj = [~a for a in radj]
 
     def color_bound(cand: int) -> list[tuple[int, int]]:
         """(vertex, color) pairs, colors 1-based, sorted by color asc."""
@@ -59,15 +66,23 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
             color += 1
             avail = rest
             while avail:
-                v = (avail & -avail).bit_length() - 1
+                low = avail & -avail
+                v = low.bit_length() - 1
                 out.append((v, color))
-                avail &= ~radj[v]
-                avail &= ~(1 << v)
-                rest &= ~(1 << v)
+                avail = (avail ^ low) & non_adj[v]
+                rest ^= low
         return out
 
+    nodes = 0
+
     def expand(cand: int, clique: list[int]) -> None:
-        nonlocal best, best_members
+        nonlocal best, best_members, nodes
+        if nodes == budget:
+            raise CapExceededError(
+                f"max clique search exceeded its budget of {budget} "
+                f"nodes", spent=nodes,
+            )
+        nodes += 1
         colored = color_bound(cand)
         for i in range(len(colored) - 1, -1, -1):
             v, c = colored[i]
@@ -83,7 +98,12 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
             clique.pop()
             cand &= ~(1 << v)
 
-    expand((1 << n) - 1, [])
+    try:
+        expand((1 << n) - 1, [])
+    finally:
+        # expand refers to itself; dropping the name breaks that cycle so
+        # the search tables are freed now rather than at a full collection.
+        del expand
     return best, tuple(sorted(order[i] for i in best_members))
 
 
@@ -148,7 +168,8 @@ def max_packing_exact(
     indices: list[int] | None = None,
     cap: int = DEFAULT_CLIQUE_CAP,
 ) -> Packing:
-    """Maximum delta-packing via exact max clique of the far graph."""
+    """Maximum delta-packing via exact max clique of the far graph.
+    Raises CapExceededError over the range cap or the clique node budget."""
     delta = Fraction(delta)
     if indices is None:
         indices = list(range(len(space.ranges)))
@@ -171,11 +192,18 @@ def max_packing_exact(
 @dataclass(frozen=True)
 class HausslerReport:
     delta: Fraction
-    packing_size: int
-    packing_exact: bool
+    packing: Packing  # the packing the bound was checked on
     d_packed: int
     bound: float
     ok: bool
+
+    @property
+    def packing_size(self) -> int:
+        return len(self.packing.members)
+
+    @property
+    def packing_exact(self) -> bool:
+        return self.packing.exact
 
 
 def haussler_certificate(
@@ -187,8 +215,9 @@ def haussler_certificate(
     """Check the packing bound: any delta-packing has size at most
     e(d+1) * (2e/delta)^d where d is the dimension of the packed family.
 
-    Uses the exact maximum packing when under cap (else greedy, which
-    still must obey the bound). strict raises on violation.
+    Uses the exact maximum packing when it fits under cap and the clique
+    node budget (else greedy, which still must obey the bound). strict
+    raises on violation.
     """
     delta = Fraction(delta)
     if not 0 < delta <= 1:
@@ -198,7 +227,7 @@ def haussler_certificate(
     except CapExceededError:
         packing = greedy_packing(space, delta)
     if not packing.members:
-        return HausslerReport(delta, 0, packing.exact, -1, 0.0, True)
+        return HausslerReport(delta, packing, -1, 0.0, True)
     from .complexity import vc_dimension  # local import avoids a cycle
 
     sub = space.subfamily(packing.members)
@@ -217,7 +246,7 @@ def haussler_certificate(
             f"packing bound failed: {len(packing.members)} ranges at "
             f"delta={delta} vs bound {bound:.3f} (d={d})"
         )
-    return HausslerReport(delta, len(packing.members), packing.exact, d, bound, ok)
+    return HausslerReport(delta, packing, d, bound, ok)
 
 
 def projection_count_estimate(

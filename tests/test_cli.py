@@ -1,13 +1,20 @@
 """Command-line interface: subcommand behavior, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from epsnet import experiment
+from epsnet import experiment, packing
 from epsnet.cli import main
 from epsnet.core import RangeSpace, TheoremViolationError
+from epsnet.generators import (
+    LowerBoundParams,
+    gen_geometric,
+    gen_lower_bound_family,
+    random_points,
+)
 from epsnet.experiment import (
     ExperimentConfig,
     run_experiment,
@@ -139,10 +146,72 @@ def test_deeply_nested_json_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# sha256 of `epsnet profile <instance> --eps 1/8` stdout. It pins every
+# value, witness, eps0 and member set of the profile, so a faster
+# enumeration must leave the bytes unchanged.
+PROFILE_SHA = {
+    "disks14": (
+        lambda: gen_geometric("disks", random_points(14, 2, seed=3),
+                              name="disks14"),
+        "fe6c2441176e8ef329af84eb9ad8dc594795329aaf2f3c18e895c37fb619b7ec",
+    ),
+    "intervals24": (
+        lambda: gen_geometric("intervals", random_points(24, 1, seed=3),
+                              name="intervals24"),
+        "1303016ea24264e6c24403ee7c0dc5754ed413131943ce29d6a113ddc0a15791",
+    ),
+    "lb-k2d3l2m3": (
+        lambda: gen_lower_bound_family(LowerBoundParams(k=2, d=3, l=2, m=3)),
+        "e34ee3256612d5369091f7cd22c4c0bdc969fdf173bfbbced7ed6bfc4029f38d",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PROFILE_SHA))
+def test_profile_json_is_frozen(key, tmp_path, capsys):
+    build, sha = PROFILE_SHA[key]
+    inst = tmp_path / f"{key}.json"
+    inst.write_text(build().dumps())
+    assert main(["profile", str(inst), "--eps", "1/8"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def test_profile_negative_pi_max_y_is_exit_2(chain_file, capsys):
+    assert main(["profile", str(chain_file), "--eps", "1/4",
+                 "--pi-max-y", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pi-max-y" in captured.err
+
+
 def test_pack_subcommand(chain_file, capsys):
     assert main(["pack", str(chain_file), "--delta", "1/4"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["packing_bound"]["ok"] is True
+
+
+def test_pack_falls_back_to_greedy_when_clique_budget_runs_out(
+    chain_file, capsys, monkeypatch,
+):
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 1)
+    assert main(["pack", str(chain_file), "--delta", "1/4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mode"] == "exact" and doc["exact"] is False
+    assert doc["size"] == len(doc["members"]) >= 1
+
+
+def test_pack_exact_over_range_cap_is_greedy_with_exit_0(tmp_path, capsys):
+    # 401 distinct subsets of 9 points: one more than the exact packing's
+    # range cap, so the exact mode reports the certificate's greedy packing.
+    ranges = [[x for x in range(9) if s >> x & 1] for s in range(1, 402)]
+    path = tmp_path / "wide.json"
+    path.write_text(
+        json.dumps({"n": 9, "weights": [1] * 9, "ranges": ranges}) + "\n")
+    assert main(["pack", str(path), "--delta", "1/2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mode"] == "exact" and doc["exact"] is False
+    assert doc["size"] == doc["packing_bound"]["max_packing"] >= 1
 
 
 def test_oig_subcommand(chain_file, capsys):

@@ -4,10 +4,12 @@ Expected values below were computed with tests/oracles.py first and then
 frozen as literals, so a regression in either side trips the comparison.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from epsnet import packing
 from epsnet.complexity import (
     alexander_capacity,
     capacity_levels,
@@ -20,7 +22,12 @@ from epsnet.complexity import (
     vc_dimension,
     vc_of_masks,
 )
-from epsnet.core import TheoremViolationError, build_range_space
+from epsnet.core import (
+    CapExceededError,
+    TheoremViolationError,
+    build_range_space,
+)
+from epsnet.generators import LowerBoundParams, gen_lower_bound_family
 
 from corpus import CORPUS, EPS_GRID
 from oracles import (
@@ -210,6 +217,26 @@ def test_doubling_members_are_separated():
         for b in r.members:
             if a < b:
                 assert sp.rho(a, b) >= eps0
+
+
+def test_doubling_auto_falls_back_to_bracket_when_clique_budget_runs_out():
+    # m = 132 is under the exact range cap, but at eps = 1/16 one far graph
+    # needs far more max clique nodes than the budget (the unbudgeted search
+    # ran for over ten minutes); auto mode must answer with a bracket.
+    sp = gen_lower_bound_family(LowerBoundParams(k=2, d=3, l=2, m=3))
+    start = time.perf_counter()
+    r = doubling_constant(sp, Fraction(1, 16))
+    assert time.perf_counter() - start < 30
+    assert r.mode == "bracket"
+    assert 1 <= r.lower <= r.upper <= len(sp.ranges)
+
+
+def test_doubling_exact_mode_raises_when_clique_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 1)
+    sp = CORPUS["intervals6"]
+    with pytest.raises(CapExceededError):
+        doubling_constant(sp, Fraction(1, 8), mode="exact")
+    assert doubling_constant(sp, Fraction(1, 8)).mode == "bracket"
 
 
 def test_shallow_cell_matches_oracle():

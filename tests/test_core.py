@@ -83,6 +83,15 @@ def test_malformed_instance_is_instance_error(doc):
         RangeSpace.from_dict(doc)
 
 
+def test_incidence_columns_are_built_once():
+    sp = build_range_space(4, [1] * 4, [[0, 1], [1, 2], [3]])
+    cols = sp.incidence()
+    for x in range(sp.n):
+        assert cols[x] == sum(
+            1 << i for i, r in enumerate(sp.ranges) if r >> x & 1)
+    assert sp.incidence() is cols
+
+
 def test_exact_measures():
     sp = build_range_space(4, [1, 2, 3, 4], [[0, 1], [2, 3], [1, 2]])
     assert sp.total_weight == 10

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import epsnet.packing as packing
 from epsnet.core import CapExceededError, TheoremViolationError, build_range_space
 from epsnet.packing import (
     E_LOWER,
@@ -86,6 +87,29 @@ def test_max_clique_lower_bound_priming_keeps_answer():
     full, _ = max_clique(adj)
     primed, _ = max_clique(adj, lower_bound=2)
     assert full == primed == 3
+
+
+def test_max_clique_node_budget_raises_with_work_spent(monkeypatch):
+    adj = _adj_from_edges(6, combinations(range(6), 2))
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 7)
+    assert max_clique(adj)[0] == 6  # one node per depth
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 3)
+    with pytest.raises(CapExceededError) as info:
+        max_clique(adj)
+    assert info.value.spent == 3
+
+
+def test_exact_packing_over_node_budget_raises_and_certificate_falls_back(
+    monkeypatch,
+):
+    sp = CORPUS["singles8"]
+    delta = Fraction(1, 4)
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 2)
+    with pytest.raises(CapExceededError):
+        max_packing_exact(sp, delta)
+    cert = haussler_certificate(sp, delta)
+    assert not cert.packing_exact
+    assert cert.packing_size == len(greedy_packing(sp, delta).members)
 
 
 def test_greedy_packing_is_maximal_and_separated():
