@@ -18,6 +18,7 @@ from .core import (
     InstanceError,
     RangeSpace,
     TheoremViolationError,
+    draw_points,
     format_rational,
     parse_json,
     parse_rational,
@@ -146,8 +147,6 @@ def cmd_oig(args) -> int:
         sample = _parse_int_list(args.sample)
     else:
         rng = stream_rng(args.seed, "cli-oig")
-        from .core import draw_points
-
         sample = draw_points(space, args.sample_size, rng)
     graph = build_oig(space, sample)
     check = density_check(graph, d=args.d)

@@ -413,7 +413,7 @@ def _doubling_exact(space: RangeSpace, eps: Fraction) -> DoublingResult:
         h = Fraction(x, 2 * w)
         if eps <= h <= 1:
             candidates.add(h)
-    lo = -(-eps.numerator * w // eps.denominator)
+    lo = space.ceil_weight(eps)
     candidates.update(Fraction(v, w) for v in values if lo <= v <= w)
 
     adj = [((1 << m) - 1) ^ (1 << p) for p in range(m)]
@@ -423,7 +423,7 @@ def _doubling_exact(space: RangeSpace, eps: Fraction) -> DoublingResult:
         j = _eligible_count(space, eps0)
         if j <= best:
             continue
-        threshold = -(-eps0.numerator * w // eps0.denominator)
+        threshold = space.ceil_weight(eps0)
         while removed < len(values) and values[removed] < threshold:
             for code in by_dist.pop(values[removed]):
                 p, q = divmod(code, m)
@@ -721,33 +721,29 @@ def compute_profile(
     space: RangeSpace,
     eps: Fraction,
     pi_max_y: int = 8,
-    vc_cap: int = DEFAULT_VC_CAP,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    doubling_range_cap: int = DEFAULT_DOUBLING_RANGE_CAP,
-    star_cap: int = DEFAULT_STAR_CAP,
     seed: int = 0,
 ) -> ComplexityProfile:
-    """One-stop profile at scale eps, exact where caps permit."""
+    """One-stop profile at scale eps, exact where the module's default
+    caps permit."""
     eps = Fraction(eps)
-    d = vc_or_lower_bound(space, vc_cap, seed)
+    d = vc_or_lower_bound(space, seed=seed)
     tau = alexander_capacity(space, eps)
     tau_vec = tuple(capacity_vector(space, eps))
     z, _ = capacity_levels(eps)
     doubling = doubling_constant(
-        space, eps, mode="auto", d=d.value if d.exact else None,
-        range_cap=doubling_range_cap, seed=seed,
+        space, eps, mode="auto", d=d.value if d.exact else None, seed=seed,
     )
     pi_rows = []
     for y in range(0, min(space.n, pi_max_y) + 1):
-        r = projection_function(space, y, cap=enum_cap, seed=seed)
+        r = projection_function(space, y, seed=seed)
         pi_rows.append((y, r.value, r.exact))
     phi_rows = []
     if d.value >= 1 and d.exact:
         y_phi = min(math.ceil(8 * d.value * tau), space.n)
         l_phi = min(24 * d.value, space.n)
-        r = shallow_cell(space, y_phi, l_phi, cap=enum_cap, seed=seed)
+        r = shallow_cell(space, y_phi, l_phi, seed=seed)
         phi_rows.append((y_phi, l_phi, r.value, r.exact))
-    star = star_number(space, cap=star_cap, seed=seed)
+    star = star_number(space, seed=seed)
     return ComplexityProfile(
         name=space.name, eps=eps, d=d, tau=tau, tau_vector=tau_vec, z=z,
         doubling=doubling, pi=tuple(pi_rows), phi=tuple(phi_rows), star=star,

@@ -9,6 +9,7 @@ rounds: every measure comparison is exact.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -165,6 +166,16 @@ class RangeSpace:
             total += w[low.bit_length() - 1]
             mask ^= low
         return total
+
+    def ceil_weight(self, q: Fraction) -> int:
+        """ceil(q * total_weight): a subset has measure >= q exactly when
+        its weight is at least this."""
+        return -(-q.numerator * self.total_weight // q.denominator)
+
+    def count_below(self, q: Fraction) -> int:
+        """How many ranges have measure < q; they are the first ones of
+        measure_order."""
+        return bisect_left(self.sorted_weights, self.ceil_weight(q))
 
     def mask_measure(self, mask: int) -> Fraction:
         return Fraction(self.mask_weight(mask), self.total_weight)

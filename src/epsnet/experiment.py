@@ -22,6 +22,7 @@ from .core import (
     InstanceError,
     PRNG_ALGORITHM,
     RangeSpace,
+    _items,
     format_rational,
     parse_rational,
 )
@@ -126,25 +127,40 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict, base_dir: Path | str = ".") -> "ExperimentConfig":
+        """Read a config document. Lists must be JSON lists, seeds and caps
+        true ints and C a number; anything else, or an unknown key, is an
+        InstanceError rather than a silent coercion."""
+        if not isinstance(doc, dict):
+            raise InstanceError(f"experiment config must be an object, got {doc!r}")
         required = ("instances", "eps", "methods", "seeds")
         for key in required:
             if key not in doc:
                 raise InstanceError(f"experiment config missing '{key}'")
-        for m in doc["methods"]:
-            if m not in METHODS:
-                raise InstanceError(f"unknown method '{m}'")
+        ints = ("cal_budget", "oracle_cap", "vc_cap", "doubling_range_cap")
+        unknown = sorted(set(doc) - {*required, "C", "delta", *ints})
+        if unknown:
+            raise InstanceError(f"unknown experiment config keys: {unknown}")
+        methods = list(_items(doc["methods"], "methods"))
+        for m in methods:
+            if not isinstance(m, str) or m not in METHODS:
+                raise InstanceError(f"unknown method {m!r}")
+        seeds = list(_items(doc["seeds"], "seeds"))
+        caps = {key: doc.get(key, getattr(ExperimentConfig, key)) for key in ints}
+        for key, v in [("seeds", x) for x in seeds] + list(caps.items()):
+            if type(v) is not int:
+                raise InstanceError(f"'{key}' must be an integer, got {v!r}")
+        C = doc.get("C", ExperimentConfig.C)
+        if type(C) not in (int, float):
+            raise InstanceError(f"'C' must be a number, got {C!r}")
         return ExperimentConfig(
-            instances=list(doc["instances"]),
-            eps_grid=[parse_rational(str(e)) for e in doc["eps"]],
-            methods=list(doc["methods"]),
-            seeds=[int(s) for s in doc["seeds"]],
-            C=float(doc.get("C", 8.0)),
-            delta=parse_rational(str(doc.get("delta", "1/10"))),
-            cal_budget=int(doc.get("cal_budget", 20)),
-            oracle_cap=int(doc.get("oracle_cap", 2000)),
-            vc_cap=int(doc.get("vc_cap", 24)),
-            doubling_range_cap=int(doc.get("doubling_range_cap", 400)),
+            instances=list(_items(doc["instances"], "instances")),
+            eps_grid=[parse_rational(str(e)) for e in _items(doc["eps"], "eps")],
+            methods=methods,
+            C=float(C),
+            delta=parse_rational(str(doc.get("delta", ExperimentConfig.delta))),
+            seeds=seeds,
             base_dir=Path(base_dir),
+            **caps,
         )
 
 
@@ -157,7 +173,9 @@ def resolve_instances(config: ExperimentConfig) -> list[RangeSpace]:
     for entry in config.instances:
         if isinstance(entry, str):
             spaces.append(load_instance(config.base_dir / entry))
-        elif "path" in entry:
+        elif not isinstance(entry, dict):
+            raise InstanceError(f"instance entry must be a path or an object: {entry!r}")
+        elif isinstance(entry.get("path"), str):
             spaces.append(load_instance(config.base_dir / entry["path"]))
         elif "inline" in entry:
             spaces.append(RangeSpace.from_dict(entry["inline"]))

@@ -6,6 +6,12 @@ meets every range of measure >= eps (inclusive). Randomized builders
 report honest outcomes: one-shot methods may return is_net=False, while
 the stratified and packing-guided builders carry deterministic repair
 steps and always verify.
+
+Hits are bitmasks over range indices. The ranges a point set meets are
+the OR of its points' incidence columns (RangeSpace.incidence), and the
+heavy ranges, those of measure >= eps, are a suffix of the space's
+measure order, so a net's violations are heavy & ~hits. The dyadic
+buckets are runs of that order between bisected cuts.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .core import (
     ceil_log2,
     draw_points,
     format_rational,
+    incidence_columns,
     iter_bits,
     mask_of,
     stream_rng,
@@ -36,7 +43,9 @@ from .packing import E_UPPER, greedy_packing
 
 LN2 = math.log(2.0)
 DEFAULT_C = 8.0
-DRAW_CAP = 10**6
+DRAW_CAP = 10**6  # cal_net's draw guard is min(2^budget_n, DRAW_CAP)
+STRATIFIED_RETRIES = 8  # doubled redraws per bucket before the repair
+EXACT_NET_NODES = 5_000_000  # branch-and-bound budget of min_net_exact
 
 
 @dataclass(frozen=True)
@@ -77,24 +86,19 @@ class NetReport:
         }
 
 
-def _heavy(space: RangeSpace, eps: Fraction) -> list[int]:
-    """Indices of the ranges of measure >= eps, the ones a net must hit."""
-    num, den = eps.numerator, eps.denominator
-    w = space.total_weight
-    return [i for i, rw in enumerate(space.range_weights) if rw * den >= num * w]
+def _heavy(space: RangeSpace, eps: Fraction) -> int:
+    """Bitmask over range indices of the ranges of measure >= eps, the
+    ones a net must hit."""
+    return mask_of(space.measure_order[space.count_below(eps):])
 
 
-def _violations(space: RangeSpace, mask: int, eps: Fraction) -> tuple[int, ...]:
-    # One pass with the measure test inlined rather than a filter over
-    # _heavy's indices, which takes a second pass: verify_net runs after
-    # every construction.
-    num, den = eps.numerator, eps.denominator
-    w = space.total_weight
-    out = []
-    for i, r in enumerate(space.ranges):
-        if space.range_weights[i] * den >= num * w and not (r & mask):
-            out.append(i)
-    return tuple(out)
+def _hits(space: RangeSpace, point_mask: int) -> int:
+    """Bitmask over range indices of the ranges that meet the point mask."""
+    cols = space.incidence()
+    hit = 0
+    for p in iter_bits(point_mask):
+        hit |= cols[p]
+    return hit
 
 
 def verify_net(
@@ -118,40 +122,62 @@ def verify_net(
             raise InstanceError(f"candidate point {p} outside 0..{space.n - 1}")
         if space.weights[p] == 0:
             raise InstanceError(f"candidate point {p} has zero weight")
-    mask = mask_of(pts)
-    violations = _violations(space, mask, eps)
+    missed = _heavy(space, eps) & ~_hits(space, mask_of(pts))
+    violations = tuple(iter_bits(missed))
     return NetReport(
         method, eps, tuple(pts), not violations, violations, stats or {}
     )
 
 
 def _greedy_hit(space: RangeSpace, masks: list[int], have: int = 0) -> list[int]:
-    """Support points chosen greedily to hit all masks (most new hits
-    first, ties to the lowest point index). Caller guarantees each mask
-    has a support point."""
-    todo = [m & space.support_mask for m in masks if not (m & have)]
+    """Support points chosen greedily to hit every mask that have does
+    not meet: most new hits first, ties to the lowest point index. A
+    point's new hits are popcount(col[p] & todo) over the incidence
+    columns of the targets. A target with no support point is a
+    ValueError."""
+    targets = [m & space.support_mask for m in masks if not (m & have)]
+    if not all(targets):
+        raise ValueError("a hitting-set target has no support point")
+    cols = incidence_columns(targets, space.n)
+    cands = [p for p in range(space.n) if cols[p]]
+    todo = (1 << len(targets)) - 1
     chosen: list[int] = []
     while todo:
-        counts: dict[int, int] = {}
-        for m in todo:
-            for p in iter_bits(m):
-                counts[p] = counts.get(p, 0) + 1
-        best_p = min(counts, key=lambda p: (-counts[p], p))
+        best_p, best = -1, 0
+        for p in cands:
+            c = (cols[p] & todo).bit_count()
+            if c > best:
+                best_p, best = p, c
         chosen.append(best_p)
-        bit = 1 << best_p
-        todo = [m for m in todo if not (m & bit)]
+        todo &= ~cols[best_p]
     return chosen
 
 
-def _quarter_classes(
-    space: RangeSpace, bucket, members: tuple[int, ...], sep: Fraction
-) -> dict[int, list[int]]:
-    """Packing member q -> the bucket ranges R with P(R & Q) >= P(Q)/4.
+def _repair(
+    space: RangeSpace, groups: list[list[int]], net_mask: int
+) -> tuple[int, int]:
+    """Greedily finish each target group in turn on top of net_mask.
+    Returns the grown net mask and the number of points added."""
+    added = 0
+    for targets in groups:
+        pts = _greedy_hit(space, targets, net_mask)
+        added += len(pts)
+        net_mask |= mask_of(pts)
+    return net_mask, added
 
-    Maximality of a sep-packing of the bucket forces every bucket range
-    into some class; a range without one is a TheoremViolationError.
+
+def _quarter_groups(
+    space: RangeSpace, bucket: tuple[int, ...], sep: Fraction
+) -> tuple[int, list[list[int]]]:
+    """Size of a greedy maximal sep-packing of the bucket, and per member
+    Q the targets of its quarter-scale net: the traces R & Q of the
+    bucket ranges R with P(R & Q) >= P(Q)/4.
+
+    Maximality forces every bucket range into some member's group; a
+    range without one is a TheoremViolationError.
     """
-    classes: dict[int, list[int]] = {q: [] for q in members}
+    members = greedy_packing(space, sep, list(bucket)).members
+    groups: dict[int, list[int]] = {q: [] for q in members}
     for i in bucket:
         ri = space.ranges[i]
         homes = [
@@ -164,8 +190,8 @@ def _quarter_classes(
                 f"range {i} shares no quarter-mass packing member at scale {sep}"
             )
         for q in homes:
-            classes[q].append(i)
-    return classes
+            groups[q].append(ri & space.ranges[q])
+    return len(members), list(groups.values())
 
 
 # -- dyadic decomposition ----------------------------------------------------
@@ -192,21 +218,19 @@ def build_decomposition(space: RangeSpace, eps: Fraction) -> DyadicDecomposition
     eps = Fraction(eps)
     z, levels = capacity_levels(eps)
     taus = tuple(alexander_capacity(space, lv) for lv in levels)
-    buckets: list[list[int]] = [[] for _ in range(z + 1)]
-    for i in range(len(space.ranges)):
-        q = space.measure(i)
-        for b in range(z + 1):
-            if q < levels[b]:
-                buckets[b].append(i)
-                break
-        else:
-            buckets[z].append(i)
+    # In measure order bucket b is the run between cuts[b] and cuts[b+1].
+    order = space.measure_order
+    cuts = [0] + [space.count_below(lv) for lv in levels[:z]] + [len(order)]
+    buckets = []
     unions = []
     w = space.total_weight
     for b in range(z + 1):
+        lo = cuts[b]
+        bucket = tuple(sorted(order[lo:cuts[b + 1]]))
         u = 0
-        for i in buckets[b]:
+        for i in bucket:
             u |= space.ranges[i]
+        buckets.append(bucket)
         unions.append(u)
         u_w = space.mask_weight(u)
         lv, tau = levels[b], taus[b]
@@ -214,17 +238,15 @@ def build_decomposition(space: RangeSpace, eps: Fraction) -> DyadicDecomposition
             raise TheoremViolationError(
                 f"bucket {b} union measure exceeds tau*level at scale {lv}"
             )
-        if b >= 1 and u_w:
-            for i in buckets[b]:
-                # P(R | union) >= 1/(2 tau) since P(R) >= level/2
-                if Fraction(space.range_weights[i], u_w) * 2 * tau < 1:
-                    raise TheoremViolationError(
-                        f"conditional measure of range {i} in bucket {b} "
-                        f"fell below 1/(2*tau)"
-                    )
+        # P(R | union) >= 1/(2 tau) since P(R) >= level/2; the lightest
+        # member, the run's first, is the one to check.
+        if b >= 1 and u_w and 2 * space.sorted_weights[lo] * tau < u_w:
+            raise TheoremViolationError(
+                f"conditional measure of range {order[lo]} in bucket {b} "
+                f"fell below 1/(2*tau)"
+            )
     return DyadicDecomposition(
-        eps, z, tuple(levels), tuple(tuple(b) for b in buckets),
-        tuple(unions), taus,
+        eps, z, tuple(levels), tuple(buckets), tuple(unions), taus,
     )
 
 
@@ -329,16 +351,15 @@ def stratified_net(
     eps: Fraction,
     C: float = DEFAULT_C,
     seed: int = 0,
-    max_retries: int = 8,
     d: int | None = None,
 ) -> NetReport:
     """Per-bucket conditional sampling at scale 1/(2 tau_i).
 
     Every bucket member has conditional measure >= 1/(2 tau_i) inside its
     bucket union, so a conditional net at that scale hits the whole
-    bucket. Buckets at scale >= 1 are verified and retried with doubled
-    samples, then repaired greedily; bucket 0 is sampled for
-    size-accounting parity but needs no hits.
+    bucket. Buckets at scale >= 1 are checked and redrawn with doubled
+    samples up to STRATIFIED_RETRIES times, then repaired greedily;
+    bucket 0 is sampled for size-accounting parity but needs no hits.
     """
     eps = Fraction(eps)
     if d is None:
@@ -362,30 +383,24 @@ def stratified_net(
         base_m = math.ceil(
             C * (d_eff * math.log(1 / float(level_eps)) + LN2) / float(level_eps)
         )
+        need = mask_of(bucket)  # over range indices
         got = 0
-        for attempt in range(max_retries + 1):
+        for attempt in range(STRATIFIED_RETRIES + 1):
             m = base_m * (2**attempt)
             pts = draw_points(space, m, rng, within_mask=union)
             draws += m
             got += len(pts)
-            for p in pts:
-                net_mask |= 1 << p
-            if b == 0:
-                break  # no hitting requirement below the base scale
-            if all(space.ranges[i] & net_mask for i in bucket):
+            net_mask |= mask_of(pts)
+            # Bucket 0 has no hitting requirement below the base scale.
+            if b == 0 or not need & ~_hits(space, net_mask):
                 break
             retries_used += 1
         if b >= 1:
-            unhit = [i for i in bucket if not (space.ranges[i] & net_mask)]
-            if unhit:
-                repair_pts = _greedy_hit(
-                    space, [space.ranges[i] for i in unhit], net_mask
-                )
-                repaired += len(repair_pts)
-                for p in repair_pts:
-                    net_mask |= 1 << p
+            targets = [space.ranges[i] for i in bucket]
+            net_mask, added = _repair(space, [targets], net_mask)
+            repaired += added
         level_sizes.append(got)
-    pts = [p for p in iter_bits(net_mask)]
+    pts = list(iter_bits(net_mask))
     stats = {
         "seed": seed,
         "C": C,
@@ -408,7 +423,6 @@ def doubling_net(
     eps: Fraction,
     C: float = DEFAULT_C,
     seed: int = 0,
-    max_retries: int = 0,
     D: float | None = None,
     d: int | None = None,
 ) -> NetReport:
@@ -416,11 +430,11 @@ def doubling_net(
 
     Per scale i >= 1: take a greedy maximal packing of the bucket at
     separation levels[i-1]; every bucket member then shares at least a
-    quarter of some packing member's measure (asserted exactly). Draw a
+    quarter of some packing member's measure (asserted exactly). Draw one
     conditional sample sized C*(t_i + d)*tau_{i-1} with
     t_i = max(ln(D/tau_i), ln 2); whichever packing-member neighborhoods
     it fails to finely cover are finished off with greedy quarter-scale
-    hitting sets, so the result always verifies.
+    hitting sets, so the result always verifies. There are no redraws.
     """
     eps = Fraction(eps)
     if d is None:
@@ -431,7 +445,6 @@ def doubling_net(
     D = max(D, 1.0)
     dec = build_decomposition(space, eps)
     rng = stream_rng(seed, "doubling")
-    w = space.total_weight
     net_mask = 0
     draws = 0
     repaired = 0
@@ -444,43 +457,18 @@ def doubling_net(
             level_sizes.append(0)
             packing_sizes.append(0)
             continue
-        sep = dec.levels[b - 1]
-        packing = greedy_packing(space, sep, list(bucket))
-        packing_sizes.append(len(packing.members))
-        classes = _quarter_classes(space, bucket, packing.members, sep)
-        tau_prev = dec.taus[b - 1]
+        packing_size, groups = _quarter_groups(space, bucket, dec.levels[b - 1])
+        packing_sizes.append(packing_size)
         t_i = max(math.log(D / float(dec.taus[b])), LN2)
-        base_m = math.ceil(C * (t_i + d_eff) * float(tau_prev))
-        got = 0
-        for attempt in range(max_retries + 1):
-            m = base_m * (2**attempt)
-            pts = draw_points(space, m, rng, within_mask=union)
-            draws += m
-            got += len(pts)
-            for p in pts:
-                net_mask |= 1 << p
-            if all(
-                space.ranges[i] & space.ranges[q] & net_mask
-                for q, members in classes.items()
-                for i in members
-            ):
-                break
-        # Manual repair, per packing member: greedily finish the
-        # quarter-scale net for the member's class inside the member.
-        for q, members in classes.items():
-            rq = space.ranges[q]
-            unfixed = [
-                space.ranges[i] & rq
-                for i in members
-                if not (space.ranges[i] & rq & net_mask)
-            ]
-            if unfixed:
-                repair_pts = _greedy_hit(space, unfixed, net_mask)
-                repaired += len(repair_pts)
-                for p in repair_pts:
-                    net_mask |= 1 << p
-        level_sizes.append(got)
-    pts = [p for p in iter_bits(net_mask)]
+        m = math.ceil(C * (t_i + d_eff) * float(dec.taus[b - 1]))
+        net_mask |= mask_of(draw_points(space, m, rng, within_mask=union))
+        draws += m
+        # Per packing member, greedily finish the quarter-scale net of its
+        # group inside the member.
+        net_mask, added = _repair(space, groups, net_mask)
+        repaired += added
+        level_sizes.append(m)
+    pts = list(iter_bits(net_mask))
     stats = {
         "seed": seed,
         "C": C,
@@ -538,17 +526,8 @@ def doubling_net_small_d(
         if not bucket:
             member_net_sizes.append(0)
             continue
-        sep = dec.levels[b - 1]
-        packing = greedy_packing(space, sep, list(bucket))
-        added = 0
-        classes = _quarter_classes(space, bucket, packing.members, sep)
-        for q, members in classes.items():
-            rq = space.ranges[q]
-            targets = [space.ranges[i] & rq for i in members]
-            repair_pts = _greedy_hit(space, targets, net_mask)
-            added += len(repair_pts)
-            for p in repair_pts:
-                net_mask |= 1 << p
+        _, groups = _quarter_groups(space, bucket, dec.levels[b - 1])
+        net_mask, added = _repair(space, groups, net_mask)
         member_net_sizes.append(added)
     tail = [
         i
@@ -559,11 +538,10 @@ def doubling_net_small_d(
     if tail:
         lam = dec.levels[i0]
         tail_rep = doubling_net(space.subfamily(tail), lam, C=C, seed=seed, d=d)
-        for p in tail_rep.points:
-            net_mask |= 1 << p
+        net_mask |= tail_rep.mask
         tail_stats = {"size": tail_rep.size, "scale": lam,
                       "draws": tail_rep.stats.get("draws", 0)}
-    pts = [p for p in iter_bits(net_mask)]
+    pts = list(iter_bits(net_mask))
     stats = {
         "seed": seed,
         "C": C,
@@ -586,13 +564,12 @@ def cal_net(
     eps: Fraction,
     budget_n: int,
     seed: int = 0,
-    draw_cap: int = DRAW_CAP,
 ) -> NetReport:
     """Sequential builder: draw i.i.d. points, keep one only if it lies in
     a surviving (not yet hit) range, drop the ranges it hits.
 
-    Runs until budget_n points are kept, 2^budget_n (capped) points are
-    drawn, or no range survives. The net property is equivalent to every
+    Runs until budget_n points are kept, min(2^budget_n, DRAW_CAP) points
+    are drawn, or no range survives. The net property is equivalent to every
     surviving range having measure below eps, which is exactly what the
     final verification reports.
     """
@@ -600,25 +577,23 @@ def cal_net(
     if budget_n < 1:
         raise ValueError("budget_n must be >= 1")
     rng = stream_rng(seed, "cal")
-    surviving = set(range(len(space.ranges)))
+    cols = space.incidence()
+    surviving = (1 << len(space.ranges)) - 1  # over range indices
     kept: list[int] = []
-    kept_mask = 0
     drawn = 0
-    guard = min(2**budget_n if budget_n < 64 else draw_cap, draw_cap)
+    guard = min(1 << min(budget_n, 64), DRAW_CAP)
     while len(kept) < budget_n and drawn < guard and surviving:
         p = draw_points(space, 1, rng)[0]
         drawn += 1
-        bit = 1 << p
-        hit = [i for i in surviving if space.ranges[i] & bit]
+        hit = surviving & cols[p]
         if hit:
             kept.append(p)
-            kept_mask |= bit
-            surviving.difference_update(hit)
+            surviving ^= hit
     stats = {
         "seed": seed,
         "kept": len(kept),
         "draws": drawn,
-        "surviving": len(surviving),
+        "surviving": surviving.bit_count(),
         "budget_n": budget_n,
         "guard": guard,
     }
@@ -631,7 +606,7 @@ def cal_net(
 def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
     """Deterministic greedy hitting set over the qualifying ranges."""
     eps = Fraction(eps)
-    targets = [space.ranges[i] for i in _heavy(space, eps)]
+    targets = [space.ranges[i] for i in iter_bits(_heavy(space, eps))]
     pts = _greedy_hit(space, targets)
     return verify_net(
         space, pts, eps, method="greedy",
@@ -710,16 +685,19 @@ def min_net_exact(
     space: RangeSpace,
     eps: Fraction,
     cap: int = 2000,
-    node_budget: int = 5_000_000,
 ) -> NetReport:
     """Minimum-cardinality net by exact branch and bound.
 
     Restricted to support points; supersets of another qualifying range
     are dropped (hitting the subset hits them), and point-disjoint
-    components are solved independently.
+    components are solved independently within one budget of
+    EXACT_NET_NODES search nodes.
     """
     eps = Fraction(eps)
-    targets = [space.ranges[i] & space.support_mask for i in _heavy(space, eps)]
+    targets = [
+        space.ranges[i] & space.support_mask
+        for i in iter_bits(_heavy(space, eps))
+    ]
     if len(targets) > cap:
         raise CapExceededError(
             f"exact net oracle capped at {cap} qualifying ranges, "
@@ -731,7 +709,7 @@ def min_net_exact(
         if not any(m != s and m & s == s for s in targets):
             pruned.append(m)
     pts: list[int] = []
-    budget = [node_budget]
+    budget = [EXACT_NET_NODES]
     for comp in _components(pruned):
         pts.extend(_min_hit_component(space, [pruned[i] for i in comp], budget))
     return verify_net(

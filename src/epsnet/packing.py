@@ -17,6 +17,7 @@ from .core import (
     CapExceededError,
     RangeSpace,
     TheoremViolationError,
+    draw_points,
     stream_rng,
 )
 
@@ -119,12 +120,11 @@ def far_adjacency(space: RangeSpace, indices: list[int], delta: Fraction) -> lis
     an edge joins two ranges at distance rho >= delta."""
     k = len(indices)
     adj = [0] * k
-    num, den = delta.numerator, delta.denominator
-    w = space.total_weight
+    far = space.ceil_weight(delta)
     masks = [space.ranges[i] for i in indices]
     for a in range(k):
         for b in range(a + 1, k):
-            if space.mask_weight(masks[a] ^ masks[b]) * den >= num * w:
+            if space.mask_weight(masks[a] ^ masks[b]) >= far:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     return adj
@@ -150,14 +150,11 @@ def greedy_packing(
         if rng is None:
             rng = stream_rng(0, "packing")
         rng.shuffle(order)
-    num, den = delta.numerator, delta.denominator
-    w = space.total_weight
+    far = space.ceil_weight(delta)
     chosen: list[int] = []
     for i in order:
         ri = space.ranges[i]
-        if all(
-            space.mask_weight(ri ^ space.ranges[j]) * den >= num * w for j in chosen
-        ):
+        if all(space.mask_weight(ri ^ space.ranges[j]) >= far for j in chosen):
             chosen.append(i)
     return Packing(delta, tuple(sorted(chosen)), False)
 
@@ -231,11 +228,7 @@ def haussler_certificate(
     from .complexity import vc_dimension  # local import avoids a cycle
 
     sub = space.subfamily(packing.members)
-    d = vc_dimension(sub).value
-    if d <= 0:
-        # A 1-point-shatterable or constant family: packing is at most
-        # d = 0 gives bound e * 1 * anything; keep it meaningful.
-        d = max(d, 0)
+    d = max(vc_dimension(sub).value, 0)
     if d == 0:
         bound = math.e * 1.0
     else:
@@ -266,7 +259,6 @@ def projection_count_estimate(
     estimated by trials draws; strict mode raises if the empirical
     mean violates the inequality with generous tolerance (3 sigma).
     """
-    from .core import draw_points
     from .complexity import vc_dimension
 
     delta = Fraction(delta)

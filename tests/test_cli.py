@@ -259,6 +259,37 @@ def test_experiment_config_validation(tmp_path):
     with pytest.raises(InstanceError):
         ExperimentConfig.from_dict({"instances": [], "eps": ["1/4"],
                                     "methods": ["warp"], "seeds": [0]})
+    for doc in (None, 5, ["instances"]):
+        with pytest.raises(InstanceError):
+            ExperimentConfig.from_dict(doc)
+
+
+# Each case was silently coerced (or crashed with a traceback) before
+# config fields were type-checked.
+MALFORMED_CONFIG = {
+    "eps-string": {"eps": "11"},
+    "seeds-float-bool": {"seeds": [1.9, True]},
+    "seeds-string": {"seeds": "01"},
+    "cal-budget-float": {"cal_budget": 2.7},
+    "oracle-cap-string": {"oracle_cap": "2000"},
+    "C-string": {"C": "8"},
+    "unknown-key": {"cal-budget": 3},
+    "method-list": {"methods": [["greedy"]]},
+    "instance-number": {"instances": [5]},
+    "instance-path-number": {"instances": [{"path": 5}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIG))
+def test_malformed_config_is_exit_2(case, chain_file, tmp_path, capsys):
+    doc = {"instances": [chain_file.name], "eps": ["1/4"],
+           "methods": ["greedy"], "seeds": [0], **MALFORMED_CONFIG[case]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_inline_instance_and_error_rows(tmp_path):

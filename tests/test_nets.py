@@ -1,12 +1,15 @@
 """Net constructions: every builder must produce a certified net (or report
 failure honestly), and the exact oracle pins down minimum sizes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from epsnet import nets
 from epsnet.core import InstanceError, build_range_space
+from epsnet.experiment import METHODS, ExperimentConfig, run_method
 from epsnet.nets import (
     build_decomposition,
     cal_net,
@@ -189,11 +192,44 @@ def test_small_doubling_fallback_flag():
     assert rep2.is_net
 
 
-def test_stratified_repair_even_with_no_retries():
+def test_stratified_repair_even_with_no_retries(monkeypatch):
+    monkeypatch.setattr(nets, "STRATIFIED_RETRIES", 0)
     for key in ("random10a", "random12w"):
-        rep = stratified_net(CORPUS[key], Fraction(1, 16), seed=9,
-                             max_retries=0)
+        rep = stratified_net(CORPUS[key], Fraction(1, 16), seed=9)
         assert rep.is_net, key
+
+
+# sha256 over the sorted-key JSON of NetReport.to_dict() for every corpus
+# space, eps in EPS_GRID and seed in {0, 1}, per registered method with the
+# default settings. It pins the points and stats of every builder.
+BUILDER_SHA = {
+    "iid": "2a1ba637d09d6e63fe95f09698557e6f944be4cc0f2e40f1254de7667fcbe11d",
+    "iid-capacity":
+        "416edbebb04974748883e0f90d729628c763fd7ac2148c472938185c18d28498",
+    "stratified":
+        "d1264a4ba2095a52b124e856d5358b4e933afec78805ff1541221976170f7f3f",
+    "doubling":
+        "752b4d3b41290ff012e8a62a5226b0199dc291407817f7e3127019912fc5a0ab",
+    "doubling-small":
+        "26637c442a40b719bbb8c4ca3249ea58ca09302b2453d51f003e87999289b037",
+    "cal": "d9b61f43e220f6b8aa806ec621de96427e8fd81282e4ccac14d233a9d754041c",
+    "greedy":
+        "0cb023d188d3bd538d57a056a242d18bdb87432a4ff9f635542904622fb525dc",
+    "exact": "e4d27b5c110a55c6badbd961686e361bd2337ce6dad49b2b2b660ce6f7ccd79b",
+}
+
+
+def test_builders_are_frozen():
+    assert sorted(BUILDER_SHA) == sorted(METHODS)
+    config = ExperimentConfig()
+    for method, sha in BUILDER_SHA.items():
+        h = hashlib.sha256()
+        for sp in CORPUS.values():
+            for eps in EPS_GRID:
+                for seed in (0, 1):
+                    rep = run_method(sp, eps, method, seed, config)
+                    h.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
+        assert h.hexdigest() == sha, method
 
 
 # -- sequential builder -------------------------------------------------------

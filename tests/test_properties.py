@@ -1,6 +1,7 @@
-"""Property tests: the trace-class enumerations (pi, phi, VC) and the exact
-doubling sweep agree with the brute-force oracles on small weighted random
-spaces, and their witnesses certify what they claim."""
+"""Property tests: the trace-class enumerations (pi, phi, VC), the exact
+doubling sweep, the net verifier and the dyadic buckets agree with the
+brute-force oracles on small weighted random spaces, and their witnesses
+certify what they claim."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -14,8 +15,16 @@ from epsnet.complexity import (
     vc_dimension,
 )
 from epsnet.core import build_range_space, mask_of
+from epsnet.nets import build_decomposition, verify_net
 
-from oracles import oracle_doubling, oracle_pi, oracle_shallow, oracle_vc
+from oracles import (
+    as_sets,
+    oracle_doubling,
+    oracle_pi,
+    oracle_shallow,
+    oracle_vc,
+    set_measure,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -72,3 +81,29 @@ def test_exact_doubling_matches_oracle_with_certified_members(space, eps):
             assert space.measure(i) <= 2 * eps0
         for a, b in combinations(got.members, 2):
             assert space.rho(a, b) >= eps0
+
+
+@PROPERTY_SETTINGS
+@given(small_spaces(), st.sampled_from([Fraction(1), Fraction(1, 2),
+                                        Fraction(3, 7), Fraction(1, 3),
+                                        Fraction(1, 8), Fraction(1, 16)]),
+       st.data())
+def test_violations_and_buckets_match_fraction_measures(space, eps, data):
+    fam = as_sets(space)
+    measures = [set_measure(space, r) for r in fam]
+    support = [p for p in range(space.n) if space.weights[p]]
+    cand = set(data.draw(st.lists(st.sampled_from(support), unique=True)))
+    want = tuple(i for i, r in enumerate(fam)
+                 if measures[i] >= eps and not r & cand)
+    assert verify_net(space, cand, eps).violations == want
+
+    z = 1
+    while 2 ** (z - 1) * eps < 1:
+        z += 1
+    levels = [min(2**i * eps, Fraction(1)) for i in range(z + 1)]
+    home = [next((b for b in range(z) if q < levels[b]), z) for q in measures]
+    dec = build_decomposition(space, eps)
+    assert dec.z == z and list(dec.levels) == levels
+    assert dec.buckets == tuple(
+        tuple(i for i in range(len(fam)) if home[i] == b) for b in range(z + 1)
+    )
