@@ -175,9 +175,9 @@ def cmd_net(args) -> int:
     )
     d = args.d
     if d is None and METHODS[args.method].uses_d:
-        # Over the exact search's cap, d is the sampled lower bound. The
-        # exact verifier still decides is_net, and the guaranteed builders
-        # repair until it holds.
+        # Past the exact VC walk's node budget, d is the sampled lower
+        # bound. The exact verifier still decides is_net, and the
+        # guaranteed builders repair until it holds.
         d = vc_or_lower_bound(space, seed=args.seed).value
     # D stays None: the doubling builders compute it themselves.
     report = run_method(space, eps, args.method, args.seed, config, d)

@@ -1,9 +1,10 @@
 """Combinatorial and measure-theoretic complexity of a range space.
 
-Exact modes enumerate and are guarded by size caps; budget modes return
-flagged lower bounds. Suprema over a continuous scale parameter are
-finite maxima over breakpoint values where the objective can change,
-so every returned rational is exact.
+Exact modes enumerate under a size cap or a node budget; past it,
+sampled estimates are flagged inexact unless they reach a ceiling no
+value can beat. Suprema over a continuous scale parameter are finite
+maxima over breakpoint values where the objective can change, so every
+returned rational is exact.
 
 The exact enumerations over point sets (pi, phi, VC) walk the sets depth
 first and keep the partition of the ranges by their trace on the current
@@ -37,10 +38,14 @@ from .core import (
 )
 from .packing import greedy_packing, max_clique
 
-DEFAULT_VC_CAP = 24
+VC_NODES = 300_000
 DEFAULT_ENUM_CAP = 300_000
 DEFAULT_STAR_CAP = 22
 DEFAULT_DOUBLING_RANGE_CAP = 400
+# Random draws of the sampled estimates: restarts of the VC and the star
+# greedy, point sets drawn for pi and phi.
+ESTIMATE_DRAWS = 2000
+STAR_DRAWS = 500
 
 # Valid constant for the capacity-based doubling ceiling (c*tau)^d:
 # the shallow-cell route gives D <= 6*phi(8*d*tau, 24*d) <= 6*(8e*tau)^d,
@@ -88,9 +93,7 @@ def _splits_all(classes: list[int], col: int) -> bool:
     return True
 
 
-def vc_of_masks(
-    masks, n: int, cap: int = DEFAULT_VC_CAP
-) -> VCResult:
+def vc_of_masks(masks, n: int, cap: int | None = None) -> VCResult:
     """Exact dimension of an arbitrary family of subset masks on n points.
 
     Walks the shattered sets depth first, adding points in increasing
@@ -99,21 +102,26 @@ def vc_of_masks(
     A set of size k needs 2^k classes, so no set grows past log2 of the
     family size. The witness is the numerically smallest mask among the
     largest shattered sets. The empty family has dimension -1 by
-    convention.
+    convention. A walk that would visit more than VC_NODES sets raises
+    CapExceededError carrying the nodes spent. cap is ignored: the node
+    budget, not the instance size, decides whether the walk finishes.
     """
     ranges = tuple(masks)
     if not ranges:
         return VCResult(-1, True, ())
-    if n > cap:
-        raise CapExceededError(
-            f"exact VC search capped at n={cap}, instance has n={n}"
-        )
     cols = incidence_columns(ranges, n)
     m = len(ranges)
     best, witness = 0, 0
+    nodes = 0
 
     def rec(classes: list[int], y: int, size: int, start: int) -> None:
-        nonlocal best, witness
+        nonlocal best, witness, nodes
+        if nodes == VC_NODES:
+            raise CapExceededError(
+                f"exact VC search exceeded its budget of {nodes} nodes",
+                spent=nodes,
+            )
+        nodes += 1
         if size > best or (size == best and y < witness):
             best, witness = size, y
         if 2 * len(classes) > m or size + n - start < best:
@@ -129,24 +137,21 @@ def vc_of_masks(
 
 
 def vc_dimension(
-    space: RangeSpace,
-    mode: str = "exact",
-    budget: int = 2000,
-    cap: int = DEFAULT_VC_CAP,
-    seed: int = 0,
+    space: RangeSpace, mode: str = "exact", seed: int = 0
 ) -> VCResult:
     """Largest cardinality of a shattered point set.
 
-    exact mode enumerates via vc_of_masks; lower_bound mode does seeded
-    greedy restarts within budget and flags the result inexact. Each
-    restart grows one trace partition point by point; restarts stop once
-    one reaches log2 of the family size, which no set can exceed.
+    exact mode enumerates via vc_of_masks; lower_bound mode does
+    ESTIMATE_DRAWS seeded greedy restarts and flags the result inexact.
+    Each restart grows one trace partition point by point; restarts stop
+    once one reaches min(n, log2 of the family size), which no set can
+    exceed, and that value is exact.
     """
     ranges = space.ranges
     if not ranges:
         return VCResult(-1, True, ())
     if mode == "exact":
-        return vc_of_masks(ranges, space.n, cap)
+        return vc_of_masks(ranges, space.n)
     if mode != "lower_bound":
         raise ValueError(f"unknown vc mode: {mode}")
     cols = space.incidence()
@@ -154,7 +159,7 @@ def vc_dimension(
     top = min(space.n, len(ranges).bit_length() - 1)
     rng = stream_rng(seed, "vc")
     best, best_mask = 0, 0
-    for _ in range(max(budget, 1)):
+    for _ in range(ESTIMATE_DRAWS):
         order = list(range(space.n))
         rng.shuffle(order)
         classes, y, size = [full], 0, 0
@@ -169,16 +174,14 @@ def vc_dimension(
             best, best_mask = size, y
             if best == top:
                 break
-    return VCResult(best, False, points_of(best_mask))
+    return VCResult(best, best == top, points_of(best_mask))
 
 
-def vc_or_lower_bound(
-    space: RangeSpace, cap: int = DEFAULT_VC_CAP, seed: int = 0
-) -> VCResult:
+def vc_or_lower_bound(space: RangeSpace, seed: int = 0) -> VCResult:
     """Exact dimension, or the seeded sampled lower bound (flagged
-    inexact) when n is over the exact search's cap."""
+    inexact below its ceiling) when the exact walk runs out of nodes."""
     try:
-        return vc_dimension(space, cap=cap)
+        return vc_dimension(space)
     except CapExceededError:
         return vc_dimension(space, mode="lower_bound", seed=seed)
 
@@ -232,30 +235,28 @@ def _max_traces(space: RangeSpace, y: int) -> int:
     return best
 
 
-def projection_function(
-    space: RangeSpace,
-    y: int,
-    cap: int = DEFAULT_ENUM_CAP,
-    samples: int = 2000,
-    seed: int = 0,
-) -> PiResult:
+def projection_function(space: RangeSpace, y: int, seed: int = 0) -> PiResult:
     """Max number of distinct traces over point sets of size y.
 
-    Exact when C(n, y) fits under cap, otherwise a sampled lower bound.
+    Exact when C(n, y) fits under DEFAULT_ENUM_CAP, otherwise a sampled
+    lower bound, which is exact once it reaches min(2^y, |R|).
     """
     if y < 0 or y > space.n:
         raise ValueError(f"projection size {y} outside 0..{space.n}")
     if y == 0:
         return PiResult(1 if space.ranges else 0, True)
-    if math.comb(space.n, y) <= cap:
+    if math.comb(space.n, y) <= DEFAULT_ENUM_CAP:
         return PiResult(_max_traces(space, y), True)
     rng = stream_rng(seed, "pi", y)
+    top = min(1 << y, len(space.ranges))
     best = 0
     population = list(range(space.n))
-    for _ in range(samples):
+    for _ in range(ESTIMATE_DRAWS):
         ymask = mask_of(rng.sample(population, y))
         best = max(best, len({r & ymask for r in space.ranges}))
-    return PiResult(best, False)
+        if best == top:
+            break
+    return PiResult(best, best == top)
 
 
 @dataclass(frozen=True)
@@ -272,9 +273,7 @@ class SauerReport:
     rows: tuple[SauerRow, ...]
 
 
-def sauer_check(
-    space: RangeSpace, d: int | None = None, cap: int = DEFAULT_ENUM_CAP
-) -> SauerReport:
+def sauer_check(space: RangeSpace, d: int | None = None) -> SauerReport:
     """Certify pi(y) <= sum_{i<=d} C(y,i) <= (e*y/d)^d for y = d..n.
 
     Needs the exact dimension and exact projection values; raises
@@ -285,11 +284,11 @@ def sauer_check(
     if d < 0:
         return SauerReport(d, ())
     total = sum(math.comb(space.n, y) for y in range(d, space.n + 1))
-    if total > cap:
-        raise CapExceededError(f"sauer_check needs {total} subsets, cap is {cap}")
+    if total > DEFAULT_ENUM_CAP:
+        raise CapExceededError(f"sauer_check needs {total} subsets, over the cap")
     rows = []
     for y in range(d, space.n + 1):
-        pi = projection_function(space, y, cap=cap).value
+        pi = projection_function(space, y).value
         bsum = sum(math.comb(y, i) for i in range(d + 1))
         if pi > bsum:
             raise TheoremViolationError(
@@ -559,8 +558,7 @@ def shallow_cell(
     space: RangeSpace,
     y: int,
     l: int,
-    cap: int = DEFAULT_ENUM_CAP,
-    samples: int = 2000,
+    cap: int | None = None,
     seed: int = 0,
 ) -> ShallowResult:
     """Max over point sets Y with |Y| <= y of the number of distinct traces
@@ -569,25 +567,32 @@ def shallow_cell(
 
     The max runs over |Y| <= y rather than exactly y so the result is
     monotone in y (padding a point set can destroy small traces, so the
-    exact-size max is not monotone).
+    exact-size max is not monotone). Exact when the point sets number at
+    most cap (default DEFAULT_ENUM_CAP), otherwise a sampled lower bound,
+    which is exact once it reaches |R|.
     """
     if y < 0 or l < 0:
         raise ValueError("shallow_cell needs y >= 0 and l >= 0")
     y = min(y, space.n)
     if not space.ranges:
         return ShallowResult(0, True)
+    if cap is None:
+        cap = DEFAULT_ENUM_CAP
     total = sum(math.comb(space.n, s) for s in range(y + 1))
     if total <= cap:
         return ShallowResult(_max_shallow(space, y, l), True)
     rng = stream_rng(seed, "shallow", y, l)
+    top = len(space.ranges)
     best = 0
     population = list(range(space.n))
-    for _ in range(samples):
+    for _ in range(ESTIMATE_DRAWS):
         s = rng.randint(0, y)
         ymask = mask_of(rng.sample(population, s))
         traces = {r & ymask for r in space.ranges}
         best = max(best, sum(1 for t in traces if t.bit_count() <= l))
-    return ShallowResult(best, False)
+        if best == top:
+            break
+    return ShallowResult(best, best == top)
 
 
 # -- star number ------------------------------------------------------------
@@ -602,17 +607,15 @@ class StarResult:
 
 
 def star_number(
-    space: RangeSpace,
-    cap: int = DEFAULT_STAR_CAP,
-    budget: int = 500,
-    seed: int = 0,
+    space: RangeSpace, cap: int | None = None, seed: int = 0
 ) -> StarResult:
     """Largest s admitting points x_1..x_s and ranges R_1..R_s with
     R_i meeting {x_1..x_s} exactly in {x_i}.
 
     Feasibility only shrinks as points are added, so depth-first search
-    with remaining-count pruning is exact under the cap; beyond it a
-    seeded greedy gives a flagged lower bound with trivial upper n.
+    with remaining-count pruning is exact up to cap points (default
+    DEFAULT_STAR_CAP); beyond it a seeded greedy gives a lower bound with
+    trivial upper n, flagged inexact unless it reaches n.
     """
     n = space.n
     if not space.ranges:
@@ -636,7 +639,7 @@ def star_number(
         new_wits.append(mine)
         return new_wits
 
-    if n <= cap:
+    if n <= (DEFAULT_STAR_CAP if cap is None else cap):
         best = 0
         best_set: tuple[int, ...] = ()
 
@@ -660,7 +663,7 @@ def star_number(
     rng = stream_rng(seed, "star")
     best = 0
     best_set = ()
-    for _ in range(max(budget, 1)):
+    for _ in range(STAR_DRAWS):
         order = list(range(n))
         rng.shuffle(order)
         chosen: list[int] = []
@@ -673,7 +676,9 @@ def star_number(
         if len(chosen) > best:
             best = len(chosen)
             best_set = tuple(sorted(chosen))
-    return StarResult(best, n, False, best_set)
+            if best == n:
+                break
+    return StarResult(best, n, best == n, best_set)
 
 
 # -- profile ----------------------------------------------------------------
@@ -723,8 +728,8 @@ def compute_profile(
     pi_max_y: int = 8,
     seed: int = 0,
 ) -> ComplexityProfile:
-    """One-stop profile at scale eps, exact where the module's default
-    caps permit."""
+    """One-stop profile at scale eps, exact where the module's caps and
+    budgets permit."""
     eps = Fraction(eps)
     d = vc_or_lower_bound(space, seed=seed)
     tau = alexander_capacity(space, eps)

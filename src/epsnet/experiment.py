@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -103,7 +104,7 @@ METHODS: dict[str, Method] = {
         True, "bound_doubling_small"),
     "cal": Method(lambda s, e, seed, c, d, D: cal_net(s, e, c.cal_budget, seed)),
     "greedy": Method(lambda s, e, seed, c, d, D: greedy_net(s, e)),
-    "exact": Method(lambda s, e, seed, c, d, D: min_net_exact(s, e, cap=c.oracle_cap)),
+    "exact": Method(lambda s, e, seed, c, d, D: min_net_exact(s, e)),
 }
 
 
@@ -120,24 +121,29 @@ class ExperimentConfig:
     C: float = 8.0
     delta: Fraction = Fraction(1, 10)
     cal_budget: int = 20
-    oracle_cap: int = 2000
-    vc_cap: int = 24
-    doubling_range_cap: int = 400
     base_dir: Path = field(default_factory=Path)
+
+    def __post_init__(self) -> None:
+        """Reject settings no builder can use."""
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise InstanceError(f"'C' must be positive and finite, got {self.C!r}")
+        if not 0 < self.delta <= 1:
+            raise InstanceError(f"'delta' must be in (0, 1], got {self.delta}")
+        if self.cal_budget < 1:
+            raise InstanceError(f"'cal_budget' must be at least 1, got {self.cal_budget!r}")
 
     @staticmethod
     def from_dict(doc: dict, base_dir: Path | str = ".") -> "ExperimentConfig":
-        """Read a config document. Lists must be JSON lists, seeds and caps
-        true ints and C a number; anything else, or an unknown key, is an
-        InstanceError rather than a silent coercion."""
+        """Read a config document. Lists must be JSON lists, seeds and
+        cal_budget true ints and C a number; anything else, or an unknown
+        key, is an InstanceError rather than a silent coercion."""
         if not isinstance(doc, dict):
             raise InstanceError(f"experiment config must be an object, got {doc!r}")
         required = ("instances", "eps", "methods", "seeds")
         for key in required:
             if key not in doc:
                 raise InstanceError(f"experiment config missing '{key}'")
-        ints = ("cal_budget", "oracle_cap", "vc_cap", "doubling_range_cap")
-        unknown = sorted(set(doc) - {*required, "C", "delta", *ints})
+        unknown = sorted(set(doc) - {*required, "C", "delta", "cal_budget"})
         if unknown:
             raise InstanceError(f"unknown experiment config keys: {unknown}")
         methods = list(_items(doc["methods"], "methods"))
@@ -145,8 +151,8 @@ class ExperimentConfig:
             if not isinstance(m, str) or m not in METHODS:
                 raise InstanceError(f"unknown method {m!r}")
         seeds = list(_items(doc["seeds"], "seeds"))
-        caps = {key: doc.get(key, getattr(ExperimentConfig, key)) for key in ints}
-        for key, v in [("seeds", x) for x in seeds] + list(caps.items()):
+        cal_budget = doc.get("cal_budget", ExperimentConfig.cal_budget)
+        for key, v in [("seeds", x) for x in seeds] + [("cal_budget", cal_budget)]:
             if type(v) is not int:
                 raise InstanceError(f"'{key}' must be an integer, got {v!r}")
         C = doc.get("C", ExperimentConfig.C)
@@ -159,8 +165,8 @@ class ExperimentConfig:
             C=float(C),
             delta=parse_rational(str(doc.get("delta", ExperimentConfig.delta))),
             seeds=seeds,
+            cal_budget=cal_budget,
             base_dir=Path(base_dir),
-            **caps,
         )
 
 
@@ -201,13 +207,9 @@ def instance_profile(
     instance's VC result, computed once per instance."""
     tau = alexander_capacity(space, eps)
     taus = [tau] + capacity_vector(space, eps)
-    doubling = doubling_constant(
-        space, eps,
-        d=d_res.value if d_res.exact else None,
-        range_cap=config.doubling_range_cap,
-    )
+    doubling = doubling_constant(space, eps, d=d_res.value if d_res.exact else None)
     try:
-        min_net = str(min_net_exact(space, eps, cap=config.oracle_cap).size)
+        min_net = str(min_net_exact(space, eps).size)
     except CapExceededError:
         min_net = ""
     d, D = d_res.value, max(doubling.upper, 1.0)
@@ -275,7 +277,7 @@ def _row(space, eps, method, seed, config, profile, timings) -> dict:
 def run_experiment(config: ExperimentConfig, timings: bool = False) -> tuple[list[dict], dict]:
     rows = []
     for space in resolve_instances(config):
-        d_res = vc_or_lower_bound(space, config.vc_cap)
+        d_res = vc_or_lower_bound(space)
         for eps in config.eps_grid:
             profile = instance_profile(space, eps, config, d_res)
             for method in config.methods:

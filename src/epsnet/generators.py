@@ -51,20 +51,18 @@ class LowerBoundParams:
         )
 
 
-def gen_lower_bound_family(
-    params: LowerBoundParams, cap: int = DEFAULT_RANGE_CAP
-) -> RangeSpace:
+def gen_lower_bound_family(params: LowerBoundParams) -> RangeSpace:
     """Uniform-weight family of disjoint blocks: for each scale i < m and
     each of l copies, a fresh block of k*2^i + d - 1 points carrying all
     its (k*2^i)-subsets as ranges.
 
     At eps = k/n every range qualifies, each block forces d net points,
-    and block sizes double across scales.
+    and block sizes double across scales. A family of more than
+    DEFAULT_RANGE_CAP ranges raises CapExceededError.
     """
-    if params.range_count > cap:
+    if params.range_count > DEFAULT_RANGE_CAP:
         raise CapExceededError(
-            f"block family would carry {params.range_count} ranges, cap {cap}"
-        )
+            f"block family would carry {params.range_count} ranges, cap {DEFAULT_RANGE_CAP}")
     ranges = []
     base = 0
     for i in range(params.m):

@@ -46,6 +46,7 @@ DEFAULT_C = 8.0
 DRAW_CAP = 10**6  # cal_net's draw guard is min(2^budget_n, DRAW_CAP)
 STRATIFIED_RETRIES = 8  # doubled redraws per bucket before the repair
 EXACT_NET_NODES = 5_000_000  # branch-and-bound budget of min_net_exact
+EXACT_NET_TARGETS = 2000  # qualifying ranges min_net_exact accepts
 
 
 @dataclass(frozen=True)
@@ -569,16 +570,17 @@ def cal_net(
     a surviving (not yet hit) range, drop the ranges it hits.
 
     Runs until budget_n points are kept, min(2^budget_n, DRAW_CAP) points
-    are drawn, or no range survives. The net property is equivalent to every
-    surviving range having measure below eps, which is exactly what the
-    final verification reports.
+    are drawn, or no range of positive measure survives. The net property
+    is equivalent to every surviving range having measure below eps,
+    which is exactly what the final verification reports.
     """
     eps = Fraction(eps)
     if budget_n < 1:
         raise ValueError("budget_n must be >= 1")
     rng = stream_rng(seed, "cal")
     cols = space.incidence()
-    surviving = (1 << len(space.ranges)) - 1  # over range indices
+    # Over range indices; a range of measure 0 can never be hit by a draw.
+    surviving = mask_of(i for i, w in enumerate(space.range_weights) if w)
     kept: list[int] = []
     drawn = 0
     guard = min(1 << min(budget_n, 64), DRAW_CAP)
@@ -681,12 +683,9 @@ def _min_hit_component(
     return best
 
 
-def min_net_exact(
-    space: RangeSpace,
-    eps: Fraction,
-    cap: int = 2000,
-) -> NetReport:
-    """Minimum-cardinality net by exact branch and bound.
+def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
+    """Minimum-cardinality net by exact branch and bound, for at most
+    EXACT_NET_TARGETS qualifying ranges.
 
     Restricted to support points; supersets of another qualifying range
     are dropped (hitting the subset hits them), and point-disjoint
@@ -698,10 +697,10 @@ def min_net_exact(
         space.ranges[i] & space.support_mask
         for i in iter_bits(_heavy(space, eps))
     ]
-    if len(targets) > cap:
+    if len(targets) > EXACT_NET_TARGETS:
         raise CapExceededError(
-            f"exact net oracle capped at {cap} qualifying ranges, "
-            f"got {len(targets)}"
+            f"exact net oracle capped at {EXACT_NET_TARGETS} qualifying "
+            f"ranges, got {len(targets)}"
         )
     targets = sorted(set(targets), key=lambda m: (m.bit_count(), m))
     pruned = []

@@ -160,20 +160,17 @@ def greedy_packing(
 
 
 def max_packing_exact(
-    space: RangeSpace,
-    delta: Fraction,
-    indices: list[int] | None = None,
-    cap: int = DEFAULT_CLIQUE_CAP,
+    space: RangeSpace, delta: Fraction, indices: list[int] | None = None
 ) -> Packing:
     """Maximum delta-packing via exact max clique of the far graph.
-    Raises CapExceededError over the range cap or the clique node budget."""
+    Raises CapExceededError over DEFAULT_CLIQUE_CAP ranges or the clique
+    node budget."""
     delta = Fraction(delta)
     if indices is None:
         indices = list(range(len(space.ranges)))
-    if len(indices) > cap:
+    if len(indices) > DEFAULT_CLIQUE_CAP:
         raise CapExceededError(
-            f"exact packing capped at {cap} ranges, got {len(indices)}"
-        )
+            f"exact packing capped at {DEFAULT_CLIQUE_CAP} ranges, got {len(indices)}")
     if not indices:
         return Packing(delta, (), True)
     adj = far_adjacency(space, indices, delta)
@@ -204,23 +201,20 @@ class HausslerReport:
 
 
 def haussler_certificate(
-    space: RangeSpace,
-    delta: Fraction,
-    cap: int = DEFAULT_CLIQUE_CAP,
-    strict: bool = True,
+    space: RangeSpace, delta: Fraction, strict: bool = True
 ) -> HausslerReport:
     """Check the packing bound: any delta-packing has size at most
     e(d+1) * (2e/delta)^d where d is the dimension of the packed family.
 
-    Uses the exact maximum packing when it fits under cap and the clique
-    node budget (else greedy, which still must obey the bound). strict
-    raises on violation.
+    Uses the exact maximum packing when it fits under the range cap and
+    the clique node budget (else greedy, which still must obey the bound).
+    strict raises on violation.
     """
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     try:
-        packing = max_packing_exact(space, delta, cap=cap)
+        packing = max_packing_exact(space, delta)
     except CapExceededError:
         packing = greedy_packing(space, delta)
     if not packing.members:

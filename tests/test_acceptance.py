@@ -114,7 +114,7 @@ def test_criterion_01c_block_family_vc_dimension():
     rows = []
     for p in GRID:
         sp = gen_lower_bound_family(p)
-        vc = vc_dimension(sp, cap=64).value
+        vc = vc_dimension(sp).value
         rows.append((p, vc))
     bad = [(p, vc) for p, vc in rows if vc != p.d]
     ok = not bad

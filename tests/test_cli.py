@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from epsnet import experiment, packing
+from epsnet import complexity, experiment, packing
 from epsnet.cli import main
 from epsnet.core import RangeSpace, TheoremViolationError
 from epsnet.generators import (
@@ -89,19 +89,28 @@ def test_net_exit_codes(chain_file, capsys):
                  "--budget-n", "1"]) == 1
 
 
-def test_net_sizes_with_fallback_when_exact_vc_is_capped(tmp_path, capsys):
-    # 40 points exceeds the exact VC search cap; the CLI must size with the
-    # sampled lower bound instead of erroring, and still verify exactly.
+@pytest.fixture()
+def intervals40(tmp_path):
     inst = tmp_path / "iv40.json"
     assert main(["gen", "--kind", "intervals", "--random-points", "40",
                  "--seed", "7", "--out", str(inst)]) == 0
+    return inst
+
+
+def test_net_sizes_with_fallback_when_exact_vc_is_capped(
+    intervals40, tmp_path, capsys, monkeypatch,
+):
+    # With the exact VC walk out of nodes, the CLI must size with the
+    # sampled lower bound instead of erroring, and still verify exactly.
+    monkeypatch.setattr(complexity, "VC_NODES", 1)
     out = tmp_path / "net.json"
-    rc = main(["net", str(inst), "--method", "stratified", "--eps", "1/8",
-               "--seed", "0", "--out", str(out)])
+    rc = main(["net", str(intervals40), "--method", "stratified",
+               "--eps", "1/8", "--seed", "0", "--out", str(out)])
     capsys.readouterr()
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["is_net"] is True
+    assert 1 <= doc["stats"]["d"] <= 2
 
 
 def test_verify_exit_codes(chain_file, capsys):
@@ -158,11 +167,11 @@ PROFILE_SHA = {
     "intervals24": (
         lambda: gen_geometric("intervals", random_points(24, 1, seed=3),
                               name="intervals24"),
-        "1303016ea24264e6c24403ee7c0dc5754ed413131943ce29d6a113ddc0a15791",
+        "a8d05931fddcebee36449e3661a6636f9851d17070795bcccb1baf32b37bb5d9",
     ),
     "lb-k2d3l2m3": (
         lambda: gen_lower_bound_family(LowerBoundParams(k=2, d=3, l=2, m=3)),
-        "e34ee3256612d5369091f7cd22c4c0bdc969fdf173bfbbced7ed6bfc4029f38d",
+        "b1f4bd07f3e9cdc30d64fac1527e0aec4f9e67f82dcb356e48fe516fb1a42af8",
     ),
 }
 
@@ -212,6 +221,20 @@ def test_pack_exact_over_range_cap_is_greedy_with_exit_0(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["mode"] == "exact" and doc["exact"] is False
     assert doc["size"] == doc["packing_bound"]["max_packing"] >= 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_pack_on_40_points(mode, intervals40, capsys):
+    assert main(["pack", str(intervals40), "--delta", "1/4",
+                 "--mode", mode]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["packing_bound"]["ok"] is True
+
+
+def test_oig_on_a_30_point_sample(intervals40, capsys):
+    assert main(["oig", str(intervals40), "--sample-size", "30"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["max_out_degree"] <= doc["d"]
 
 
 def test_oig_subcommand(chain_file, capsys):
@@ -271,7 +294,13 @@ MALFORMED_CONFIG = {
     "seeds-float-bool": {"seeds": [1.9, True]},
     "seeds-string": {"seeds": "01"},
     "cal-budget-float": {"cal_budget": 2.7},
-    "oracle-cap-string": {"oracle_cap": "2000"},
+    "cal-budget-zero": {"cal_budget": 0},
+    "C-negative": {"C": -1},
+    "C-zero": {"C": 0},
+    "C-infinite": {"C": float("inf")},
+    "delta-over-one": {"delta": "3/2"},
+    "delta-zero": {"delta": "0"},
+    "oracle-cap-string": {"oracle_cap": "2000"},  # a removed key
     "C-string": {"C": "8"},
     "unknown-key": {"cal-budget": 3},
     "method-list": {"methods": [["greedy"]]},

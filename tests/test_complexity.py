@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from epsnet import packing
+from epsnet import complexity, packing
 from epsnet.complexity import (
     alexander_capacity,
     capacity_levels,
@@ -21,6 +21,7 @@ from epsnet.complexity import (
     star_number,
     vc_dimension,
     vc_of_masks,
+    vc_or_lower_bound,
 )
 from epsnet.core import (
     CapExceededError,
@@ -75,10 +76,22 @@ def test_vc_of_masks_direct():
     assert vc_of_masks([0b11], 2).value == 0
 
 
-def test_vc_lower_bound_mode_sandwich():
+def test_vc_node_budget_raises_with_work_spent_and_falls_back(monkeypatch):
+    monkeypatch.setattr(complexity, "VC_NODES", 1)
+    sp = CORPUS["intervals6"]
+    with pytest.raises(CapExceededError) as info:
+        vc_dimension(sp)
+    assert info.value.spent == 1
+    lo = vc_or_lower_bound(sp)
+    assert not lo.exact and lo.value <= oracle_vc(sp)
+    assert lo == vc_dimension(sp, mode="lower_bound")
+
+
+def test_vc_lower_bound_mode_sandwich(monkeypatch):
+    monkeypatch.setattr(complexity, "ESTIMATE_DRAWS", 200)
     for key in ("intervals6", "halfplanes5", "disks5"):
         sp = CORPUS[key]
-        lo = vc_dimension(sp, mode="lower_bound", budget=200, seed=7)
+        lo = vc_dimension(sp, mode="lower_bound", seed=7)
         assert not lo.exact
         assert 0 <= lo.value <= vc_dimension(sp).value
 
@@ -267,6 +280,14 @@ def test_star_matches_oracle():
         sp = CORPUS[key]
         r = star_number(sp)
         assert r.exact and r.lower == r.upper == oracle_star(sp), key
+
+
+def test_star_greedy_at_its_ceiling_is_exact():
+    # 24 singletons: past the exact search's point cap, but the greedy
+    # reaches the ceiling n, which no star set can beat
+    sp = build_range_space(24, [1] * 24, [[p] for p in range(24)])
+    assert star_number(sp) == star_number(sp, cap=24)
+    assert star_number(sp).exact and star_number(sp).lower == 24
 
 
 def test_star_frozen_values():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from epsnet import generators
 from epsnet.complexity import shallow_cell, vc_dimension
 from epsnet.core import CapExceededError, InstanceError
 from epsnet.generators import (
@@ -71,10 +72,11 @@ def test_min_net_forces_d_points_per_block():
     assert min_net_exact(sp, eps).size == p.l * p.m * p.d
 
 
-def test_block_family_cap():
+def test_block_family_cap(monkeypatch):
     # a 15-point block carrying all 8-subsets alone exceeds the cap
+    monkeypatch.setattr(generators, "DEFAULT_RANGE_CAP", 100)
     with pytest.raises(CapExceededError):
-        gen_lower_bound_family(LowerBoundParams(k=8, d=8, l=1, m=1), cap=100)
+        gen_lower_bound_family(LowerBoundParams(k=8, d=8, l=1, m=1))
 
 
 # -- geometric families -------------------------------------------------------

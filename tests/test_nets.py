@@ -10,6 +10,7 @@ import pytest
 from epsnet import nets
 from epsnet.core import InstanceError, build_range_space
 from epsnet.experiment import METHODS, ExperimentConfig, run_method
+from epsnet.generators import gen_geometric, random_points
 from epsnet.nets import (
     build_decomposition,
     cal_net,
@@ -144,6 +145,14 @@ def test_iid_capacity_sizing_on_chain():
     assert rep.stats["draws"] == m
 
 
+def test_builders_compute_d_themselves_on_40_points():
+    sp = gen_geometric("intervals", random_points(40, 1, seed=7))
+    eps = Fraction(1, 8)
+    assert iid_net(sp, eps, Fraction(1, 10)).stats["d"] == 2
+    rep = doubling_net(sp, eps)
+    assert rep.is_net and rep.stats["d"] == 2
+
+
 def test_iid_sample_size_validation():
     with pytest.raises(ValueError):
         iid_sample_size(Fraction(0), Fraction(1, 2), 1)
@@ -262,6 +271,15 @@ def test_cal_budget_too_small_fails_honestly():
     assert rep.stats["kept"] == 1
     with pytest.raises(ValueError):
         cal_net(CORPUS["chain8"], Fraction(1, 2), budget_n=0)
+
+
+def test_cal_stops_when_only_zero_measure_ranges_survive():
+    # range [2] holds only a weight-0 point, so no draw can ever hit it
+    sp = build_range_space(3, [1, 1, 0], [[2], [0]])
+    rep = cal_net(sp, Fraction(1, 2), 20)
+    assert rep.is_net and rep.points == (0,)
+    assert rep.stats["surviving"] == 0
+    assert rep.stats["draws"] < 100 < nets.DRAW_CAP
 
 
 def test_cal_keeps_only_points_inside_surviving_ranges():

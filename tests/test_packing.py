@@ -7,6 +7,7 @@ import pytest
 
 import epsnet.packing as packing
 from epsnet.core import CapExceededError, TheoremViolationError, build_range_space
+from epsnet.generators import gen_geometric, random_points
 from epsnet.packing import (
     E_LOWER,
     E_UPPER,
@@ -112,6 +113,12 @@ def test_exact_packing_over_node_budget_raises_and_certificate_falls_back(
     assert cert.packing_size == len(greedy_packing(sp, delta).members)
 
 
+def test_certificate_computes_d_of_the_packing_on_40_points():
+    sp = gen_geometric("intervals", random_points(40, 1, seed=7))
+    cert = haussler_certificate(sp, Fraction(1, 4))
+    assert cert.ok and cert.d_packed >= 1
+
+
 def test_greedy_packing_is_maximal_and_separated():
     for key in ("intervals6", "random10a", "halfplanes5"):
         sp = CORPUS[key]
@@ -138,10 +145,11 @@ def test_exact_packing_matches_oracle():
             assert len(pk.members) == oracle_max_packing(sp, delta), (key, delta)
 
 
-def test_exact_packing_cap():
+def test_exact_packing_cap(monkeypatch):
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_CAP", 5)
     sp = CORPUS["intervals6"]
     with pytest.raises(CapExceededError):
-        max_packing_exact(sp, Fraction(1, 8), cap=5)
+        max_packing_exact(sp, Fraction(1, 8))
 
 
 def test_packing_frozen_values():

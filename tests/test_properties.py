@@ -1,18 +1,23 @@
-"""Property tests: the trace-class enumerations (pi, phi, VC), the exact
-doubling sweep, the net verifier and the dyadic buckets agree with the
-brute-force oracles on small weighted random spaces, and their witnesses
-certify what they claim."""
+"""Property tests: the trace-class enumerations (pi, phi, VC), their
+sampled estimates where labelled exact, the exact doubling sweep, the net
+verifier and the dyadic buckets agree with the brute-force oracles on
+small weighted random spaces, and their witnesses certify what they
+claim."""
 
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from epsnet import complexity
 from epsnet.complexity import (
     doubling_constant,
     projection_function,
     shallow_cell,
+    star_number,
     vc_dimension,
+    vc_or_lower_bound,
 )
 from epsnet.core import build_range_space, mask_of
 from epsnet.nets import build_decomposition, verify_net
@@ -22,6 +27,7 @@ from oracles import (
     oracle_doubling,
     oracle_pi,
     oracle_shallow,
+    oracle_star,
     oracle_vc,
     set_measure,
 )
@@ -65,6 +71,33 @@ def test_vc_dimension_matches_oracle_with_shattered_witness(space):
         assert len(got.witness) == got.value
         ymask = mask_of(got.witness)
         assert len({r & ymask for r in space.ranges}) == 1 << got.value
+
+
+@PROPERTY_SETTINGS
+@given(small_spaces(), st.data())
+def test_estimates_labelled_exact_match_oracle(space, data):
+    # With the exact searches' caps and budget forced low, pi, phi, star
+    # and VC come from the sampled estimates; with few draws these often
+    # fall short, so a value labelled exact must be one that reached its
+    # ceiling, and so equal the oracle.
+    y = data.draw(st.integers(0, space.n))
+    l = data.draw(st.integers(0, space.n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "DEFAULT_ENUM_CAP", data.draw(st.integers(0, 3)))
+        mp.setattr(complexity, "DEFAULT_STAR_CAP", data.draw(st.integers(0, 2)))
+        mp.setattr(complexity, "VC_NODES", data.draw(st.integers(1, 3)))
+        mp.setattr(complexity, "ESTIMATE_DRAWS", data.draw(st.integers(1, 3)))
+        mp.setattr(complexity, "STAR_DRAWS", data.draw(st.integers(1, 3)))
+        pi = projection_function(space, y)
+        phi = shallow_cell(space, y, l)
+        star = star_number(space)
+        vc = vc_or_lower_bound(space)
+    for got, exact, want in ((pi.value, pi.exact, oracle_pi(space, y)),
+                             (phi.value, phi.exact, oracle_shallow(space, y, l)),
+                             (star.lower, star.exact, oracle_star(space)),
+                             (vc.value, vc.exact, oracle_vc(space))):
+        assert got == want if exact else got <= want
+    assert oracle_star(space) <= star.upper
 
 
 @PROPERTY_SETTINGS
