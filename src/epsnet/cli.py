@@ -24,7 +24,7 @@ from .core import (
     parse_rational,
     stream_rng,
 )
-from .complexity import compute_profile, vc_or_lower_bound
+from .complexity import compute_profile, vc_of_masks, vc_or_lower_bound
 from .packing import greedy_packing, haussler_certificate
 from .oneinclusion import build_oig, density_check, loo_error, orient_bounded
 from .generators import (
@@ -149,8 +149,16 @@ def cmd_oig(args) -> int:
         rng = stream_rng(args.seed, "cli-oig")
         sample = draw_points(space, args.sample_size, rng)
     graph = build_oig(space, sample)
+    if args.d is not None:
+        # A d below the sample's dimension is the user's error; the
+        # density bound and the orientation hold only for d >= it.
+        dim = vc_of_masks(graph.vertices, graph.m).value
+        if args.d < dim:
+            raise InstanceError(
+                f"given d={args.d} is below the sample's dimension {dim}"
+            )
     check = density_check(graph, d=args.d)
-    orientation = orient_bounded(graph, check["d"] if args.d is None else args.d)
+    orientation = orient_bounded(graph, check["d"])
     loo = [str(loo_error(orientation, v)) for v in range(len(graph.vertices))]
     doc = {
         "sample": sample,

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     CapExceededError,
@@ -308,6 +309,8 @@ def sauer_check(space: RangeSpace, d: int | None = None) -> SauerReport:
 
 # -- capacity ---------------------------------------------------------------
 
+_ONE = Fraction(1)
+
 
 def alexander_capacity(space: RangeSpace, eps: Fraction) -> Fraction:
     """sup over scales eps0 in [eps, 1] of P(union of ranges with
@@ -315,34 +318,40 @@ def alexander_capacity(space: RangeSpace, eps: Fraction) -> Fraction:
 
     The numerator only changes at range measures, and between changes the
     ratio decreases in eps0, so the max over {eps} + {P(R) >= eps} is the
-    supremum.
+    supremum. The range measures >= eps are a suffix of the space's
+    capacity table, which holds their maximum ratio, so this is two
+    bisects and at most one Fraction.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
-    weights, prefix = space.sorted_weights, space.union_prefix
-    w = space.total_weight
-    lo = eps * w
-    candidates = {eps}
-    candidates.update(Fraction(x, w) for x in set(weights) if x >= lo)
-    best = Fraction(0)
-    for eps0 in candidates:
-        j = bisect_right(weights, eps0.numerator * w // eps0.denominator)
-        ratio = Fraction(prefix[j], w) / eps0
-        if ratio > best:
-            best = ratio
-    return max(best, Fraction(1))
+    xs, nums, dens = space.capacity_table()
+    a, b, w = eps.numerator, eps.denominator, space.total_weight
+    # The ratio at eps itself: the union of ranges of weight <= eps*w,
+    # over eps*w.
+    num = space.union_prefix[bisect_right(space.sorted_weights, a * w // b)] * b
+    den = a * w
+    k = bisect_left(xs, -(-a * w // b))
+    if k < len(xs) and nums[k] * den > num * dens[k]:
+        num, den = nums[k], dens[k]
+    return Fraction(num, den) if num > den else _ONE
 
 
-def capacity_levels(eps: Fraction) -> tuple[int, list[Fraction]]:
+def capacity_levels(eps: Fraction) -> tuple[int, tuple[Fraction, ...]]:
     """Dyadic scales: z = 1 + ceil(log2(1/eps)) and eps_i = min(2^i eps, 1)
     for i = 0..z."""
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
+    return _capacity_levels(eps)
+
+
+@lru_cache(maxsize=256)
+def _capacity_levels(eps: Fraction) -> tuple[int, tuple[Fraction, ...]]:
+    # Memoised: a sweep asks for the same few scales thousands of times.
+    # The value is a tuple of immutables, so no caller can alter it.
     z = 1 + ceil_log2(1 / eps)
-    levels = [min(Fraction(2) ** i * eps, Fraction(1)) for i in range(z + 1)]
-    return z, levels
+    return z, tuple(min(Fraction(2) ** i * eps, _ONE) for i in range(z + 1))
 
 
 def capacity_vector(space: RangeSpace, eps: Fraction) -> list[Fraction]:

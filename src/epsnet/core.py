@@ -107,7 +107,8 @@ class RangeSpace:
     mask_weight (range_weights, union_prefix) is built with the space, so
     the mask_weight calls an operation makes do not depend on whether it
     is the first to touch the space. Everything else (the sampling
-    population, the incidence index) is built on first use.
+    population, the incidence index, the capacity table) is built on
+    first use and calls no mask_weight.
     """
 
     n: int
@@ -150,9 +151,11 @@ class RangeSpace:
             self, "sorted_weights", tuple(self.range_weights[i] for i in order)
         )
         object.__setattr__(self, "union_prefix", tuple(prefix))
-        # Derived data built on first use (see draw_points and incidence).
+        # Derived data built on first use (see draw_points, incidence and
+        # capacity_table).
         object.__setattr__(self, "_population", None)
         object.__setattr__(self, "_incidence", None)
+        object.__setattr__(self, "_capacity", None)
 
     # -- measures ---------------------------------------------------------
 
@@ -202,6 +205,37 @@ class RangeSpace:
             object.__setattr__(self, "_incidence", cols)
         return cols
 
+    def capacity_table(
+        self,
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(xs, nums, dens): xs are the distinct positive range weights in
+        ascending order, and nums[k]/dens[k] is the largest ratio
+        union_prefix[bisect_right(sorted_weights, x)] / x over x in xs[k:],
+        the capacity candidates at the scales x/total_weight. Built once
+        per space from sorted_weights and union_prefix alone."""
+        table = self._capacity  # type: ignore[attr-defined]
+        if table is None:
+            sw, prefix = self.sorted_weights, self.union_prefix
+            xs, nums, dens = [], [], []
+            bp, bx = 0, 1
+            # Walk the distinct weights downward; j + 1 is bisect_right at
+            # sw[j] when j is the last index holding that weight.
+            for j in range(len(sw) - 1, -1, -1):
+                x = sw[j]
+                if x == 0:
+                    break
+                if xs and xs[-1] == x:
+                    continue
+                p = prefix[j + 1]
+                if p * bx > bp * x:
+                    bp, bx = p, x
+                xs.append(x)
+                nums.append(bp)
+                dens.append(bx)
+            table = (tuple(xs[::-1]), tuple(nums[::-1]), tuple(dens[::-1]))
+            object.__setattr__(self, "_capacity", table)
+        return table
+
     def project(self, y: int | Iterable[int]) -> list[int]:
         """Distinct traces {R & Y} of the family on Y, canonically ordered.
 
@@ -233,9 +267,6 @@ class RangeSpace:
             self.n, self.weights, [self.ranges[i] for i in indices],
             name=f"{self.name}|sub",
         )
-
-    def support_points(self) -> tuple[int, ...]:
-        return points_of(self.support_mask)
 
     # -- serialization ----------------------------------------------------
 

@@ -235,19 +235,21 @@ def build_decomposition(space: RangeSpace, eps: Fraction) -> DyadicDecomposition
         unions.append(u)
         u_w = space.mask_weight(u)
         lv, tau = levels[b], taus[b]
-        if Fraction(u_w, w) > tau * lv:
+        t_num, t_den = tau.numerator, tau.denominator
+        # u_w / w > tau * lv, cross-multiplied.
+        if u_w * t_den * lv.denominator > t_num * lv.numerator * w:
             raise TheoremViolationError(
                 f"bucket {b} union measure exceeds tau*level at scale {lv}"
             )
         # P(R | union) >= 1/(2 tau) since P(R) >= level/2; the lightest
         # member, the run's first, is the one to check.
-        if b >= 1 and u_w and 2 * space.sorted_weights[lo] * tau < u_w:
+        if b >= 1 and u_w and 2 * space.sorted_weights[lo] * t_num < u_w * t_den:
             raise TheoremViolationError(
                 f"conditional measure of range {order[lo]} in bucket {b} "
                 f"fell below 1/(2*tau)"
             )
     return DyadicDecomposition(
-        eps, z, tuple(levels), tuple(buckets), tuple(unions), taus,
+        eps, z, levels, tuple(buckets), tuple(unions), taus,
     )
 
 

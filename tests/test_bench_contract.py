@@ -49,3 +49,16 @@ def test_profile_reference_matches_oracles():
     assert phi["value"] == oracle_shallow(sp, phi["y"], phi["l"])
     # chain8's phi row spans every point, so it never reaches shallow_cell
     assert make_reference.true_phi(sp, 3, 1) == oracle_shallow(sp, 3, 1)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 16)])
+def test_profile_reference_capacity_on_a_weighted_space(eps):
+    # chain8 is uniform with few distinct measures; random12w has 22
+    # distinct range weights, so every level of tau_vector is a different
+    # suffix of the capacity table.
+    sp = CORPUS["random12w"]
+    ref = make_reference.profile_reference(sp, eps)
+    _, levels = capacity_levels(eps)
+    assert ref["tau"] == format_rational(oracle_tau(sp, eps))
+    assert ref["tau_vector"] == [format_rational(oracle_tau(sp, lv))
+                                 for lv in levels[1:]]

@@ -245,6 +245,14 @@ def test_oig_subcommand(chain_file, capsys):
     assert doc["max_out_degree"] <= 1
 
 
+def test_oig_d_below_the_sample_dimension_is_a_usage_error(chain_file, capsys):
+    rc = main(["oig", str(chain_file), "--sample", "0,3,7", "--d", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "below the sample's dimension" in err
+    assert "Traceback" not in err
+
+
 def test_experiment_end_to_end_and_determinism(tmp_path):
     inst = tmp_path / "chain8.json"
     inst.write_text(CORPUS["chain8"].dumps())

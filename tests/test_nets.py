@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from epsnet import nets
-from epsnet.core import InstanceError, build_range_space
+from epsnet.complexity import alexander_capacity, capacity_vector
+from epsnet.core import InstanceError, RangeSpace, build_range_space
 from epsnet.experiment import METHODS, ExperimentConfig, run_method
 from epsnet.generators import gen_geometric, random_points
 from epsnet.nets import (
@@ -113,6 +114,29 @@ def test_decomposition_level_ladder():
     assert dec.levels[0] == Fraction(1, 16)
     assert dec.levels[-1] == 1
     assert len(dec.taus) == dec.z + 1
+
+
+def test_capacity_and_decomposition_mask_weight_counts_repeat(monkeypatch):
+    # The bench's traced counts must not depend on which call is first to
+    # touch a space: capacity reads only the table built on first use, and
+    # build_decomposition's weight evaluations repeat exactly.
+    sp = RangeSpace.from_dict(CORPUS["random12w"].to_dict())
+    calls = []
+    weigh = RangeSpace.mask_weight
+
+    def counted(space, mask):
+        calls.append(mask)
+        return weigh(space, mask)
+
+    monkeypatch.setattr(RangeSpace, "mask_weight", counted)
+    eps = Fraction(1, 16)
+    alexander_capacity(sp, eps)
+    capacity_vector(sp, eps)
+    assert calls == []
+    build_decomposition(sp, eps)
+    first = len(calls)
+    build_decomposition(sp, eps)
+    assert first > 0 and len(calls) == 2 * first
 
 
 # -- i.i.d. builder -----------------------------------------------------------

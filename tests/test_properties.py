@@ -1,8 +1,8 @@
 """Property tests: the trace-class enumerations (pi, phi, VC), their
-sampled estimates where labelled exact, the exact doubling sweep, the net
-verifier and the dyadic buckets agree with the brute-force oracles on
-small weighted random spaces, and their witnesses certify what they
-claim."""
+sampled estimates where labelled exact, the capacity table at every
+scale, the exact doubling sweep, the net verifier and the dyadic buckets
+agree with the brute-force oracles on small weighted random spaces, and
+their witnesses certify what they claim."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from epsnet import complexity
 from epsnet.complexity import (
+    alexander_capacity,
+    capacity_levels,
+    capacity_vector,
     doubling_constant,
     projection_function,
     shallow_cell,
@@ -28,6 +31,7 @@ from oracles import (
     oracle_pi,
     oracle_shallow,
     oracle_star,
+    oracle_tau,
     oracle_vc,
     set_measure,
 )
@@ -98,6 +102,23 @@ def test_estimates_labelled_exact_match_oracle(space, data):
                              (vc.value, vc.exact, oracle_vc(space))):
         assert got == want if exact else got <= want
     assert oracle_star(space) <= star.upper
+
+
+@PROPERTY_SETTINGS
+@given(small_spaces(), st.data())
+def test_capacity_table_matches_oracle_at_every_scale(space, data):
+    # Scales at, between and away from the range measures; zero-measure
+    # ranges occur because weights may be 0.
+    measures = sorted({space.measure(i) for i in range(len(space.ranges))})
+    mids = [(a + b) / 2 for a, b in zip(measures, measures[1:])]
+    fixed = [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(1, 3),
+             Fraction(1, 8), Fraction(1, 16)]
+    eps = data.draw(st.sampled_from(fixed + [q for q in measures + mids if q]))
+    _, levels = capacity_levels(eps)
+    want = [oracle_tau(space, lv) for lv in levels]
+    assert alexander_capacity(space, eps) == oracle_tau(space, eps)
+    assert capacity_vector(space, eps) == want[1:]
+    assert build_decomposition(space, eps).taus == tuple(want)
 
 
 @PROPERTY_SETTINGS
