@@ -24,7 +24,7 @@ from .core import (
     parse_rational,
     stream_rng,
 )
-from .complexity import compute_profile, vc_of_masks, vc_or_lower_bound
+from .complexity import compute_profile, vc_of_masks
 from .packing import greedy_packing, haussler_certificate
 from .oneinclusion import build_oig, density_check, loo_error, orient_bounded
 from .generators import (
@@ -148,6 +148,8 @@ def cmd_oig(args) -> int:
     else:
         rng = stream_rng(args.seed, "cli-oig")
         sample = draw_points(space, args.sample_size, rng)
+    if not sample:
+        raise InstanceError("the sample is empty")
     graph = build_oig(space, sample)
     if args.d is not None:
         # A d below the sample's dimension is the user's error; the
@@ -181,14 +183,10 @@ def cmd_net(args) -> int:
     config = ExperimentConfig(
         C=args.C, delta=parse_rational(args.delta), cal_budget=args.budget_n
     )
-    d = args.d
-    if d is None and METHODS[args.method].uses_d:
-        # Past the exact VC walk's node budget, d is the sampled lower
-        # bound. The exact verifier still decides is_net, and the
-        # guaranteed builders repair until it holds.
-        d = vc_or_lower_bound(space, seed=args.seed).value
-    # D stays None: the doubling builders compute it themselves.
-    report = run_method(space, eps, args.method, args.seed, config, d)
+    if args.d is not None and args.d < 0:
+        raise InstanceError(f"--d must be >= 0, got {args.d}")
+    # D stays None, and d too unless given: the builders compute them.
+    report = run_method(space, eps, args.method, args.seed, config, args.d)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), args.out)
     print(
         f"{report.method} {report.size} "

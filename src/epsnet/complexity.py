@@ -37,21 +37,15 @@ from .core import (
     points_of,
     stream_rng,
 )
-from .packing import greedy_packing, max_clique
+from .packing import colour_bound, max_clique
 
 VC_NODES = 300_000
 DEFAULT_ENUM_CAP = 300_000
 DEFAULT_STAR_CAP = 22
-DEFAULT_DOUBLING_RANGE_CAP = 400
 # Random draws of the sampled estimates: restarts of the VC and the star
 # greedy, point sets drawn for pi and phi.
 ESTIMATE_DRAWS = 2000
 STAR_DRAWS = 500
-
-# Valid constant for the capacity-based doubling ceiling (c*tau)^d:
-# the shallow-cell route gives D <= 6*phi(8*d*tau, 24*d) <= 6*(8e*tau)^d,
-# and 6 <= 6^d for d >= 1, so c = 48e works.
-DOUBLING_CAPACITY_C = 48.0 * math.e
 
 
 @dataclass(frozen=True)
@@ -365,9 +359,14 @@ def capacity_vector(space: RangeSpace, eps: Fraction) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class DoublingResult:
+    """D(eps) or a certified bracket on it. lower is the size of members,
+    a packing at scale eps0 inside the family of measure <= 2*eps0; upper
+    is the least certified ceiling (a float, equal to lower in exact
+    mode)."""
+
     mode: str  # "exact" or "bracket"
     lower: int
-    upper: float  # least known ceiling on D; equals lower in exact mode
+    upper: float
     eps0: Fraction | None = None
     members: tuple[int, ...] = ()
 
@@ -387,18 +386,39 @@ def _eligible_count(space: RangeSpace, eps0: Fraction) -> int:
     )
 
 
-def _doubling_exact(space: RangeSpace, eps: Fraction) -> DoublingResult:
-    """Exact mode of doubling_constant, as one sweep over the breakpoints.
+def doubling_constant(
+    space: RangeSpace,
+    eps: Fraction,
+    mode: str = "auto",
+    range_cap: int | None = None,
+) -> DoublingResult:
+    """Largest packing at scale eps0 inside the family of measure <= 2*eps0,
+    maximized over eps0 in [eps, 1], as one sweep over the breakpoints.
 
-    Ranges are ranked by (measure, index); at scale eps0 the eligible
-    ranges are a rank prefix and the far graph keeps the pairs at integer
-    distance >= ceil(eps0 * W). Each distance is computed once; pair codes
-    p * m + q go into one typed array per distinct distance (O(m^2) data
-    never lives in Python lists), and the sweep deletes each bucket's
-    edges from one adjacency as the threshold passes it. The far graph
-    handed to max_clique at each breakpoint, and so the result, is the one
-    a fresh build at that breakpoint would give.
+    Between breakpoints (half-measures and pairwise distances) eligibility
+    is constant and separation only loses pairs, so a max clique of the
+    far graph at every breakpoint gives D exactly. Ranges are ranked by
+    (measure, index); at scale eps0 the eligible ranges are a rank prefix
+    and the far graph keeps the pairs at integer distance >= ceil(eps0*W).
+    Each distance is computed once; pair codes p * m + q go into one typed
+    array per distinct distance (O(m^2) data never lives in Python lists),
+    and the sweep deletes each bucket's edges from one adjacency as the
+    threshold passes it. A breakpoint with no more eligible ranges than
+    the incumbent is skipped, since it cannot beat it.
+
+    When a clique search runs out of packing.DEFAULT_CLIQUE_NODES, exact
+    mode raises. Auto mode keeps the search's incumbent as the lower end
+    and stops searching: the tripped breakpoint and every later one with
+    more eligible ranges than the current upper end add a greedy
+    colouring's class count to the upper end, and the rest are bounded by
+    their eligible count. The bracket is labelled exact when its ends meet.
+    range_cap is accepted and ignored, for callers that still pass it.
     """
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    if mode not in ("auto", "exact"):
+        raise ValueError(f"unknown doubling mode: {mode}")
     sorted_idx = space.measure_order
     m = len(sorted_idx)
     w = space.total_weight
@@ -427,9 +447,10 @@ def _doubling_exact(space: RangeSpace, eps: Fraction) -> DoublingResult:
     adj = [((1 << m) - 1) ^ (1 << p) for p in range(m)]
     removed = 0  # buckets whose edges are already gone
     best, best_eps0, best_members = 0, None, ()
+    upper = None  # set once a clique search has run out of budget
     for eps0 in sorted(candidates):
         j = _eligible_count(space, eps0)
-        if j <= best:
+        if j <= (best if upper is None else upper):
             continue
         threshold = space.ceil_weight(eps0)
         while removed < len(values) and values[removed] < threshold:
@@ -439,79 +460,24 @@ def _doubling_exact(space: RangeSpace, eps: Fraction) -> DoublingResult:
                 adj[q] ^= 1 << p
             removed += 1
         low = (1 << j) - 1
-        size, members = max_clique([adj[p] & low for p in range(j)], lower_bound=best)
-        if size > best:
-            best = size
-            best_eps0 = eps0
-            best_members = tuple(sorted(sorted_idx[v] for v in members))
-    return DoublingResult("exact", best, float(best), best_eps0, best_members)
-
-
-def doubling_constant(
-    space: RangeSpace,
-    eps: Fraction,
-    mode: str = "auto",
-    d: int | None = None,
-    range_cap: int = DEFAULT_DOUBLING_RANGE_CAP,
-    seed: int = 0,
-) -> DoublingResult:
-    """Largest packing at scale eps0 inside the family of measure <= 2*eps0,
-    maximized over eps0 in [eps, 1].
-
-    Exact mode evaluates a max clique of the far graph at every breakpoint
-    (half-measures and pairwise distances); between breakpoints eligibility
-    is constant and separation only loses pairs, so breakpoints suffice.
-    Bracket mode returns a greedy lower bound at dyadic scales plus the
-    capacity ceiling min(|R|, (48e*tau)^d). Auto mode is exact up to
-    range_cap ranges and falls back to bracket mode when a max clique
-    search runs out of its node budget; exact mode raises instead.
-    """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    m = len(space.ranges)
-    if m == 0:
-        return DoublingResult("exact", 0, 0.0, None, ())
-    auto = mode == "auto"
-    if auto:
-        mode = "exact" if m <= range_cap else "bracket"
-    if mode == "exact" and m > range_cap:
-        raise CapExceededError(
-            f"exact doubling capped at {range_cap} ranges, instance has {m}"
-        )
-
-    if mode == "exact":
-        try:
-            return _doubling_exact(space, eps)
-        except CapExceededError:
-            if not auto:
-                raise
-        mode = "bracket"
-
-    if mode != "bracket":
-        raise ValueError(f"unknown doubling mode: {mode}")
-
-    # Greedy far packings at dyadic scales give the certified lower bound.
-    z, levels = capacity_levels(eps)
-    rng = stream_rng(seed, "doubling-bracket")
-    lower, lower_eps0, lower_members = 0, None, ()
-    for eps0 in levels:
-        eligible = space.measure_order[:_eligible_count(space, eps0)]
-        packing = greedy_packing(space, eps0, eligible, rng=rng, shuffle=True)
-        if len(packing.members) > lower:
-            lower = len(packing.members)
-            lower_eps0 = eps0
-            lower_members = packing.members
-    upper = float(m)
-    if d is None:
-        try:
-            d = vc_dimension(space).value
-        except CapExceededError:
-            d = None
-    if d is not None and d >= 1:
-        tau = alexander_capacity(space, eps)
-        upper = min(upper, (DOUBLING_CAPACITY_C * float(tau)) ** d)
-    return DoublingResult("bracket", lower, upper, lower_eps0, lower_members)
+        far = [adj[p] & low for p in range(j)]
+        if upper is None:
+            try:
+                size, members = max_clique(far, lower_bound=best)
+            except CapExceededError as exc:
+                if mode == "exact":
+                    raise
+                size, members = len(exc.members), exc.members
+                upper = best
+            if size > best:
+                best = size
+                best_eps0 = eps0
+                best_members = tuple(sorted(sorted_idx[v] for v in members))
+        if upper is not None:
+            upper = max(upper, colour_bound(far))
+    if upper is None or upper == best:
+        return DoublingResult("exact", best, float(best), best_eps0, best_members)
+    return DoublingResult("bracket", best, float(upper), best_eps0, best_members)
 
 
 # -- shallow cells ----------------------------------------------------------
@@ -744,9 +710,7 @@ def compute_profile(
     tau = alexander_capacity(space, eps)
     tau_vec = tuple(capacity_vector(space, eps))
     z, _ = capacity_levels(eps)
-    doubling = doubling_constant(
-        space, eps, mode="auto", d=d.value if d.exact else None, seed=seed,
-    )
+    doubling = doubling_constant(space, eps)
     pi_rows = []
     for y in range(0, min(space.n, pi_max_y) + 1):
         r = projection_function(space, y, seed=seed)

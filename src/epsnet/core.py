@@ -26,7 +26,10 @@ class InstanceError(ValueError):
 
 class CapExceededError(RuntimeError):
     """An exact oracle was asked to run beyond its configured size cap or
-    work budget; spent is the work done before it stopped, when counted."""
+    work budget; spent is the work done before it stopped, when counted.
+    A max clique search also leaves its incumbent clique in members."""
+
+    members: tuple[int, ...] = ()
 
     def __init__(self, message: str = "", spent: int | None = None):
         super().__init__(message)

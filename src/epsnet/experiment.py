@@ -74,11 +74,10 @@ CSV_COLUMNS = [
 @dataclass(frozen=True)
 class Method:
     """A net builder as called by the sweep and the CLI: build(space, eps,
-    seed, config, d, D), where D is None when the builder should compute
-    it. uses_d marks builders sized by the VC dimension d."""
+    seed, config, d, D), where d and D are None when the builder should
+    compute them."""
 
     build: Callable
-    uses_d: bool = False
     bound_column: str | None = None  # CSV column of its size bound
 
 
@@ -89,19 +88,19 @@ class Method:
 METHODS: dict[str, Method] = {
     "iid": Method(
         lambda s, e, seed, c, d, D: iid_net(s, e, c.delta, "vc", c.C, seed, d=d),
-        True, "bound_capacity"),
+        "bound_capacity"),
     "iid-capacity": Method(
         lambda s, e, seed, c, d, D: iid_net(s, e, c.delta, "capacity", c.C, seed, d=d),
-        True, "bound_capacity"),
+        "bound_capacity"),
     "stratified": Method(
         lambda s, e, seed, c, d, D: stratified_net(s, e, c.C, seed, d=d),
-        True, "bound_stratified"),
+        "bound_stratified"),
     "doubling": Method(
         lambda s, e, seed, c, d, D: doubling_net(s, e, c.C, seed, D=D, d=d),
-        True, "bound_doubling"),
+        "bound_doubling"),
     "doubling-small": Method(
         lambda s, e, seed, c, d, D: doubling_net_small_d(s, e, c.C, seed, D=D, d=d),
-        True, "bound_doubling_small"),
+        "bound_doubling_small"),
     "cal": Method(lambda s, e, seed, c, d, D: cal_net(s, e, c.cal_budget, seed)),
     "greedy": Method(lambda s, e, seed, c, d, D: greedy_net(s, e)),
     "exact": Method(lambda s, e, seed, c, d, D: min_net_exact(s, e)),
@@ -199,15 +198,13 @@ def _fmt_float(x: float) -> str:
     return f"{x:.6f}"
 
 
-def instance_profile(
-    space: RangeSpace, eps: Fraction, config: ExperimentConfig, d_res: VCResult
-) -> dict:
+def instance_profile(space: RangeSpace, eps: Fraction, d_res: VCResult) -> dict:
     """Shared per-(instance, eps) facts for every row of the sweep: d and
     D for the builders, and the formatted CSV columns. d_res is the
     instance's VC result, computed once per instance."""
     tau = alexander_capacity(space, eps)
     taus = [tau] + capacity_vector(space, eps)
-    doubling = doubling_constant(space, eps, d=d_res.value if d_res.exact else None)
+    doubling = doubling_constant(space, eps)
     try:
         min_net = str(min_net_exact(space, eps).size)
     except CapExceededError:
@@ -279,7 +276,7 @@ def run_experiment(config: ExperimentConfig, timings: bool = False) -> tuple[lis
     for space in resolve_instances(config):
         d_res = vc_or_lower_bound(space)
         for eps in config.eps_grid:
-            profile = instance_profile(space, eps, config, d_res)
+            profile = instance_profile(space, eps, d_res)
             for method in config.methods:
                 for seed in config.seeds:
                     rows.append(

@@ -37,7 +37,7 @@ from .complexity import (
     alexander_capacity,
     capacity_levels,
     doubling_constant,
-    vc_dimension,
+    vc_or_lower_bound,
 )
 from .packing import E_UPPER, greedy_packing
 
@@ -335,7 +335,7 @@ def iid_net(
     """
     eps, delta = Fraction(eps), Fraction(delta)
     if d is None:
-        d = vc_dimension(space).value
+        d = vc_or_lower_bound(space, seed=seed).value
     tau = alexander_capacity(space, eps) if sizing == "capacity" else None
     m = iid_sample_size(eps, delta, d, sizing, tau, C)
     rng = stream_rng(seed, "iid", sizing)
@@ -366,7 +366,7 @@ def stratified_net(
     """
     eps = Fraction(eps)
     if d is None:
-        d = vc_dimension(space).value
+        d = vc_or_lower_bound(space, seed=seed).value
     d_eff = max(d, 1)
     dec = build_decomposition(space, eps)
     rng = stream_rng(seed, "stratified")
@@ -441,7 +441,7 @@ def doubling_net(
     """
     eps = Fraction(eps)
     if d is None:
-        d = vc_dimension(space).value
+        d = vc_or_lower_bound(space, seed=seed).value
     d_eff = max(d, 1)
     if D is None:
         D = doubling_constant(space, eps).upper
@@ -505,7 +505,7 @@ def doubling_net_small_d(
     """
     eps = Fraction(eps)
     if d is None:
-        d = vc_dimension(space).value
+        d = vc_or_lower_bound(space, seed=seed).value
     if D is None:
         D = doubling_constant(space, eps).upper
     D = max(D, 1.0)

@@ -29,6 +29,34 @@ E_LOWER = Fraction(2718281828, 10**9)
 E_UPPER = Fraction(2718281829, 10**9)
 
 
+def _colour(cand: int, non_adj: list[int]) -> list[tuple[int, int]]:
+    """Sequential greedy colouring of the vertices in cand, lowest bit
+    first: (vertex, colour) pairs, colours 1-based and ascending. Each
+    colour class is independent, so a clique meets each at most once and
+    the last colour bounds the clique number of the graph cand induces."""
+    out = []
+    color = 0
+    rest = cand
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            out.append((v, color))
+            avail = (avail ^ low) & non_adj[v]
+            rest ^= low
+    return out
+
+
+def colour_bound(adj: list[int]) -> int:
+    """Class count of a greedy colouring in vertex order: a certified
+    upper bound on the clique number of the graph."""
+    if not adj:
+        return 0
+    return _colour((1 << len(adj)) - 1, [~a for a in adj])[-1][1]
+
+
 def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ...]]:
     """Exact maximum clique of a graph given as adjacency bitmasks.
 
@@ -37,7 +65,8 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
     primes the incumbent size (the returned members may then be empty if
     nothing beats it). A search that would expand more than
     DEFAULT_CLIQUE_NODES nodes raises CapExceededError carrying the nodes
-    spent.
+    spent and, as .members, the largest clique it found that beats
+    lower_bound (empty if none did).
     """
     budget = DEFAULT_CLIQUE_NODES
     n = len(adj)
@@ -52,28 +81,10 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
     radj = [0] * n
     for v in range(n):
         radj[pos[v]] = int("".join(pick(format(adj[v], f"0{n}b"))), 2)
+    non_adj = [~a for a in radj]
 
     best = lower_bound
     best_members: tuple[int, ...] = ()
-
-    non_adj = [~a for a in radj]
-
-    def color_bound(cand: int) -> list[tuple[int, int]]:
-        """(vertex, color) pairs, colors 1-based, sorted by color asc."""
-        out = []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                out.append((v, color))
-                avail = (avail ^ low) & non_adj[v]
-                rest ^= low
-        return out
-
     nodes = 0
 
     def expand(cand: int, clique: list[int]) -> None:
@@ -84,7 +95,7 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
                 f"nodes", spent=nodes,
             )
         nodes += 1
-        colored = color_bound(cand)
+        colored = _colour(cand, non_adj)
         for i in range(len(colored) - 1, -1, -1):
             v, c = colored[i]
             if len(clique) + c <= best:
@@ -101,6 +112,9 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
 
     try:
         expand((1 << n) - 1, [])
+    except CapExceededError as exc:
+        exc.members = tuple(sorted(order[i] for i in best_members))
+        raise
     finally:
         # expand refers to itself; dropping the name breaks that cycle so
         # the search tables are freed now rather than at a full collection.

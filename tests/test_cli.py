@@ -253,6 +253,24 @@ def test_oig_d_below_the_sample_dimension_is_a_usage_error(chain_file, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("sample", [
+    ["--sample-size", "0"], ["--sample-size", "-2"], ["--sample", ","],
+])
+def test_oig_empty_sample_is_exit_2(sample, chain_file, capsys):
+    assert main(["oig", str(chain_file), *sample]) == 2
+    err = capsys.readouterr().err
+    assert "sample is empty" in err and "Traceback" not in err
+
+
+def test_net_negative_d_is_exit_2(chain_file, capsys):
+    rc = main(["net", str(chain_file), "--method", "iid", "--eps", "1/4",
+               "--d", "-3"])
+    assert rc == 2
+    assert "--d must be >= 0" in capsys.readouterr().err
+    assert main(["net", str(chain_file), "--method", "iid", "--eps", "1/4",
+                 "--d", "0"]) in (0, 1)
+
+
 def test_experiment_end_to_end_and_determinism(tmp_path):
     inst = tmp_path / "chain8.json"
     inst.write_text(CORPUS["chain8"].dumps())

@@ -28,7 +28,12 @@ from epsnet.core import (
     TheoremViolationError,
     build_range_space,
 )
-from epsnet.generators import LowerBoundParams, gen_lower_bound_family
+from epsnet.generators import (
+    LowerBoundParams,
+    gen_geometric,
+    gen_lower_bound_family,
+    random_points,
+)
 
 from corpus import CORPUS, EPS_GRID
 from oracles import (
@@ -209,12 +214,14 @@ def test_doubling_frozen_values():
     assert r.value == oracle_doubling(CORPUS["chain8"], Fraction(1, 4)) == 2
 
 
-def test_doubling_bracket_brackets_exact():
+def test_doubling_bracket_brackets_exact(monkeypatch):
     for key in ("intervals6", "halfplanes5", "random10a"):
         sp = CORPUS[key]
         eps = Fraction(1, 8)
         exact = doubling_constant(sp, eps, mode="exact").value
-        br = doubling_constant(sp, eps, mode="bracket", seed=3)
+        with monkeypatch.context() as m:
+            m.setattr(packing, "DEFAULT_CLIQUE_NODES", 3)
+            br = doubling_constant(sp, eps)
         assert br.mode == "bracket"
         assert br.lower <= exact <= br.upper, key
 
@@ -233,15 +240,23 @@ def test_doubling_members_are_separated():
 
 
 def test_doubling_auto_falls_back_to_bracket_when_clique_budget_runs_out():
-    # m = 132 is under the exact range cap, but at eps = 1/16 one far graph
-    # needs far more max clique nodes than the budget (the unbudgeted search
-    # ran for over ten minutes); auto mode must answer with a bracket.
+    # At eps = 1/16 one far graph needs far more max clique nodes than the
+    # budget (the unbudgeted search ran for over ten minutes); auto mode
+    # must answer with the incumbent and the colouring bound, no looser
+    # than the greedy lower end 10 and the trivial ceiling |R| = 132.
     sp = gen_lower_bound_family(LowerBoundParams(k=2, d=3, l=2, m=3))
     start = time.perf_counter()
     r = doubling_constant(sp, Fraction(1, 16))
     assert time.perf_counter() - start < 30
     assert r.mode == "bracket"
-    assert 1 <= r.lower <= r.upper <= len(sp.ranges)
+    assert 10 <= r.lower <= r.upper < 132
+
+
+def test_doubling_is_exact_on_halfplanes30():
+    # 871 ranges: doubling is gated by clique nodes, not by range count.
+    sp = gen_geometric("halfplanes", random_points(30, 2, seed=7))
+    r = doubling_constant(sp, Fraction(1, 8))
+    assert r.mode == "exact" and r.value == 25
 
 
 def test_doubling_exact_mode_raises_when_clique_budget_runs_out(monkeypatch):
@@ -250,6 +265,8 @@ def test_doubling_exact_mode_raises_when_clique_budget_runs_out(monkeypatch):
     with pytest.raises(CapExceededError):
         doubling_constant(sp, Fraction(1, 8), mode="exact")
     assert doubling_constant(sp, Fraction(1, 8)).mode == "bracket"
+    with pytest.raises(ValueError):
+        doubling_constant(sp, Fraction(1, 8), mode="bracket")
 
 
 def test_shallow_cell_matches_oracle():

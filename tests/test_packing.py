@@ -1,5 +1,6 @@
 """Packing machinery: clique search, packings, and the packing bound."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from epsnet.generators import gen_geometric, random_points
 from epsnet.packing import (
     E_LOWER,
     E_UPPER,
+    colour_bound,
     dudley_style_bound,
     greedy_packing,
     haussler_certificate,
@@ -98,6 +100,33 @@ def test_max_clique_node_budget_raises_with_work_spent(monkeypatch):
     with pytest.raises(CapExceededError) as info:
         max_clique(adj)
     assert info.value.spent == 3
+
+
+def test_max_clique_out_of_budget_leaves_its_incumbent(monkeypatch):
+    rng = random.Random(0)
+    adj = _adj_from_edges(
+        24, [e for e in combinations(range(24), 2) if rng.random() < 0.5])
+    omega = max_clique(adj)[0]
+    found = 0
+    for budget in range(1, 200):
+        monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", budget)
+        try:
+            assert max_clique(adj)[0] == omega
+            break
+        except CapExceededError as exc:
+            members = exc.members
+        assert len(members) <= omega
+        for a, b in combinations(members, 2):
+            assert adj[a] >> b & 1
+        found = max(found, len(members))
+    assert found >= 1
+
+
+def test_colour_bound_bounds_the_clique_number():
+    for n, edges in [(0, []), (3, []), (5, list(combinations(range(5), 2))),
+                     (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])]:
+        adj = _adj_from_edges(n, edges)
+        assert max_clique(adj)[0] <= colour_bound(adj) <= n
 
 
 def test_exact_packing_over_node_budget_raises_and_certificate_falls_back(

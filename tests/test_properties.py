@@ -1,6 +1,6 @@
 """Property tests: the trace-class enumerations (pi, phi, VC), their
 sampled estimates where labelled exact, the capacity table at every
-scale, the exact doubling sweep, the net verifier and the dyadic buckets
+scale, the exact doubling sweep and its budget-tripped bracket, the net verifier and the dyadic buckets
 agree with the brute-force oracles on small weighted random spaces, and
 their witnesses certify what they claim."""
 
@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsnet import complexity
+from epsnet import complexity, packing
 from epsnet.complexity import (
     alexander_capacity,
     capacity_levels,
@@ -131,6 +131,25 @@ def test_exact_doubling_matches_oracle_with_certified_members(space, eps):
         eps0 = got.eps0
         assert eps <= eps0 <= 1
         assert len(got.members) == got.value
+        for i in got.members:
+            assert space.measure(i) <= 2 * eps0
+        for a, b in combinations(got.members, 2):
+            assert space.rho(a, b) >= eps0
+
+
+@PROPERTY_SETTINGS
+@given(small_spaces(), st.sampled_from([Fraction(1, 2), Fraction(1, 4),
+                                        Fraction(1, 8), Fraction(1, 16)]),
+       st.integers(1, 3))
+def test_budget_tripped_doubling_is_a_certified_bracket(space, eps, budget):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(packing, "DEFAULT_CLIQUE_NODES", budget)
+        got = doubling_constant(space, eps)
+    assert got.lower <= oracle_doubling(space, eps) <= got.upper
+    assert got.lower == len(got.members)
+    if got.lower:
+        eps0 = got.eps0
+        assert eps <= eps0 <= 1
         for i in got.members:
             assert space.measure(i) <= 2 * eps0
         for a, b in combinations(got.members, 2):
