@@ -1,10 +1,10 @@
 """Combinatorial and measure-theoretic complexity of a range space.
 
-Exact modes enumerate under a size cap or a node budget; past it,
-sampled estimates are flagged inexact unless they reach a ceiling no
-value can beat. Suprema over a continuous scale parameter are finite
-maxima over breakpoint values where the objective can change, so every
-returned rational is exact.
+Exact modes enumerate under a size cap or a node budget; past it, the
+search's incumbent or a sampled estimate is flagged inexact unless it
+reaches a ceiling no value can beat. Suprema over a continuous scale
+parameter are finite maxima over breakpoint values where the objective
+can change, so every returned rational is exact.
 
 The exact enumerations over point sets (pi, phi, VC) walk the sets depth
 first and keep the partition of the ranges by their trace on the current
@@ -42,9 +42,9 @@ from .packing import colour_bound, max_clique
 VC_NODES = 300_000
 DEFAULT_ENUM_CAP = 300_000
 DEFAULT_STAR_CAP = 22
-# Random draws of the sampled estimates: restarts of the VC and the star
-# greedy, point sets drawn for pi and phi.
+# Point sets drawn by the sampled estimates of pi and phi.
 ESTIMATE_DRAWS = 2000
+# Restarts of the star-number greedy.
 STAR_DRAWS = 500
 
 
@@ -98,8 +98,9 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> VCResult:
     family size. The witness is the numerically smallest mask among the
     largest shattered sets. The empty family has dimension -1 by
     convention. A walk that would visit more than VC_NODES sets raises
-    CapExceededError carrying the nodes spent. cap is ignored: the node
-    budget, not the instance size, decides whether the walk finishes.
+    CapExceededError carrying the nodes spent and, as .members, the
+    largest shattered set it found. cap is ignored: the node budget, not
+    the instance size, decides whether the walk finishes.
     """
     ranges = tuple(masks)
     if not ranges:
@@ -112,10 +113,12 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> VCResult:
     def rec(classes: list[int], y: int, size: int, start: int) -> None:
         nonlocal best, witness, nodes
         if nodes == VC_NODES:
-            raise CapExceededError(
+            exc = CapExceededError(
                 f"exact VC search exceeded its budget of {nodes} nodes",
                 spent=nodes,
             )
+            exc.members = points_of(witness)
+            raise exc
         nodes += 1
         if size > best or (size == best and y < witness):
             best, witness = size, y
@@ -131,54 +134,22 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> VCResult:
     return VCResult(best, True, points_of(witness))
 
 
-def vc_dimension(
-    space: RangeSpace, mode: str = "exact", seed: int = 0
-) -> VCResult:
-    """Largest cardinality of a shattered point set.
-
-    exact mode enumerates via vc_of_masks; lower_bound mode does
-    ESTIMATE_DRAWS seeded greedy restarts and flags the result inexact.
-    Each restart grows one trace partition point by point; restarts stop
-    once one reaches min(n, log2 of the family size), which no set can
-    exceed, and that value is exact.
-    """
-    ranges = space.ranges
-    if not ranges:
-        return VCResult(-1, True, ())
-    if mode == "exact":
-        return vc_of_masks(ranges, space.n)
-    if mode != "lower_bound":
-        raise ValueError(f"unknown vc mode: {mode}")
-    cols = space.incidence()
-    full = (1 << len(ranges)) - 1
-    top = min(space.n, len(ranges).bit_length() - 1)
-    rng = stream_rng(seed, "vc")
-    best, best_mask = 0, 0
-    for _ in range(ESTIMATE_DRAWS):
-        order = list(range(space.n))
-        rng.shuffle(order)
-        classes, y, size = [full], 0, 0
-        for x in order:
-            if size == top:
-                break
-            if _splits_all(classes, cols[x]):
-                inside, outside = _split(classes, cols[x])
-                classes = inside + outside
-                y, size = y | 1 << x, size + 1
-        if size > best:
-            best, best_mask = size, y
-            if best == top:
-                break
-    return VCResult(best, best == top, points_of(best_mask))
+def vc_dimension(space: RangeSpace) -> VCResult:
+    """Largest cardinality of a shattered point set, by vc_of_masks;
+    raises CapExceededError when the walk runs out of VC_NODES."""
+    return vc_of_masks(space.ranges, space.n)
 
 
-def vc_or_lower_bound(space: RangeSpace, seed: int = 0) -> VCResult:
-    """Exact dimension, or the seeded sampled lower bound (flagged
-    inexact below its ceiling) when the exact walk runs out of nodes."""
+def vc_or_lower_bound(space: RangeSpace) -> VCResult:
+    """Exact dimension, or the walk's incumbent shattered set when it runs
+    out of nodes; that lower bound is labelled exact only when it reaches
+    min(n, log2 of the family size), which no set can exceed."""
     try:
         return vc_dimension(space)
-    except CapExceededError:
-        return vc_dimension(space, mode="lower_bound", seed=seed)
+    except CapExceededError as exc:
+        k = len(exc.members)
+        top = min(space.n, len(space.ranges).bit_length() - 1)
+        return VCResult(k, k == top, exc.members)
 
 
 @dataclass(frozen=True)
@@ -407,11 +378,12 @@ def doubling_constant(
     the incumbent is skipped, since it cannot beat it.
 
     When a clique search runs out of packing.DEFAULT_CLIQUE_NODES, exact
-    mode raises. Auto mode keeps the search's incumbent as the lower end
-    and stops searching: the tripped breakpoint and every later one with
-    more eligible ranges than the current upper end add a greedy
-    colouring's class count to the upper end, and the rest are bounded by
-    their eligible count. The bracket is labelled exact when its ends meet.
+    mode raises. Auto mode keeps the search's incumbent, or one eligible
+    range if it is empty, as the lower end and stops searching: the
+    tripped breakpoint and every later one with more eligible ranges than
+    the current upper end add a greedy colouring's class count to the
+    upper end, and the rest are bounded by their eligible count. The
+    bracket is labelled exact when its ends meet.
     range_cap is accepted and ignored, for callers that still pass it.
     """
     eps = Fraction(eps)
@@ -467,7 +439,10 @@ def doubling_constant(
             except CapExceededError as exc:
                 if mode == "exact":
                     raise
-                size, members = len(exc.members), exc.members
+                # One eligible range is a packing even if the search
+                # tripped before its first leaf.
+                members = exc.members or (0,)
+                size = len(members)
                 upper = best
             if size > best:
                 best = size
@@ -706,7 +681,7 @@ def compute_profile(
     """One-stop profile at scale eps, exact where the module's caps and
     budgets permit."""
     eps = Fraction(eps)
-    d = vc_or_lower_bound(space, seed=seed)
+    d = vc_or_lower_bound(space)
     tau = alexander_capacity(space, eps)
     tau_vec = tuple(capacity_vector(space, eps))
     z, _ = capacity_levels(eps)

@@ -27,7 +27,8 @@ class InstanceError(ValueError):
 class CapExceededError(RuntimeError):
     """An exact oracle was asked to run beyond its configured size cap or
     work budget; spent is the work done before it stopped, when counted.
-    A max clique search also leaves its incumbent clique in members."""
+    A search that keeps an incumbent leaves it in members: max_clique its
+    largest clique, the VC walk its largest shattered point set."""
 
     members: tuple[int, ...] = ()
 

@@ -44,7 +44,6 @@ from .packing import E_UPPER, greedy_packing
 LN2 = math.log(2.0)
 DEFAULT_C = 8.0
 DRAW_CAP = 10**6  # cal_net's draw guard is min(2^budget_n, DRAW_CAP)
-STRATIFIED_RETRIES = 8  # doubled redraws per bucket before the repair
 EXACT_NET_NODES = 5_000_000  # branch-and-bound budget of min_net_exact
 EXACT_NET_TARGETS = 2000  # qualifying ranges min_net_exact accepts
 
@@ -93,15 +92,6 @@ def _heavy(space: RangeSpace, eps: Fraction) -> int:
     return mask_of(space.measure_order[space.count_below(eps):])
 
 
-def _hits(space: RangeSpace, point_mask: int) -> int:
-    """Bitmask over range indices of the ranges that meet the point mask."""
-    cols = space.incidence()
-    hit = 0
-    for p in iter_bits(point_mask):
-        hit |= cols[p]
-    return hit
-
-
 def verify_net(
     space: RangeSpace,
     candidate,
@@ -123,7 +113,11 @@ def verify_net(
             raise InstanceError(f"candidate point {p} outside 0..{space.n - 1}")
         if space.weights[p] == 0:
             raise InstanceError(f"candidate point {p} has zero weight")
-    missed = _heavy(space, eps) & ~_hits(space, mask_of(pts))
+    cols = space.incidence()
+    hits = 0
+    for p in pts:
+        hits |= cols[p]
+    missed = _heavy(space, eps) & ~hits
     violations = tuple(iter_bits(missed))
     return NetReport(
         method, eps, tuple(pts), not violations, violations, stats or {}
@@ -335,7 +329,7 @@ def iid_net(
     """
     eps, delta = Fraction(eps), Fraction(delta)
     if d is None:
-        d = vc_or_lower_bound(space, seed=seed).value
+        d = vc_or_lower_bound(space).value
     tau = alexander_capacity(space, eps) if sizing == "capacity" else None
     m = iid_sample_size(eps, delta, d, sizing, tau, C)
     rng = stream_rng(seed, "iid", sizing)
@@ -360,19 +354,18 @@ def stratified_net(
 
     Every bucket member has conditional measure >= 1/(2 tau_i) inside its
     bucket union, so a conditional net at that scale hits the whole
-    bucket. Buckets at scale >= 1 are checked and redrawn with doubled
-    samples up to STRATIFIED_RETRIES times, then repaired greedily;
-    bucket 0 is sampled for size-accounting parity but needs no hits.
+    bucket. Each bucket gets one draw; buckets at scale >= 1 are then
+    repaired greedily, so the result always verifies. Bucket 0 is
+    sampled for size-accounting parity but needs no hits.
     """
     eps = Fraction(eps)
     if d is None:
-        d = vc_or_lower_bound(space, seed=seed).value
+        d = vc_or_lower_bound(space).value
     d_eff = max(d, 1)
     dec = build_decomposition(space, eps)
     rng = stream_rng(seed, "stratified")
     net_mask = 0
     draws = 0
-    retries_used = 0
     repaired = 0
     level_sizes = []
     for b in range(dec.z + 1):
@@ -386,23 +379,15 @@ def stratified_net(
         base_m = math.ceil(
             C * (d_eff * math.log(1 / float(level_eps)) + LN2) / float(level_eps)
         )
-        need = mask_of(bucket)  # over range indices
-        got = 0
-        for attempt in range(STRATIFIED_RETRIES + 1):
-            m = base_m * (2**attempt)
-            pts = draw_points(space, m, rng, within_mask=union)
-            draws += m
-            got += len(pts)
-            net_mask |= mask_of(pts)
-            # Bucket 0 has no hitting requirement below the base scale.
-            if b == 0 or not need & ~_hits(space, net_mask):
-                break
-            retries_used += 1
+        pts = draw_points(space, base_m, rng, within_mask=union)
+        draws += base_m
+        net_mask |= mask_of(pts)
+        # Bucket 0 has no hitting requirement below the base scale.
         if b >= 1:
             targets = [space.ranges[i] for i in bucket]
             net_mask, added = _repair(space, [targets], net_mask)
             repaired += added
-        level_sizes.append(got)
+        level_sizes.append(len(pts))
     pts = list(iter_bits(net_mask))
     stats = {
         "seed": seed,
@@ -410,7 +395,6 @@ def stratified_net(
         "d": d,
         "draws": draws,
         "level_draws": level_sizes,
-        "retries": retries_used,
         "repair_points": repaired,
         "taus": list(dec.taus),
         "z": dec.z,
@@ -441,7 +425,7 @@ def doubling_net(
     """
     eps = Fraction(eps)
     if d is None:
-        d = vc_or_lower_bound(space, seed=seed).value
+        d = vc_or_lower_bound(space).value
     d_eff = max(d, 1)
     if D is None:
         D = doubling_constant(space, eps).upper
@@ -505,7 +489,7 @@ def doubling_net_small_d(
     """
     eps = Fraction(eps)
     if d is None:
-        d = vc_or_lower_bound(space, seed=seed).value
+        d = vc_or_lower_bound(space).value
     if D is None:
         D = doubling_constant(space, eps).upper
     D = max(D, 1.0)

@@ -2,7 +2,7 @@
 
 A delta-packing is a set of ranges with pairwise rho >= delta. Finding
 the largest one is a max clique in the "far graph"; small instances get
-an exact branch-and-bound with greedy coloring, larger ones a seeded
+an exact branch-and-bound with greedy coloring, larger ones a first-fit
 greedy lower bound.
 """
 
@@ -148,25 +148,18 @@ def greedy_packing(
     space: RangeSpace,
     delta: Fraction,
     indices: list[int] | None = None,
-    rng=None,
-    shuffle: bool = False,
 ) -> Packing:
     """Maximal (not maximum) delta-packing by a single greedy sweep.
 
-    Deterministic first-fit in index order unless shuffle is set.
-    Maximality means every range is within delta of some chosen one.
+    Deterministic first-fit in index order. Maximality means every range
+    is within delta of some chosen one.
     """
     delta = Fraction(delta)
     if indices is None:
         indices = list(range(len(space.ranges)))
-    order = list(indices)
-    if shuffle:
-        if rng is None:
-            rng = stream_rng(0, "packing")
-        rng.shuffle(order)
     far = space.ceil_weight(delta)
     chosen: list[int] = []
-    for i in order:
+    for i in indices:
         ri = space.ranges[i]
         if all(space.mask_weight(ri ^ space.ranges[j]) >= far for j in chosen):
             chosen.append(i)

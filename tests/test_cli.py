@@ -101,8 +101,8 @@ def test_net_sizes_with_fallback_when_exact_vc_is_capped(
     intervals40, tmp_path, capsys, monkeypatch,
 ):
     # With the exact VC walk out of nodes, the CLI must size with the
-    # sampled lower bound instead of erroring, and still verify exactly.
-    monkeypatch.setattr(complexity, "VC_NODES", 1)
+    # walk's incumbent instead of erroring, and still verify exactly.
+    monkeypatch.setattr(complexity, "VC_NODES", 3)
     out = tmp_path / "net.json"
     rc = main(["net", str(intervals40), "--method", "stratified",
                "--eps", "1/8", "--seed", "0", "--out", str(out)])

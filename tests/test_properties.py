@@ -80,10 +80,11 @@ def test_vc_dimension_matches_oracle_with_shattered_witness(space):
 @PROPERTY_SETTINGS
 @given(small_spaces(), st.data())
 def test_estimates_labelled_exact_match_oracle(space, data):
-    # With the exact searches' caps and budget forced low, pi, phi, star
-    # and VC come from the sampled estimates; with few draws these often
-    # fall short, so a value labelled exact must be one that reached its
-    # ceiling, and so equal the oracle.
+    # With the exact searches' caps and budget forced low, pi, phi and
+    # star come from the sampled estimates and VC from the walk's
+    # incumbent; these often fall short, so a value labelled exact must be
+    # one that reached its ceiling, and so equal the oracle. The VC
+    # witness is a shattered set of the reported size either way.
     y = data.draw(st.integers(0, space.n))
     l = data.draw(st.integers(0, space.n))
     with pytest.MonkeyPatch.context() as mp:
@@ -102,6 +103,10 @@ def test_estimates_labelled_exact_match_oracle(space, data):
                              (vc.value, vc.exact, oracle_vc(space))):
         assert got == want if exact else got <= want
     assert oracle_star(space) <= star.upper
+    if vc.value >= 0:
+        ymask = mask_of(vc.witness)
+        assert len(vc.witness) == vc.value
+        assert len({r & ymask for r in space.ranges}) == 1 << vc.value
 
 
 @PROPERTY_SETTINGS
