@@ -376,16 +376,24 @@ def draw_points(space: RangeSpace, k: int, rng, within_mask: int | None = None) 
         pop = getattr(space, "_population")
         if pop is None:
             pts = list(iter_bits(space.support_mask))
-            cum = list(accumulate(space.weights[p] for p in pts))
-            pop = (pts, cum)
+            pop = (pts, _cum_weights(space, pts))
             object.__setattr__(space, "_population", pop)
         pts, cum = pop
     else:
         pts = [p for p in iter_bits(space.support_mask & within_mask)]
         if not pts:
             raise InstanceError("sampling event has measure zero")
-        cum = list(accumulate(space.weights[p] for p in pts))
+        cum = _cum_weights(space, pts)
     return rng.choices(pts, cum_weights=cum, k=k)
+
+
+def _cum_weights(space: RangeSpace, pts: list[int]) -> list[int] | None:
+    """Cumulative weights for random.choices, or None on a uniform space:
+    choices then draws floor(random() * n), the same point that a bisect
+    of [1, ..., n] would give, without the bisect."""
+    if space._uniform:  # type: ignore[attr-defined]
+        return None
+    return list(accumulate(space.weights[p] for p in pts))
 
 
 def stream_rng(seed: int, *stream: object):

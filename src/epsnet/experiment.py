@@ -128,6 +128,9 @@ class ExperimentConfig:
             raise InstanceError(f"'C' must be positive and finite, got {self.C!r}")
         if not 0 < self.delta <= 1:
             raise InstanceError(f"'delta' must be in (0, 1], got {self.delta}")
+        for eps in self.eps_grid:
+            if not 0 < eps <= 1:
+                raise InstanceError(f"'eps' must be in (0, 1], got {eps}")
         if self.cal_budget < 1:
             raise InstanceError(f"'cal_budget' must be at least 1, got {self.cal_budget!r}")
 
@@ -176,16 +179,19 @@ def load_instance(path: Path | str) -> RangeSpace:
 def resolve_instances(config: ExperimentConfig) -> list[RangeSpace]:
     spaces = []
     for entry in config.instances:
-        if isinstance(entry, str):
-            spaces.append(load_instance(config.base_dir / entry))
-        elif not isinstance(entry, dict):
-            raise InstanceError(f"instance entry must be a path or an object: {entry!r}")
-        elif isinstance(entry.get("path"), str):
-            spaces.append(load_instance(config.base_dir / entry["path"]))
-        elif "inline" in entry:
-            spaces.append(RangeSpace.from_dict(entry["inline"]))
+        # A bare string is a path; an object carries exactly one of a
+        # string "path" or an object "inline".
+        key, value = "path", entry
+        if isinstance(entry, dict) and len(entry) == 1:
+            (key, value), = entry.items()
+        if key == "path" and isinstance(value, str):
+            spaces.append(load_instance(config.base_dir / value))
+        elif key == "inline" and isinstance(value, dict):
+            spaces.append(RangeSpace.from_dict(value))
         else:
-            raise InstanceError(f"instance entry needs 'path' or 'inline': {entry}")
+            raise InstanceError(
+                "instance entry must be a path, {\"path\": <string>} or "
+                f"{{\"inline\": <object>}}, got {entry!r}")
     return spaces
 
 

@@ -10,8 +10,10 @@ out_degree(truth) / sample size.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import RangeSpace, TheoremViolationError, draw_points, stream_rng
 from .complexity import vc_of_masks
@@ -32,6 +34,14 @@ class OneInclusionGraph:
         if not self.vertices:
             return Fraction(0)
         return Fraction(len(self.edges), len(self.vertices))
+
+    @cached_property
+    def edge_at(self) -> dict[tuple[int, int], int]:
+        """(vertex index, coord) -> index of the edge there, both ends."""
+        out = {}
+        for k, (u, v, coord) in enumerate(self.edges):
+            out[u, coord] = out[v, coord] = k
+        return out
 
 
 def trace_vertices(space: RangeSpace, sample: list[int]) -> tuple[int, ...]:
@@ -104,111 +114,52 @@ class Orientation:
     tails: tuple[int, ...]  # tails[k] = vertex index the k-th edge exits
 
     def out_degree(self, v_idx: int) -> int:
-        return sum(1 for t in self.tails if t == v_idx)
+        return self.tails.count(v_idx)
 
     @property
     def max_out_degree(self) -> int:
-        if not self.tails:
-            return 0
-        degs = [0] * len(self.graph.vertices)
-        for t in self.tails:
-            degs[t] += 1
-        return max(degs)
-
-
-class _Dinic:
-    """Deterministic max flow; arc order fixed by insertion order."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, c: int) -> int:
-        arc = len(self.to)
-        self.head[u].append(arc)
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(arc + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return arc
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for arc in self.head[u]:
-                    v = self.to[arc]
-                    if self.cap[arc] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    arc = self.head[u][it[u]]
-                    v = self.to[arc]
-                    if self.cap[arc] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[arc]))
-                        if got:
-                            self.cap[arc] -= got
-                            self.cap[arc ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 62)
-                if not pushed:
-                    break
-                flow += pushed
+        return max(Counter(self.tails).values(), default=0)
 
 
 def orient_bounded(graph: OneInclusionGraph, d: int) -> Orientation:
-    """Orientation with out-degree <= d via max flow, or raise.
+    """Orientation with out-degree <= d by path reversal, or raise.
 
-    Network: source -> edge node (cap 1) -> its two endpoint vertex
-    nodes (cap 1) -> sink (cap d). A saturating flow assigns each edge
-    the endpoint that pays for it; that endpoint becomes the tail.
+    Each edge in turn leaves its first endpoint. When that vertex passes
+    d out-edges, a BFS-shortest path of out-edges to a vertex with fewer
+    than d is reversed, which moves one out-edge to that vertex and
+    leaves the path's inner vertices as they were. If no such vertex is
+    reachable, the reachable set is closed under out-edges and carries
+    more than d edges per vertex, so no orientation exists.
     """
-    ne, nv = len(graph.edges), len(graph.vertices)
-    if ne == 0:
-        return Orientation(graph, ())
-    if d < 0:
-        raise OrientationInfeasibleError("negative out-degree bound")
-    src, snk = ne + nv, ne + nv + 1
-    net = _Dinic(ne + nv + 2)
-    choice_arcs = []
-    for k, (u, v, _) in enumerate(graph.edges):
-        net.add(src, k, 1)
-        a = net.add(k, ne + u, 1)
-        b = net.add(k, ne + v, 1)
-        choice_arcs.append((a, b))
-    for i in range(nv):
-        net.add(ne + i, snk, d)
-    if net.max_flow(src, snk) < ne:
-        raise OrientationInfeasibleError(
-            f"no orientation with out-degree <= {d} for "
-            f"{ne} edges on {nv} vertices"
-        )
-    tails = []
-    for k, (u, v, _) in enumerate(graph.edges):
-        a, b = choice_arcs[k]
-        if net.cap[a] == 0:  # unit pushed toward u
-            tails.append(u)
-        elif net.cap[b] == 0:
-            tails.append(v)
+    edges = graph.edges
+    tails = [u for u, _, _ in edges]
+    out: list[list[int]] = [[] for _ in graph.vertices]
+    for k, (u, _, _) in enumerate(edges):
+        out[u].append(k)
+        if len(out[u]) <= d:
+            continue
+        via = {u: -1}  # vertex -> edge the BFS reached it by
+        queue = [u]
+        for y in queue:
+            if len(out[y]) < d:
+                break
+            for e in out[y]:
+                z = edges[e][0] + edges[e][1] - y
+                if z not in via:
+                    via[z] = e
+                    queue.append(z)
         else:
-            raise AssertionError("saturating flow left an edge unassigned")
+            raise OrientationInfeasibleError(
+                f"no orientation with out-degree <= {d} for "
+                f"{len(edges)} edges on {len(graph.vertices)} vertices"
+            )
+        while y != u:
+            e = via[y]
+            x = tails[e]
+            out[x].remove(e)
+            out[y].append(e)
+            tails[e] = y
+            y = x
     return Orientation(graph, tuple(tails))
 
 
@@ -217,21 +168,15 @@ def predict(orientation: Orientation, v_idx: int, coord: int) -> int:
 
     The truth's own bit at coord is not consulted. When the flipped
     vector is also a vertex the two candidates form an edge in this
-    coordinate and the head's bit wins; otherwise the lone candidate
+    coordinate and the head's bit wins, so the prediction is wrong
+    exactly when that edge leaves v_idx; otherwise the lone candidate
     decides.
     """
-    graph = orientation.graph
-    v = graph.vertices[v_idx]
-    flipped = v ^ (1 << coord)
-    for k, (a, b, c) in enumerate(graph.edges):
-        if c != coord:
-            continue
-        pair = {graph.vertices[a], graph.vertices[b]}
-        if pair == {v, flipped}:
-            tail = orientation.tails[k]
-            head = b if tail == a else a
-            return graph.vertices[head] >> coord & 1
-    return v >> coord & 1
+    bit = orientation.graph.vertices[v_idx] >> coord & 1
+    k = orientation.graph.edge_at.get((v_idx, coord))
+    if k is None:
+        return bit
+    return bit ^ (orientation.tails[k] == v_idx)
 
 
 def loo_error(orientation: Orientation, v_idx: int) -> Fraction:

@@ -181,12 +181,11 @@ def max_packing_exact(
     if not indices:
         return Packing(delta, (), True)
     adj = far_adjacency(space, indices, delta)
-    # Seed the incumbent with the greedy solution so pruning bites early.
+    # Seed the incumbent with the greedy packing's size so pruning bites
+    # early. Its members are pairwise far, a clique of adj, so the search
+    # still returns a clique at least that large.
     greedy = greedy_packing(space, delta, indices)
-    greedy_local = [indices.index(i) for i in greedy.members]
-    size, members = max_clique(adj, lower_bound=len(greedy_local) - 1)
-    if size < len(greedy_local):
-        members = tuple(greedy_local)
+    _, members = max_clique(adj, lower_bound=len(greedy.members) - 1)
     return Packing(delta, tuple(sorted(indices[v] for v in members)), True)
 
 

@@ -2,11 +2,13 @@
 
 Everything here works on frozensets and direct enumeration, on purpose:
 no bitmasks, no shared helpers with the package, so agreement is
-evidence rather than tautology. Only run these at desk scale.
+evidence rather than tautology. The one-inclusion references read a
+graph's vertices as the trace masks they are. Only run these at desk
+scale.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def as_sets(space):
@@ -184,3 +186,30 @@ def oracle_star(space):
                 best = size
                 break
     return best
+
+
+def oracle_min_out_degree(n_vertices, edges):
+    """Smallest max out-degree over all 2^|E| orientations of a graph
+    given as (u, v, ...) edges: an orientation with out-degree <= d
+    exists exactly when this is <= d."""
+    best = len(edges)
+    for pick in product((0, 1), repeat=len(edges)):
+        degs = [0] * n_vertices
+        for e, side in zip(edges, pick):
+            degs[e[side]] += 1
+        best = min(best, max(degs, default=0))
+    return best
+
+
+def reference_predict(orientation, v_idx, coord):
+    """The edge-scan leave-one-out prediction: find the edge joining
+    vertex v_idx to its flip in coord, if any, and return its head's bit
+    there; with no such edge, v_idx's own bit."""
+    graph = orientation.graph
+    v = graph.vertices[v_idx]
+    flipped = v ^ (1 << coord)
+    for k, (a, b, c) in enumerate(graph.edges):
+        if c == coord and {graph.vertices[a], graph.vertices[b]} == {v, flipped}:
+            head = b if orientation.tails[k] == a else a
+            return graph.vertices[head] >> coord & 1
+    return v >> coord & 1

@@ -313,6 +313,15 @@ def test_experiment_config_validation(tmp_path):
             ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("eps", [["1/4", "3"], ["0"], ["-1/8"]])
+def test_experiment_config_rejects_eps_outside_unit_interval(eps):
+    from epsnet.core import InstanceError
+
+    with pytest.raises(InstanceError, match="'eps' must be in"):
+        ExperimentConfig.from_dict({"instances": [], "eps": eps,
+                                    "methods": ["greedy"], "seeds": [0]})
+
+
 # Each case was silently coerced (or crashed with a traceback) before
 # config fields were type-checked.
 MALFORMED_CONFIG = {
@@ -332,6 +341,8 @@ MALFORMED_CONFIG = {
     "method-list": {"methods": [["greedy"]]},
     "instance-number": {"instances": [5]},
     "instance-path-number": {"instances": [{"path": 5}]},
+    "instance-path-and-inline": {"instances": [{"path": 3, "inline": {
+        "n": 2, "weights": [1, 1], "ranges": [[0]]}}]},
 }
 
 

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from epsnet import oneinclusion
 from epsnet.core import TheoremViolationError, build_range_space
 from epsnet.oneinclusion import (
     OrientationInfeasibleError,
@@ -17,6 +19,7 @@ from epsnet.oneinclusion import (
 )
 
 from corpus import CORPUS
+from oracles import oracle_min_out_degree, reference_predict
 
 
 def test_cube_graph_from_explicit_masks():
@@ -124,3 +127,36 @@ def test_expected_risk_report_corpus():
 def test_expected_risk_report_validates_args():
     with pytest.raises(ValueError):
         expected_risk_report(CORPUS["chain8"], m=0, d=1)
+
+
+def test_expected_risk_report_is_loud_when_loo_and_out_degree_diverge(monkeypatch):
+    monkeypatch.setattr(oneinclusion.Orientation, "out_degree",
+                        lambda self, v_idx: self.tails.count(v_idx) + 1)
+    with pytest.raises(TheoremViolationError, match="diverged"):
+        expected_risk_report(CORPUS["chain8"], m=5, d=1, trials=1)
+
+
+@st.composite
+def small_graphs(draw):
+    """Explicit-mask graphs, m <= 4 with at most 8 vertices, so at most
+    12 edges and 4,096 orientations for the brute-force oracle."""
+    m = draw(st.integers(1, 4))
+    masks = draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1, max_size=8))
+    return build_oig(masks, m=m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_orientation_matches_brute_force_and_predict_matches_edge_scan(g):
+    best = oracle_min_out_degree(len(g.vertices), g.edges)
+    for d in range(4):
+        if best > d:
+            with pytest.raises(OrientationInfeasibleError):
+                orient_bounded(g, d)
+            continue
+        o = orient_bounded(g, d)
+        assert o.max_out_degree <= d
+        for v_idx in range(len(g.vertices)):
+            for coord in range(g.m):
+                assert predict(o, v_idx, coord) == reference_predict(o, v_idx, coord)
+            assert loo_error(o, v_idx) * g.m == o.out_degree(v_idx)
