@@ -1,8 +1,9 @@
 """Combinatorial and measure-theoretic complexity of a range space.
 
-Exact modes enumerate under a size cap or a node budget; past it, the
-search's incumbent or a sampled estimate is flagged inexact unless it
-reaches a ceiling no value can beat. Suprema over a continuous scale
+Every estimate is a Bound: what the search found and the ceiling it
+already knows, exact exactly when the two meet. Exact modes enumerate
+under a size cap or a node budget; past it, the search's incumbent or a
+sampled estimate is the lower end. Suprema over a continuous scale
 parameter are finite maxima over breakpoint values where the objective
 can change, so every returned rational is exact.
 
@@ -49,10 +50,36 @@ STAR_DRAWS = 500
 
 
 @dataclass(frozen=True)
-class VCResult:
-    value: int
-    exact: bool
-    witness: tuple[int, ...]
+class Bound:
+    """lower <= true value <= upper, exact iff the ends meet. witness
+    certifies the lower end (a shattered set, a star set, a packing's
+    members); eps0 is the scale of a doubling packing."""
+
+    lower: int
+    upper: int
+    witness: tuple[int, ...] = ()
+    eps0: Fraction | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.exact else "bracket"
+
+    @property
+    def value(self) -> int:
+        if not self.exact:
+            raise ValueError("no single exact value in bracket mode")
+        return self.lower
+
+
+def _unit_eps(eps) -> Fraction:
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    return eps
 
 
 def _split(classes: list[int], col: int) -> tuple[list[int], list[int]]:
@@ -88,7 +115,7 @@ def _splits_all(classes: list[int], col: int) -> bool:
     return True
 
 
-def vc_of_masks(masks, n: int, cap: int | None = None) -> VCResult:
+def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
     """Exact dimension of an arbitrary family of subset masks on n points.
 
     Walks the shattered sets depth first, adding points in increasing
@@ -104,7 +131,7 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> VCResult:
     """
     ranges = tuple(masks)
     if not ranges:
-        return VCResult(-1, True, ())
+        return Bound(-1, -1)
     cols = incidence_columns(ranges, n)
     m = len(ranges)
     best, witness = 0, 0
@@ -131,31 +158,24 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> VCResult:
                 rec(inside + outside, y | 1 << x, size + 1, x + 1)
 
     rec([(1 << m) - 1], 0, 0, 0)
-    return VCResult(best, True, points_of(witness))
+    return Bound(best, best, points_of(witness))
 
 
-def vc_dimension(space: RangeSpace) -> VCResult:
+def vc_dimension(space: RangeSpace) -> Bound:
     """Largest cardinality of a shattered point set, by vc_of_masks;
     raises CapExceededError when the walk runs out of VC_NODES."""
     return vc_of_masks(space.ranges, space.n)
 
 
-def vc_or_lower_bound(space: RangeSpace) -> VCResult:
-    """Exact dimension, or the walk's incumbent shattered set when it runs
-    out of nodes; that lower bound is labelled exact only when it reaches
-    min(n, log2 of the family size), which no set can exceed."""
+def vc_or_lower_bound(space: RangeSpace) -> Bound:
+    """Exact dimension, or, when the walk runs out of nodes,
+    Bound(k, min(n, floor(log2 |R|)), S) for its incumbent shattered set
+    S of size k: no set can be shattered by fewer than 2^|S| ranges."""
     try:
         return vc_dimension(space)
     except CapExceededError as exc:
-        k = len(exc.members)
         top = min(space.n, len(space.ranges).bit_length() - 1)
-        return VCResult(k, k == top, exc.members)
-
-
-@dataclass(frozen=True)
-class PiResult:
-    value: int
-    exact: bool
+        return Bound(len(exc.members), top, exc.members)
 
 
 def _max_traces(space: RangeSpace, y: int) -> int:
@@ -201,28 +221,36 @@ def _max_traces(space: RangeSpace, y: int) -> int:
     return best
 
 
-def projection_function(space: RangeSpace, y: int, seed: int = 0) -> PiResult:
+def _sampled(space: RangeSpace, rng, size, score, top: int) -> Bound:
+    """Bound(best, top) for the best score of the trace set over
+    ESTIMATE_DRAWS random point sets of size(rng) points, stopping early
+    once best reaches the ceiling top."""
+    best = 0
+    population = list(range(space.n))
+    for _ in range(ESTIMATE_DRAWS):
+        ymask = mask_of(rng.sample(population, size(rng)))
+        best = max(best, score({r & ymask for r in space.ranges}))
+        if best == top:
+            break
+    return Bound(best, top)
+
+
+def projection_function(space: RangeSpace, y: int, seed: int = 0) -> Bound:
     """Max number of distinct traces over point sets of size y.
 
-    Exact when C(n, y) fits under DEFAULT_ENUM_CAP, otherwise a sampled
-    lower bound, which is exact once it reaches min(2^y, |R|).
+    Exact when C(n, y) fits under DEFAULT_ENUM_CAP, otherwise the sampled
+    Bound(best, min(2^y, |R|)).
     """
     if y < 0 or y > space.n:
         raise ValueError(f"projection size {y} outside 0..{space.n}")
     if y == 0:
-        return PiResult(1 if space.ranges else 0, True)
+        v = 1 if space.ranges else 0
+        return Bound(v, v)
     if math.comb(space.n, y) <= DEFAULT_ENUM_CAP:
-        return PiResult(_max_traces(space, y), True)
-    rng = stream_rng(seed, "pi", y)
-    top = min(1 << y, len(space.ranges))
-    best = 0
-    population = list(range(space.n))
-    for _ in range(ESTIMATE_DRAWS):
-        ymask = mask_of(rng.sample(population, y))
-        best = max(best, len({r & ymask for r in space.ranges}))
-        if best == top:
-            break
-    return PiResult(best, best == top)
+        v = _max_traces(space, y)
+        return Bound(v, v)
+    return _sampled(space, stream_rng(seed, "pi", y), lambda rng: y, len,
+                    min(1 << y, len(space.ranges)))
 
 
 @dataclass(frozen=True)
@@ -287,9 +315,7 @@ def alexander_capacity(space: RangeSpace, eps: Fraction) -> Fraction:
     capacity table, which holds their maximum ratio, so this is two
     bisects and at most one Fraction.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    eps = _unit_eps(eps)
     xs, nums, dens = space.capacity_table()
     a, b, w = eps.numerator, eps.denominator, space.total_weight
     # The ratio at eps itself: the union of ranges of weight <= eps*w,
@@ -305,9 +331,7 @@ def alexander_capacity(space: RangeSpace, eps: Fraction) -> Fraction:
 def capacity_levels(eps: Fraction) -> tuple[int, tuple[Fraction, ...]]:
     """Dyadic scales: z = 1 + ceil(log2(1/eps)) and eps_i = min(2^i eps, 1)
     for i = 0..z."""
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    eps = _unit_eps(eps)
     return _capacity_levels(eps)
 
 
@@ -328,26 +352,6 @@ def capacity_vector(space: RangeSpace, eps: Fraction) -> list[Fraction]:
 # -- doubling ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoublingResult:
-    """D(eps) or a certified bracket on it. lower is the size of members,
-    a packing at scale eps0 inside the family of measure <= 2*eps0; upper
-    is the least certified ceiling (a float, equal to lower in exact
-    mode)."""
-
-    mode: str  # "exact" or "bracket"
-    lower: int
-    upper: float
-    eps0: Fraction | None = None
-    members: tuple[int, ...] = ()
-
-    @property
-    def value(self) -> int:
-        if self.mode != "exact":
-            raise ValueError("no single exact value in bracket mode")
-        return self.lower
-
-
 def _eligible_count(space: RangeSpace, eps0: Fraction) -> int:
     """How many ranges have measure <= 2 * eps0; they are the first ones
     of space.measure_order."""
@@ -362,7 +366,7 @@ def doubling_constant(
     eps: Fraction,
     mode: str = "auto",
     range_cap: int | None = None,
-) -> DoublingResult:
+) -> Bound:
     """Largest packing at scale eps0 inside the family of measure <= 2*eps0,
     maximized over eps0 in [eps, 1], as one sweep over the breakpoints.
 
@@ -382,13 +386,12 @@ def doubling_constant(
     range if it is empty, as the lower end and stops searching: the
     tripped breakpoint and every later one with more eligible ranges than
     the current upper end add a greedy colouring's class count to the
-    upper end, and the rest are bounded by their eligible count. The
-    bracket is labelled exact when its ends meet.
+    upper end, and the rest are bounded by their eligible count.
+    Returns Bound(packing size, D itself or the colouring upper end, the
+    packing's members, its scale eps0).
     range_cap is accepted and ignored, for callers that still pass it.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    eps = _unit_eps(eps)
     if mode not in ("auto", "exact"):
         raise ValueError(f"unknown doubling mode: {mode}")
     sorted_idx = space.measure_order
@@ -450,18 +453,10 @@ def doubling_constant(
                 best_members = tuple(sorted(sorted_idx[v] for v in members))
         if upper is not None:
             upper = max(upper, colour_bound(far))
-    if upper is None or upper == best:
-        return DoublingResult("exact", best, float(best), best_eps0, best_members)
-    return DoublingResult("bracket", best, float(upper), best_eps0, best_members)
+    return Bound(best, best if upper is None else upper, best_members, best_eps0)
 
 
 # -- shallow cells ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShallowResult:
-    value: int
-    exact: bool
 
 
 def _max_shallow(space: RangeSpace, y: int, l: int) -> int:
@@ -510,7 +505,7 @@ def shallow_cell(
     l: int,
     cap: int | None = None,
     seed: int = 0,
-) -> ShallowResult:
+) -> Bound:
     """Max over point sets Y with |Y| <= y of the number of distinct traces
     of size at most l. Trace size counts points, not weight; the empty
     trace has size 0. y beyond n is clamped to n.
@@ -518,65 +513,48 @@ def shallow_cell(
     The max runs over |Y| <= y rather than exactly y so the result is
     monotone in y (padding a point set can destroy small traces, so the
     exact-size max is not monotone). Exact when the point sets number at
-    most cap (default DEFAULT_ENUM_CAP), otherwise a sampled lower bound,
-    which is exact once it reaches |R|.
+    most cap (default DEFAULT_ENUM_CAP), otherwise the sampled
+    Bound(best, |R|).
     """
     if y < 0 or l < 0:
         raise ValueError("shallow_cell needs y >= 0 and l >= 0")
     y = min(y, space.n)
     if not space.ranges:
-        return ShallowResult(0, True)
+        return Bound(0, 0)
     if cap is None:
         cap = DEFAULT_ENUM_CAP
-    total = sum(math.comb(space.n, s) for s in range(y + 1))
-    if total <= cap:
-        return ShallowResult(_max_shallow(space, y, l), True)
-    rng = stream_rng(seed, "shallow", y, l)
-    top = len(space.ranges)
-    best = 0
-    population = list(range(space.n))
-    for _ in range(ESTIMATE_DRAWS):
-        s = rng.randint(0, y)
-        ymask = mask_of(rng.sample(population, s))
-        traces = {r & ymask for r in space.ranges}
-        best = max(best, sum(1 for t in traces if t.bit_count() <= l))
-        if best == top:
-            break
-    return ShallowResult(best, best == top)
+    if sum(math.comb(space.n, s) for s in range(y + 1)) <= cap:
+        v = _max_shallow(space, y, l)
+        return Bound(v, v)
+    return _sampled(
+        space, stream_rng(seed, "shallow", y, l), lambda rng: rng.randint(0, y),
+        lambda traces: sum(1 for t in traces if t.bit_count() <= l),
+        len(space.ranges),
+    )
 
 
 # -- star number ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StarResult:
-    lower: int
-    upper: int
-    exact: bool
-    witness: tuple[int, ...] = ()
-
-
-def star_number(
-    space: RangeSpace, cap: int | None = None, seed: int = 0
-) -> StarResult:
+def star_number(space: RangeSpace, cap: int | None = None, seed: int = 0) -> Bound:
     """Largest s admitting points x_1..x_s and ranges R_1..R_s with
     R_i meeting {x_1..x_s} exactly in {x_i}.
 
     Feasibility only shrinks as points are added, so depth-first search
     with remaining-count pruning is exact up to cap points (default
-    DEFAULT_STAR_CAP); beyond it a seeded greedy gives a lower bound with
-    trivial upper n, flagged inexact unless it reaches n.
+    DEFAULT_STAR_CAP); beyond it a seeded greedy's best star set S gives
+    Bound(|S|, n, S).
     """
     n = space.n
     if not space.ranges:
-        return StarResult(0, 0, True, ())
+        return Bound(0, 0)
     point_ranges = space.incidence()
 
     def try_add(chosen: list[int], wits: list[int], x: int):
         """Witnesses after adding x, or None if infeasible."""
         px = point_ranges[x]
         new_wits = []
-        for xi, wit in zip(chosen, wits):
+        for wit in wits:
             wit &= ~px
             if not wit:
                 return None
@@ -608,7 +586,7 @@ def star_number(
                     chosen.pop()
 
         rec(0, [], [])
-        return StarResult(best, best, True, best_set)
+        return Bound(best, best, best_set)
 
     rng = stream_rng(seed, "star")
     best = 0
@@ -628,7 +606,7 @@ def star_number(
             best_set = tuple(sorted(chosen))
             if best == n:
                 break
-    return StarResult(best, n, best == n, best_set)
+    return Bound(best, n, best_set)
 
 
 # -- profile ----------------------------------------------------------------
@@ -638,37 +616,36 @@ def star_number(
 class ComplexityProfile:
     name: str
     eps: Fraction
-    d: VCResult
+    d: Bound
     tau: Fraction
     tau_vector: tuple[Fraction, ...]
     z: int
-    doubling: DoublingResult
-    pi: tuple[tuple[int, int, bool], ...]  # (y, value, exact)
-    phi: tuple[tuple[int, int, int, bool], ...]  # (y, l, value, exact)
-    star: StarResult
+    doubling: Bound
+    pi: tuple[tuple[int, Bound], ...]  # (y, pi(y))
+    phi: tuple[tuple[int, int, Bound], ...]  # (y, l, phi(y, l))
+    star: Bound
 
     def to_dict(self) -> dict:
         from .core import format_rational as fr
 
+        d, dbl, star = self.d, self.doubling, self.star
         return {
             "name": self.name,
             "eps": fr(self.eps),
-            "vc": {"value": self.d.value, "exact": self.d.exact,
-                   "witness": list(self.d.witness)},
+            "vc": {"value": d.lower, "exact": d.exact, "witness": list(d.witness)},
             "tau": fr(self.tau),
             "tau_vector": [fr(t) for t in self.tau_vector],
             "z": self.z,
             "doubling": {
-                "mode": self.doubling.mode,
-                "lower": self.doubling.lower,
-                "upper": round(self.doubling.upper, 6),
-                "eps0": fr(self.doubling.eps0) if self.doubling.eps0 is not None else None,
+                "mode": dbl.mode,
+                "lower": dbl.lower,
+                "upper": round(float(dbl.upper), 6),
+                "eps0": fr(dbl.eps0) if dbl.eps0 is not None else None,
             },
-            "pi": [{"y": y, "value": v, "exact": e} for y, v, e in self.pi],
-            "phi": [{"y": y, "l": l, "value": v, "exact": e}
-                    for y, l, v, e in self.phi],
-            "star": {"lower": self.star.lower, "upper": self.star.upper,
-                     "exact": self.star.exact},
+            "pi": [{"y": y, "value": b.lower, "exact": b.exact} for y, b in self.pi],
+            "phi": [{"y": y, "l": l, "value": b.lower, "exact": b.exact}
+                    for y, l, b in self.phi],
+            "star": {"lower": star.lower, "upper": star.upper, "exact": star.exact},
         }
 
 
@@ -680,24 +657,21 @@ def compute_profile(
 ) -> ComplexityProfile:
     """One-stop profile at scale eps, exact where the module's caps and
     budgets permit."""
-    eps = Fraction(eps)
+    eps = _unit_eps(eps)
     d = vc_or_lower_bound(space)
     tau = alexander_capacity(space, eps)
     tau_vec = tuple(capacity_vector(space, eps))
     z, _ = capacity_levels(eps)
     doubling = doubling_constant(space, eps)
-    pi_rows = []
-    for y in range(0, min(space.n, pi_max_y) + 1):
-        r = projection_function(space, y, seed=seed)
-        pi_rows.append((y, r.value, r.exact))
-    phi_rows = []
-    if d.value >= 1 and d.exact:
-        y_phi = min(math.ceil(8 * d.value * tau), space.n)
-        l_phi = min(24 * d.value, space.n)
-        r = shallow_cell(space, y_phi, l_phi, seed=seed)
-        phi_rows.append((y_phi, l_phi, r.value, r.exact))
+    pi_rows = tuple((y, projection_function(space, y, seed=seed))
+                    for y in range(min(space.n, pi_max_y) + 1))
+    phi_rows = ()
+    if d.exact and d.lower >= 1:
+        y_phi = min(math.ceil(8 * d.lower * tau), space.n)
+        l_phi = min(24 * d.lower, space.n)
+        phi_rows = ((y_phi, l_phi, shallow_cell(space, y_phi, l_phi, seed=seed)),)
     star = star_number(space, seed=seed)
     return ComplexityProfile(
         name=space.name, eps=eps, d=d, tau=tau, tau_vector=tau_vec, z=z,
-        doubling=doubling, pi=tuple(pi_rows), phi=tuple(phi_rows), star=star,
+        doubling=doubling, pi=pi_rows, phi=phi_rows, star=star,
     )

@@ -28,7 +28,6 @@ from .core import (
     parse_rational,
 )
 from .complexity import (
-    VCResult,
     alexander_capacity,
     capacity_vector,
     doubling_constant,
@@ -204,10 +203,10 @@ def _fmt_float(x: float) -> str:
     return f"{x:.6f}"
 
 
-def instance_profile(space: RangeSpace, eps: Fraction, d_res: VCResult) -> dict:
+def instance_profile(space: RangeSpace, eps: Fraction, d_res) -> dict:
     """Shared per-(instance, eps) facts for every row of the sweep: d and
     D for the builders, and the formatted CSV columns. d_res is the
-    instance's VC result, computed once per instance."""
+    instance's VC Bound, computed once per instance; d is its lower end."""
     tau = alexander_capacity(space, eps)
     taus = [tau] + capacity_vector(space, eps)
     doubling = doubling_constant(space, eps)
@@ -215,8 +214,7 @@ def instance_profile(space: RangeSpace, eps: Fraction, d_res: VCResult) -> dict:
         min_net = str(min_net_exact(space, eps).size)
     except CapExceededError:
         min_net = ""
-    d, D = d_res.value, max(doubling.upper, 1.0)
-    exact = doubling.mode == "exact"
+    d, D = d_res.lower, max(float(doubling.upper), 1.0)
     return {
         "d": d,
         "D": D,
@@ -225,7 +223,8 @@ def instance_profile(space: RangeSpace, eps: Fraction, d_res: VCResult) -> dict:
             "d_exact": "true" if d_res.exact else "false",
             "tau": format_rational(tau),
             "tau_vec_hash": tau_vector_hash(taus[1:]),
-            "D_value": str(doubling.lower) if exact else _fmt_float(doubling.upper),
+            "D_value": (str(doubling.lower) if doubling.exact
+                        else _fmt_float(doubling.upper)),
             "D_mode": doubling.mode,
             "min_net": min_net,
             "bound_stratified": _fmt_float(stratified_size_bound(d, taus)),

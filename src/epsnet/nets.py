@@ -329,7 +329,7 @@ def iid_net(
     """
     eps, delta = Fraction(eps), Fraction(delta)
     if d is None:
-        d = vc_or_lower_bound(space).value
+        d = vc_or_lower_bound(space).lower
     tau = alexander_capacity(space, eps) if sizing == "capacity" else None
     m = iid_sample_size(eps, delta, d, sizing, tau, C)
     rng = stream_rng(seed, "iid", sizing)
@@ -360,7 +360,7 @@ def stratified_net(
     """
     eps = Fraction(eps)
     if d is None:
-        d = vc_or_lower_bound(space).value
+        d = vc_or_lower_bound(space).lower
     d_eff = max(d, 1)
     dec = build_decomposition(space, eps)
     rng = stream_rng(seed, "stratified")
@@ -425,10 +425,10 @@ def doubling_net(
     """
     eps = Fraction(eps)
     if d is None:
-        d = vc_or_lower_bound(space).value
+        d = vc_or_lower_bound(space).lower
     d_eff = max(d, 1)
     if D is None:
-        D = doubling_constant(space, eps).upper
+        D = float(doubling_constant(space, eps).upper)
     D = max(D, 1.0)
     dec = build_decomposition(space, eps)
     rng = stream_rng(seed, "doubling")
@@ -489,9 +489,9 @@ def doubling_net_small_d(
     """
     eps = Fraction(eps)
     if d is None:
-        d = vc_or_lower_bound(space).value
+        d = vc_or_lower_bound(space).lower
     if D is None:
-        D = doubling_constant(space, eps).upper
+        D = float(doubling_constant(space, eps).upper)
     D = max(D, 1.0)
     DF = Fraction(D)  # exact binary value of the float
     if DF > Fraction(1, 2) / eps:
@@ -689,9 +689,12 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
             f"ranges, got {len(targets)}"
         )
     targets = sorted(set(targets), key=lambda m: (m.bit_count(), m))
-    pruned = []
-    for i, m in enumerate(targets):
-        if not any(m != s and m & s == s for s in targets):
+    # Sorted by size, so every proper subset of a target comes before it,
+    # and a dropped target has a kept subset of its own: checking against
+    # the kept targets alone drops exactly the supersets.
+    pruned: list[int] = []
+    for m in targets:
+        if not any(m & s == s for s in pruned):
             pruned.append(m)
     pts: list[int] = []
     budget = [EXACT_NET_NODES]

@@ -194,6 +194,20 @@ def test_profile_negative_pi_max_y_is_exit_2(chain_file, capsys):
     assert "pi-max-y" in captured.err
 
 
+@pytest.mark.parametrize("eps", ["3/2", "0", "-1/4"])
+def test_profile_eps_outside_unit_interval_is_exit_2_before_any_search(
+    eps, chain_file, capsys, monkeypatch,
+):
+    calls = []
+    monkeypatch.setattr(complexity, "vc_dimension",
+                        lambda space: calls.append(space))
+    assert main(["profile", str(chain_file), f"--eps={eps}"]) == 2
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    assert "eps must be in (0, 1]" in captured.err
+
+
 def test_pack_subcommand(chain_file, capsys):
     assert main(["pack", str(chain_file), "--delta", "1/4"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -88,7 +88,7 @@ def test_vc_node_budget_raises_with_work_spent_and_falls_back(monkeypatch):
         vc_dimension(sp)
     assert info.value.spent == 1
     lo = vc_or_lower_bound(sp)
-    assert not lo.exact and lo.value <= oracle_vc(sp)
+    assert not lo.exact and lo.lower <= oracle_vc(sp) <= lo.upper
     assert lo.witness == info.value.members
 
 
@@ -222,10 +222,10 @@ def test_doubling_members_are_separated():
     eps = Fraction(1, 8)
     r = doubling_constant(sp, eps, mode="exact")
     eps0 = r.eps0
-    for i in r.members:
+    for i in r.witness:
         assert sp.measure(i) <= 2 * eps0
-    for a in r.members:
-        for b in r.members:
+    for a in r.witness:
+        for b in r.witness:
             if a < b:
                 assert sp.rho(a, b) >= eps0
 
@@ -267,8 +267,8 @@ def test_doubling_bracket_lower_end_is_at_least_one_range(monkeypatch):
     sp = CORPUS["intervals6"]
     r = doubling_constant(sp, Fraction(1, 8))
     assert r.mode == "bracket"
-    assert r.lower == len(r.members) == 1 and r.eps0 is not None
-    assert Fraction(1, 8) <= r.eps0 and sp.measure(r.members[0]) <= 2 * r.eps0
+    assert r.lower == len(r.witness) == 1 and r.eps0 is not None
+    assert Fraction(1, 8) <= r.eps0 and sp.measure(r.witness[0]) <= 2 * r.eps0
     assert r.upper >= 11  # the exact value
 
 
@@ -316,3 +316,30 @@ def test_star_frozen_values():
     assert star_number(CORPUS["chain8"]).lower == 1
     assert star_number(CORPUS["intervals6"]).lower == 6
     assert star_number(CORPUS["powerset3"]).lower == 3
+
+
+def test_value_of_a_bracket_raises(monkeypatch):
+    # Each estimator forced into a bracket: the value is not known, so
+    # .value refuses and .lower / .upper carry the answer.
+    monkeypatch.setattr(complexity, "DEFAULT_ENUM_CAP", 0)
+    monkeypatch.setattr(complexity, "DEFAULT_STAR_CAP", 0)
+    monkeypatch.setattr(complexity, "ESTIMATE_DRAWS", 1)
+    monkeypatch.setattr(complexity, "STAR_DRAWS", 1)
+    monkeypatch.setattr(complexity, "VC_NODES", 1)
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 1)
+    sp, chain = CORPUS["intervals6"], CORPUS["chain8"]
+    cases = {
+        # 3 points realize at most 7 interval traces, never 2^3
+        "pi": (projection_function(sp, 3), oracle_pi(sp, 3)),
+        # at most 7 traces of size <= 1, against 21 ranges
+        "phi": (shallow_cell(sp, 6, 1), oracle_shallow(sp, 6, 1)),
+        "vc": (vc_or_lower_bound(sp), oracle_vc(sp)),
+        "star": (star_number(chain), oracle_star(chain)),
+        "doubling": (doubling_constant(sp, Fraction(1, 8)),
+                     oracle_doubling(sp, Fraction(1, 8))),
+    }
+    for name, (got, want) in cases.items():
+        assert not got.exact and got.mode == "bracket", name
+        assert got.lower <= want <= got.upper, name
+        with pytest.raises(ValueError):
+            got.value

@@ -1,5 +1,5 @@
-"""Property tests: the trace-class enumerations (pi, phi, VC), their
-sampled estimates where labelled exact, the capacity table at every
+"""Property tests: the trace-class enumerations (pi, phi, VC), the
+brackets of their sampled estimates, the capacity table at every
 scale, the exact doubling sweep and its budget-tripped bracket, the net verifier and the dyadic buckets
 agree with the brute-force oracles on small weighted random spaces, and
 their witnesses certify what they claim."""
@@ -82,9 +82,10 @@ def test_vc_dimension_matches_oracle_with_shattered_witness(space):
 def test_estimates_labelled_exact_match_oracle(space, data):
     # With the exact searches' caps and budget forced low, pi, phi and
     # star come from the sampled estimates and VC from the walk's
-    # incumbent; these often fall short, so a value labelled exact must be
-    # one that reached its ceiling, and so equal the oracle. The VC
-    # witness is a shattered set of the reported size either way.
+    # incumbent; these often fall short of their ceilings, so each must
+    # bracket the oracle, a bound labelled exact must equal it, and a
+    # bracket has no value. The VC witness is a shattered set of the
+    # reported size either way.
     y = data.draw(st.integers(0, space.n))
     l = data.draw(st.integers(0, space.n))
     with pytest.MonkeyPatch.context() as mp:
@@ -97,16 +98,20 @@ def test_estimates_labelled_exact_match_oracle(space, data):
         phi = shallow_cell(space, y, l)
         star = star_number(space)
         vc = vc_or_lower_bound(space)
-    for got, exact, want in ((pi.value, pi.exact, oracle_pi(space, y)),
-                             (phi.value, phi.exact, oracle_shallow(space, y, l)),
-                             (star.lower, star.exact, oracle_star(space)),
-                             (vc.value, vc.exact, oracle_vc(space))):
-        assert got == want if exact else got <= want
-    assert oracle_star(space) <= star.upper
-    if vc.value >= 0:
+    for got, want in ((pi, oracle_pi(space, y)),
+                      (phi, oracle_shallow(space, y, l)),
+                      (star, oracle_star(space)),
+                      (vc, oracle_vc(space))):
+        assert got.lower <= want <= got.upper
+        if got.exact:
+            assert got.value == want
+        else:
+            with pytest.raises(ValueError):
+                got.value
+    if vc.lower >= 0:
         ymask = mask_of(vc.witness)
-        assert len(vc.witness) == vc.value
-        assert len({r & ymask for r in space.ranges}) == 1 << vc.value
+        assert len(vc.witness) == vc.lower
+        assert len({r & ymask for r in space.ranges}) == 1 << vc.lower
 
 
 @PROPERTY_SETTINGS
@@ -135,10 +140,10 @@ def test_exact_doubling_matches_oracle_with_certified_members(space, eps):
     if got.value:
         eps0 = got.eps0
         assert eps <= eps0 <= 1
-        assert len(got.members) == got.value
-        for i in got.members:
+        assert len(got.witness) == got.value
+        for i in got.witness:
             assert space.measure(i) <= 2 * eps0
-        for a, b in combinations(got.members, 2):
+        for a, b in combinations(got.witness, 2):
             assert space.rho(a, b) >= eps0
 
 
@@ -151,13 +156,13 @@ def test_budget_tripped_doubling_is_a_certified_bracket(space, eps, budget):
         m.setattr(packing, "DEFAULT_CLIQUE_NODES", budget)
         got = doubling_constant(space, eps)
     assert got.lower <= oracle_doubling(space, eps) <= got.upper
-    assert got.lower == len(got.members)
+    assert got.lower == len(got.witness)
     if got.lower:
         eps0 = got.eps0
         assert eps <= eps0 <= 1
-        for i in got.members:
+        for i in got.witness:
             assert space.measure(i) <= 2 * eps0
-        for a, b in combinations(got.members, 2):
+        for a, b in combinations(got.witness, 2):
             assert space.rho(a, b) >= eps0
 
 
