@@ -1,11 +1,12 @@
 """Combinatorial and measure-theoretic complexity of a range space.
 
 Every estimate is a Bound: what the search found and the ceiling it
-already knows, exact exactly when the two meet. Exact modes enumerate
-under a size cap or a node budget; past it, the search's incumbent or a
-sampled estimate is the lower end. Suprema over a continuous scale
-parameter are finite maxima over breakpoint values where the objective
-can change, so every returned rational is exact.
+already knows, exact exactly when the two meet. pi and phi enumerate
+under a size cap, the VC and star walks and the clique search under node
+budgets; past either, the incumbent or a sampled estimate is the lower
+end. Suprema over a continuous scale parameter are finite maxima over
+breakpoint values where the objective can change, so every returned
+rational is exact.
 
 The exact enumerations over point sets (pi, phi, VC) walk the sets depth
 first and keep the partition of the ranges by their trace on the current
@@ -33,16 +34,18 @@ from .core import (
     RangeSpace,
     TheoremViolationError,
     ceil_log2,
+    components,
     incidence_columns,
+    iter_bits,
     mask_of,
     points_of,
     stream_rng,
 )
 from .packing import colour_bound, max_clique
 
-VC_NODES = 300_000
+# Node budget of each hereditary walk (VC and star).
+WALK_NODES = 300_000
 DEFAULT_ENUM_CAP = 300_000
-DEFAULT_STAR_CAP = 22
 # Point sets drawn by the sampled estimates of pi and phi.
 ESTIMATE_DRAWS = 2000
 # Restarts of the star-number greedy.
@@ -124,7 +127,7 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
     A set of size k needs 2^k classes, so no set grows past log2 of the
     family size. The witness is the numerically smallest mask among the
     largest shattered sets. The empty family has dimension -1 by
-    convention. A walk that would visit more than VC_NODES sets raises
+    convention. A walk that would visit more than WALK_NODES sets raises
     CapExceededError carrying the nodes spent and, as .members, the
     largest shattered set it found. cap is ignored: the node budget, not
     the instance size, decides whether the walk finishes.
@@ -139,7 +142,7 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
 
     def rec(classes: list[int], y: int, size: int, start: int) -> None:
         nonlocal best, witness, nodes
-        if nodes == VC_NODES:
+        if nodes == WALK_NODES:
             exc = CapExceededError(
                 f"exact VC search exceeded its budget of {nodes} nodes",
                 spent=nodes,
@@ -163,7 +166,7 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
 
 def vc_dimension(space: RangeSpace) -> Bound:
     """Largest cardinality of a shattered point set, by vc_of_masks;
-    raises CapExceededError when the walk runs out of VC_NODES."""
+    raises CapExceededError when the walk runs out of WALK_NODES."""
     return vc_of_masks(space.ranges, space.n)
 
 
@@ -267,6 +270,16 @@ class SauerReport:
     rows: tuple[SauerRow, ...]
 
 
+def _sauer_sum(pi: int, y: int, d: int) -> int:
+    """sum_{i<=d} C(y, i), which pi(y) cannot exceed at VC dimension d;
+    raises TheoremViolationError when pi does."""
+    bsum = sum(math.comb(y, i) for i in range(d + 1))
+    if pi > bsum:
+        raise TheoremViolationError(f"shatter bound failed: pi({y})={pi} > "
+                                    f"{bsum} at d={d}")
+    return bsum
+
+
 def sauer_check(space: RangeSpace, d: int | None = None) -> SauerReport:
     """Certify pi(y) <= sum_{i<=d} C(y,i) <= (e*y/d)^d for y = d..n.
 
@@ -283,11 +296,7 @@ def sauer_check(space: RangeSpace, d: int | None = None) -> SauerReport:
     rows = []
     for y in range(d, space.n + 1):
         pi = projection_function(space, y).value
-        bsum = sum(math.comb(y, i) for i in range(d + 1))
-        if pi > bsum:
-            raise TheoremViolationError(
-                f"shatter bound failed: pi({y})={pi} > {bsum} at d={d}"
-            )
+        bsum = _sauer_sum(pi, y, d)
         if d >= 1 and y >= 1:
             power = (math.e * y / d) ** d
             if bsum > power * (1 + 1e-9):
@@ -540,73 +549,75 @@ def star_number(space: RangeSpace, cap: int | None = None, seed: int = 0) -> Bou
     """Largest s admitting points x_1..x_s and ranges R_1..R_s with
     R_i meeting {x_1..x_s} exactly in {x_i}.
 
-    Feasibility only shrinks as points are added, so depth-first search
-    with remaining-count pruning is exact up to cap points (default
-    DEFAULT_STAR_CAP); beyond it a seeded greedy's best star set S gives
-    Bound(|S|, n, S).
+    Every range lies inside one point-sharing component, so star sets
+    split over the components and the star number is the sum of theirs.
+    In each component, STAR_DRAWS seeded greedy passes (stopping once one
+    takes every point) prime a depth-first walk with remaining-count
+    pruning; feasibility only shrinks as points are added, so the walk is
+    exact. The walks share WALK_NODES nodes: a component whose walk runs
+    out (or passes Python's recursion limit) adds its incumbent to the
+    lower end and its point count to the upper end. The witness is a star
+    set of size lower. cap is accepted and ignored.
     """
-    n = space.n
-    if not space.ranges:
-        return Bound(0, 0)
-    point_ranges = space.incidence()
+    cols = space.incidence()
+    rng = stream_rng(seed, "star")
 
-    def try_add(chosen: list[int], wits: list[int], x: int):
-        """Witnesses after adding x, or None if infeasible."""
-        px = point_ranges[x]
-        new_wits = []
-        for wit in wits:
-            wit &= ~px
-            if not wit:
-                return None
-            new_wits.append(wit)
-        mine = px
-        for xi in chosen:
-            mine &= ~point_ranges[xi]
+    def extend(star: tuple[int, list[int]], x: int):
+        """(ranges meeting the set, one mask of private ranges per point)
+        of a star set after adding x, or None when x breaks it."""
+        covered, wits = star
+        px = cols[x]
+        mine = px & ~covered
         if not mine:
             return None
-        new_wits.append(mine)
-        return new_wits
+        new = []
+        for w in wits:
+            w &= ~px
+            if not w:
+                return None
+            new.append(w)
+        return covered | px, new + [mine]
 
-    if n <= (DEFAULT_STAR_CAP if cap is None else cap):
-        best = 0
-        best_set: tuple[int, ...] = ()
-
-        def rec(start: int, chosen: list[int], wits: list[int]) -> None:
-            nonlocal best, best_set
-            if len(chosen) > best:
-                best = len(chosen)
-                best_set = tuple(chosen)
-            for x in range(start, n):
-                if len(chosen) + (n - x) <= best:
-                    break
-                nw = try_add(chosen, wits, x)
-                if nw is not None:
-                    chosen.append(x)
-                    rec(x + 1, chosen, nw)
-                    chosen.pop()
-
-        rec(0, [], [])
-        return Bound(best, best, best_set)
-
-    rng = stream_rng(seed, "star")
-    best = 0
-    best_set = ()
-    for _ in range(STAR_DRAWS):
-        order = list(range(n))
-        rng.shuffle(order)
-        chosen: list[int] = []
-        wits: list[int] = []
-        for x in order:
-            nw = try_add(chosen, wits, x)
-            if nw is not None:
-                chosen.append(x)
-                wits = nw
+    def walk(i: int, chosen: list[int], star) -> None:
+        nonlocal left, best, best_set
+        if not left:
+            raise CapExceededError("star walk exceeded its node budget")
+        left -= 1
         if len(chosen) > best:
-            best = len(chosen)
-            best_set = tuple(sorted(chosen))
-            if best == n:
+            best, best_set = len(chosen), tuple(chosen)
+        for j in range(i, len(pts)):
+            if len(chosen) + len(pts) - j <= best:
                 break
-    return Bound(best, n, best_set)
+            grown = extend(star, pts[j])
+            if grown:
+                walk(j + 1, chosen + [pts[j]], grown)
+
+    left, lower, upper, witness = WALK_NODES, 0, 0, []
+    for comp in components(space.ranges):
+        pts = list(iter_bits(comp))
+        best, best_set = 0, ()
+        for _ in range(STAR_DRAWS):
+            order = pts[:]
+            rng.shuffle(order)
+            chosen, star = [], (0, [])
+            for x in order:
+                grown = extend(star, x)
+                if grown:
+                    chosen.append(x)
+                    star = grown
+            if len(chosen) > best:
+                best, best_set = len(chosen), tuple(sorted(chosen))
+                if best == len(pts):
+                    break
+        try:
+            if best < len(pts):
+                walk(0, [], (0, []))
+            upper += best
+        except (CapExceededError, RecursionError):
+            upper += len(pts)
+        lower += best
+        witness += best_set
+    return Bound(lower, upper, tuple(sorted(witness)))
 
 
 # -- profile ----------------------------------------------------------------
@@ -663,8 +674,12 @@ def compute_profile(
     tau_vec = tuple(capacity_vector(space, eps))
     z, _ = capacity_levels(eps)
     doubling = doubling_constant(space, eps)
-    pi_rows = tuple((y, projection_function(space, y, seed=seed))
-                    for y in range(min(space.n, pi_max_y) + 1))
+    pi_rows = []
+    for y in range(min(space.n, pi_max_y) + 1):
+        pi = projection_function(space, y, seed=seed)
+        if d.exact:  # a sampled value that reaches Sauer's sum is exact
+            pi = Bound(pi.lower, min(pi.upper, _sauer_sum(pi.lower, y, d.lower)))
+        pi_rows.append((y, pi))
     phi_rows = ()
     if d.exact and d.lower >= 1:
         y_phi = min(math.ceil(8 * d.lower * tau), space.n)
@@ -673,5 +688,5 @@ def compute_profile(
     star = star_number(space, seed=seed)
     return ComplexityProfile(
         name=space.name, eps=eps, d=d, tau=tau, tau_vector=tau_vec, z=z,
-        doubling=doubling, pi=pi_rows, phi=phi_rows, star=star,
+        doubling=doubling, pi=tuple(pi_rows), phi=phi_rows, star=star,
     )

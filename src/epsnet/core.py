@@ -71,6 +71,19 @@ def incidence_columns(masks: Sequence[int], n: int) -> list[int]:
     return cols
 
 
+def components(masks: Iterable[int]) -> list[int]:
+    """Point masks of the point-sharing components of masks, by lowest
+    point: masks joined by a chain of pairwise-meeting masks share one
+    component, and every nonzero mask lies inside exactly one."""
+    comps: list[int] = []
+    for r in filter(None, masks):
+        for c in [c for c in comps if c & r]:
+            comps.remove(c)
+            r |= c
+        comps.append(r)
+    return sorted(comps, key=lambda c: c & -c)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'a/b' or a bare integer string into an exact Fraction."""
     try:
@@ -191,12 +204,9 @@ class RangeSpace:
         """P(ranges[i])."""
         return Fraction(self.range_weights[i], self.total_weight)
 
-    def rho_masks(self, a: int, b: int) -> Fraction:
-        """Symmetric-difference pseudometric P(a XOR b) on subsets."""
-        return self.mask_measure(a ^ b)
-
     def rho(self, i: int, j: int) -> Fraction:
-        return self.rho_masks(self.ranges[i], self.ranges[j])
+        """Symmetric-difference pseudometric P(R_i XOR R_j)."""
+        return self.mask_measure(self.ranges[i] ^ self.ranges[j])
 
     # -- structure --------------------------------------------------------
 

@@ -26,6 +26,7 @@ from .core import (
     RangeSpace,
     TheoremViolationError,
     ceil_log2,
+    components,
     draw_points,
     format_rational,
     incidence_columns,
@@ -602,27 +603,6 @@ def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
     )
 
 
-def _components(masks: list[int]) -> list[list[int]]:
-    """Group mask indices into point-sharing connected components."""
-    comps = []
-    unseen = set(range(len(masks)))
-    while unseen:
-        i = unseen.pop()
-        comp = [i]
-        cover = masks[i]
-        grew = True
-        while grew:
-            grew = False
-            for j in list(unseen):
-                if masks[j] & cover:
-                    unseen.discard(j)
-                    comp.append(j)
-                    cover |= masks[j]
-                    grew = True
-        comps.append(comp)
-    return comps
-
-
 def _min_hit_component(
     space: RangeSpace, masks: list[int], node_budget: list[int]
 ) -> list[int]:
@@ -698,8 +678,8 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
             pruned.append(m)
     pts: list[int] = []
     budget = [EXACT_NET_NODES]
-    for comp in _components(pruned):
-        pts.extend(_min_hit_component(space, [pruned[i] for i in comp], budget))
+    for comp in components(pruned):
+        pts.extend(_min_hit_component(space, [m for m in pruned if m & comp], budget))
     return verify_net(
         space, pts, eps, method="exact",
         stats={"draws": 0, "targets": len(targets),

@@ -102,7 +102,7 @@ def test_net_sizes_with_fallback_when_exact_vc_is_capped(
 ):
     # With the exact VC walk out of nodes, the CLI must size with the
     # walk's incumbent instead of erroring, and still verify exactly.
-    monkeypatch.setattr(complexity, "VC_NODES", 3)
+    monkeypatch.setattr(complexity, "WALK_NODES", 3)
     out = tmp_path / "net.json"
     rc = main(["net", str(intervals40), "--method", "stratified",
                "--eps", "1/8", "--seed", "0", "--out", str(out)])
@@ -167,11 +167,11 @@ PROFILE_SHA = {
     "intervals24": (
         lambda: gen_geometric("intervals", random_points(24, 1, seed=3),
                               name="intervals24"),
-        "a8d05931fddcebee36449e3661a6636f9851d17070795bcccb1baf32b37bb5d9",
+        "a0cbde171a475877bd538a39bdde0f0d7447c035f28949f58368067b1dfce538",
     ),
     "lb-k2d3l2m3": (
         lambda: gen_lower_bound_family(LowerBoundParams(k=2, d=3, l=2, m=3)),
-        "b1f4bd07f3e9cdc30d64fac1527e0aec4f9e67f82dcb356e48fe516fb1a42af8",
+        "45a4e0cc7a0797b35e28b210ee5fe85db1b2e5da2c2ad96552ed6555ba1bdce1",
     ),
 }
 

@@ -11,9 +11,11 @@ import pytest
 
 from epsnet import complexity, packing
 from epsnet.complexity import (
+    Bound,
     alexander_capacity,
     capacity_levels,
     capacity_vector,
+    compute_profile,
     doubling_constant,
     projection_function,
     sauer_check,
@@ -82,7 +84,7 @@ def test_vc_of_masks_direct():
 
 
 def test_vc_node_budget_raises_with_work_spent_and_falls_back(monkeypatch):
-    monkeypatch.setattr(complexity, "VC_NODES", 1)
+    monkeypatch.setattr(complexity, "WALK_NODES", 1)
     sp = CORPUS["intervals6"]
     with pytest.raises(CapExceededError) as info:
         vc_dimension(sp)
@@ -303,11 +305,56 @@ def test_star_matches_oracle():
 
 
 def test_star_greedy_at_its_ceiling_is_exact():
-    # 24 singletons: past the exact search's point cap, but the greedy
-    # reaches the ceiling n, which no star set can beat
+    # 24 singletons: 24 one-point components, each greedy takes its
+    # point, so no walk runs and the sum reaches n, which no star set
+    # can beat; cap is ignored
     sp = build_range_space(24, [1] * 24, [[p] for p in range(24)])
     assert star_number(sp) == star_number(sp, cap=24)
     assert star_number(sp).exact and star_number(sp).lower == 24
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: gen_lower_bound_family(LowerBoundParams(k=2, d=3, l=2, m=3)), 18),
+    (lambda: gen_geometric("intervals", random_points(40, 1, seed=7)), 38),
+    (lambda: gen_geometric("halfplanes", random_points(30, 2, seed=7)), 13),
+], ids=["lb-k2d3l2m3", "intervals40", "halfplanes30"])
+def test_star_walk_proves_the_greedy_value(build, want):
+    # Each has 30 or 40 points; the greedy-primed walk finishes within
+    # its node budget, so the bound is exact.
+    star = star_number(build())
+    assert star.exact and star.value == want
+
+
+def test_star_walk_deeper_than_the_recursion_limit_is_a_bracket(monkeypatch):
+    # One component of 1,200 points (the full range joins them): all but
+    # the last two are singletons and those two share one range, so the
+    # walk's first path is 1,199 points deep. It must end in a bracket
+    # around the greedy's n - 1, not in a RecursionError.
+    monkeypatch.setattr(complexity, "STAR_DRAWS", 1)
+    n = 1200
+    sp = build_range_space(n, [1] * n, [[p] for p in range(n - 2)]
+                           + [[n - 2, n - 1], list(range(n))])
+    star = star_number(sp)
+    assert star.lower == n - 1 <= star.upper
+
+
+def test_profile_sauer_sum_certifies_sampled_pi():
+    # intervals24 has d = 2, and C(24, 7) and C(24, 8) exceed the
+    # enumeration cap, so pi(7) and pi(8) are sampled; they reach the
+    # Sauer sums 1 + 7 + 21 = 29 and 1 + 8 + 28 = 37, so they are exact.
+    sp = gen_geometric("intervals", random_points(24, 1, seed=3))
+    prof = compute_profile(sp, Fraction(1, 8))
+    pi = dict(prof.pi)
+    assert prof.d.value == 2
+    assert pi[7] == Bound(29, 29) and pi[8] == Bound(37, 37)
+
+
+def test_profile_pi_above_the_sauer_sum_is_loud(monkeypatch):
+    # intervals6 has d = 2, so no 3-point set has 8 traces.
+    monkeypatch.setattr(complexity, "projection_function",
+                        lambda space, y, seed=0: Bound(1 << y, 1 << y))
+    with pytest.raises(TheoremViolationError):
+        compute_profile(CORPUS["intervals6"], Fraction(1, 4))
 
 
 def test_star_frozen_values():
@@ -322,10 +369,9 @@ def test_value_of_a_bracket_raises(monkeypatch):
     # Each estimator forced into a bracket: the value is not known, so
     # .value refuses and .lower / .upper carry the answer.
     monkeypatch.setattr(complexity, "DEFAULT_ENUM_CAP", 0)
-    monkeypatch.setattr(complexity, "DEFAULT_STAR_CAP", 0)
     monkeypatch.setattr(complexity, "ESTIMATE_DRAWS", 1)
     monkeypatch.setattr(complexity, "STAR_DRAWS", 1)
-    monkeypatch.setattr(complexity, "VC_NODES", 1)
+    monkeypatch.setattr(complexity, "WALK_NODES", 1)
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 1)
     sp, chain = CORPUS["intervals6"], CORPUS["chain8"]
     cases = {

@@ -1,11 +1,15 @@
 """Property tests: the trace-class enumerations (pi, phi, VC), the
-brackets of their sampled estimates, the capacity table at every
-scale, the exact doubling sweep and its budget-tripped bracket, the net verifier and the dyadic buckets
-agree with the brute-force oracles on small weighted random spaces, and
-their witnesses certify what they claim."""
+brackets of their sampled estimates, the star number on disjoint unions,
+the capacity table at every scale, the exact doubling sweep and its
+budget-tripped bracket, the net verifier and the dyadic buckets agree
+with the brute-force oracles on small weighted random spaces, their
+witnesses certify what they claim, and the point-sharing components
+partition any family."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +26,7 @@ from epsnet.complexity import (
     vc_dimension,
     vc_or_lower_bound,
 )
-from epsnet.core import build_range_space, mask_of
+from epsnet.core import build_range_space, components, mask_of
 from epsnet.nets import build_decomposition, verify_net
 
 from oracles import (
@@ -40,13 +44,26 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def small_spaces(draw):
-    """n <= 8 points with weights 0..3 (total >= 1), at most 12 ranges."""
-    n = draw(st.integers(1, 8))
+def small_spaces(draw, max_n=8, max_ranges=12):
+    """n <= max_n points with weights 0..3 (total >= 1), at most
+    max_ranges ranges."""
+    n = draw(st.integers(1, max_n))
     weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
                    .filter(lambda w: sum(w) >= 1))
-    ranges = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=12))
+    ranges = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=max_ranges))
     return build_range_space(n, weights, ranges)
+
+
+def disjoint_union(a, b):
+    """a's points, then b's shifted past them, with both families."""
+    return build_range_space(a.n + b.n, a.weights + b.weights,
+                             list(a.ranges) + [r << a.n for r in b.ranges])
+
+
+def is_star_set(space, pts) -> bool:
+    """Every point of pts is the whole trace of some range on pts."""
+    ymask = mask_of(pts)
+    return all(any(r & ymask == 1 << x for r in space.ranges) for x in pts)
 
 
 @PROPERTY_SETTINGS
@@ -90,8 +107,7 @@ def test_estimates_labelled_exact_match_oracle(space, data):
     l = data.draw(st.integers(0, space.n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complexity, "DEFAULT_ENUM_CAP", data.draw(st.integers(0, 3)))
-        mp.setattr(complexity, "DEFAULT_STAR_CAP", data.draw(st.integers(0, 2)))
-        mp.setattr(complexity, "VC_NODES", data.draw(st.integers(1, 3)))
+        mp.setattr(complexity, "WALK_NODES", data.draw(st.integers(1, 3)))
         mp.setattr(complexity, "ESTIMATE_DRAWS", data.draw(st.integers(1, 3)))
         mp.setattr(complexity, "STAR_DRAWS", data.draw(st.integers(1, 3)))
         pi = projection_function(space, y)
@@ -112,6 +128,49 @@ def test_estimates_labelled_exact_match_oracle(space, data):
         ymask = mask_of(vc.witness)
         assert len(vc.witness) == vc.lower
         assert len({r & ymask for r in space.ranges}) == 1 << vc.lower
+
+
+@PROPERTY_SETTINGS
+@given(small_spaces(6, 8), small_spaces(6, 8), st.data())
+def test_star_on_disjoint_unions_brackets_oracle_with_star_witness(a, b, data):
+    # Star sets split over point-sharing components, so a disjoint
+    # union's star number is the sum of its parts'. The bound is exact at
+    # the default limits, and also with the greedy restarts forced low,
+    # when the walk rather than the greedy tends to find the witness; with
+    # the walk budget forced low too it must still bracket the oracle.
+    # Every witness is a star set of size lower.
+    space = disjoint_union(a, b)
+    want = oracle_star(space)
+    assert want == oracle_star(a) + oracle_star(b)
+    runs = [star_number(space)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "STAR_DRAWS", data.draw(st.integers(1, 3)))
+        runs.append(star_number(space))
+        mp.setattr(complexity, "WALK_NODES", data.draw(st.integers(1, 3)))
+        runs.append(star_number(space))
+    assert runs[0].exact and runs[1].exact
+    for got in runs:
+        assert got.lower <= want <= got.upper
+        if got.exact:
+            assert got.value == want
+        assert len(got.witness) == got.lower and is_star_set(space, got.witness)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(0, (1 << 10) - 1), max_size=12))
+def test_components_are_disjoint_connected_and_cover_every_mask(masks):
+    comps = components(masks)
+    assert all(comps) and all(not a & b for a, b in combinations(comps, 2))
+    assert reduce(or_, comps, 0) == reduce(or_, masks, 0)
+    for m in filter(None, masks):
+        assert sum(1 for c in comps if m & c == m) == 1
+    for c in comps:
+        # c is what chains of meeting masks reach from any one of its own
+        group = [m for m in masks if m and m & c == m]
+        reach = group[0]
+        for _ in group:
+            reach = reduce(or_, (m for m in group if m & reach), reach)
+        assert reach == c
 
 
 @PROPERTY_SETTINGS
