@@ -12,6 +12,10 @@ the OR of its points' incidence columns (RangeSpace.incidence), and the
 heavy ranges, those of measure >= eps, are a suffix of the space's
 measure order, so a net's violations are heavy & ~hits. The dyadic
 buckets are runs of that order between bisected cuts.
+
+The minimum net is a minimum hitting set of the heavy ranges: reduction
+rules, then a branch and bound limited only by EXACT_NET_NODES. Every
+builder and the verifier reject an eps outside (0, 1] before any work.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .core import (
     stream_rng,
 )
 from .complexity import (
+    _unit_eps,
     alexander_capacity,
     capacity_levels,
     doubling_constant,
@@ -46,7 +51,6 @@ LN2 = math.log(2.0)
 DEFAULT_C = 8.0
 DRAW_CAP = 10**6  # cal_net's draw guard is min(2^budget_n, DRAW_CAP)
 EXACT_NET_NODES = 5_000_000  # branch-and-bound budget of min_net_exact
-EXACT_NET_TARGETS = 2000  # qualifying ranges min_net_exact accepts
 
 
 @dataclass(frozen=True)
@@ -105,9 +109,7 @@ def verify_net(
     Candidate points must lie in the support; a zero-weight point is an
     error, not a silent pass.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    eps = _unit_eps(eps)
     pts = sorted(set(candidate))
     for p in pts:
         if not 0 <= p < space.n:
@@ -328,7 +330,7 @@ def iid_net(
     No retries: the success probability is the object under test, so a
     failed draw is reported as is_net=False.
     """
-    eps, delta = Fraction(eps), Fraction(delta)
+    eps, delta = _unit_eps(eps), Fraction(delta)
     if d is None:
         d = vc_or_lower_bound(space).lower
     tau = alexander_capacity(space, eps) if sizing == "capacity" else None
@@ -359,7 +361,7 @@ def stratified_net(
     repaired greedily, so the result always verifies. Bucket 0 is
     sampled for size-accounting parity but needs no hits.
     """
-    eps = Fraction(eps)
+    eps = _unit_eps(eps)
     if d is None:
         d = vc_or_lower_bound(space).lower
     d_eff = max(d, 1)
@@ -424,7 +426,7 @@ def doubling_net(
     it fails to finely cover are finished off with greedy quarter-scale
     hitting sets, so the result always verifies. There are no redraws.
     """
-    eps = Fraction(eps)
+    eps = _unit_eps(eps)
     if d is None:
         d = vc_or_lower_bound(space).lower
     d_eff = max(d, 1)
@@ -488,7 +490,7 @@ def doubling_net_small_d(
     by the packing-guided builder at the rational scale levels[i0].
     Falls back to the plain builder outside the small-D regime.
     """
-    eps = Fraction(eps)
+    eps = _unit_eps(eps)
     if d is None:
         d = vc_or_lower_bound(space).lower
     if D is None:
@@ -561,7 +563,7 @@ def cal_net(
     is equivalent to every surviving range having measure below eps,
     which is exactly what the final verification reports.
     """
-    eps = Fraction(eps)
+    eps = _unit_eps(eps)
     if budget_n < 1:
         raise ValueError("budget_n must be >= 1")
     rng = stream_rng(seed, "cal")
@@ -594,7 +596,7 @@ def cal_net(
 
 def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
     """Deterministic greedy hitting set over the qualifying ranges."""
-    eps = Fraction(eps)
+    eps = _unit_eps(eps)
     targets = [space.ranges[i] for i in iter_bits(_heavy(space, eps))]
     pts = _greedy_hit(space, targets)
     return verify_net(
@@ -649,39 +651,68 @@ def _min_hit_component(
     return best
 
 
-def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
-    """Minimum-cardinality net by exact branch and bound, for at most
-    EXACT_NET_TARGETS qualifying ranges.
+def _reduce(masks: list[int], n: int) -> tuple[int, list[int]]:
+    """Weihe's hitting-set reduction rules ("Covering trains by
+    stations", ALENEX 1998) on nonempty point masks, to a fixpoint: take
+    the point of a one-point mask and drop the masks it hits; drop a mask
+    that contains another; drop a point from every mask when another
+    point lies in all of its masks (the rest of their intersection),
+    keeping the lowest of points with equal columns. Domination is a
+    strict order, so every dropped point keeps a dominator and the
+    minimum is preserved. Returns the taken points' mask and the masks
+    left."""
+    taken = 0
+    while True:
+        single = 0
+        for m in masks:
+            if not m & (m - 1):
+                single |= m
+        taken |= single
+        # Sorted by size, every proper subset of a mask comes before it,
+        # and a dropped mask has a kept subset of its own: checking
+        # against the kept masks alone drops exactly the supersets.
+        kept: list[int] = []
+        for m in sorted({m for m in masks if not m & single},
+                        key=lambda m: (m.bit_count(), m)):
+            if not any(m & s == s for s in kept):
+                kept.append(m)
+        masks = kept
+        cols = incidence_columns(masks, n)
+        drop = 0
+        for p, col in enumerate(cols):
+            if not col:
+                continue
+            common = -1
+            for i in iter_bits(col):
+                common &= masks[i]
+            for q in iter_bits(common & ~(1 << p)):
+                if q < p or cols[q] != col:
+                    drop |= 1 << p
+                    break
+        if not drop:
+            return taken, masks
+        masks = [m & ~drop for m in masks]
 
-    Restricted to support points; supersets of another qualifying range
-    are dropped (hitting the subset hits them), and point-disjoint
-    components are solved independently within one budget of
-    EXACT_NET_NODES search nodes.
+
+def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
+    """Minimum-cardinality net: the heavy ranges, restricted to support
+    points, are reduced once by _reduce; each point-sharing component of
+    what is left is solved by branch and bound within one budget of
+    EXACT_NET_NODES nodes, past which CapExceededError is raised. The
+    stat kept_after_pruning counts the ranges the branch and bound sees.
     """
-    eps = Fraction(eps)
-    targets = [
+    eps = _unit_eps(eps)
+    targets = {
         space.ranges[i] & space.support_mask
         for i in iter_bits(_heavy(space, eps))
-    ]
-    if len(targets) > EXACT_NET_TARGETS:
-        raise CapExceededError(
-            f"exact net oracle capped at {EXACT_NET_TARGETS} qualifying "
-            f"ranges, got {len(targets)}"
-        )
-    targets = sorted(set(targets), key=lambda m: (m.bit_count(), m))
-    # Sorted by size, so every proper subset of a target comes before it,
-    # and a dropped target has a kept subset of its own: checking against
-    # the kept targets alone drops exactly the supersets.
-    pruned: list[int] = []
-    for m in targets:
-        if not any(m & s == s for s in pruned):
-            pruned.append(m)
-    pts: list[int] = []
+    }
+    taken, kept = _reduce(list(targets), space.n)
+    pts = list(iter_bits(taken))
     budget = [EXACT_NET_NODES]
-    for comp in components(pruned):
-        pts.extend(_min_hit_component(space, [m for m in pruned if m & comp], budget))
+    for comp in components(kept):
+        pts.extend(_min_hit_component(space, [m for m in kept if m & comp], budget))
     return verify_net(
         space, pts, eps, method="exact",
         stats={"draws": 0, "targets": len(targets),
-               "kept_after_pruning": len(pruned)},
+               "kept_after_pruning": len(kept)},
     )

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from epsnet import complexity, experiment, packing
+from epsnet import complexity, experiment, nets, packing
 from epsnet.cli import main
 from epsnet.core import RangeSpace, TheoremViolationError
 from epsnet.generators import (
@@ -202,6 +202,29 @@ def test_profile_eps_outside_unit_interval_is_exit_2_before_any_search(
     monkeypatch.setattr(complexity, "vc_dimension",
                         lambda space: calls.append(space))
     assert main(["profile", str(chain_file), f"--eps={eps}"]) == 2
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    assert "eps must be in (0, 1]" in captured.err
+
+
+@pytest.mark.parametrize("eps", ["3/2", "0", "-1/4"])
+@pytest.mark.parametrize("method", list(experiment.METHODS))
+def test_net_eps_outside_unit_interval_is_exit_2_before_any_work(
+    method, eps, chain_file, capsys, monkeypatch,
+):
+    # No VC walk, heavy-range scan or draw may run on an eps every
+    # builder rejects: at eps <= 0 every range counts as heavy.
+    calls = []
+
+    def spy(name):
+        real = getattr(nets, name)
+        return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+    for name in ("vc_or_lower_bound", "_heavy", "draw_points"):
+        monkeypatch.setattr(nets, name, spy(name))
+    assert main(["net", str(chain_file), "--method", method,
+                 f"--eps={eps}"]) == 2
     captured = capsys.readouterr()
     assert calls == []
     assert captured.out == ""

@@ -247,7 +247,7 @@ BUILDER_SHA = {
     "cal": "d9b61f43e220f6b8aa806ec621de96427e8fd81282e4ccac14d233a9d754041c",
     "greedy":
         "0cb023d188d3bd538d57a056a242d18bdb87432a4ff9f635542904622fb525dc",
-    "exact": "e4d27b5c110a55c6badbd961686e361bd2337ce6dad49b2b2b660ce6f7ccd79b",
+    "exact": "e41d84371a630645d7bf0fea751607cb21b3b766c60d8d921feb122250368802",
 }
 
 
@@ -330,6 +330,27 @@ def test_exact_matches_oracle_on_small_corpus():
             want = oracle_min_hitting(sp, eps)
             assert got.is_net
             assert got.size == want, (key, eps)
+
+
+def test_exact_answers_past_two_thousand_heavy_ranges():
+    # 2,304 heavy halfplanes: no size cap refuses them, and the reduced
+    # search finds a minimum of 4.
+    sp = gen_geometric("halfplanes", random_points(50, 2, seed=7))
+    rep = min_net_exact(sp, Fraction(1, 8))
+    assert rep.stats["targets"] == 2304
+    assert rep.is_net and rep.size == 4
+
+
+def test_reduction_rules_alone_solve_intervals(monkeypatch):
+    # On an interval family the three rules leave nothing to search: no
+    # branch-and-bound node is spent. 14 is also what the branch and
+    # bound alone finds on these 4,117 heavy ranges; greedy takes 15.
+    monkeypatch.setattr(nets, "EXACT_NET_NODES", 0)
+    sp = gen_geometric("intervals", random_points(100, 1, seed=7))
+    rep = min_net_exact(sp, Fraction(1, 16))
+    assert rep.stats["kept_after_pruning"] == 0
+    assert rep.is_net and rep.size == 14
+    assert greedy_net(sp, Fraction(1, 16)).size == 15
 
 
 def test_sandwich_min_le_greedy_le_constructions():

@@ -1,10 +1,10 @@
 """Property tests: the trace-class enumerations (pi, phi, VC), the
 brackets of their sampled estimates, the star number on disjoint unions,
 the capacity table at every scale, the exact doubling sweep and its
-budget-tripped bracket, the net verifier and the dyadic buckets agree
-with the brute-force oracles on small weighted random spaces, their
-witnesses certify what they claim, and the point-sharing components
-partition any family."""
+budget-tripped bracket, the minimum net, the net verifier and the dyadic
+buckets agree with the brute-force oracles on small weighted random
+spaces, their witnesses certify what they claim, and the point-sharing
+components partition any family."""
 
 from fractions import Fraction
 from functools import reduce
@@ -14,7 +14,7 @@ from operator import or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsnet import complexity, packing
+from epsnet import complexity, nets, packing
 from epsnet.complexity import (
     alexander_capacity,
     capacity_levels,
@@ -26,12 +26,13 @@ from epsnet.complexity import (
     vc_dimension,
     vc_or_lower_bound,
 )
-from epsnet.core import build_range_space, components, mask_of
-from epsnet.nets import build_decomposition, verify_net
+from epsnet.core import CapExceededError, build_range_space, components, mask_of
+from epsnet.nets import build_decomposition, min_net_exact, verify_net
 
 from oracles import (
     as_sets,
     oracle_doubling,
+    oracle_min_hitting,
     oracle_pi,
     oracle_shallow,
     oracle_star,
@@ -249,3 +250,27 @@ def test_violations_and_buckets_match_fraction_measures(space, eps, data):
     assert dec.buckets == tuple(
         tuple(i for i in range(len(fam)) if home[i] == b) for b in range(z + 1)
     )
+
+
+@PROPERTY_SETTINGS
+@given(small_spaces(), st.sampled_from([Fraction(1), Fraction(1, 2),
+                                        Fraction(1, 4), Fraction(1, 8),
+                                        Fraction(1, 16)]),
+       st.integers(0, 3))
+def test_min_net_matches_oracle_and_a_tripped_budget_never_misreports(
+    space, eps, nodes,
+):
+    # The reduction rules alone must keep the minimum: with the branch
+    # and bound starved of nodes the answer is the minimum or a
+    # CapExceededError, never a wrong size.
+    want = oracle_min_hitting(space, eps)
+    got = min_net_exact(space, eps)
+    assert got.is_net and got.size == want
+    assert all(space.weights[p] for p in got.points)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nets, "EXACT_NET_NODES", nodes)
+        try:
+            got = min_net_exact(space, eps)
+        except CapExceededError:
+            return
+    assert got.is_net and got.size == want
