@@ -59,16 +59,30 @@ def points_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
+# _BIT_DIGITS[k] maps a byte to ASCII "1" or "0" by its bit k.
+_BIT_DIGITS = tuple(
+    bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8)
+)
+
+
 def incidence_columns(masks: Sequence[int], n: int) -> list[int]:
     """cols[x]: bitmask over the positions in masks of the masks that
-    contain point x, for x in 0..n-1."""
-    cols = [0] * n
+    contain point x, for x in 0..n-1.
+
+    Built by byte lanes: the masks are laid end to end as nb-byte
+    little-endian strings, so byte x >> 3 of every mask is the stride-nb
+    slice from it. Translating that lane to the digits of bit x & 7 and
+    reversing it (mask 0 last, the least significant digit) gives the
+    column as one base-2 parse."""
+    if not masks:
+        return [0] * n
+    nb = (n + 7) >> 3
     full = (1 << n) - 1
-    for i, r in enumerate(masks):
-        bit = 1 << i
-        for x in iter_bits(r & full):
-            cols[x] |= bit
-    return cols
+    data = b"".join([(r & full).to_bytes(nb, "little") for r in masks])
+    return [
+        int(data[x >> 3::nb].translate(_BIT_DIGITS[x & 7])[::-1], 2)
+        for x in range(n)
+    ]
 
 
 def components(masks: Iterable[int]) -> list[int]:
@@ -123,7 +137,9 @@ class RangeSpace:
     Derived per-space data follows one rule. What is computed through
     mask_weight (range_weights, union_prefix) is built with the space, so
     the mask_weight calls an operation makes do not depend on whether it
-    is the first to touch the space. Everything else (the sampling
+    is the first to touch the space. The byte tables that mask_weight
+    reads on a non-uniform space are also built with it, from weights
+    alone, and make no mask_weight call. Everything else (the sampling
     population, the incidence index, the capacity table) is built on
     first use and calls no mask_weight.
     """
@@ -146,6 +162,17 @@ class RangeSpace:
         object.__setattr__(self, "support_mask", sup)
         uniform = all(wi == 1 for wi in self.weights)
         object.__setattr__(self, "_uniform", uniform)
+        # _byte_weights[c][b]: weight of the points 8c + k for the bits k
+        # set in byte b, so a mask of points in 0..n-1 weighs as one
+        # lookup per byte.
+        tables = ()
+        if not uniform:
+            for c in range(0, self.n, 8):
+                t = [0]
+                for wk in self.weights[c:c + 8]:
+                    t += [v + wk for v in t]
+                tables += (tuple(t),)
+        object.__setattr__(self, "_byte_weights", tables)
         object.__setattr__(
             self, "range_weights", tuple(self.mask_weight(r) for r in self.ranges)
         )
@@ -180,11 +207,11 @@ class RangeSpace:
         if self._uniform:  # type: ignore[attr-defined]
             return mask.bit_count()
         total = 0
-        w = self.weights
-        while mask:
-            low = mask & -mask
-            total += w[low.bit_length() - 1]
-            mask ^= low
+        for table in self._byte_weights:  # type: ignore[attr-defined]
+            if not mask:
+                break
+            total += table[mask & 255]
+            mask >>= 8
         return total
 
     def ceil_weight(self, q: Fraction) -> int:

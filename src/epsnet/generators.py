@@ -153,14 +153,16 @@ def gen_geometric(kind: str, points, weights=None, name: str = "") -> RangeSpace
     masks.add(full)
 
     if kind == "intervals":
-        values = sorted({p[0] for p in pts})
-        for ai in range(len(values)):
-            for bi in range(ai, len(values)):
-                lo, hi = values[ai], values[bi]
-                m = 0
-                for i, p in enumerate(pts):
-                    if lo <= p[0] <= hi:
-                        m |= 1 << i
+        # One point mask per distinct coordinate, in ascending order; an
+        # interval's trace is the OR of a run of them.
+        at: dict[Fraction, int] = {}
+        for i, p in enumerate(pts):
+            at[p[0]] = at.get(p[0], 0) | 1 << i
+        runs = [at[v] for v in sorted(at)]
+        for a in range(len(runs)):
+            m = 0
+            for run in runs[a:]:
+                m |= run
                 masks.add(m)
 
     elif kind == "halfplanes":
@@ -228,11 +230,7 @@ def gen_geometric(kind: str, points, weights=None, name: str = "") -> RangeSpace
                     neg_open |= 1 << i
             masks.update((closed, opened, neg_closed, neg_open))
 
-    masks.discard(0)
-    ranges = [[i for i in range(n) if m >> i & 1] for m in sorted(masks)]
-    return build_range_space(
-        n, list(weights), ranges, name=name or f"{kind}{n}"
-    )
+    return build_range_space(n, list(weights), masks, name=name or f"{kind}{n}")
 
 
 def _orient2_degenerate3(a, b, c) -> bool:

@@ -13,6 +13,12 @@ heavy ranges, those of measure >= eps, are a suffix of the space's
 measure order, so a net's violations are heavy & ~hits. The dyadic
 buckets are runs of that order between bisected cuts.
 
+One greedy scoring loop, _greedy_pick, serves every hitting set:
+greedy_net runs it on the space's cached incidence columns with the
+heavy ranges as its todo mask, and the repair steps and the exact
+search's incumbent (_greedy_hit) on columns built for their own target
+lists.
+
 The minimum net is a minimum hitting set of the heavy ranges: reduction
 rules, then a branch and bound limited only by EXACT_NET_NODES. Every
 builder and the verifier reject an eps outside (0, 1] before any work.
@@ -127,18 +133,11 @@ def verify_net(
     )
 
 
-def _greedy_hit(space: RangeSpace, masks: list[int], have: int = 0) -> list[int]:
-    """Support points chosen greedily to hit every mask that have does
-    not meet: most new hits first, ties to the lowest point index. A
-    point's new hits are popcount(col[p] & todo) over the incidence
-    columns of the targets. A target with no support point is a
-    ValueError."""
-    targets = [m & space.support_mask for m in masks if not (m & have)]
-    if not all(targets):
-        raise ValueError("a hitting-set target has no support point")
-    cols = incidence_columns(targets, space.n)
-    cands = [p for p in range(space.n) if cols[p]]
-    todo = (1 << len(targets)) - 1
+def _greedy_pick(cols, cands: list[int], todo: int) -> list[int]:
+    """Points of cands chosen greedily until every bit of todo is hit,
+    where cols[p] is the bitmask of what point p hits: most new hits,
+    popcount(cols[p] & todo), first, ties to the earliest candidate. A
+    bit no candidate hits is a ValueError."""
     chosen: list[int] = []
     while todo:
         best_p, best = -1, 0
@@ -146,9 +145,21 @@ def _greedy_hit(space: RangeSpace, masks: list[int], have: int = 0) -> list[int]
             c = (cols[p] & todo).bit_count()
             if c > best:
                 best_p, best = p, c
+        if not best:
+            raise ValueError("a hitting-set target has no support point")
         chosen.append(best_p)
         todo &= ~cols[best_p]
     return chosen
+
+
+def _greedy_hit(space: RangeSpace, masks: list[int], have: int = 0) -> list[int]:
+    """Support points chosen greedily (_greedy_pick, candidates in point
+    order) to hit every mask that have does not meet, scored on the
+    incidence columns of those targets."""
+    targets = [m & space.support_mask for m in masks if not (m & have)]
+    cols = incidence_columns(targets, space.n)
+    cands = [p for p in range(space.n) if cols[p]]
+    return _greedy_pick(cols, cands, (1 << len(targets)) - 1)
 
 
 def _repair(
@@ -175,21 +186,21 @@ def _quarter_groups(
     range without one is a TheoremViolationError.
     """
     members = greedy_packing(space, sep, list(bucket)).members
-    groups: dict[int, list[int]] = {q: [] for q in members}
+    ranges, weigh = space.ranges, space.mask_weight
+    slots = [(ranges[q], space.range_weights[q], []) for q in members]
     for i in bucket:
-        ri = space.ranges[i]
-        homes = [
-            q
-            for q in members
-            if 4 * space.mask_weight(ri & space.ranges[q]) >= space.range_weights[q]
-        ]
-        if not homes:
+        ri = ranges[i]
+        homed = False
+        for rq, wq, group in slots:
+            trace = ri & rq
+            if 4 * weigh(trace) >= wq:
+                group.append(trace)
+                homed = True
+        if not homed:
             raise TheoremViolationError(
                 f"range {i} shares no quarter-mass packing member at scale {sep}"
             )
-        for q in homes:
-            groups[q].append(ri & space.ranges[q])
-    return len(members), list(groups.values())
+    return len(members), [group for _, _, group in slots]
 
 
 # -- dyadic decomposition ----------------------------------------------------
@@ -595,13 +606,16 @@ def cal_net(
 
 
 def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
-    """Deterministic greedy hitting set over the qualifying ranges."""
+    """Deterministic greedy hitting set over the qualifying ranges,
+    scored on the space's incidence index masked by the heavy ranges."""
     eps = _unit_eps(eps)
-    targets = [space.ranges[i] for i in iter_bits(_heavy(space, eps))]
-    pts = _greedy_hit(space, targets)
+    heavy = _heavy(space, eps)
+    cols = space.incidence()
+    cands = [p for p in iter_bits(space.support_mask) if cols[p] & heavy]
+    pts = _greedy_pick(cols, cands, heavy)
     return verify_net(
         space, pts, eps, method="greedy",
-        stats={"draws": 0, "targets": len(targets)},
+        stats={"draws": 0, "targets": heavy.bit_count()},
     )
 
 

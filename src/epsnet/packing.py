@@ -158,11 +158,17 @@ def greedy_packing(
     if indices is None:
         indices = list(range(len(space.ranges)))
     far = space.ceil_weight(delta)
+    ranges, weigh = space.ranges, space.mask_weight
     chosen: list[int] = []
+    chosen_masks: list[int] = []
     for i in indices:
-        ri = space.ranges[i]
-        if all(space.mask_weight(ri ^ space.ranges[j]) >= far for j in chosen):
+        ri = ranges[i]
+        for rj in chosen_masks:
+            if weigh(ri ^ rj) < far:
+                break
+        else:
             chosen.append(i)
+            chosen_masks.append(ri)
     return Packing(delta, tuple(sorted(chosen)), False)
 
 

@@ -26,6 +26,20 @@ def _bits(mask):
     return out
 
 
+def oracle_incidence_columns(masks, n):
+    """cols[x]: the masks containing point x, as a bitmask over their
+    positions, one bit test per (point, mask) pair; bits at or past n
+    are not points."""
+    cols = []
+    for x in range(n):
+        col = 0
+        for i, r in enumerate(masks):
+            if r >> x & 1:
+                col |= 1 << i
+        cols.append(col)
+    return cols
+
+
 def set_weight(space, s):
     return sum(space.weights[p] for p in s)
 

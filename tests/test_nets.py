@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from epsnet import nets
+from epsnet import core, nets
 from epsnet.complexity import alexander_capacity, capacity_vector
-from epsnet.core import InstanceError, RangeSpace, build_range_space
+from epsnet.core import InstanceError, RangeSpace, build_range_space, stream_rng
 from epsnet.experiment import METHODS, ExperimentConfig, run_method
 from epsnet.generators import gen_geometric, random_points
 from epsnet.nets import (
@@ -320,6 +320,50 @@ def test_greedy_frozen_examples():
     assert greedy_net(CORPUS["sparse-singles8"], Fraction(1, 8)).size == 4
     # every chain member contains point 0
     assert greedy_net(CORPUS["chain8"], Fraction(1, 8)).size == 1
+
+
+def _weighted_spaces_with_zero_weights():
+    """Seeded random spaces of 6..24 points with weights 0..4, about a
+    fifth of them 0, so some ranges hold zero-weight points."""
+    rng = stream_rng(5, "greedy-spaces")
+    for k in range(30):
+        n = rng.randint(6, 24)
+        weights = [rng.choice((0, 1, 2, 3, 4)) for _ in range(n)]
+        weights[rng.randrange(n)] = 1
+        ranges = [rng.getrandbits(n) for _ in range(rng.randint(1, 40))]
+        yield build_range_space(n, weights, ranges, name=f"zw{k}")
+
+
+def test_greedy_net_equals_greedy_hit_over_the_heavy_ranges():
+    # greedy_net scores on the space's incidence index masked by the
+    # heavy ranges; _greedy_hit builds the index of an explicit target
+    # list. Both must make the same picks.
+    spaces = list(CORPUS.values()) + list(_weighted_spaces_with_zero_weights())
+    for sp in spaces:
+        for eps in EPS_GRID:
+            targets = [r for i, r in enumerate(sp.ranges) if sp.measure(i) >= eps]
+            rep = greedy_net(sp, eps)
+            assert rep.points == tuple(sorted(nets._greedy_hit(sp, targets))), (
+                sp.name, eps)
+            assert rep.stats["targets"] == len(targets)
+            assert rep.is_net
+
+
+def test_greedy_net_reads_the_cached_incidence_index(monkeypatch):
+    calls = []
+    build = core.incidence_columns
+
+    def spy(masks, n):
+        calls.append(n)
+        return build(masks, n)
+
+    sp = CORPUS["random12w"]
+    sp.incidence()
+    monkeypatch.setattr(nets, "incidence_columns", spy)
+    monkeypatch.setattr(core, "incidence_columns", spy)
+    for eps in EPS_GRID:
+        assert greedy_net(sp, eps).is_net
+    assert calls == []
 
 
 def test_exact_matches_oracle_on_small_corpus():

@@ -1,5 +1,6 @@
-"""Property tests: the trace-class enumerations (pi, phi, VC), the
-brackets of their sampled estimates, the star number on disjoint unions,
+"""Property tests: mask weights and incidence columns against per-bit
+loops, the trace-class enumerations (pi, phi, VC), the brackets of their
+sampled estimates, the star number on disjoint unions,
 the capacity table at every scale, the exact doubling sweep and its
 budget-tripped bracket, the minimum net, the net verifier and the dyadic
 buckets agree with the brute-force oracles on small weighted random
@@ -12,7 +13,7 @@ from itertools import combinations
 from operator import or_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epsnet import complexity, nets, packing
 from epsnet.complexity import (
@@ -26,12 +27,20 @@ from epsnet.complexity import (
     vc_dimension,
     vc_or_lower_bound,
 )
-from epsnet.core import CapExceededError, build_range_space, components, mask_of
+from epsnet.core import (
+    CapExceededError,
+    build_range_space,
+    components,
+    incidence_columns,
+    mask_of,
+    points_of,
+)
 from epsnet.nets import build_decomposition, min_net_exact, verify_net
 
 from oracles import (
     as_sets,
     oracle_doubling,
+    oracle_incidence_columns,
     oracle_min_hitting,
     oracle_pi,
     oracle_shallow,
@@ -65,6 +74,36 @@ def is_star_set(space, pts) -> bool:
     """Every point of pts is the whole trace of some range on pts."""
     ymask = mask_of(pts)
     return all(any(r & ymask == 1 << x for r in space.ranges) for x in pts)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 70).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 5), min_size=n, max_size=n)
+    .filter(lambda w: sum(w) >= 1),
+    st.lists(st.integers(0, (1 << n) - 1), max_size=8),
+)))
+@example(([0, 3, 0, 1, 5, 0, 2, 4, 1, 0, 7], [0b10110011101]))
+def test_mask_weight_is_the_sum_of_its_point_weights(case):
+    # Up to 70 points, so masks span several byte tables and n is often
+    # not a multiple of 8; weights 0..5 make nearly every space
+    # non-uniform, so the tables are read.
+    weights, masks = case
+    space = build_range_space(len(weights), weights, [])
+    for m in masks + [0, (1 << space.n) - 1]:
+        assert space.mask_weight(m) == sum(weights[p] for p in points_of(m))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 70).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << (n + 10)) - 1), max_size=20),
+)))
+@example((0, []))
+@example((13, []))
+@example((3, [0b11110101, 0, 1 << 12]))
+def test_incidence_columns_match_a_bit_loop(case):
+    # Masks may carry bits at or past n; those are not points.
+    n, masks = case
+    assert incidence_columns(masks, n) == oracle_incidence_columns(masks, n)
 
 
 @PROPERTY_SETTINGS
