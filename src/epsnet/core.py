@@ -59,6 +59,14 @@ def points_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
+def canonical_key(mask: int) -> str:
+    """Sort key giving the order of points_of tuples: the mask's bits
+    from point 0 up, members as "0" (ord 48 and 49 swapped). At the
+    lowest point x where two masks differ, the one holding x has "0";
+    the other has "1" there or has already ended, and is then a prefix."""
+    return format(mask, "b")[::-1].translate({48: "1", 49: "0"}) if mask else ""
+
+
 # _BIT_DIGITS[k] maps a byte to ASCII "1" or "0" by its bit k.
 _BIT_DIGITS = tuple(
     bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8)
@@ -284,7 +292,7 @@ class RangeSpace:
         """
         ymask = y if isinstance(y, int) else mask_of(y)
         traces = {r & ymask for r in self.ranges}
-        return sorted(traces, key=points_of)
+        return sorted(traces, key=canonical_key)
 
     def conditional(self, a: int | Iterable[int]) -> "RangeSpace":
         """Restrict to A: weights zeroed outside A, ranges intersected.
@@ -400,7 +408,7 @@ def build_range_space(
             m = mask_of(pts)
         if m:
             masks.add(m)
-    canon = tuple(sorted(masks, key=points_of))
+    canon = tuple(sorted(masks, key=canonical_key))
     return RangeSpace(n=n, weights=weights, ranges=canon, name=name)
 
 

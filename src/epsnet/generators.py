@@ -1,9 +1,14 @@
 """Instance factories: the block lower-bound family, geometric range
 spaces over explicit point sets, and seeded random hypergraphs.
 
-Geometric traces are enumerated with exact integer/rational predicates
-(orientation and in-circle determinant signs); degenerate inputs produce
-both closed-boundary variants, which deduplication then folds.
+Geometric traces are enumerated with exact integer predicates: rational
+coordinates are first scaled to one integer grid. An interval's trace is
+a run of the points in coordinate order; every other trace is the sign
+pattern of one linear form over the points: a halfplane's or halfspace's
+normal, or the plane through three points lifted to the paraboloid
+z = x^2 + y^2 for their circumcircle. Degenerate inputs produce both the
+closed and the open variant, which deduplication then folds; the family
+is ordered canonically by build_range_space.
 """
 
 from __future__ import annotations
@@ -11,17 +16,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from operator import mul
 
 from .core import (
     CapExceededError,
     InstanceError,
     RangeSpace,
+    _items,
     build_range_space,
     stream_rng,
 )
 
 DEFAULT_RANGE_CAP = 100_000
+
+
+def _count(name: str, value, least: int | None) -> None:
+    """value must be a true int (not a bool), and at least least unless
+    that is None."""
+    if type(value) is not int or (least is not None and value < least):
+        at_least = "" if least is None else f" >= {least}"
+        raise InstanceError(f"{name} must be an integer{at_least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +51,7 @@ class LowerBoundParams:
 
     def __post_init__(self):
         for name in ("k", "d", "l", "m"):
-            if getattr(self, name) < 1:
-                raise InstanceError(f"{name} must be >= 1")
+            _count(name, getattr(self, name), 1)
 
     @property
     def n(self) -> int:
@@ -81,63 +95,67 @@ def gen_lower_bound_family(params: LowerBoundParams) -> RangeSpace:
 # -- geometric families -------------------------------------------------------
 
 
-def _as_coords(points, dim: int) -> list[tuple[Fraction, ...]]:
-    out = []
-    for p in points:
-        if isinstance(p, (int, Fraction)):
-            p = (p,)
-        t = tuple(Fraction(c) for c in p)
-        if len(t) != dim:
-            raise InstanceError(
-                f"point {p} has {len(t)} coordinates, expected {dim}"
-            )
-        out.append(t)
-    return out
+def _is_coord(c) -> bool:
+    return type(c) is int or isinstance(c, Fraction)
 
 
-def _orient2(a, b, c) -> Fraction:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _orient3(a, b, c, x) -> Fraction:
-    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-    w = (x[0] - a[0], x[1] - a[1], x[2] - a[2])
-    return (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
-    )
-
-
-def _in_circumcircle(a, b, c, x) -> Fraction:
-    """Positive when x is strictly inside the circle through a, b, c
-    (taken in counterclockwise order), zero on it."""
+def _as_coords(points, dim: int) -> list[tuple[int, ...]]:
+    """points as dim-tuples of ints on one grid: every coordinate times
+    the lcm of all denominators. Each predicate below is a homogeneous
+    polynomial in the coordinates, so a positive common scale keeps
+    every sign and every equality. A coordinate is an int (not a bool)
+    or a Fraction; anything else is an InstanceError."""
     rows = []
-    for p in (a, b, c):
-        dx, dy = p[0] - x[0], p[1] - x[1]
-        rows.append((dx, dy, dx * dx + dy * dy))
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
-    return (
-        a0 * (b1 * c2 - b2 * c1)
-        - a1 * (b0 * c2 - b2 * c0)
-        + a2 * (b0 * c1 - b1 * c0)
-    )
+    for p in _items(points, "points"):
+        t = (p,) if _is_coord(p) else _items(p, "a point")
+        if len(t) != dim or not all(map(_is_coord, t)):
+            raise InstanceError(
+                f"point {p!r} must have {dim} int or Fraction coordinates")
+        rows.append(t)
+    scale = math.lcm(*(c.denominator for t in rows for c in t))
+    return [tuple(c.numerator * (scale // c.denominator) for c in t)
+            for t in rows]
 
 
-def _in_diametral(p, q, x) -> bool:
-    """Closed disk with segment pq as diameter: (x-p).(x-q) <= 0."""
-    return (
-        (x[0] - p[0]) * (x[0] - q[0]) + (x[1] - p[1]) * (x[1] - q[1])
-    ) <= 0
+def _normal(face) -> tuple[int, ...]:
+    """Normal of the line through 2-D points p, q (q - p turned
+    counterclockwise) or of the plane through 3-D points a, b, c
+    ((b - a) x (c - a)); zero when they span no line or plane."""
+    if len(face) == 2:
+        (p0, p1), (q0, q1) = face
+        return (p1 - q1, q0 - p0)
+    a, b, c = face
+    u0, u1, u2 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    v0, v1, v2 = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+
+
+def _side_values(nrm, base, pts) -> list[int]:
+    """nrm.(x - base) for every point x: positive on the side nrm points
+    to, zero on the boundary."""
+    off = sum(map(mul, nrm, base))
+    return [sum(map(mul, nrm, x)) - off for x in pts]
+
+
+def _sign_masks(signs) -> tuple[int, int]:
+    """(closed, open): the masks of the positions whose sign is >= 0 and
+    > 0."""
+    closed = opened = 0
+    for i, s in enumerate(signs):
+        if s >= 0:
+            closed |= 1 << i
+            if s > 0:
+                opened |= 1 << i
+    return closed, opened
 
 
 def gen_geometric(kind: str, points, weights=None, name: str = "") -> RangeSpace:
     """Range space of all distinct nonempty traces of a geometric family.
 
     kinds: intervals (1d), halfplanes (2d), disks (2d), halfspaces3d (3d).
-    Coordinates are exact rationals; both closed and open boundary
-    variants are enumerated so degenerate inputs stay canonical.
+    Coordinates are exact rationals, scaled to one integer grid; both
+    closed and open boundary variants are enumerated so degenerate
+    inputs stay canonical.
     """
     dims = {"intervals": 1, "halfplanes": 2, "disks": 2, "halfspaces3d": 3}
     if kind not in dims:
@@ -148,16 +166,15 @@ def gen_geometric(kind: str, points, weights=None, name: str = "") -> RangeSpace
         raise InstanceError("need at least one point")
     if weights is None:
         weights = [1] * n
-    masks: set[int] = set()
     full = (1 << n) - 1
-    masks.add(full)
+    masks = {full}
 
     if kind == "intervals":
         # One point mask per distinct coordinate, in ascending order; an
         # interval's trace is the OR of a run of them.
-        at: dict[Fraction, int] = {}
-        for i, p in enumerate(pts):
-            at[p[0]] = at.get(p[0], 0) | 1 << i
+        at: dict[int, int] = {}
+        for i, (x,) in enumerate(pts):
+            at[x] = at.get(x, 0) | 1 << i
         runs = [at[v] for v in sorted(at)]
         for a in range(len(runs)):
             m = 0
@@ -165,84 +182,33 @@ def gen_geometric(kind: str, points, weights=None, name: str = "") -> RangeSpace
                 m |= run
                 masks.add(m)
 
-    elif kind == "halfplanes":
-        for a in range(n):
-            for b in range(n):
-                if a == b or pts[a] == pts[b]:
-                    continue
-                closed = opened = 0
-                for i, x in enumerate(pts):
-                    s = _orient2(pts[a], pts[b], x)
-                    if s >= 0:
-                        closed |= 1 << i
-                    if s > 0:
-                        opened |= 1 << i
-                masks.add(closed)
-                masks.add(opened)
-
     elif kind == "disks":
-        for i, p in enumerate(pts):
-            m = 0
-            for j, q in enumerate(pts):
-                if q == p:
-                    m |= 1 << j
-            masks.add(m)
-        for a, b in combinations(range(n), 2):
-            if pts[a] == pts[b]:
+        # Disks with a segment pq as diameter, (x - p).(x - q) <= 0, closed
+        # only; p == q gives the points at p.
+        for (p0, p1), (q0, q1) in combinations_with_replacement(pts, 2):
+            masks.add(_sign_masks([
+                (p0 - x0) * (x0 - q0) + (p1 - x1) * (x1 - q1) for x0, x1 in pts
+            ])[0])
+        # Circumcircles: lifted to z = x^2 + y^2, the disk through three
+        # points that are not collinear holds the points below the plane
+        # through their lifts.
+        lifted = [(x0, x1, x0 * x0 + x1 * x1) for x0, x1 in pts]
+        for face in combinations(lifted, 3):
+            nrm = _normal(face)
+            if nrm[2] == 0:
                 continue
-            m = 0
-            for i, x in enumerate(pts):
-                if _in_diametral(pts[a], pts[b], x):
-                    m |= 1 << i
-            masks.add(m)
-        for a, b, c in combinations(range(n), 3):
-            sgn = _orient2(pts[a], pts[b], pts[c])
-            if sgn == 0:
-                continue
-            ta, tb, tc = (
-                (pts[a], pts[b], pts[c]) if sgn > 0 else (pts[a], pts[c], pts[b])
-            )
-            closed = opened = 0
-            for i, x in enumerate(pts):
-                s = _in_circumcircle(ta, tb, tc, x)
-                if s >= 0:
-                    closed |= 1 << i
-                if s > 0:
-                    opened |= 1 << i
-            masks.add(closed)
-            masks.add(opened)
+            if nrm[2] > 0:
+                nrm = tuple(-c for c in nrm)
+            masks.update(_sign_masks(_side_values(nrm, face[0], lifted)))
 
-    else:  # halfspaces3d
-        for a, b, c in combinations(range(n), 3):
-            if _orient2_degenerate3(pts[a], pts[b], pts[c]):
-                continue
-            closed = opened = 0
-            neg_closed = neg_open = 0
-            for i, x in enumerate(pts):
-                s = _orient3(pts[a], pts[b], pts[c], x)
-                if s >= 0:
-                    closed |= 1 << i
-                if s > 0:
-                    opened |= 1 << i
-                if s <= 0:
-                    neg_closed |= 1 << i
-                if s < 0:
-                    neg_open |= 1 << i
-            masks.update((closed, opened, neg_closed, neg_open))
+    else:  # halfplanes, halfspaces3d: both sides of every spanned boundary
+        for face in combinations(pts, dims[kind]):
+            nrm = _normal(face)
+            if any(nrm):
+                closed, opened = _sign_masks(_side_values(nrm, face[0], pts))
+                masks.update((closed, opened, full ^ opened, full ^ closed))
 
     return build_range_space(n, list(weights), masks, name=name or f"{kind}{n}")
-
-
-def _orient2_degenerate3(a, b, c) -> bool:
-    """True when a, b, c are collinear in 3-space (cross product zero)."""
-    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-    cross = (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-    return cross == (0, 0, 0)
 
 
 # -- random instances ----------------------------------------------------------
@@ -262,10 +228,9 @@ def gen_random(
     size_law: uniform (1..n) or geometric (halving, truncated at n).
     weight_law: ones, or uniform integers 1..w_max.
     """
-    if n < 1:
-        raise InstanceError("n must be >= 1")
-    if num_ranges < 0:
-        raise InstanceError("num_ranges must be >= 0")
+    _count("n", n, 1)
+    _count("num_ranges", num_ranges, 0)
+    _count("w_max", w_max, 1 if weight_law == "uniform" else None)
     rng = stream_rng(seed, "gen-random", n, num_ranges, size_law, weight_law)
     if weight_law == "ones":
         weights = [1] * n

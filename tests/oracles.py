@@ -8,7 +8,7 @@ scale.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def as_sets(space):
@@ -227,3 +227,73 @@ def reference_predict(orientation, v_idx, coord):
             head = b if orientation.tails[k] == a else a
             return graph.vertices[head] >> coord & 1
     return v >> coord & 1
+
+
+def oracle_geometric(kind, points):
+    """The distinct nonempty traces of a geometric family on points, as
+    frozensets of point indices: every coordinate a Fraction, every
+    predicate evaluated on ordered pairs and triples of points (the
+    orientation determinant (b - a, c - a, x - a) for halfspaces, the
+    in-circle determinant for circumcircles). The
+    families are closed intervals between two point coordinates, closed
+    and open halfplanes left of a directed line through two points,
+    closed disks with a segment between two points as diameter (a point
+    disk when both are equal), closed and open circumcircle disks of
+    three counterclockwise points, and closed and open halfspaces on the
+    positive side of a plane through three points; the whole point set
+    is always a trace."""
+    pts = [
+        tuple(Fraction(c) for c in ((p,) if isinstance(p, (int, Fraction)) else p))
+        for p in points
+    ]
+
+    def add_sides(values):
+        traces.add(frozenset(i for i, v in enumerate(values) if v >= 0))
+        traces.add(frozenset(i for i, v in enumerate(values) if v > 0))
+
+    def orient2(a, b, x):
+        return (b[0] - a[0]) * (x[1] - a[1]) - (b[1] - a[1]) * (x[0] - a[0])
+
+    def cross(u, v):
+        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0])
+
+    def det3(u, v, w):
+        return (u[0] * (v[1] * w[2] - v[2] * w[1])
+                - u[1] * (v[0] * w[2] - v[2] * w[0])
+                + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+    def in_circle(a, b, c, x):
+        rows = [(p[0] - x[0], p[1] - x[1],
+                 (p[0] - x[0]) ** 2 + (p[1] - x[1]) ** 2) for p in (a, b, c)]
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+        return (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+                + a2 * (b0 * c1 - b1 * c0))
+
+    traces = {frozenset(range(len(pts)))}
+    if kind == "intervals":
+        for (lo,), (hi,) in product(pts, repeat=2):
+            traces.add(frozenset(
+                i for i, (x,) in enumerate(pts) if lo <= x <= hi))
+    elif kind == "halfplanes":
+        for a, b in product(pts, repeat=2):
+            if a != b:
+                add_sides([orient2(a, b, x) for x in pts])
+    elif kind == "disks":
+        for p, q in product(pts, repeat=2):
+            traces.add(frozenset(
+                i for i, x in enumerate(pts)
+                if (x[0] - p[0]) * (x[0] - q[0]) + (x[1] - p[1]) * (x[1] - q[1]) <= 0))
+        for a, b, c in permutations(pts, 3):
+            if orient2(a, b, c) > 0:
+                add_sides([in_circle(a, b, c, x) for x in pts])
+    elif kind == "halfspaces3d":
+        for a, b, c in permutations(pts, 3):
+            u, v = ([p[k] - a[k] for k in range(3)] for p in (b, c))
+            if any(cross(u, v)):
+                add_sides([det3(u, v, [x[k] - a[k] for k in range(3)])
+                           for x in pts])
+    else:
+        raise ValueError(kind)
+    traces.discard(frozenset())
+    return traces

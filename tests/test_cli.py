@@ -53,6 +53,12 @@ def test_gen_random_and_profile(tmp_path, capsys):
     assert "tau" in doc and "tau_vector" in doc
 
 
+def test_gen_random_w_max_below_one_is_exit_2_naming_w_max(capsys):
+    assert main(["gen", "--kind", "random", "--weight-law", "uniform",
+                 "--w-max", "0"]) == 2
+    assert "w_max" in capsys.readouterr().err
+
+
 def test_gen_geometric_from_points_file(tmp_path):
     pts = tmp_path / "pts.txt"
     pts.write_text("# square\n0,0\n4,0\n4,4\n0,4\n")

@@ -1,10 +1,12 @@
 """Instance generators: block families, geometric families, random families."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epsnet import generators
 from epsnet.complexity import shallow_cell, vc_dimension
@@ -18,7 +20,8 @@ from epsnet.generators import (
 )
 from epsnet.nets import min_net_exact
 
-from corpus import DOUBLING_RATIO_CASES, doubling_to_capacity_ratios
+from corpus import CORPUS, DOUBLING_RATIO_CASES, doubling_to_capacity_ratios
+from oracles import as_sets, oracle_geometric
 
 
 # -- block lower-bound families ----------------------------------------------
@@ -70,6 +73,15 @@ def test_min_net_forces_d_points_per_block():
     sp = gen_lower_bound_family(p)
     eps = Fraction(p.k, p.n)
     assert min_net_exact(sp, eps).size == p.l * p.m * p.d
+
+
+@pytest.mark.parametrize("field", ["k", "d", "l", "m"])
+@pytest.mark.parametrize("bad", [1.0, True, "1", 0])
+def test_params_must_be_positive_true_ints(field, bad):
+    args = dict(k=1, d=2, l=1, m=2)
+    args[field] = bad
+    with pytest.raises(InstanceError, match=f"^{field} must"):
+        LowerBoundParams(**args)
 
 
 def test_block_family_cap(monkeypatch):
@@ -179,6 +191,104 @@ def test_geometric_coordinates_are_exact():
     assert len(sp2.ranges) == 3  # distinct
 
 
+@pytest.mark.parametrize("kind, points", [
+    ("intervals", [Fraction(1, 2), 0.5]),
+    ("intervals", [(0.5,), (1,)]),
+    ("intervals", ["1/2", 1]),
+    ("intervals", [True, 2]),
+    ("intervals", "123"),
+    ("halfplanes", ["12", (0, 0), (1, 0)]),
+    ("halfplanes", [(0, 1.5), (1, 0)]),
+    ("halfplanes", [(0, None), (1, 0)]),
+    ("disks", [(0, 0), (1, False)]),
+    ("halfspaces3d", [(0, 0, 0), 7]),
+])
+def test_geometric_coordinates_must_be_ints_or_fractions(kind, points):
+    # No float, bool or string coordinate is coerced, bare or in a tuple.
+    with pytest.raises(InstanceError):
+        gen_geometric(kind, points)
+
+
+# sha256 of dumps() for pinned geometric instances: any change to a
+# trace enumeration or to the canonical order shows here.
+FROZEN_GEOMETRIC = {
+    "halfplanes30": ("halfplanes", random_points(30, 2, seed=7),
+                     "cb8c000e45b8faa962b0e13c5227644511fe88ca9a1d415830fd40448f0ed949"),
+    "disks14": ("disks", random_points(14, 2, seed=3),
+                "d400d437a4cb32e4e66b89b10db708874b96f90c70e8f1d15e0aaaa7eaa82ee2"),
+    "intervals40": ("intervals", random_points(40, 1, seed=7),
+                    "5191d6f57552e68f377188f058ebfa7e6fe06f9f9d52138ec71523abe301d2c8"),
+    "halfspaces3d10": ("halfspaces3d", random_points(10, 3, seed=1),
+                       "261e43048780f090c14f3df9f81ee25fb2f037b50221dc87c4d0486ba8f21099"),
+    "halfplanes12": ("halfplanes", random_points(12, 2, seed=0, grid=6),
+                     "1d9830f25842db8925e7fa92b5d5af828682b60be4cb44ebeda69b478035d173"),
+    "disks12": ("disks", random_points(12, 2, seed=0, grid=6),
+                "435a7fc90bad997f86081d12eef7ccf5c585bcdc2a1bcd7a341afda2ddc48595"),
+}
+FROZEN_CORPUS = {
+    "intervals6": "d970534c526bae616cf6ad944b2c0d4ab0befaa686c3d6117aff99b0d293b5b7",
+    "intervals8w": "a67b6ec555ce3086f907789dd9a35b2a6303729819f4d80bcab3cb8f1aab14a1",
+    "halfplanes5": "6a75793a0abe95eb01396c30935fed9e2d75506f04cc98ee13d6ccb5bbbd057a",
+    "disks5": "447f82dc2e0f2ca1ac1a512adc4e308918ce93965fd25dcbf4bbe9ddd601d722",
+}
+
+
+def test_geometric_instances_are_frozen():
+    def digest(space):
+        return hashlib.sha256(space.dumps().encode()).hexdigest()
+
+    for key, (kind, pts, sha) in FROZEN_GEOMETRIC.items():
+        space = gen_geometric(kind, pts)
+        assert space.name == key and digest(space) == sha, key
+    for key, sha in FROZEN_CORPUS.items():
+        assert digest(CORPUS[key]) == sha, key
+
+
+DIMS = {"intervals": 1, "halfplanes": 2, "disks": 2, "halfspaces3d": 3}
+
+
+@st.composite
+def geometric_inputs(draw):
+    """(kind, points): at most 8 points whose coordinates all come from
+    one small grid (so duplicates and collinear points are common) or
+    from small rationals; 1-d points are bare or 1-tuples."""
+    kind = draw(st.sampled_from(sorted(DIMS)))
+    coord = draw(st.sampled_from([
+        st.integers(0, 2), st.integers(-3, 6),
+        st.fractions(-2, 2, max_denominator=6),
+    ]))
+    pts = draw(st.lists(st.tuples(*[coord] * DIMS[kind]),
+                        min_size=1, max_size=8))
+    if kind == "intervals" and draw(st.booleans()):
+        pts = [x for (x,) in pts]
+    return kind, pts
+
+
+GEOMETRIC_SETTINGS = settings(max_examples=100, deadline=None)
+
+
+@GEOMETRIC_SETTINGS
+@given(geometric_inputs())
+@example(("disks", [(0, 0), (2, 0), (1, 1), (1, -1), (1, 0), (1, 0)]))
+@example(("halfspaces3d", [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 0)]))
+@example(("halfplanes", [(Fraction(1, 3), 0), (0, Fraction(1, 7)), (1, 1)]))
+def test_geometric_traces_match_the_rational_oracle(case):
+    kind, pts = case
+    space = gen_geometric(kind, pts)
+    assert space.n == len(pts)
+    assert set(as_sets(space)) == oracle_geometric(kind, pts)
+
+
+@GEOMETRIC_SETTINGS
+@given(geometric_inputs(), st.fractions(0, 50, max_denominator=50)
+       .filter(lambda q: q > 0))
+def test_geometric_space_is_unchanged_by_positive_scaling(case, q):
+    kind, pts = case
+    scaled = [x * q if isinstance(x, (int, Fraction)) else
+              tuple(c * q for c in x) for x in pts]
+    assert gen_geometric(kind, scaled).dumps() == gen_geometric(kind, pts).dumps()
+
+
 # -- random families ----------------------------------------------------------
 
 
@@ -208,6 +318,23 @@ def test_random_degenerate_cases():
         gen_random(4, -1)
     with pytest.raises(InstanceError):
         gen_random(4, 2, size_law="zipf")
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n=4.0), dict(n=True), dict(num_ranges=2.0), dict(num_ranges=False),
+    dict(w_max="8"), dict(w_max=3.0, weight_law="uniform"),
+    dict(w_max=0, weight_law="uniform"),
+])
+def test_random_counts_must_be_true_ints(kwargs):
+    args = dict(n=4, num_ranges=3) | kwargs
+    name = next(k for k in kwargs if k != "weight_law")
+    with pytest.raises(InstanceError, match=f"^{name} must"):
+        gen_random(**args)
+
+
+def test_random_w_max_bounds_only_uniform_weights():
+    assert gen_random(4, 3, w_max=0).weights == (1, 1, 1, 1)
+    assert set(gen_random(6, 3, weight_law="uniform", w_max=1).weights) == {1}
 
 
 def test_random_points_grid_and_determinism():

@@ -1,6 +1,7 @@
 """Property tests: mask weights and incidence columns against per-bit
-loops, the trace-class enumerations (pi, phi, VC), the brackets of their
-sampled estimates, the star number on disjoint unions,
+loops, the canonical sort key against point tuples, the trace-class
+enumerations (pi, phi, VC), the brackets of their sampled estimates,
+the star number on disjoint unions,
 the capacity table at every scale, the exact doubling sweep and its
 budget-tripped bracket, the minimum net, the net verifier and the dyadic
 buckets agree with the brute-force oracles on small weighted random
@@ -30,6 +31,7 @@ from epsnet.complexity import (
 from epsnet.core import (
     CapExceededError,
     build_range_space,
+    canonical_key,
     components,
     incidence_columns,
     mask_of,
@@ -104,6 +106,18 @@ def test_incidence_columns_match_a_bit_loop(case):
     # Masks may carry bits at or past n; those are not points.
     n, masks = case
     assert incidence_columns(masks, n) == oracle_incidence_columns(masks, n)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(0, (1 << 70) - 1), max_size=12),
+       st.lists(st.integers(0, 70), max_size=4))
+@example([0b1011, 0b11, 0b1, 0b101, 0b1001, 0, 0b10, 0b110], [])
+def test_canonical_key_orders_masks_as_their_point_tuples(masks, cuts):
+    # Each mask's truncations below the cut points are added, so many
+    # masks are prefixes of one another and the empty mask is common.
+    masks = masks + [m & ((1 << c) - 1) for m in masks for c in cuts]
+    assert (sorted(masks, key=canonical_key)
+            == sorted(masks, key=points_of))
 
 
 @PROPERTY_SETTINGS
