@@ -28,6 +28,7 @@ from .complexity import compute_profile, vc_of_masks
 from .packing import greedy_packing, haussler_certificate
 from .oneinclusion import build_oig, density_check, loo_error, orient_bounded
 from .generators import (
+    GEO_DIMS,
     LowerBoundParams,
     gen_geometric,
     gen_lower_bound_family,
@@ -45,7 +46,7 @@ from .experiment import (
     write_summary,
 )
 
-GEO_KINDS = ("intervals", "halfplanes", "disks", "halfspaces3d")
+GEO_KINDS = tuple(GEO_DIMS)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -90,10 +91,8 @@ def cmd_gen(args) -> int:
         if args.points_file:
             pts = _read_points_file(args.points_file)
         elif args.random_points:
-            dim = {"intervals": 1, "halfplanes": 2, "disks": 2,
-                   "halfspaces3d": 3}[args.kind]
-            pts = random_points(args.random_points, dim, seed=args.seed,
-                                grid=args.grid)
+            pts = random_points(args.random_points, GEO_DIMS[args.kind],
+                                seed=args.seed, grid=args.grid)
         else:
             raise InstanceError("need --points-file or --random-points")
         space = gen_geometric(args.kind, pts, name=args.name or "")

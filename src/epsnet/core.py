@@ -4,6 +4,11 @@ Points are integers 0..n-1, subsets of the ground set are Python int
 bitmasks, and all probabilities are fractions.Fraction values derived
 from non-negative integer point weights. Nothing in this module ever
 rounds: every measure comparison is exact.
+
+Sampling draws i.i.d. points from P with random.choices on a stream_rng
+stream. draw_points returns the draws; draw_mask returns only the set
+they hit, skipping the draws that can no longer change it, and leaves
+the stream exactly where draw_points would.
 """
 
 from __future__ import annotations
@@ -412,24 +417,67 @@ def build_range_space(
     return RangeSpace(n=n, weights=weights, ranges=canon, name=name)
 
 
+# The most draws that one choices chunk (draw_mask, cal_net) or one skip
+# (draw_mask) takes, so their memory stays bounded whatever k is.
+DRAW_BLOCK = 1 << 14
+
+
 def draw_points(space: RangeSpace, k: int, rng, within_mask: int | None = None) -> list[int]:
     """Draw k i.i.d. points from P, optionally conditioned on within_mask.
 
     Conditioning on a zero-measure mask is an error.
     """
+    pts, cum = _population(space, within_mask)
+    return rng.choices(pts, cum_weights=cum, k=k)
+
+
+def draw_mask(space: RangeSpace, k: int, rng, within_mask: int | None = None) -> int:
+    """mask_of(draw_points(space, k, rng, within_mask)), leaving rng in
+    the same state, without building the k-point list.
+
+    Draws in choices chunks, the first as long as the candidate points
+    and each next one twice as long (at most DRAW_BLOCK). Once every
+    candidate point has been drawn the rest of the k draws cannot change
+    the mask, so they are skipped: each choices draw, uniform or
+    weighted, takes exactly one random(), two 32-bit MT19937 words, so
+    getrandbits(64 * rest) advances the stream past them, in blocks of at
+    most DRAW_BLOCK draws.
+    """
+    pts, cum = _population(space, within_mask)
+    bits = [1 << p for p in pts]
+    full = sum(bits)
+    mask = 0
+    chunk = len(bits)
+    while k > 0 and mask != full:
+        take = min(chunk, k)
+        # Distinct one-bit masks sum to their OR.
+        mask |= sum(set(rng.choices(bits, cum_weights=cum, k=take)))
+        k -= take
+        chunk = min(2 * chunk, DRAW_BLOCK)
+    while k > 0:
+        skip = min(k, DRAW_BLOCK)
+        rng.getrandbits(64 * skip)
+        k -= skip
+    return mask
+
+
+def _population(
+    space: RangeSpace, within_mask: int | None
+) -> tuple[list[int], list[int] | None]:
+    """(points, cumulative weights) of the support, or of its part inside
+    within_mask, for random.choices; the whole support's pair is built on
+    first use. A within_mask of measure zero is an InstanceError."""
     if within_mask is None:
         pop = getattr(space, "_population")
         if pop is None:
             pts = list(iter_bits(space.support_mask))
             pop = (pts, _cum_weights(space, pts))
             object.__setattr__(space, "_population", pop)
-        pts, cum = pop
-    else:
-        pts = [p for p in iter_bits(space.support_mask & within_mask)]
-        if not pts:
-            raise InstanceError("sampling event has measure zero")
-        cum = _cum_weights(space, pts)
-    return rng.choices(pts, cum_weights=cum, k=k)
+        return pop
+    pts = list(iter_bits(space.support_mask & within_mask))
+    if not pts:
+        raise InstanceError("sampling event has measure zero")
+    return pts, _cum_weights(space, pts)
 
 
 def _cum_weights(space: RangeSpace, pts: list[int]) -> list[int] | None:

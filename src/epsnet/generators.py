@@ -30,6 +30,9 @@ from .core import (
 
 DEFAULT_RANGE_CAP = 100_000
 
+# The geometric kinds gen_geometric builds, each with its point dimension.
+GEO_DIMS = {"intervals": 1, "halfplanes": 2, "disks": 2, "halfspaces3d": 3}
+
 
 def _count(name: str, value, least: int | None) -> None:
     """value must be a true int (not a bool), and at least least unless
@@ -157,10 +160,9 @@ def gen_geometric(kind: str, points, weights=None, name: str = "") -> RangeSpace
     closed and open boundary variants are enumerated so degenerate
     inputs stay canonical.
     """
-    dims = {"intervals": 1, "halfplanes": 2, "disks": 2, "halfspaces3d": 3}
-    if kind not in dims:
+    if kind not in GEO_DIMS:
         raise InstanceError(f"unknown geometric kind: {kind}")
-    pts = _as_coords(points, dims[kind])
+    pts = _as_coords(points, GEO_DIMS[kind])
     n = len(pts)
     if n < 1:
         raise InstanceError("need at least one point")
@@ -202,7 +204,7 @@ def gen_geometric(kind: str, points, weights=None, name: str = "") -> RangeSpace
             masks.update(_sign_masks(_side_values(nrm, face[0], lifted)))
 
     else:  # halfplanes, halfspaces3d: both sides of every spanned boundary
-        for face in combinations(pts, dims[kind]):
+        for face in combinations(pts, GEO_DIMS[kind]):
             nrm = _normal(face)
             if any(nrm):
                 closed, opened = _sign_masks(_side_values(nrm, face[0], pts))

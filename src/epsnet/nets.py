@@ -7,6 +7,12 @@ report honest outcomes: one-shot methods may return is_net=False, while
 the stratified and packing-guided builders carry deterministic repair
 steps and always verify.
 
+The sampling builders take their draws as one mask (core.draw_mask): a
+sample of m points is the set of distinct points it hits, and draws past
+the point where every candidate has been hit are skipped without changing
+the stream. Their stats still report the requested sizes. cal_net reads
+its private stream in chunks and counts the draws it looked at.
+
 Hits are bitmasks over range indices. The ranges a point set meets are
 the OR of its points' incidence columns (RangeSpace.incidence), and the
 heavy ranges, those of measure >= eps, are a suffix of the space's
@@ -27,16 +33,19 @@ builder and the verifier reject an eps outside (0, 1] before any work.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
+    DRAW_BLOCK,
     CapExceededError,
     InstanceError,
     RangeSpace,
     TheoremViolationError,
     ceil_log2,
     components,
+    draw_mask,
     draw_points,
     format_rational,
     incidence_columns,
@@ -293,6 +302,14 @@ def small_doubling_size_bound(d: int, D: float, eps) -> float:
     return max(d, 1) * max(D, 1.0) * max(math.log(1 / (float(eps) * max(D, 1.0))), LN2)
 
 
+def _draw_count(x: float) -> int:
+    """ceil(x) as a number of draws: a ValueError when x is not finite or
+    the count would exceed sys.maxsize, the most draws a sample can take."""
+    if not math.isfinite(x) or x > sys.maxsize:
+        raise ValueError(f"sample size {x} is not a finite draw count")
+    return math.ceil(x)
+
+
 # -- i.i.d. construction ------------------------------------------------------
 
 
@@ -323,7 +340,7 @@ def iid_sample_size(
         term = d * math.log(float(tau))
     else:
         raise ValueError(f"unknown sizing: {sizing}")
-    m = math.ceil(C * (term + math.log(1 / float(delta))) / float(eps))
+    m = _draw_count(C * (term + math.log(1 / float(delta))) / float(eps))
     return max(m, 1)
 
 
@@ -347,11 +364,13 @@ def iid_net(
     tau = alexander_capacity(space, eps) if sizing == "capacity" else None
     m = iid_sample_size(eps, delta, d, sizing, tau, C)
     rng = stream_rng(seed, "iid", sizing)
-    pts = draw_points(space, m, rng)
+    net_mask = draw_mask(space, m, rng)
     stats = {"seed": seed, "draws": m, "sizing": sizing, "C": C, "d": d}
     if tau is not None:
         stats["tau"] = tau
-    return verify_net(space, set(pts), eps, method="iid", stats=stats)
+    return verify_net(
+        space, iter_bits(net_mask), eps, method="iid", stats=stats
+    )
 
 
 # -- stratified construction --------------------------------------------------
@@ -390,18 +409,17 @@ def stratified_net(
             continue
         tau = dec.taus[b]
         level_eps = Fraction(1, 2) / tau  # conditional scale 1/(2 tau)
-        base_m = math.ceil(
+        base_m = _draw_count(
             C * (d_eff * math.log(1 / float(level_eps)) + LN2) / float(level_eps)
         )
-        pts = draw_points(space, base_m, rng, within_mask=union)
+        net_mask |= draw_mask(space, base_m, rng, within_mask=union)
         draws += base_m
-        net_mask |= mask_of(pts)
         # Bucket 0 has no hitting requirement below the base scale.
         if b >= 1:
             targets = [space.ranges[i] for i in bucket]
             net_mask, added = _repair(space, [targets], net_mask)
             repaired += added
-        level_sizes.append(len(pts))
+        level_sizes.append(base_m)
     pts = list(iter_bits(net_mask))
     stats = {
         "seed": seed,
@@ -461,8 +479,8 @@ def doubling_net(
         packing_size, groups = _quarter_groups(space, bucket, dec.levels[b - 1])
         packing_sizes.append(packing_size)
         t_i = max(math.log(D / float(dec.taus[b])), LN2)
-        m = math.ceil(C * (t_i + d_eff) * float(dec.taus[b - 1]))
-        net_mask |= mask_of(draw_points(space, m, rng, within_mask=union))
+        m = _draw_count(C * (t_i + d_eff) * float(dec.taus[b - 1]))
+        net_mask |= draw_mask(space, m, rng, within_mask=union)
         draws += m
         # Per packing member, greedily finish the quarter-scale net of its
         # group inside the member.
@@ -584,13 +602,19 @@ def cal_net(
     kept: list[int] = []
     drawn = 0
     guard = min(1 << min(budget_n, 64), DRAW_CAP)
+    # The stream is private and dropped after the loop, so points are
+    # drawn in doubling chunks and drawn counts only those looked at.
+    chunk = space.support_mask.bit_count()
     while len(kept) < budget_n and drawn < guard and surviving:
-        p = draw_points(space, 1, rng)[0]
-        drawn += 1
-        hit = surviving & cols[p]
-        if hit:
-            kept.append(p)
-            surviving ^= hit
+        for p in draw_points(space, min(chunk, guard - drawn), rng):
+            drawn += 1
+            hit = surviving & cols[p]
+            if hit:
+                kept.append(p)
+                surviving ^= hit
+                if len(kept) == budget_n or not surviving:
+                    break
+        chunk = min(2 * chunk, DRAW_BLOCK)
     stats = {
         "seed": seed,
         "kept": len(kept),

@@ -17,7 +17,7 @@ from .core import (
     CapExceededError,
     RangeSpace,
     TheoremViolationError,
-    draw_points,
+    draw_mask,
     stream_rng,
 )
 
@@ -280,10 +280,7 @@ def projection_count_estimate(
     fam = len(packing.members)
     counts = []
     for _ in range(trials):
-        pts = draw_points(space, sample_size, rng)
-        amask = 0
-        for p in pts:
-            amask |= 1 << p
+        amask = draw_mask(space, sample_size, rng)
         counts.append(len({space.ranges[i] & amask for i in packing.members}))
     mean = sum(counts) / trials
     target = fam * (1 - float(slack))

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from epsnet import complexity, experiment, nets, packing
-from epsnet.cli import main
+from epsnet.cli import build_parser, main
 from epsnet.core import RangeSpace, TheoremViolationError
 from epsnet.generators import (
+    GEO_DIMS,
     LowerBoundParams,
     gen_geometric,
     gen_lower_bound_family,
@@ -77,6 +78,18 @@ def test_gen_geometric_random_points(tmp_path):
     assert rc == 0
     sp = RangeSpace.loads(out.read_text())
     assert sp.n == 6
+
+
+def test_gen_kind_choices_are_the_library_kinds(tmp_path):
+    gen = build_parser()._subparsers._group_actions[0].choices["gen"]
+    (kind,) = [a for a in gen._actions if a.dest == "kind"]
+    assert set(kind.choices) == {"lower-bound", "random"} | set(GEO_DIMS)
+    # Every geometric kind draws random points of its own dimension.
+    for name in GEO_DIMS:
+        out = tmp_path / f"{name}.json"
+        assert main(["gen", "--kind", name, "--random-points", "5",
+                     "--out", str(out)]) == 0
+        assert RangeSpace.loads(out.read_text()).n == 5
 
 
 def test_net_exit_codes(chain_file, capsys):
@@ -227,7 +240,7 @@ def test_net_eps_outside_unit_interval_is_exit_2_before_any_work(
         real = getattr(nets, name)
         return lambda *a, **k: calls.append(name) or real(*a, **k)
 
-    for name in ("vc_or_lower_bound", "_heavy", "draw_points"):
+    for name in ("vc_or_lower_bound", "_heavy", "draw_points", "draw_mask"):
         monkeypatch.setattr(nets, name, spy(name))
     assert main(["net", str(chain_file), "--method", method,
                  f"--eps={eps}"]) == 2
@@ -235,6 +248,21 @@ def test_net_eps_outside_unit_interval_is_exit_2_before_any_work(
     assert calls == []
     assert captured.out == ""
     assert "eps must be in (0, 1]" in captured.err
+
+
+@pytest.mark.parametrize("C", ["1e308", "1e300"])
+@pytest.mark.parametrize(
+    "method", ["iid", "iid-capacity", "stratified", "doubling"]
+)
+def test_net_sample_size_past_sys_maxsize_is_exit_2(
+    method, C, chain_file, capsys,
+):
+    # 1e308 sizes to an infinite float, 1e300 to a count past sys.maxsize.
+    assert main(["net", str(chain_file), "--method", method,
+                 "--eps", "1/8", "--C", C]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not a finite draw count" in captured.err
 
 
 def test_pack_subcommand(chain_file, capsys):

@@ -1,6 +1,8 @@
 """Core range-space behavior: canonical form, exact measures, projection,
-conditioning, serialization, rational helpers."""
+conditioning, serialization, rational helpers, and the sampling stream
+contract of draw_mask."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,13 @@ from epsnet import (
     InstanceError,
     RangeSpace,
     build_range_space,
+    draw_mask,
     draw_points,
     format_rational,
     parse_rational,
     stream_rng,
 )
-from epsnet.core import ceil_log2, iter_bits, mask_of, points_of
+from epsnet.core import DRAW_BLOCK, ceil_log2, iter_bits, mask_of, points_of
 
 from corpus import CORPUS
 
@@ -169,6 +172,49 @@ def test_draw_points_deterministic_and_support_only():
     assert set(c) <= {0, 2}
     with pytest.raises(InstanceError):
         draw_points(sp, 1, stream_rng(0, "t"), within_mask=0b01010)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spaces_strategy(),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 255)),
+    st.one_of(st.integers(0, 64), st.integers(0, 2 * DRAW_BLOCK + 100)),
+    st.integers(0, 3),
+)
+def test_draw_mask_is_mask_of_draw_points_with_the_same_stream(
+    sp, uniform, within, k, seed,
+):
+    # Uniform spaces draw without cum_weights; weighted ones, zero weights
+    # included, bisect them. k runs from 0 through several doubling chunks
+    # into the skip, past one DRAW_BLOCK.
+    if uniform:
+        sp = build_range_space(sp.n, [1] * sp.n, sp.ranges)
+    if within is not None:
+        within &= (1 << sp.n) - 1
+    a, b = stream_rng(seed, "draw"), stream_rng(seed, "draw")
+    if within is not None and not sp.mask_weight(within):
+        with pytest.raises(InstanceError):
+            draw_points(sp, k, a, within)
+        with pytest.raises(InstanceError):
+            draw_mask(sp, k, b, within)
+    else:
+        assert draw_mask(sp, k, b, within) == mask_of(draw_points(sp, k, a, within))
+    assert a.getstate() == b.getstate()
+
+
+def test_draw_mask_memory_is_bounded_by_the_block_not_k():
+    # draw_points would hold a 2e6-entry list (16 MB of pointers).
+    sp = CORPUS["intervals8w"]
+    rng = stream_rng(5, "memory")
+    tracemalloc.start()
+    try:
+        mask = draw_mask(sp, 2 * 10**6, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask == sp.support_mask
+    assert peak < 1 << 20
 
 
 @settings(max_examples=60, deadline=None)

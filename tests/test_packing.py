@@ -246,6 +246,31 @@ def test_projection_count_estimate_sparse_singletons():
     assert out["mean"] is not None
 
 
+@pytest.mark.parametrize(
+    "name, sample_size, trials, mean",
+    [
+        ("intervals8w", None, 64, 9.0),
+        ("intervals8w", 3, 64, 4.90625),
+        ("intervals8w", 12, 64, 8.609375),
+        ("intervals8w", 16, 64, 8.921875),
+        ("singles8", 28, 64, 7.984375),
+        ("singles8", 28, 256, 7.98828125),
+        ("singles8", 32, 64, 7.984375),
+        ("sparse-singles8", 28, 64, 3.984375),
+    ],
+)
+def test_projection_count_estimate_is_frozen(name, sample_size, trials, mean):
+    # One stream serves every trial, so each mean pins the draws of all
+    # trials and the stream position each leaves for the next. On the
+    # singletons a trial that hits every point early skips the rest of
+    # its draws, and a trial that misses one counts fewer traces.
+    out = projection_count_estimate(
+        CORPUS[name], Fraction(1, 4), sample_size=sample_size,
+        trials=trials, seed=3, strict=False,
+    )
+    assert out["mean"] == mean
+
+
 def test_projection_count_estimate_trivial_family():
     sp = build_range_space(2, [1, 1], [[0, 1]])
     out = projection_count_estimate(sp, Fraction(1, 4))
