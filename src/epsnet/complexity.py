@@ -1,12 +1,12 @@
 """Combinatorial and measure-theoretic complexity of a range space.
 
 Every estimate is a Bound: what the search found and the ceiling it
-already knows, exact exactly when the two meet. pi and phi enumerate
-under a size cap, the VC and star walks and the clique search under node
-budgets; past either, the incumbent or a sampled estimate is the lower
-end. Suprema over a continuous scale parameter are finite maxima over
-breakpoint values where the objective can change, so every returned
-rational is exact.
+already knows, exact exactly when the two meet. The VC, pi, phi and
+star walks and the clique search run under node budgets of work done,
+not caps on instance size; past a budget, the incumbent or a sampled
+estimate is the lower end. Suprema over a continuous scale parameter
+are finite maxima over breakpoint values where the objective can change,
+so every returned rational is exact.
 
 The exact enumerations over point sets (pi, phi, VC) walk the sets depth
 first and keep the partition of the ranges by their trace on the current
@@ -27,7 +27,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .core import (
     CapExceededError,
@@ -43,9 +44,8 @@ from .core import (
 )
 from .packing import colour_bound, max_clique
 
-# Node budget of each hereditary walk (VC and star).
+# Node budget of each walk (VC, pi, phi and star).
 WALK_NODES = 300_000
-DEFAULT_ENUM_CAP = 300_000
 # Point sets drawn by the sampled estimates of pi and phi.
 ESTIMATE_DRAWS = 2000
 # Restarts of the star-number greedy.
@@ -181,47 +181,94 @@ def vc_or_lower_bound(space: RangeSpace) -> Bound:
         return Bound(len(exc.members), top, exc.members)
 
 
-def _max_traces(space: RangeSpace, y: int) -> int:
-    """Exact pi(y) for y >= 1: the most trace classes over y-point sets.
+def _max_traces(space: RangeSpace, y: int, top: int) -> int:
+    """Exact pi(y), by the point-sharing components (core.components).
 
-    Depth first over the y-subsets in combinations order, refining the
-    partition by each added point. A node with c classes and k points to
-    add reaches at most min(c * 2^k, m) traces, so it is pruned when that
-    cannot beat the incumbent, and the search stops at min(2^y, m).
+    Every range lies inside one component C_i, so on Y = union of its parts
+    Y_i the nonempty traces are those of each component on its own Y_i,
+    and the empty trace counts once. With a_i(s) the most traces and b_i(s)
+    the most nonempty traces over s-point subsets of C_i, pi(y) is the max
+    of a_j(s_j) + sum_{i != j} b_i(s_i) over one component j that holds the
+    empty trace and splits with sum s_i <= y (points in no range pad the
+    rest): a two-state knapsack. b_i(s) is the a_i(s) walk with one more
+    range index, which no incidence column holds and so always keeps the
+    empty trace, minus 1. One component is a single walk at min(y, |C|)
+    that also stops at top.
+
+    A walk goes depth first over the s-subsets of a component in
+    combinations order, refining the partition of the component's ranges
+    (its range-index mask) by each added point. A node with c classes and
+    k points to add reaches at most min(c * 2^k, m) traces, so it is
+    pruned when that cannot beat the incumbent, and the walk stops once
+    the incumbent reaches its ceiling. The walks of one call share
+    WALK_NODES nodes; past them, CapExceededError.
     """
-    m = len(space.ranges)
-    if not m:
-        return 0
     cols = space.incidence()
-    n = space.n
-    top = min(m, 1 << y)
-    best = 0
+    nodes = 0
 
-    def rec(classes: list[int], start: int, k: int) -> bool:
-        nonlocal best
-        c = len(classes)
-        if min(c << k, m) <= best:
-            return False
-        for x in range(start, n - k + 1):
-            col = cols[x]
-            if k == 1:
-                count = c
-                for s in classes:
-                    a = s & col
-                    if a and a != s:
-                        count += 1
-                if count > best:
-                    best = count
-                    if best == top:
+    def walk(pts: tuple[int, ...], root: int, s: int, top: float) -> int:
+        # Most trace classes of the ranges in root over s-subsets of pts.
+        nonlocal nodes
+        m = root.bit_count()
+        top = min(top, 1 << s, m)
+        if not s:
+            return 1
+        ccols = [cols[x] for x in pts]
+        n = len(ccols)
+        best = 0
+
+        def rec(classes: list[int], start: int, k: int) -> bool:
+            nonlocal best, nodes
+            if nodes == WALK_NODES:
+                raise CapExceededError(
+                    f"exact pi search exceeded its budget of {nodes} nodes",
+                    spent=nodes,
+                )
+            nodes += 1
+            c = len(classes)
+            if min(c << k, m) <= best:
+                return False
+            for i in range(start, n - k + 1):
+                col = ccols[i]
+                if k == 1:
+                    count = c
+                    for cl in classes:
+                        a = cl & col
+                        if a and a != cl:
+                            count += 1
+                    if count > best:
+                        best = count
+                        if best >= top:
+                            return True
+                else:
+                    inside, outside = _split(classes, col)
+                    if rec(inside + outside, i + 1, k - 1):
                         return True
-            else:
-                inside, outside = _split(classes, col)
-                if rec(inside + outside, x + 1, k - 1):
-                    return True
-        return False
+            return False
 
-    rec([(1 << m) - 1], 0, y)
-    return best
+        rec([root], 0, s)
+        return best
+
+    groups = [(pts, reduce(or_, [cols[x] for x in pts]))
+              for pts in map(points_of, components(space.ranges))]
+    if len(groups) == 1:
+        pts, root = groups[0]
+        return walk(pts, root, min(y, len(pts)), top)
+    extra = 1 << len(space.ranges)
+    # free[t] / owned[t]: the best sum over the components so far on at
+    # most t points, without / with the empty trace counted.
+    free = owned = [0] * (y + 1)
+    for pts, root in groups:
+        sizes = range(min(y, len(pts)) + 1)
+        a = [walk(pts, root, s, math.inf) for s in sizes]
+        b = [walk(pts, root | extra, s, math.inf) - 1 for s in sizes]
+        free, owned = (
+            [max(free[t - s] + b[s] for s in sizes if s <= t)
+             for t in range(y + 1)],
+            [max(max(owned[t - s] + b[s], free[t - s] + a[s])
+                 for s in sizes if s <= t) for t in range(y + 1)],
+        )
+    return owned[y]
 
 
 def _sampled(space: RangeSpace, rng, size, score, top: int) -> Bound:
@@ -238,22 +285,28 @@ def _sampled(space: RangeSpace, rng, size, score, top: int) -> Bound:
     return Bound(best, top)
 
 
-def projection_function(space: RangeSpace, y: int, seed: int = 0) -> Bound:
+def projection_function(
+    space: RangeSpace, y: int, seed: int = 0, d: int | None = None,
+) -> Bound:
     """Max number of distinct traces over point sets of size y.
 
-    Exact when C(n, y) fits under DEFAULT_ENUM_CAP, otherwise the sampled
-    Bound(best, min(2^y, |R|)).
+    The ceiling is min(2^y, |R|), and also sum_{i<=d} C(y, i) when the
+    caller passes the exact VC dimension d. Exact by the component walks
+    of _max_traces, which stop at the ceiling; when they run out of
+    WALK_NODES or pass Python's recursion limit, the sampled
+    Bound(best, ceiling).
     """
     if y < 0 or y > space.n:
         raise ValueError(f"projection size {y} outside 0..{space.n}")
-    if y == 0:
-        v = 1 if space.ranges else 0
-        return Bound(v, v)
-    if math.comb(space.n, y) <= DEFAULT_ENUM_CAP:
-        v = _max_traces(space, y)
-        return Bound(v, v)
-    return _sampled(space, stream_rng(seed, "pi", y), lambda rng: y, len,
-                    min(1 << y, len(space.ranges)))
+    top = min(1 << y, len(space.ranges))
+    if d is not None:
+        top = min(top, _binomial_sum(y, d))
+    try:
+        v = _max_traces(space, y, top)
+    except (CapExceededError, RecursionError):
+        return _sampled(space, stream_rng(seed, "pi", y), lambda rng: y, len,
+                        top)
+    return Bound(v, v)
 
 
 @dataclass(frozen=True)
@@ -270,10 +323,15 @@ class SauerReport:
     rows: tuple[SauerRow, ...]
 
 
+def _binomial_sum(y: int, d: int) -> int:
+    """sum_{i<=d} C(y, i), which pi(y) cannot exceed at VC dimension d."""
+    return sum(math.comb(y, i) for i in range(d + 1))
+
+
 def _sauer_sum(pi: int, y: int, d: int) -> int:
-    """sum_{i<=d} C(y, i), which pi(y) cannot exceed at VC dimension d;
-    raises TheoremViolationError when pi does."""
-    bsum = sum(math.comb(y, i) for i in range(d + 1))
+    """_binomial_sum(y, d); raises TheoremViolationError when pi exceeds
+    it."""
+    bsum = _binomial_sum(y, d)
     if pi > bsum:
         raise TheoremViolationError(f"shatter bound failed: pi({y})={pi} > "
                                     f"{bsum} at d={d}")
@@ -283,19 +341,25 @@ def _sauer_sum(pi: int, y: int, d: int) -> int:
 def sauer_check(space: RangeSpace, d: int | None = None) -> SauerReport:
     """Certify pi(y) <= sum_{i<=d} C(y,i) <= (e*y/d)^d for y = d..n.
 
-    Needs the exact dimension and exact projection values; raises
-    TheoremViolationError on any failure (which would mean a bug).
+    Needs the exact dimension and exact projection values: raises
+    CapExceededError when a walk runs out of its budget and leaves a row
+    bracketed, and TheoremViolationError on any failure (which would mean
+    a bug). d is not passed on to projection_function, so every row is
+    counted rather than closed at the Sauer sum it is checked against.
     """
     if d is None:
         d = vc_dimension(space).value
     if d < 0:
         return SauerReport(d, ())
-    total = sum(math.comb(space.n, y) for y in range(d, space.n + 1))
-    if total > DEFAULT_ENUM_CAP:
-        raise CapExceededError(f"sauer_check needs {total} subsets, over the cap")
     rows = []
     for y in range(d, space.n + 1):
-        pi = projection_function(space, y).value
+        row = projection_function(space, y)
+        if not row.exact:
+            raise CapExceededError(
+                f"sauer_check: pi({y}) is only bracketed in "
+                f"[{row.lower}, {row.upper}]"
+            )
+        pi = row.lower
         bsum = _sauer_sum(pi, y, d)
         if d >= 1 and y >= 1:
             power = (math.e * y / d) ** d
@@ -475,15 +539,22 @@ def _max_shallow(space: RangeSpace, y: int, l: int) -> int:
     Depth first over the point sets, keeping the classes grouped by trace
     size. A trace never shrinks as Y grows, so classes past size l are
     dropped; each kept class can split into at most 2^k parts with k
-    points to go, and there are never more than m traces.
+    points to go, and there are never more than m traces. Past WALK_NODES
+    nodes, CapExceededError.
     """
     cols = space.incidence()
     n, m = space.n, len(space.ranges)
-    best = 0
+    best = nodes = 0
 
     def rec(levels: list[list[int]], start: int, k: int) -> bool:
         # levels[s]: classes whose common trace on Y has s points
-        nonlocal best
+        nonlocal best, nodes
+        if nodes == WALK_NODES:
+            raise CapExceededError(
+                f"exact phi search exceeded its budget of {nodes} nodes",
+                spent=nodes,
+            )
+        nodes += 1
         count = sum(map(len, levels))
         if count > best:
             best = count
@@ -521,25 +592,26 @@ def shallow_cell(
 
     The max runs over |Y| <= y rather than exactly y so the result is
     monotone in y (padding a point set can destroy small traces, so the
-    exact-size max is not monotone). Exact when the point sets number at
-    most cap (default DEFAULT_ENUM_CAP), otherwise the sampled
-    Bound(best, |R|).
+    exact-size max is not monotone). Exact by the walk of _max_shallow,
+    which stops at the ceiling |R|; when it runs out of WALK_NODES or
+    passes Python's recursion limit, the sampled Bound(best, |R|). cap is
+    accepted and ignored.
     """
     if y < 0 or l < 0:
         raise ValueError("shallow_cell needs y >= 0 and l >= 0")
     y = min(y, space.n)
     if not space.ranges:
         return Bound(0, 0)
-    if cap is None:
-        cap = DEFAULT_ENUM_CAP
-    if sum(math.comb(space.n, s) for s in range(y + 1)) <= cap:
+    try:
         v = _max_shallow(space, y, l)
-        return Bound(v, v)
-    return _sampled(
-        space, stream_rng(seed, "shallow", y, l), lambda rng: rng.randint(0, y),
-        lambda traces: sum(1 for t in traces if t.bit_count() <= l),
-        len(space.ranges),
-    )
+    except (CapExceededError, RecursionError):
+        return _sampled(
+            space, stream_rng(seed, "shallow", y, l),
+            lambda rng: rng.randint(0, y),
+            lambda traces: sum(1 for t in traces if t.bit_count() <= l),
+            len(space.ranges),
+        )
+    return Bound(v, v)
 
 
 # -- star number ------------------------------------------------------------
@@ -666,8 +738,8 @@ def compute_profile(
     pi_max_y: int = 8,
     seed: int = 0,
 ) -> ComplexityProfile:
-    """One-stop profile at scale eps, exact where the module's caps and
-    budgets permit."""
+    """One-stop profile at scale eps, exact where the module's budgets
+    permit."""
     eps = _unit_eps(eps)
     d = vc_or_lower_bound(space)
     tau = alexander_capacity(space, eps)
@@ -676,9 +748,10 @@ def compute_profile(
     doubling = doubling_constant(space, eps)
     pi_rows = []
     for y in range(min(space.n, pi_max_y) + 1):
-        pi = projection_function(space, y, seed=seed)
-        if d.exact:  # a sampled value that reaches Sauer's sum is exact
-            pi = Bound(pi.lower, min(pi.upper, _sauer_sum(pi.lower, y, d.lower)))
+        pi = projection_function(space, y, seed=seed,
+                                 d=d.lower if d.exact else None)
+        if d.exact:  # a value above Sauer's sum means a bug: raise
+            _sauer_sum(pi.lower, y, d.lower)
         pi_rows.append((y, pi))
     phi_rows = ()
     if d.exact and d.lower >= 1:

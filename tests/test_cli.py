@@ -14,6 +14,7 @@ from epsnet.generators import (
     LowerBoundParams,
     gen_geometric,
     gen_lower_bound_family,
+    gen_random,
     random_points,
 )
 from epsnet.experiment import (
@@ -190,7 +191,11 @@ PROFILE_SHA = {
     ),
     "lb-k2d3l2m3": (
         lambda: gen_lower_bound_family(LowerBoundParams(k=2, d=3, l=2, m=3)),
-        "45a4e0cc7a0797b35e28b210ee5fe85db1b2e5da2c2ad96552ed6555ba1bdce1",
+        "3aadf0fff852be079bc4f4946c80426b77d78337078c9dfc69e9998d4dc4df37",
+    ),
+    "random-n20r300s1": (
+        lambda: gen_random(20, 300, "uniform", "uniform", seed=1),
+        "2b3b70100ddfb799613725185037d744174b45e9c4d798d6a352574930ca2bbd",
     ),
 }
 

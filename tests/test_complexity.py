@@ -125,6 +125,14 @@ def test_sauer_check_on_corpus():
         sauer_check(sp)  # raises TheoremViolationError on failure
 
 
+def test_sauer_check_with_a_bracketed_row_is_a_cap_error(monkeypatch):
+    # A walk that runs out of nodes leaves pi(3) of intervals6 sampled
+    # below its ceiling; the certificate needs every row exact.
+    monkeypatch.setattr(complexity, "WALK_NODES", 1)
+    with pytest.raises(CapExceededError):
+        sauer_check(CORPUS["intervals6"], d=2)
+
+
 def test_sauer_check_catches_forged_growth():
     sp = build_range_space(4, [1] * 4, [[0], [1], [0, 1]])
     with pytest.raises(TheoremViolationError):
@@ -338,10 +346,21 @@ def test_star_walk_deeper_than_the_recursion_limit_is_a_bracket(monkeypatch):
     assert star.lower == n - 1 <= star.upper
 
 
+def test_shallow_cell_deeper_than_the_recursion_limit_is_a_bound():
+    # The first path of the phi walk at y = l = n adds every point, so on
+    # 1,200 points it passes the recursion limit: that is a tripped
+    # budget, answered by the sampled estimate under the ceiling |R|.
+    n = 1200
+    sp = build_range_space(n, [1] * n, [[p] for p in range(n - 2)]
+                           + [[n - 2, n - 1], list(range(n))])
+    phi = shallow_cell(sp, n, n)
+    assert phi.lower <= n == phi.upper
+
+
 def test_profile_sauer_sum_certifies_sampled_pi():
-    # intervals24 has d = 2, and C(24, 7) and C(24, 8) exceed the
-    # enumeration cap, so pi(7) and pi(8) are sampled; they reach the
-    # Sauer sums 1 + 7 + 21 = 29 and 1 + 8 + 28 = 37, so they are exact.
+    # intervals24 has d = 2, and the profile passes it to the pi walks,
+    # which stop once they reach the Sauer sums 1 + 7 + 21 = 29 and
+    # 1 + 8 + 28 = 37 for pi(7) and pi(8), so both are exact.
     sp = gen_geometric("intervals", random_points(24, 1, seed=3))
     prof = compute_profile(sp, Fraction(1, 8))
     pi = dict(prof.pi)
@@ -352,7 +371,7 @@ def test_profile_sauer_sum_certifies_sampled_pi():
 def test_profile_pi_above_the_sauer_sum_is_loud(monkeypatch):
     # intervals6 has d = 2, so no 3-point set has 8 traces.
     monkeypatch.setattr(complexity, "projection_function",
-                        lambda space, y, seed=0: Bound(1 << y, 1 << y))
+                        lambda space, y, seed=0, d=None: Bound(1 << y, 1 << y))
     with pytest.raises(TheoremViolationError):
         compute_profile(CORPUS["intervals6"], Fraction(1, 4))
 
@@ -368,7 +387,6 @@ def test_star_frozen_values():
 def test_value_of_a_bracket_raises(monkeypatch):
     # Each estimator forced into a bracket: the value is not known, so
     # .value refuses and .lower / .upper carry the answer.
-    monkeypatch.setattr(complexity, "DEFAULT_ENUM_CAP", 0)
     monkeypatch.setattr(complexity, "ESTIMATE_DRAWS", 1)
     monkeypatch.setattr(complexity, "STAR_DRAWS", 1)
     monkeypatch.setattr(complexity, "WALK_NODES", 1)

@@ -1,7 +1,7 @@
 """Property tests: mask weights and incidence columns against per-bit
 loops, the canonical sort key against point tuples, the trace-class
 enumerations (pi, phi, VC), the brackets of their sampled estimates,
-the star number on disjoint unions,
+pi and the star number on disjoint unions,
 the capacity table at every scale, the exact doubling sweep and its
 budget-tripped bracket, the minimum net, the net verifier and the dyadic
 buckets agree with the brute-force oracles on small weighted random
@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from epsnet import complexity, nets, packing
 from epsnet.complexity import (
+    Bound,
     alexander_capacity,
     capacity_levels,
     capacity_vector,
@@ -129,6 +130,27 @@ def test_projection_function_matches_oracle(space, data):
 
 
 @PROPERTY_SETTINGS
+@given(small_spaces(5, 6), small_spaces(5, 6), st.integers(0, 2), st.data())
+def test_projection_on_disjoint_unions_with_padding_matches_oracle(
+    a, b, pad, data,
+):
+    # pi runs over the point-sharing components, with the empty trace
+    # counted once, and points in no range pad the split; it must be
+    # exact at every y, and with the walk budget forced low each bound
+    # must still bracket the oracle.
+    u = disjoint_union(a, b)
+    space = build_range_space(u.n + pad, u.weights + (1,) * pad, u.ranges)
+    want = [oracle_pi(space, y) for y in range(space.n + 1)]
+    assert [projection_function(space, y) for y in range(space.n + 1)] == [
+        Bound(v, v) for v in want]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "WALK_NODES", data.draw(st.integers(1, 3)))
+        for y, v in enumerate(want):
+            got = projection_function(space, y)
+            assert got.lower <= v <= got.upper
+
+
+@PROPERTY_SETTINGS
 @given(small_spaces(), st.data())
 def test_shallow_cell_matches_oracle(space, data):
     y = data.draw(st.integers(0, space.n))
@@ -151,16 +173,14 @@ def test_vc_dimension_matches_oracle_with_shattered_witness(space):
 @PROPERTY_SETTINGS
 @given(small_spaces(), st.data())
 def test_estimates_labelled_exact_match_oracle(space, data):
-    # With the exact searches' caps and budget forced low, pi, phi and
-    # star come from the sampled estimates and VC from the walk's
-    # incumbent; these often fall short of their ceilings, so each must
-    # bracket the oracle, a bound labelled exact must equal it, and a
-    # bracket has no value. The VC witness is a shattered set of the
-    # reported size either way.
+    # With the walk budget forced low, pi, phi and star come from the
+    # sampled estimates and VC from the walk's incumbent; these often
+    # fall short of their ceilings, so each must bracket the oracle, a
+    # bound labelled exact must equal it, and a bracket has no value. The
+    # VC witness is a shattered set of the reported size either way.
     y = data.draw(st.integers(0, space.n))
     l = data.draw(st.integers(0, space.n))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexity, "DEFAULT_ENUM_CAP", data.draw(st.integers(0, 3)))
         mp.setattr(complexity, "WALK_NODES", data.draw(st.integers(1, 3)))
         mp.setattr(complexity, "ESTIMATE_DRAWS", data.draw(st.integers(1, 3)))
         mp.setattr(complexity, "STAR_DRAWS", data.draw(st.integers(1, 3)))
