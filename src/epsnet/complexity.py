@@ -2,8 +2,9 @@
 
 Every estimate is a Bound: what the search found and the ceiling it
 already knows, exact exactly when the two meet. The VC, pi, phi and
-star walks and the clique search run under node budgets of work done,
-not caps on instance size; past a budget, the incumbent or a sampled
+star walks and the clique search count their nodes on a core.Budget of
+work done, not a cap on instance size, and passing Python's recursion
+limit runs it out too; past a budget, the incumbent or a sampled
 estimate is the lower end. Suprema over a continuous scale parameter
 are finite maxima over breakpoint values where the objective can change,
 so every returned rational is exact.
@@ -31,6 +32,7 @@ from functools import lru_cache, reduce
 from operator import or_
 
 from .core import (
+    Budget,
     CapExceededError,
     RangeSpace,
     TheoremViolationError,
@@ -48,8 +50,6 @@ from .packing import colour_bound, max_clique
 WALK_NODES = 300_000
 # Point sets drawn by the sampled estimates of pi and phi.
 ESTIMATE_DRAWS = 2000
-# Restarts of the star-number greedy.
-STAR_DRAWS = 500
 
 
 @dataclass(frozen=True)
@@ -138,18 +138,12 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
     cols = incidence_columns(ranges, n)
     m = len(ranges)
     best, witness = 0, 0
-    nodes = 0
+    budget = Budget(WALK_NODES, "exact VC search")
+    spend = budget.spend
 
     def rec(classes: list[int], y: int, size: int, start: int) -> None:
-        nonlocal best, witness, nodes
-        if nodes == WALK_NODES:
-            exc = CapExceededError(
-                f"exact VC search exceeded its budget of {nodes} nodes",
-                spent=nodes,
-            )
-            exc.members = points_of(witness)
-            raise exc
-        nodes += 1
+        nonlocal best, witness
+        spend()
         if size > best or (size == best and y < witness):
             best, witness = size, y
         if 2 * len(classes) > m or size + n - start < best:
@@ -160,7 +154,11 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
                 inside, outside = _split(classes, col)
                 rec(inside + outside, y | 1 << x, size + 1, x + 1)
 
-    rec([(1 << m) - 1], 0, 0, 0)
+    try:
+        budget.run(rec, [(1 << m) - 1], 0, 0, 0)
+    except CapExceededError as exc:
+        exc.members = points_of(witness)
+        raise
     return Bound(best, best, points_of(witness))
 
 
@@ -204,11 +202,11 @@ def _max_traces(space: RangeSpace, y: int, top: int) -> int:
     WALK_NODES nodes; past them, CapExceededError.
     """
     cols = space.incidence()
-    nodes = 0
+    budget = Budget(WALK_NODES, "exact pi search")
+    spend = budget.spend
 
     def walk(pts: tuple[int, ...], root: int, s: int, top: float) -> int:
         # Most trace classes of the ranges in root over s-subsets of pts.
-        nonlocal nodes
         m = root.bit_count()
         top = min(top, 1 << s, m)
         if not s:
@@ -218,13 +216,8 @@ def _max_traces(space: RangeSpace, y: int, top: int) -> int:
         best = 0
 
         def rec(classes: list[int], start: int, k: int) -> bool:
-            nonlocal best, nodes
-            if nodes == WALK_NODES:
-                raise CapExceededError(
-                    f"exact pi search exceeded its budget of {nodes} nodes",
-                    spent=nodes,
-                )
-            nodes += 1
+            nonlocal best
+            spend()
             c = len(classes)
             if min(c << k, m) <= best:
                 return False
@@ -246,7 +239,7 @@ def _max_traces(space: RangeSpace, y: int, top: int) -> int:
                         return True
             return False
 
-        rec([root], 0, s)
+        budget.run(rec, [root], 0, s)
         return best
 
     groups = [(pts, reduce(or_, [cols[x] for x in pts]))
@@ -293,8 +286,7 @@ def projection_function(
     The ceiling is min(2^y, |R|), and also sum_{i<=d} C(y, i) when the
     caller passes the exact VC dimension d. Exact by the component walks
     of _max_traces, which stop at the ceiling; when they run out of
-    WALK_NODES or pass Python's recursion limit, the sampled
-    Bound(best, ceiling).
+    WALK_NODES, the sampled Bound(best, ceiling).
     """
     if y < 0 or y > space.n:
         raise ValueError(f"projection size {y} outside 0..{space.n}")
@@ -303,7 +295,7 @@ def projection_function(
         top = min(top, _binomial_sum(y, d))
     try:
         v = _max_traces(space, y, top)
-    except (CapExceededError, RecursionError):
+    except CapExceededError:
         return _sampled(space, stream_rng(seed, "pi", y), lambda rng: y, len,
                         top)
     return Bound(v, v)
@@ -544,17 +536,14 @@ def _max_shallow(space: RangeSpace, y: int, l: int) -> int:
     """
     cols = space.incidence()
     n, m = space.n, len(space.ranges)
-    best = nodes = 0
+    best = 0
+    budget = Budget(WALK_NODES, "exact phi search")
+    spend = budget.spend
 
     def rec(levels: list[list[int]], start: int, k: int) -> bool:
         # levels[s]: classes whose common trace on Y has s points
-        nonlocal best, nodes
-        if nodes == WALK_NODES:
-            raise CapExceededError(
-                f"exact phi search exceeded its budget of {nodes} nodes",
-                spent=nodes,
-            )
-        nodes += 1
+        nonlocal best
+        spend()
         count = sum(map(len, levels))
         if count > best:
             best = count
@@ -575,7 +564,7 @@ def _max_shallow(space: RangeSpace, y: int, l: int) -> int:
                 return True
         return False
 
-    rec([[(1 << m) - 1]], 0, y)
+    budget.run(rec, [[(1 << m) - 1]], 0, y)
     return best
 
 
@@ -593,9 +582,8 @@ def shallow_cell(
     The max runs over |Y| <= y rather than exactly y so the result is
     monotone in y (padding a point set can destroy small traces, so the
     exact-size max is not monotone). Exact by the walk of _max_shallow,
-    which stops at the ceiling |R|; when it runs out of WALK_NODES or
-    passes Python's recursion limit, the sampled Bound(best, |R|). cap is
-    accepted and ignored.
+    which stops at the ceiling |R|; when it runs out of WALK_NODES, the
+    sampled Bound(best, |R|). cap is accepted and ignored.
     """
     if y < 0 or l < 0:
         raise ValueError("shallow_cell needs y >= 0 and l >= 0")
@@ -604,7 +592,7 @@ def shallow_cell(
         return Bound(0, 0)
     try:
         v = _max_shallow(space, y, l)
-    except (CapExceededError, RecursionError):
+    except CapExceededError:
         return _sampled(
             space, stream_rng(seed, "shallow", y, l),
             lambda rng: rng.randint(0, y),
@@ -617,22 +605,23 @@ def shallow_cell(
 # -- star number ------------------------------------------------------------
 
 
-def star_number(space: RangeSpace, cap: int | None = None, seed: int = 0) -> Bound:
+def star_number(space: RangeSpace, cap: int | None = None) -> Bound:
     """Largest s admitting points x_1..x_s and ranges R_1..R_s with
     R_i meeting {x_1..x_s} exactly in {x_i}.
 
     Every range lies inside one point-sharing component, so star sets
     split over the components and the star number is the sum of theirs.
-    In each component, STAR_DRAWS seeded greedy passes (stopping once one
-    takes every point) prime a depth-first walk with remaining-count
-    pruning; feasibility only shrinks as points are added, so the walk is
-    exact. The walks share WALK_NODES nodes: a component whose walk runs
-    out (or passes Python's recursion limit) adds its incumbent to the
-    lower end and its point count to the upper end. The witness is a star
-    set of size lower. cap is accepted and ignored.
+    In each component a depth-first walk adds points in increasing order
+    with remaining-count pruning; feasibility only shrinks as points are
+    added, so it is exact. Its first path, the greedy pass in point order,
+    is taken ahead so that a walk cut off by the recursion limit still
+    reports it. The walks share WALK_NODES nodes: a component whose walk
+    runs out adds its incumbent to the lower end and its point count to
+    the upper end. The witness is a star set of size lower. cap is ignored.
     """
     cols = space.incidence()
-    rng = stream_rng(seed, "star")
+    budget = Budget(WALK_NODES, "star walk")
+    spend = budget.spend
 
     def extend(star: tuple[int, list[int]], x: int):
         """(ranges meeting the set, one mask of private ranges per point)
@@ -651,44 +640,34 @@ def star_number(space: RangeSpace, cap: int | None = None, seed: int = 0) -> Bou
         return covered | px, new + [mine]
 
     def walk(i: int, chosen: list[int], star) -> None:
-        nonlocal left, best, best_set
-        if not left:
-            raise CapExceededError("star walk exceeded its node budget")
-        left -= 1
-        if len(chosen) > best:
-            best, best_set = len(chosen), tuple(chosen)
+        nonlocal best
+        spend()
+        if len(chosen) > len(best):
+            best = chosen
         for j in range(i, len(pts)):
-            if len(chosen) + len(pts) - j <= best:
+            if len(chosen) + len(pts) - j <= len(best):
                 break
             grown = extend(star, pts[j])
             if grown:
                 walk(j + 1, chosen + [pts[j]], grown)
 
-    left, lower, upper, witness = WALK_NODES, 0, 0, []
+    lower, upper, witness = 0, 0, []
     for comp in components(space.ranges):
         pts = list(iter_bits(comp))
-        best, best_set = 0, ()
-        for _ in range(STAR_DRAWS):
-            order = pts[:]
-            rng.shuffle(order)
-            chosen, star = [], (0, [])
-            for x in order:
-                grown = extend(star, x)
-                if grown:
-                    chosen.append(x)
-                    star = grown
-            if len(chosen) > best:
-                best, best_set = len(chosen), tuple(sorted(chosen))
-                if best == len(pts):
-                    break
+        best, star = [], (0, [])
+        for x in pts:
+            grown = extend(star, x)
+            if grown:
+                best.append(x)
+                star = grown
         try:
-            if best < len(pts):
-                walk(0, [], (0, []))
-            upper += best
-        except (CapExceededError, RecursionError):
+            if len(best) < len(pts):
+                budget.run(walk, 0, [], (0, []))
+            upper += len(best)
+        except CapExceededError:
             upper += len(pts)
-        lower += best
-        witness += best_set
+        lower += len(best)
+        witness += best
     return Bound(lower, upper, tuple(sorted(witness)))
 
 
@@ -758,7 +737,7 @@ def compute_profile(
         y_phi = min(math.ceil(8 * d.lower * tau), space.n)
         l_phi = min(24 * d.lower, space.n)
         phi_rows = ((y_phi, l_phi, shallow_cell(space, y_phi, l_phi, seed=seed)),)
-    star = star_number(space, seed=seed)
+    star = star_number(space)
     return ComplexityProfile(
         name=space.name, eps=eps, d=d, tau=tau, tau_vector=tau_vec, z=z,
         doubling=doubling, pi=tuple(pi_rows), phi=phi_rows, star=star,

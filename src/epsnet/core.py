@@ -31,15 +31,38 @@ class InstanceError(ValueError):
 
 class CapExceededError(RuntimeError):
     """An exact oracle was asked to run beyond its configured size cap or
-    work budget; spent is the work done before it stopped, when counted.
-    A search that keeps an incumbent leaves it in members: max_clique its
-    largest clique, the VC walk its largest shattered point set."""
+    work budget; spent is the work done before it stopped, which a Budget
+    always counts. A search that keeps an incumbent leaves it in members:
+    max_clique its largest clique, the VC walk its largest shattered set."""
 
     members: tuple[int, ...] = ()
 
     def __init__(self, message: str = "", spent: int | None = None):
         super().__init__(message)
         self.spent = spent
+
+
+class Budget:
+    """The node budget of one exact search, shared by all its walks.
+    spend() counts a node and raises CapExceededError past the last one;
+    run(walk, *args) calls a recursive walk and raises the same error,
+    with the nodes spent so far, if it passes Python's recursion limit."""
+
+    def __init__(self, nodes: int, search: str):
+        self.nodes, self.search, self.spent = nodes, search, 0
+
+    def spend(self) -> None:
+        if self.spent == self.nodes:
+            raise CapExceededError(f"{self.search} exceeded its budget of "
+                                   f"{self.nodes} nodes", spent=self.spent)
+        self.spent += 1
+
+    def run(self, walk, *args):
+        try:
+            return walk(*args)
+        except RecursionError:
+            raise CapExceededError(f"{self.search} passed the recursion limit after "
+                                   f"{self.spent} nodes", spent=self.spent) from None
 
 
 class TheoremViolationError(RuntimeError):

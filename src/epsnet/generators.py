@@ -263,6 +263,9 @@ def random_points(
     n: int, dim: int, seed: int = 0, grid: int = 1000
 ) -> list[tuple[int, ...]]:
     """Seeded integer grid points (deterministic, exact coordinates)."""
+    _count("n", n, 0)
+    _count("dim", dim, 0)
+    _count("grid", grid, 0)
     rng = stream_rng(seed, "gen-points", n, dim, grid)
     return [
         tuple(rng.randint(0, grid) for _ in range(dim)) for _ in range(n)

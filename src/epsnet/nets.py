@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .core import (
     DRAW_BLOCK,
-    CapExceededError,
+    Budget,
     InstanceError,
     RangeSpace,
     TheoremViolationError,
@@ -644,7 +644,7 @@ def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
 
 
 def _min_hit_component(
-    space: RangeSpace, masks: list[int], node_budget: list[int]
+    space: RangeSpace, masks: list[int], budget: Budget
 ) -> list[int]:
     """Exact minimum hitting set of one component (masks within the
     support) via branch and bound.
@@ -666,9 +666,7 @@ def _min_hit_component(
 
     def rec(unc: list[int], chosen: list[int]) -> None:
         nonlocal best
-        node_budget[0] -= 1
-        if node_budget[0] < 0:
-            raise CapExceededError("hitting-set search exceeded node budget")
+        budget.spend()
         if not unc:
             if len(chosen) < len(best):
                 best = list(chosen)
@@ -685,7 +683,7 @@ def _min_hit_component(
             rec([m for m in unc if not (m >> p & 1)], chosen)
             chosen.pop()
 
-    rec(masks, [])
+    budget.run(rec, masks, [])
     return best
 
 
@@ -746,7 +744,7 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
     }
     taken, kept = _reduce(list(targets), space.n)
     pts = list(iter_bits(taken))
-    budget = [EXACT_NET_NODES]
+    budget = Budget(EXACT_NET_NODES, "hitting-set search")
     for comp in components(kept):
         pts.extend(_min_hit_component(space, [m for m in kept if m & comp], budget))
     return verify_net(

@@ -14,6 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .core import (
+    Budget,
     CapExceededError,
     RangeSpace,
     TheoremViolationError,
@@ -64,11 +65,10 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
     coloring of each candidate set gives the pruning bound. lower_bound
     primes the incumbent size (the returned members may then be empty if
     nothing beats it). A search that would expand more than
-    DEFAULT_CLIQUE_NODES nodes raises CapExceededError carrying the nodes
-    spent and, as .members, the largest clique it found that beats
-    lower_bound (empty if none did).
+    DEFAULT_CLIQUE_NODES nodes, or pass Python's recursion limit, raises
+    CapExceededError carrying the nodes spent and, as .members, the
+    largest clique it found that beats lower_bound (empty if none did).
     """
-    budget = DEFAULT_CLIQUE_NODES
     n = len(adj)
     if n == 0:
         return 0, ()
@@ -85,16 +85,12 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
 
     best = lower_bound
     best_members: tuple[int, ...] = ()
-    nodes = 0
+    budget = Budget(DEFAULT_CLIQUE_NODES, "max clique search")
+    spend = budget.spend
 
     def expand(cand: int, clique: list[int]) -> None:
-        nonlocal best, best_members, nodes
-        if nodes == budget:
-            raise CapExceededError(
-                f"max clique search exceeded its budget of {budget} "
-                f"nodes", spent=nodes,
-            )
-        nodes += 1
+        nonlocal best, best_members
+        spend()
         colored = _colour(cand, non_adj)
         for i in range(len(colored) - 1, -1, -1):
             v, c = colored[i]
@@ -111,7 +107,7 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
             cand &= ~(1 << v)
 
     try:
-        expand((1 << n) - 1, [])
+        budget.run(expand, (1 << n) - 1, [])
     except CapExceededError as exc:
         exc.members = tuple(sorted(order[i] for i in best_members))
         raise

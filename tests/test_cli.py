@@ -61,6 +61,23 @@ def test_gen_random_w_max_below_one_is_exit_2_naming_w_max(capsys):
     assert "w_max" in capsys.readouterr().err
 
 
+def test_gen_negative_grid_is_exit_2_naming_grid(capsys):
+    assert main(["gen", "--kind", "halfplanes", "--random-points", "5",
+                 "--grid", "-5"]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+def test_doubling_net_deeper_than_the_recursion_limit_exits_0(tmp_path):
+    # The clique search behind D passes the recursion limit on 1,200
+    # singletons at eps = 1/1200; the builder goes on with the bracket.
+    n = 1200
+    inst = tmp_path / "singles.json"
+    inst.write_text(json.dumps(
+        {"n": n, "weights": [1] * n, "ranges": [[p] for p in range(n)]}))
+    assert main(["net", str(inst), "--method", "doubling",
+                 "--eps", f"1/{n}"]) == 0
+
+
 def test_gen_geometric_from_points_file(tmp_path):
     pts = tmp_path / "pts.txt"
     pts.write_text("# square\n0,0\n4,0\n4,4\n0,4\n")

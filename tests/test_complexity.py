@@ -282,6 +282,20 @@ def test_doubling_bracket_lower_end_is_at_least_one_range(monkeypatch):
     assert r.upper >= 11  # the exact value
 
 
+def test_doubling_deeper_than_the_recursion_limit_is_a_bracket():
+    # 1,200 singletons at eps = 1/1200: every pair is far, so the clique
+    # search descends 1,200 levels and passes the recursion limit. Auto
+    # mode answers with a bracket up to the colouring's 1,200; exact mode
+    # raises the budget's error, never a RecursionError.
+    n = 1200
+    sp = build_range_space(n, [1] * n, [[p] for p in range(n)])
+    eps = Fraction(1, n)
+    r = doubling_constant(sp, eps)
+    assert r.mode == "bracket" and 1 <= r.lower and r.upper == n
+    with pytest.raises(CapExceededError):
+        doubling_constant(sp, eps, mode="exact")
+
+
 def test_shallow_cell_matches_oracle():
     for key in ("singles8", "powerset3", "chain8", "sparse-singles8"):
         sp = CORPUS[key]
@@ -327,18 +341,18 @@ def test_star_greedy_at_its_ceiling_is_exact():
     (lambda: gen_geometric("halfplanes", random_points(30, 2, seed=7)), 13),
 ], ids=["lb-k2d3l2m3", "intervals40", "halfplanes30"])
 def test_star_walk_proves_the_greedy_value(build, want):
-    # Each has 30 or 40 points; the greedy-primed walk finishes within
-    # its node budget, so the bound is exact.
+    # Each has 30 or 40 points; the walk, primed with its first path (the
+    # greedy pass in point order), finishes within its node budget, so
+    # the bound is exact.
     star = star_number(build())
     assert star.exact and star.value == want
 
 
-def test_star_walk_deeper_than_the_recursion_limit_is_a_bracket(monkeypatch):
+def test_star_walk_deeper_than_the_recursion_limit_is_a_bracket():
     # One component of 1,200 points (the full range joins them): all but
     # the last two are singletons and those two share one range, so the
     # walk's first path is 1,199 points deep. It must end in a bracket
     # around the greedy's n - 1, not in a RecursionError.
-    monkeypatch.setattr(complexity, "STAR_DRAWS", 1)
     n = 1200
     sp = build_range_space(n, [1] * n, [[p] for p in range(n - 2)]
                            + [[n - 2, n - 1], list(range(n))])
@@ -388,7 +402,6 @@ def test_value_of_a_bracket_raises(monkeypatch):
     # Each estimator forced into a bracket: the value is not known, so
     # .value refuses and .lower / .upper carry the answer.
     monkeypatch.setattr(complexity, "ESTIMATE_DRAWS", 1)
-    monkeypatch.setattr(complexity, "STAR_DRAWS", 1)
     monkeypatch.setattr(complexity, "WALK_NODES", 1)
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 1)
     sp, chain = CORPUS["intervals6"], CORPUS["chain8"]

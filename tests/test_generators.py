@@ -337,6 +337,16 @@ def test_random_w_max_bounds_only_uniform_weights():
     assert set(gen_random(6, 3, weight_law="uniform", w_max=1).weights) == {1}
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(n=4.0), dict(n=True), dict(dim=2.0), dict(dim=-1), dict(grid=-5),
+    dict(grid=10.0),
+])
+def test_random_points_counts_must_be_true_ints(kwargs):
+    args = dict(n=4, dim=2) | kwargs
+    with pytest.raises(InstanceError, match=f"^{next(iter(kwargs))} must"):
+        random_points(**args)
+
+
 def test_random_points_grid_and_determinism():
     pts = random_points(20, 2, seed=5)
     assert pts == random_points(20, 2, seed=5)

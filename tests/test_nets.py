@@ -9,7 +9,13 @@ import pytest
 
 from epsnet import core, nets
 from epsnet.complexity import alexander_capacity, capacity_vector
-from epsnet.core import InstanceError, RangeSpace, build_range_space, stream_rng
+from epsnet.core import (
+    CapExceededError,
+    InstanceError,
+    RangeSpace,
+    build_range_space,
+    stream_rng,
+)
 from epsnet.experiment import METHODS, ExperimentConfig, run_method
 from epsnet.generators import gen_geometric, random_points
 from epsnet.nets import (
@@ -395,6 +401,16 @@ def test_reduction_rules_alone_solve_intervals(monkeypatch):
     assert rep.stats["kept_after_pruning"] == 0
     assert rep.is_net and rep.size == 14
     assert greedy_net(sp, Fraction(1, 16)).size == 15
+
+
+def test_min_net_past_its_node_budget_reports_the_nodes_spent(monkeypatch):
+    # The 5-cycle survives every reduction rule, so its minimum of 3
+    # needs the branch and bound; two nodes are not enough.
+    sp = build_range_space(5, [1] * 5, [[i, (i + 1) % 5] for i in range(5)])
+    monkeypatch.setattr(nets, "EXACT_NET_NODES", 2)
+    with pytest.raises(CapExceededError) as info:
+        min_net_exact(sp, Fraction(2, 5))
+    assert info.value.spent == 2
 
 
 def test_sandwich_min_le_greedy_le_constructions():

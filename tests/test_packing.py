@@ -102,6 +102,17 @@ def test_max_clique_node_budget_raises_with_work_spent(monkeypatch):
     assert info.value.spent == 3
 
 
+def test_max_clique_deeper_than_the_recursion_limit_reports_the_nodes_spent():
+    # A 1,200-vertex complete graph: the first path of the search is
+    # 1,200 nodes deep, past the recursion limit, which is a tripped
+    # budget carrying the nodes visited so far.
+    n = 1200
+    adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    with pytest.raises(CapExceededError) as info:
+        max_clique(adj)
+    assert 0 < info.value.spent <= packing.DEFAULT_CLIQUE_NODES
+
+
 def test_max_clique_out_of_budget_leaves_its_incumbent(monkeypatch):
     rng = random.Random(0)
     adj = _adj_from_edges(
