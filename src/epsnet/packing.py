@@ -1,9 +1,11 @@
 """Packings under the symmetric-difference metric and the packing bound.
 
 A delta-packing is a set of ranges with pairwise rho >= delta. Finding
-the largest one is a max clique in the "far graph"; small instances get
-an exact branch-and-bound with greedy coloring, larger ones a first-fit
-greedy lower bound.
+the largest one is a max clique in the "far graph": an exact
+branch-and-bound with greedy colouring, limited by DEFAULT_CLIQUE_NODES
+search nodes and, for packings, DEFAULT_CLIQUE_CAP ranges. Past either
+limit it raises CapExceededError, and callers fall back to bounds: the
+search's incumbent or a first-fit greedy packing below, a colouring above.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .core import (
     Budget,
@@ -19,6 +20,7 @@ from .core import (
     RangeSpace,
     TheoremViolationError,
     draw_mask,
+    incidence_columns,
     stream_rng,
 )
 
@@ -30,14 +32,25 @@ E_LOWER = Fraction(2718281828, 10**9)
 E_UPPER = Fraction(2718281829, 10**9)
 
 
-def _colour(cand: int, non_adj: list[int]) -> list[tuple[int, int]]:
+def _colour(cand: int, non_adj: list[int], kmin: int = 0) -> list[tuple[int, int]]:
     """Sequential greedy colouring of the vertices in cand, lowest bit
-    first: (vertex, colour) pairs, colours 1-based and ascending. Each
-    colour class is independent, so a clique meets each at most once and
-    the last colour bounds the clique number of the graph cand induces."""
+    first: (vertex, colour) pairs for the colours above kmin, colours
+    1-based and ascending. Each colour class is independent, so a clique
+    meets each at most once and the last colour bounds the clique number
+    of the graph cand induces. The classes up to kmin are built by bit
+    operations alone and never listed (San Segundo et al., BBMC, 2011): a
+    search that needs more than kmin further vertices never branches on
+    them."""
     out = []
     color = 0
     rest = cand
+    while rest and color < kmin:
+        color += 1
+        avail = rest
+        while avail:
+            low = avail & -avail
+            rest ^= low
+            avail = (avail ^ low) & non_adj[low.bit_length() - 1]
     while rest:
         color += 1
         avail = rest
@@ -58,29 +71,41 @@ def colour_bound(adj: list[int]) -> int:
     return _colour((1 << len(adj)) - 1, [~a for a in adj])[-1][1]
 
 
+def _relabel(adj: list[int], order: list[int]) -> list[int]:
+    """The symmetric graph adj with vertex order[i] renamed i: row i is
+    adj[order[i]] with bit order[j] moved to bit j. Since adj is
+    symmetric, column x of the reordered rows is vertex x's relabelled
+    row, so one transpose does every move."""
+    cols = incidence_columns([adj[v] for v in order], len(adj))
+    return [cols[v] for v in order]
+
+
 def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ...]]:
     """Exact maximum clique of a graph given as adjacency bitmasks.
 
     Branch and bound: vertices ordered by descending degree, greedy
-    coloring of each candidate set gives the pruning bound. lower_bound
-    primes the incumbent size (the returned members may then be empty if
-    nothing beats it). A search that would expand more than
-    DEFAULT_CLIQUE_NODES nodes, or pass Python's recursion limit, raises
-    CapExceededError carrying the nodes spent and, as .members, the
-    largest clique it found that beats lower_bound (empty if none did).
+    colouring of each candidate set gives the pruning bound, and only
+    the colours a node can still branch on are listed. adj must be
+    symmetric; a vertex in its own row or a neighbour index >= n raises
+    ValueError. lower_bound primes the incumbent size (the returned
+    members may then be empty if nothing beats it). A search that would
+    expand more than DEFAULT_CLIQUE_NODES nodes, or pass Python's
+    recursion limit, raises CapExceededError carrying the nodes spent
+    and, as .members, the largest clique it found that beats
+    lower_bound (empty if none did).
     """
     n = len(adj)
+    for v, a in enumerate(adj):
+        if a >> v & 1:
+            raise ValueError(f"max clique: vertex {v} is its own neighbour")
+        if a >> n:
+            raise ValueError(f"max clique: vertex {v} has a neighbour "
+                             f"index past its {n} vertices")
     if n == 0:
         return 0, ()
     order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
-    pos = {v: i for i, v in enumerate(order)}
-    # Relabel so bit i corresponds to order[i]; candidate masks then shrink
-    # toward high bits as the search deepens. The bit permutation runs on
-    # binary strings, where character n-1-k holds bit k.
-    pick = itemgetter(*[n - 1 - order[n - 1 - k] for k in range(n)])
-    radj = [0] * n
-    for v in range(n):
-        radj[pos[v]] = int("".join(pick(format(adj[v], f"0{n}b"))), 2)
+    # Candidate masks shrink toward high bits as the search deepens.
+    radj = _relabel(adj, order)
     non_adj = [~a for a in radj]
 
     best = lower_bound
@@ -91,7 +116,7 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
     def expand(cand: int, clique: list[int]) -> None:
         nonlocal best, best_members
         spend()
-        colored = _colour(cand, non_adj)
+        colored = _colour(cand, non_adj, best - len(clique))
         for i in range(len(colored) - 1, -1, -1):
             v, c = colored[i]
             if len(clique) + c <= best:

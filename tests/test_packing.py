@@ -1,14 +1,22 @@
 """Packing machinery: clique search, packings, and the packing bound."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import epsnet.complexity as complexity
 import epsnet.packing as packing
 from epsnet.core import CapExceededError, TheoremViolationError, build_range_space
-from epsnet.generators import gen_geometric, random_points
+from epsnet.generators import (
+    LowerBoundParams,
+    gen_geometric,
+    gen_lower_bound_family,
+    gen_random,
+    random_points,
+)
 from epsnet.packing import (
     E_LOWER,
     E_UPPER,
@@ -45,6 +53,11 @@ def _adj_from_edges(n, edges):
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     return adj
+
+
+def _random_graph(rng, n, p=0.5):
+    return _adj_from_edges(
+        n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def test_max_clique_known_graphs():
@@ -131,6 +144,87 @@ def test_max_clique_out_of_budget_leaves_its_incumbent(monkeypatch):
             assert adj[a] >> b & 1
         found = max(found, len(members))
     assert found >= 1
+
+
+@pytest.mark.parametrize(
+    "make, calls, digest",
+    [
+        (lambda: gen_geometric("disks", random_points(14, 2, seed=3)), 19,
+         "ac61828a945cd77b665b69dd3d4a6fd4502fe3521e19280e2da5a425f2f816f3"),
+        (lambda: gen_geometric("intervals", random_points(24, 1, seed=3)), 31,
+         "1d1adf0f219764b29c330ab21676c0a86d066e5387dfe7960f17a3b7b1654b74"),
+        (lambda: gen_random(20, 300, "uniform", "uniform", seed=1), 131,
+         "64932bc510b48c98892ca54b3e4a97f2b5f08e37108d264c877c59b650f2f164"),
+        (lambda: gen_lower_bound_family(LowerBoundParams(k=2, d=3, l=2, m=3)), 6,
+         "195a60081a8b5876802a22cb125e93cb4659539e6a1cc9d39cde70584ca40aa4"),
+    ],
+)
+def test_max_clique_results_are_frozen(monkeypatch, make, calls, digest):
+    # Every clique search of the doubling sweep at 1/8 on the profile
+    # spaces: its lower bound and its (size, members), members included,
+    # so a faster search must return the very same clique.
+    seen = []
+
+    def recording(adj, lower_bound=0):
+        out = max_clique(adj, lower_bound)
+        seen.append((lower_bound, out))
+        return out
+
+    monkeypatch.setattr(complexity, "max_clique", recording)
+    complexity.doubling_constant(make(), Fraction(1, 8))
+    assert len(seen) == calls
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
+
+
+def test_max_clique_trip_is_frozen(monkeypatch):
+    # The search finds a 5-clique, then a 6-clique, and trips at node 12
+    # before it reaches the maximum, a 7-clique.
+    adj = _random_graph(random.Random(1), 24, 0.6)
+    assert max_clique(adj) == (7, (1, 6, 7, 8, 11, 14, 18))
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 12)
+    with pytest.raises(CapExceededError) as info:
+        max_clique(adj)
+    assert info.value.members == (4, 6, 16, 17, 22, 23)
+    assert info.value.spent == 12
+
+
+def test_colour_above_kmin_lists_exactly_the_upper_classes():
+    rng = random.Random(5)
+    for n in [0, 1, 2, 7, 8, 9, 15, 17, 31, 33, 64, 70]:
+        for _ in range(3):
+            adj = _random_graph(rng, n, rng.random())
+            non_adj = [~a for a in adj]
+            cand = rng.getrandbits(n) if n else 0
+            full = packing._colour(cand, non_adj)
+            for k in range(-1, n + 2):
+                assert packing._colour(cand, non_adj, k) == [
+                    (v, c) for v, c in full if c > k]
+
+
+def test_relabel_moves_every_bit_to_its_new_name():
+    rng = random.Random(6)
+    for n in [1, 2, 3, 8, 9, 13, 16, 23, 40, 70]:
+        adj = _random_graph(rng, n, rng.random())
+        order = list(range(n))
+        rng.shuffle(order)
+        ref = [0] * n
+        for i, v in enumerate(order):
+            for j, u in enumerate(order):
+                if adj[v] >> u & 1:
+                    ref[i] |= 1 << j
+        assert packing._relabel(adj, order) == ref
+
+
+def test_max_clique_rejects_a_self_loop():
+    with pytest.raises(ValueError, match="vertex 0"):
+        max_clique([1])
+    with pytest.raises(ValueError, match="vertex 2"):
+        max_clique([0b010, 0b001, 0b100])
+
+
+def test_max_clique_rejects_a_neighbour_past_the_last_vertex():
+    with pytest.raises(ValueError, match="vertex 0"):
+        max_clique([0b110, 0b001])
 
 
 def test_colour_bound_bounds_the_clique_number():
