@@ -79,6 +79,10 @@ class Bound:
 
 
 def _unit_eps(eps) -> Fraction:
+    """eps as a Fraction in (0, 1], else a ValueError. A Fraction already
+    in range is returned as it is: its denominator is positive."""
+    if type(eps) is Fraction and 0 < eps.numerator <= eps.denominator:
+        return eps
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")

@@ -3,7 +3,10 @@ JSON summary.
 
 Rows are computed one after another in configuration order, so output
 bytes are a pure function of the config. Wall times are opt-in because
-they would break that.
+they would break that. What depends on (instance, eps) alone is computed
+once per cell and shared by its rows: the dyadic decomposition with the
+parts the builders derive from it, and the outcome of each seed-free
+method.
 """
 
 from __future__ import annotations
@@ -27,13 +30,9 @@ from .core import (
     format_rational,
     parse_rational,
 )
-from .complexity import (
-    alexander_capacity,
-    capacity_vector,
-    doubling_constant,
-    vc_or_lower_bound,
-)
+from .complexity import doubling_constant, vc_or_lower_bound
 from .nets import (
+    build_decomposition,
     cal_net,
     capacity_size_bound,
     doubling_net,
@@ -73,11 +72,17 @@ CSV_COLUMNS = [
 @dataclass(frozen=True)
 class Method:
     """A net builder as called by the sweep and the CLI: build(space, eps,
-    seed, config, d, D), where d and D are None when the builder should
-    compute them."""
+    seed, config, d, D, dec), where d, D and the dyadic decomposition dec
+    are None when the builder should compute them (builders that need no
+    decomposition ignore dec).
+
+    seeded=False marks a builder whose outcome does not depend on the
+    seed: a sweep computes it once per (instance, eps) and writes that
+    outcome, an error included, on every seed's row."""
 
     build: Callable
     bound_column: str | None = None  # CSV column of its size bound
+    seeded: bool = True
 
 
 # The one method registry: config validation, the CLI's --method choices
@@ -86,23 +91,29 @@ class Method:
 # the calls.
 METHODS: dict[str, Method] = {
     "iid": Method(
-        lambda s, e, seed, c, d, D: iid_net(s, e, c.delta, "vc", c.C, seed, d=d),
+        lambda s, e, seed, c, d, D, dec: iid_net(s, e, c.delta, "vc", c.C, seed, d=d),
         "bound_capacity"),
     "iid-capacity": Method(
-        lambda s, e, seed, c, d, D: iid_net(s, e, c.delta, "capacity", c.C, seed, d=d),
+        lambda s, e, seed, c, d, D, dec: iid_net(
+            s, e, c.delta, "capacity", c.C, seed, d=d),
         "bound_capacity"),
     "stratified": Method(
-        lambda s, e, seed, c, d, D: stratified_net(s, e, c.C, seed, d=d),
+        lambda s, e, seed, c, d, D, dec: stratified_net(s, e, c.C, seed, d=d, dec=dec),
         "bound_stratified"),
     "doubling": Method(
-        lambda s, e, seed, c, d, D: doubling_net(s, e, c.C, seed, D=D, d=d),
+        lambda s, e, seed, c, d, D, dec: doubling_net(
+            s, e, c.C, seed, D=D, d=d, dec=dec),
         "bound_doubling"),
     "doubling-small": Method(
-        lambda s, e, seed, c, d, D: doubling_net_small_d(s, e, c.C, seed, D=D, d=d),
+        lambda s, e, seed, c, d, D, dec: doubling_net_small_d(
+            s, e, c.C, seed, D=D, d=d, dec=dec),
         "bound_doubling_small"),
-    "cal": Method(lambda s, e, seed, c, d, D: cal_net(s, e, c.cal_budget, seed)),
-    "greedy": Method(lambda s, e, seed, c, d, D: greedy_net(s, e)),
-    "exact": Method(lambda s, e, seed, c, d, D: min_net_exact(s, e)),
+    "cal": Method(
+        lambda s, e, seed, c, d, D, dec: cal_net(s, e, c.cal_budget, seed)),
+    "greedy": Method(
+        lambda s, e, seed, c, d, D, dec: greedy_net(s, e), seeded=False),
+    "exact": Method(
+        lambda s, e, seed, c, d, D, dec: min_net_exact(s, e), seeded=False),
 }
 
 
@@ -203,21 +214,37 @@ def _fmt_float(x: float) -> str:
     return f"{x:.6f}"
 
 
-def instance_profile(space: RangeSpace, eps: Fraction, d_res) -> dict:
-    """Shared per-(instance, eps) facts for every row of the sweep: d and
-    D for the builders, and the formatted CSV columns. d_res is the
-    instance's VC Bound, computed once per instance; d is its lower end."""
-    tau = alexander_capacity(space, eps)
-    taus = [tau] + capacity_vector(space, eps)
-    doubling = doubling_constant(space, eps)
+def _outcome(build) -> tuple:
+    """(build()'s report, or the exception it raised, and its wall ms)."""
+    start = time.perf_counter()
     try:
-        min_net = str(min_net_exact(space, eps).size)
-    except CapExceededError:
-        min_net = ""
+        result = build()
+    except Exception as exc:  # recorded in-row, sweep never aborts
+        result = exc
+    return result, int((time.perf_counter() - start) * 1000)
+
+
+def instance_profile(space: RangeSpace, eps: Fraction, d_res) -> dict:
+    """Shared per-(instance, eps) facts for every row of the sweep: d, D
+    and the dyadic decomposition for the builders, the exact method's
+    outcome, and the formatted CSV columns. d_res is the instance's VC
+    Bound, computed once per instance; d is its lower end."""
+    dec = build_decomposition(space, eps)
+    taus, tau = dec.taus, dec.taus[0]
+    doubling = doubling_constant(space, eps)
+    start = time.perf_counter()
+    try:
+        exact = min_net_exact(space, eps)
+        min_net = str(exact.size)
+    except CapExceededError as exc:
+        exact, min_net = exc, ""
+    exact_ms = int((time.perf_counter() - start) * 1000)
     d, D = d_res.lower, max(float(doubling.upper), 1.0)
     return {
         "d": d,
         "D": D,
+        "dec": dec,
+        "outcomes": {"exact": (exact, exact_ms)},
         "columns": {
             "d": str(d),
             "d_exact": "true" if d_res.exact else "false",
@@ -243,36 +270,33 @@ def run_method(
     config: ExperimentConfig,
     d: int | None = None,
     D: float | None = None,
+    dec=None,
 ):
-    """Build a net with a registered method. The builders compute d and D
-    themselves where they are None."""
+    """Build a net with a registered method. The builders compute d, D
+    and the decomposition themselves where they are None."""
     if method not in METHODS:
         raise InstanceError(f"unknown method '{method}'")
-    return METHODS[method].build(space, eps, seed, config, d, D)
+    return METHODS[method].build(space, eps, seed, config, d, D, dec)
 
 
-def _row(space, eps, method, seed, config, profile, timings) -> dict:
+def _row(space, eps, method, seed, profile, outcome, timings) -> dict:
+    result, ms = outcome
     row = {
         "instance": space.name,
         "eps": format_rational(eps),
         "method": method,
         "seed": str(seed),
         **profile["columns"],
-        "wall_ms": "",
+        "wall_ms": str(ms) if timings else "",
     }
-    start = time.perf_counter()
-    try:
-        report = run_method(space, eps, method, seed, config,
-                            profile["d"], profile["D"])
-        row["size"] = str(report.size)
-        row["is_net"] = "true" if report.is_net else "false"
-        row["draws"] = str(report.stats.get("draws", 0))
-    except Exception as exc:  # recorded in-row, sweep never aborts
+    if isinstance(result, Exception):
         row["size"] = ""
-        row["is_net"] = f"error:{type(exc).__name__}"
+        row["is_net"] = f"error:{type(result).__name__}"
         row["draws"] = ""
-    if timings:
-        row["wall_ms"] = str(int((time.perf_counter() - start) * 1000))
+    else:
+        row["size"] = str(result.size)
+        row["is_net"] = "true" if result.is_net else "false"
+        row["draws"] = str(result.stats.get("draws", 0))
     return row
 
 
@@ -283,9 +307,17 @@ def run_experiment(config: ExperimentConfig, timings: bool = False) -> tuple[lis
         for eps in config.eps_grid:
             profile = instance_profile(space, eps, d_res)
             for method in config.methods:
+                seeded = METHODS[method].seeded
+                # A seed-free outcome is computed once per (instance, eps),
+                # exact's already by the profile.
+                outcome = None if seeded else profile["outcomes"].get(method)
                 for seed in config.seeds:
+                    if outcome is None or seeded:
+                        outcome = _outcome(lambda: run_method(
+                            space, eps, method, seed, config,
+                            profile["d"], profile["D"], profile["dec"]))
                     rows.append(
-                        _row(space, eps, method, seed, config, profile, timings)
+                        _row(space, eps, method, seed, profile, outcome, timings)
                     )
 
     summary: dict = {

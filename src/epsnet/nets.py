@@ -19,6 +19,13 @@ heavy ranges, those of measure >= eps, are a suffix of the space's
 measure order, so a net's violations are heavy & ~hits. The dyadic
 buckets are runs of that order between bisected cuts.
 
+Only the samples are random. The dyadic builders take the space's
+decomposition at eps as an optional dec=; one shared between calls keeps
+the seed-free parts they derive from it (each scale's quarter groups,
+the small-D head and tail) in its memo, so a sweep computes them once per
+(instance, eps). A builder called without dec= builds its own and keeps
+nothing past the call.
+
 One greedy scoring loop, _greedy_pick, serves every hitting set:
 greedy_net runs it on the space's cached incidence columns with the
 heavy ranges as its todo mask, and the repair steps and the exact
@@ -185,15 +192,20 @@ def _repair(
 
 
 def _quarter_groups(
-    space: RangeSpace, bucket: tuple[int, ...], sep: Fraction
+    space: RangeSpace, dec: DyadicDecomposition, b: int
 ) -> tuple[int, list[list[int]]]:
-    """Size of a greedy maximal sep-packing of the bucket, and per member
-    Q the targets of its quarter-scale net: the traces R & Q of the
-    bucket ranges R with P(R & Q) >= P(Q)/4.
+    """Size of a greedy maximal sep-packing of bucket b of dec, sep =
+    levels[b - 1], and per member Q the targets of its quarter-scale net:
+    the traces R & Q of the bucket ranges R with P(R & Q) >= P(Q)/4.
+    Kept in dec.memo, so callers must not alter the groups.
 
     Maximality forces every bucket range into some member's group; a
     range without one is a TheoremViolationError.
     """
+    key = ("quarter", b)
+    if key in dec.memo:
+        return dec.memo[key]
+    bucket, sep = dec.buckets[b], dec.levels[b - 1]
     members = greedy_packing(space, sep, list(bucket)).members
     ranges, weigh = space.ranges, space.mask_weight
     slots = [(ranges[q], space.range_weights[q], []) for q in members]
@@ -209,7 +221,8 @@ def _quarter_groups(
             raise TheoremViolationError(
                 f"range {i} shares no quarter-mass packing member at scale {sep}"
             )
-    return len(members), [group for _, _, group in slots]
+    dec.memo[key] = len(members), [group for _, _, group in slots]
+    return dec.memo[key]
 
 
 # -- dyadic decomposition ----------------------------------------------------
@@ -217,12 +230,32 @@ def _quarter_groups(
 
 @dataclass(frozen=True)
 class DyadicDecomposition:
+    """The dyadic buckets of one space at one eps. The derived parts that
+    depend on (space, eps) alone, each scale's quarter groups and the
+    small-D builder's head and tail per cut, are kept in memo the first
+    time a builder asks for them, so builders handed one shared
+    decomposition (the dec= argument) compute them once. Nothing is kept
+    on the space."""
+
     eps: Fraction
     z: int
     levels: tuple[Fraction, ...]  # scale i -> min(2^i eps, 1), i = 0..z
     buckets: tuple[tuple[int, ...], ...]  # per scale, indices of its ranges
     unions: tuple[int, ...]  # per scale, union mask of its bucket
     taus: tuple[Fraction, ...]  # capacity at each scale, i = 0..z
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+def _decomposition(
+    space: RangeSpace, eps: Fraction, dec: DyadicDecomposition | None
+) -> DyadicDecomposition:
+    """dec when given (it must be build_decomposition(space, eps)), else a
+    new one."""
+    if dec is None:
+        return build_decomposition(space, eps)
+    if dec.eps != eps:
+        raise ValueError(f"decomposition is at scale {dec.eps}, not {eps}")
+    return dec
 
 
 def build_decomposition(space: RangeSpace, eps: Fraction) -> DyadicDecomposition:
@@ -382,6 +415,7 @@ def stratified_net(
     C: float = DEFAULT_C,
     seed: int = 0,
     d: int | None = None,
+    dec: DyadicDecomposition | None = None,
 ) -> NetReport:
     """Per-bucket conditional sampling at scale 1/(2 tau_i).
 
@@ -390,12 +424,15 @@ def stratified_net(
     bucket. Each bucket gets one draw; buckets at scale >= 1 are then
     repaired greedily, so the result always verifies. Bucket 0 is
     sampled for size-accounting parity but needs no hits.
+
+    dec is build_decomposition(space, eps), built here when None; a
+    caller running several seeds or builders at one eps can pass one.
     """
     eps = _unit_eps(eps)
     if d is None:
         d = vc_or_lower_bound(space).lower
     d_eff = max(d, 1)
-    dec = build_decomposition(space, eps)
+    dec = _decomposition(space, eps, dec)
     rng = stream_rng(seed, "stratified")
     net_mask = 0
     draws = 0
@@ -444,6 +481,7 @@ def doubling_net(
     seed: int = 0,
     D: float | None = None,
     d: int | None = None,
+    dec: DyadicDecomposition | None = None,
 ) -> NetReport:
     """Packing-guided construction with a deterministic repair step.
 
@@ -454,6 +492,9 @@ def doubling_net(
     t_i = max(ln(D/tau_i), ln 2); whichever packing-member neighborhoods
     it fails to finely cover are finished off with greedy quarter-scale
     hitting sets, so the result always verifies. There are no redraws.
+
+    dec is build_decomposition(space, eps), built here when None; a
+    shared one keeps the packings and quarter groups of each scale.
     """
     eps = _unit_eps(eps)
     if d is None:
@@ -462,7 +503,7 @@ def doubling_net(
     if D is None:
         D = float(doubling_constant(space, eps).upper)
     D = max(D, 1.0)
-    dec = build_decomposition(space, eps)
+    dec = _decomposition(space, eps, dec)
     rng = stream_rng(seed, "doubling")
     net_mask = 0
     draws = 0
@@ -476,7 +517,7 @@ def doubling_net(
             level_sizes.append(0)
             packing_sizes.append(0)
             continue
-        packing_size, groups = _quarter_groups(space, bucket, dec.levels[b - 1])
+        packing_size, groups = _quarter_groups(space, dec, b)
         packing_sizes.append(packing_size)
         t_i = max(math.log(D / float(dec.taus[b])), LN2)
         m = _draw_count(C * (t_i + d_eff) * float(dec.taus[b - 1]))
@@ -503,6 +544,39 @@ def doubling_net(
     return verify_net(space, pts, eps, method="doubling", stats=stats)
 
 
+def _small_d_parts(space: RangeSpace, dec: DyadicDecomposition, i0: int):
+    """The seed-free parts of doubling_net_small_d at the cut i0, kept in
+    dec.memo: the head net mask (scales 1..i0, repaired from an empty
+    net), its points added per scale, and the tail as (scale, subfamily,
+    its decomposition, its doubling value), or None when no range lies
+    above the cut."""
+    key = ("small-d", i0)
+    if key in dec.memo:
+        return dec.memo[key]
+    net_mask = 0
+    member_net_sizes = []
+    for b in range(1, i0 + 1):
+        if not dec.buckets[b]:
+            member_net_sizes.append(0)
+            continue
+        _, groups = _quarter_groups(space, dec, b)
+        net_mask, added = _repair(space, groups, net_mask)
+        member_net_sizes.append(added)
+    tail = [
+        i
+        for b in range(i0 + 1, dec.z + 1)
+        for i in dec.buckets[b]
+    ]
+    tail_parts = None
+    if tail:
+        lam = dec.levels[i0]
+        sub = space.subfamily(tail)
+        sub_D = max(float(doubling_constant(sub, lam).upper), 1.0)
+        tail_parts = (lam, sub, build_decomposition(sub, lam), sub_D)
+    dec.memo[key] = net_mask, tuple(member_net_sizes), tail_parts
+    return dec.memo[key]
+
+
 def doubling_net_small_d(
     space: RangeSpace,
     eps: Fraction,
@@ -510,6 +584,7 @@ def doubling_net_small_d(
     seed: int = 0,
     D: float | None = None,
     d: int | None = None,
+    dec: DyadicDecomposition | None = None,
 ) -> NetReport:
     """Variant for a small doubling constant (D <= 1/(2 eps)).
 
@@ -518,6 +593,10 @@ def doubling_net_small_d(
     D members each); the remaining heavy ranges form a subfamily handled
     by the packing-guided builder at the rational scale levels[i0].
     Falls back to the plain builder outside the small-D regime.
+
+    dec is build_decomposition(space, eps), built here when None; a
+    shared one keeps the head and the tail's subfamily, decomposition
+    and doubling value per cut, so only the tail's draw is per seed.
     """
     eps = _unit_eps(eps)
     if d is None:
@@ -527,36 +606,23 @@ def doubling_net_small_d(
     D = max(D, 1.0)
     DF = Fraction(D)  # exact binary value of the float
     if DF > Fraction(1, 2) / eps:
-        rep = doubling_net(space, eps, C=C, seed=seed, D=D, d=d)
+        rep = doubling_net(space, eps, C=C, seed=seed, D=D, d=d, dec=dec)
         stats = dict(rep.stats)
         stats["fallback"] = True
         return NetReport(
             "doubling-small", rep.eps, rep.points, rep.is_net,
             rep.violations, stats,
         )
-    dec = build_decomposition(space, eps)
+    dec = _decomposition(space, eps, dec)
     # Rational cut: smallest i0 with 2^i0 >= e/(D*eps), capped at z.
     i0 = min(ceil_log2(E_UPPER / (DF * eps)), dec.z)
     i0 = max(i0, 1)
-    net_mask = 0
-    member_net_sizes = []
-    for b in range(1, i0 + 1):
-        bucket = dec.buckets[b]
-        if not bucket:
-            member_net_sizes.append(0)
-            continue
-        _, groups = _quarter_groups(space, bucket, dec.levels[b - 1])
-        net_mask, added = _repair(space, groups, net_mask)
-        member_net_sizes.append(added)
-    tail = [
-        i
-        for b in range(i0 + 1, dec.z + 1)
-        for i in dec.buckets[b]
-    ]
+    net_mask, member_net_sizes, tail = _small_d_parts(space, dec, i0)
     tail_stats: dict = {"size": 0}
-    if tail:
-        lam = dec.levels[i0]
-        tail_rep = doubling_net(space.subfamily(tail), lam, C=C, seed=seed, d=d)
+    if tail is not None:
+        lam, sub, sub_dec, sub_D = tail
+        tail_rep = doubling_net(sub, lam, C=C, seed=seed, D=sub_D, d=d,
+                                dec=sub_dec)
         net_mask |= tail_rep.mask
         tail_stats = {"size": tail_rep.size, "scale": lam,
                       "draws": tail_rep.stats.get("draws", 0)}
@@ -568,7 +634,7 @@ def doubling_net_small_d(
         "D": D,
         "i0": i0,
         "z": dec.z,
-        "member_net_sizes": member_net_sizes,
+        "member_net_sizes": list(member_net_sizes),
         "tail": tail_stats,
         "draws": tail_stats.get("draws", 0),
     }

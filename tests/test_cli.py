@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -479,6 +480,65 @@ def test_experiment_rows_keep_their_own_profile_under_a_shared_name():
     rows, _ = run_experiment(config)
     assert [(r["d"], r["min_net"], r["size"]) for r in rows] == [
         ("1", "3", "3"), ("0", "1", "1")]
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Count calls of module.name by rebinding it in every epsnet module
+    that binds it, as bench/tracer.py does; returns the list of calls."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and mod_name.split(".")[0] == "epsnet":
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_experiment_computes_seed_free_work_once_per_cell(monkeypatch):
+    eps_grid = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
+    config = ExperimentConfig.from_dict({
+        "instances": [{"inline": sp.to_dict()} for sp in CORPUS.values()],
+        "eps": [str(e) for e in eps_grid],
+        "methods": list(experiment.METHODS),
+        "seeds": [0, 1, 2],
+    })
+    cells = len(CORPUS) * len(eps_grid)
+    # The small-D builder decomposes its tail subfamily, once per cell.
+    tails = sum(
+        "scale" in nets.doubling_net_small_d(sp, eps).stats.get("tail", {})
+        for sp in CORPUS.values() for eps in eps_grid
+    )
+    assert tails > 0
+    decs = _count_calls(monkeypatch, nets, "build_decomposition")
+    greedy = _count_calls(monkeypatch, nets, "greedy_net")
+    exact = _count_calls(monkeypatch, nets, "min_net_exact")
+    rows, _ = run_experiment(config)
+    assert len(rows) == cells * len(experiment.METHODS) * 3
+    assert len(decs) == cells + tails
+    assert len(greedy) == len(exact) == cells
+
+
+def test_experiment_timings_fill_every_row():
+    config = ExperimentConfig.from_dict({
+        "instances": [{"inline": CORPUS["intervals8w"].to_dict()}],
+        "eps": ["1/4", "1/8"],
+        "methods": ["stratified", "doubling-small", "greedy", "exact"],
+        "seeds": [0, 1, 2],
+    })
+    rows, _ = run_experiment(config, timings=True)
+    assert len(rows) == 2 * 4 * 3
+    for row in rows:
+        assert row["wall_ms"].isdigit(), row
+    # A copied seed-free row keeps the time of the call that made it.
+    for i in range(0, len(rows), 3):
+        if rows[i]["method"] in ("greedy", "exact"):
+            assert len({r["wall_ms"] for r in rows[i:i + 3]}) == 1
 
 
 def test_experiment_theorem_violation_is_loud(tmp_path, monkeypatch, capsys):

@@ -125,24 +125,37 @@ def test_decomposition_level_ladder():
 def test_capacity_and_decomposition_mask_weight_counts_repeat(monkeypatch):
     # The bench's traced counts must not depend on which call is first to
     # touch a space: capacity reads only the table built on first use, and
-    # build_decomposition's weight evaluations repeat exactly.
+    # the weight evaluations and packings of build_decomposition, and of
+    # the dyadic builders called without dec=, repeat exactly, since no
+    # cache outlives a call.
     sp = RangeSpace.from_dict(CORPUS["random12w"].to_dict())
-    calls = []
-    weigh = RangeSpace.mask_weight
+    weights, packings = [], []
+    weigh, pack = RangeSpace.mask_weight, nets.greedy_packing
 
-    def counted(space, mask):
-        calls.append(mask)
+    def counted_weigh(space, mask):
+        weights.append(mask)
         return weigh(space, mask)
 
-    monkeypatch.setattr(RangeSpace, "mask_weight", counted)
+    def counted_pack(*args):
+        packings.append(args[1:])
+        return pack(*args)
+
+    monkeypatch.setattr(RangeSpace, "mask_weight", counted_weigh)
+    monkeypatch.setattr(nets, "greedy_packing", counted_pack)
     eps = Fraction(1, 16)
     alexander_capacity(sp, eps)
     capacity_vector(sp, eps)
-    assert calls == []
-    build_decomposition(sp, eps)
-    first = len(calls)
-    build_decomposition(sp, eps)
-    assert first > 0 and len(calls) == 2 * first
+    assert weights == []
+    for build in (build_decomposition, stratified_net, doubling_net,
+                  doubling_net_small_d):
+        w0, p0 = len(weights), len(packings)
+        build(sp, eps)
+        w1, p1 = len(weights) - w0, len(packings) - p0
+        build(sp, eps)
+        assert w1 > 0, build
+        assert (len(weights), len(packings)) == (w0 + 2 * w1, p0 + 2 * p1), build
+        if build in (doubling_net, doubling_net_small_d):
+            assert p1 > 0, build
 
 
 # -- i.i.d. builder -----------------------------------------------------------
@@ -268,6 +281,42 @@ def test_builders_are_frozen():
                     rep = run_method(sp, eps, method, seed, config)
                     h.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
         assert h.hexdigest() == sha, method
+
+
+def test_shared_decomposition_gives_the_same_reports():
+    # One decomposition per (space, eps), reused across seeds and across
+    # the three dyadic builders, changes no report.
+    builders = (stratified_net, doubling_net, doubling_net_small_d)
+    for key, sp in CORPUS.items():
+        for eps in EPS_GRID:
+            dec = build_decomposition(sp, eps)
+            for seed in (0, 1):
+                for build in builders:
+                    shared = build(sp, eps, seed=seed, dec=dec)
+                    own = build(sp, eps, seed=seed)
+                    assert shared.to_dict() == own.to_dict(), (key, eps, build)
+
+
+def test_decomposition_at_another_eps_is_rejected():
+    sp = CORPUS["chain8"]
+    dec = build_decomposition(sp, Fraction(1, 4))
+    with pytest.raises(ValueError, match="scale"):
+        stratified_net(sp, Fraction(1, 8), dec=dec)
+
+
+def test_seed_free_methods_ignore_the_seed():
+    config = ExperimentConfig()
+    free = [m for m, method in METHODS.items() if not method.seeded]
+    assert sorted(free) == ["exact", "greedy"]
+    for method in free:
+        for sp in CORPUS.values():
+            for eps in EPS_GRID:
+                reports = {
+                    json.dumps(run_method(sp, eps, method, seed, config).to_dict(),
+                               sort_keys=True)
+                    for seed in range(4)
+                }
+                assert len(reports) == 1, (method, sp.name, eps)
 
 
 # -- sequential builder -------------------------------------------------------
