@@ -5,9 +5,11 @@ already knows, exact exactly when the two meet. The VC, pi, phi and
 star walks and the clique search count their nodes on a core.Budget of
 work done, not a cap on instance size, and passing Python's recursion
 limit runs it out too; past a budget, the incumbent or a sampled
-estimate is the lower end. Suprema over a continuous scale parameter
-are finite maxima over breakpoint values where the objective can change,
-so every returned rational is exact.
+estimate is the lower end, and the estimate returns that bracket rather
+than raising. Only sauer_check, a certificate that needs exact values,
+turns a bracket into a CapExceededError. Suprema over a continuous scale
+parameter are finite maxima over breakpoint values where the objective
+can change, so every returned rational is exact.
 
 The exact enumerations over point sets (pi, phi, VC) walk the sets depth
 first and keep the partition of the ranges by their trace on the current
@@ -123,7 +125,7 @@ def _splits_all(classes: list[int], col: int) -> bool:
 
 
 def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
-    """Exact dimension of an arbitrary family of subset masks on n points.
+    """Dimension of an arbitrary family of subset masks on n points.
 
     Walks the shattered sets depth first, adding points in increasing
     order and refining the trace partition of the family by each new
@@ -131,10 +133,10 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
     A set of size k needs 2^k classes, so no set grows past log2 of the
     family size. The witness is the numerically smallest mask among the
     largest shattered sets. The empty family has dimension -1 by
-    convention. A walk that would visit more than WALK_NODES sets raises
-    CapExceededError carrying the nodes spent and, as .members, the
-    largest shattered set it found. cap is ignored: the node budget, not
-    the instance size, decides whether the walk finishes.
+    convention. A walk that would visit more than WALK_NODES sets answers
+    Bound(k, min(n, floor(log2 |masks|)), S) for the largest shattered set
+    S it found, of size k. cap is ignored: the node budget, not the
+    instance size, decides whether the walk finishes.
     """
     ranges = tuple(masks)
     if not ranges:
@@ -160,27 +162,14 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
 
     try:
         budget.run(rec, [(1 << m) - 1], 0, 0, 0)
-    except CapExceededError as exc:
-        exc.members = points_of(witness)
-        raise
+    except CapExceededError:
+        return Bound(best, min(n, m.bit_length() - 1), points_of(witness))
     return Bound(best, best, points_of(witness))
 
 
 def vc_dimension(space: RangeSpace) -> Bound:
-    """Largest cardinality of a shattered point set, by vc_of_masks;
-    raises CapExceededError when the walk runs out of WALK_NODES."""
+    """Largest cardinality of a shattered point set, by vc_of_masks."""
     return vc_of_masks(space.ranges, space.n)
-
-
-def vc_or_lower_bound(space: RangeSpace) -> Bound:
-    """Exact dimension, or, when the walk runs out of nodes,
-    Bound(k, min(n, floor(log2 |R|)), S) for its incumbent shattered set
-    S of size k: no set can be shattered by fewer than 2^|S| ranges."""
-    try:
-        return vc_dimension(space)
-    except CapExceededError as exc:
-        top = min(space.n, len(space.ranges).bit_length() - 1)
-        return Bound(len(exc.members), top, exc.members)
 
 
 def _max_traces(space: RangeSpace, y: int, top: int) -> int:
@@ -338,24 +327,25 @@ def sauer_check(space: RangeSpace, d: int | None = None) -> SauerReport:
     """Certify pi(y) <= sum_{i<=d} C(y,i) <= (e*y/d)^d for y = d..n.
 
     Needs the exact dimension and exact projection values: raises
-    CapExceededError when a walk runs out of its budget and leaves a row
-    bracketed, and TheoremViolationError on any failure (which would mean
-    a bug). d is not passed on to projection_function, so every row is
-    counted rather than closed at the Sauer sum it is checked against.
+    CapExceededError naming the bracket when a walk runs out of its budget
+    and leaves the dimension or a row bracketed, and TheoremViolationError
+    on any failure (which would mean a bug). d is not passed on to
+    projection_function, so every row is counted rather than closed at the
+    Sauer sum it is checked against.
     """
+    def exact(what: str, b: Bound) -> int:
+        if not b.exact:
+            raise CapExceededError(f"sauer_check: {what} is only bracketed "
+                                   f"in [{b.lower}, {b.upper}]")
+        return b.lower
+
     if d is None:
-        d = vc_dimension(space).value
+        d = exact("the VC dimension", vc_dimension(space))
     if d < 0:
         return SauerReport(d, ())
     rows = []
     for y in range(d, space.n + 1):
-        row = projection_function(space, y)
-        if not row.exact:
-            raise CapExceededError(
-                f"sauer_check: pi({y}) is only bracketed in "
-                f"[{row.lower}, {row.upper}]"
-            )
-        pi = row.lower
+        pi = exact(f"pi({y})", projection_function(space, y))
         bsum = _sauer_sum(pi, y, d)
         if d >= 1 and y >= 1:
             power = (math.e * y / d) ** d
@@ -450,19 +440,18 @@ def doubling_constant(
     threshold passes it. A breakpoint with no more eligible ranges than
     the incumbent is skipped, since it cannot beat it.
 
-    When a clique search runs out of packing.DEFAULT_CLIQUE_NODES, exact
-    mode raises. Auto mode keeps the search's incumbent, or one eligible
-    range if it is empty, as the lower end and stops searching: the
-    tripped breakpoint and every later one with more eligible ranges than
-    the current upper end add a greedy colouring's class count to the
-    upper end, and the rest are bounded by their eligible count.
+    When a clique search runs out of packing.DEFAULT_CLIQUE_NODES, its
+    incumbent, or one eligible range if it is empty, is the lower end and
+    the sweep stops searching: the tripped breakpoint and every later one
+    with more eligible ranges than the current upper end add a greedy
+    colouring's class count to the upper end, and the rest are bounded by
+    their eligible count.
     Returns Bound(packing size, D itself or the colouring upper end, the
     packing's members, its scale eps0).
-    range_cap is accepted and ignored, for callers that still pass it.
+    mode and range_cap are accepted and ignored, for callers that still
+    pass them; a caller that needs D exactly reads .value or .exact.
     """
     eps = _unit_eps(eps)
-    if mode not in ("auto", "exact"):
-        raise ValueError(f"unknown doubling mode: {mode}")
     sorted_idx = space.measure_order
     m = len(sorted_idx)
     w = space.total_weight
@@ -509,8 +498,6 @@ def doubling_constant(
             try:
                 size, members = max_clique(far, lower_bound=best)
             except CapExceededError as exc:
-                if mode == "exact":
-                    raise
                 # One eligible range is a packing even if the search
                 # tripped before its first leaf.
                 members = exc.members or (0,)
@@ -724,7 +711,7 @@ def compute_profile(
     """One-stop profile at scale eps, exact where the module's budgets
     permit."""
     eps = _unit_eps(eps)
-    d = vc_or_lower_bound(space)
+    d = vc_dimension(space)
     tau = alexander_capacity(space, eps)
     tau_vec = tuple(capacity_vector(space, eps))
     z, _ = capacity_levels(eps)

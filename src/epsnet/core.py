@@ -32,8 +32,7 @@ class InstanceError(ValueError):
 class CapExceededError(RuntimeError):
     """An exact oracle was asked to run beyond its configured size cap or
     work budget; spent is the work done before it stopped, which a Budget
-    always counts. A search that keeps an incumbent leaves it in members:
-    max_clique its largest clique, the VC walk its largest shattered set."""
+    always counts. max_clique leaves its largest clique in members."""
 
     members: tuple[int, ...] = ()
 

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Callable
 
 from .core import (
-    CapExceededError,
     InstanceError,
     PRNG_ALGORITHM,
     RangeSpace,
@@ -30,7 +29,7 @@ from .core import (
     format_rational,
     parse_rational,
 )
-from .complexity import doubling_constant, vc_or_lower_bound
+from .complexity import doubling_constant, vc_dimension
 from .nets import (
     build_decomposition,
     cal_net,
@@ -232,19 +231,13 @@ def instance_profile(space: RangeSpace, eps: Fraction, d_res) -> dict:
     dec = build_decomposition(space, eps)
     taus, tau = dec.taus, dec.taus[0]
     doubling = doubling_constant(space, eps)
-    start = time.perf_counter()
-    try:
-        exact = min_net_exact(space, eps)
-        min_net = str(exact.size)
-    except CapExceededError as exc:
-        exact, min_net = exc, ""
-    exact_ms = int((time.perf_counter() - start) * 1000)
+    exact = _outcome(lambda: min_net_exact(space, eps))
     d, D = d_res.lower, max(float(doubling.upper), 1.0)
     return {
         "d": d,
         "D": D,
         "dec": dec,
-        "outcomes": {"exact": (exact, exact_ms)},
+        "outcomes": {"exact": exact},
         "columns": {
             "d": str(d),
             "d_exact": "true" if d_res.exact else "false",
@@ -253,7 +246,8 @@ def instance_profile(space: RangeSpace, eps: Fraction, d_res) -> dict:
             "D_value": (str(doubling.lower) if doubling.exact
                         else _fmt_float(doubling.upper)),
             "D_mode": doubling.mode,
-            "min_net": min_net,
+            "min_net": ("" if isinstance(exact[0], Exception)
+                        else str(exact[0].size)),
             "bound_stratified": _fmt_float(stratified_size_bound(d, taus)),
             "bound_capacity": _fmt_float(capacity_size_bound(d, tau, eps)),
             "bound_doubling": _fmt_float(doubling_size_bound(d, taus, D)),
@@ -303,7 +297,7 @@ def _row(space, eps, method, seed, profile, outcome, timings) -> dict:
 def run_experiment(config: ExperimentConfig, timings: bool = False) -> tuple[list[dict], dict]:
     rows = []
     for space in resolve_instances(config):
-        d_res = vc_or_lower_bound(space)
+        d_res = vc_dimension(space)
         for eps in config.eps_grid:
             profile = instance_profile(space, eps, d_res)
             for method in config.methods:

@@ -65,7 +65,7 @@ from .complexity import (
     alexander_capacity,
     capacity_levels,
     doubling_constant,
-    vc_or_lower_bound,
+    vc_dimension,
 )
 from .packing import E_UPPER, greedy_packing
 
@@ -393,7 +393,7 @@ def iid_net(
     """
     eps, delta = _unit_eps(eps), Fraction(delta)
     if d is None:
-        d = vc_or_lower_bound(space).lower
+        d = vc_dimension(space).lower
     tau = alexander_capacity(space, eps) if sizing == "capacity" else None
     m = iid_sample_size(eps, delta, d, sizing, tau, C)
     rng = stream_rng(seed, "iid", sizing)
@@ -430,7 +430,7 @@ def stratified_net(
     """
     eps = _unit_eps(eps)
     if d is None:
-        d = vc_or_lower_bound(space).lower
+        d = vc_dimension(space).lower
     d_eff = max(d, 1)
     dec = _decomposition(space, eps, dec)
     rng = stream_rng(seed, "stratified")
@@ -498,7 +498,7 @@ def doubling_net(
     """
     eps = _unit_eps(eps)
     if d is None:
-        d = vc_or_lower_bound(space).lower
+        d = vc_dimension(space).lower
     d_eff = max(d, 1)
     if D is None:
         D = float(doubling_constant(space, eps).upper)
@@ -600,7 +600,7 @@ def doubling_net_small_d(
     """
     eps = _unit_eps(eps)
     if d is None:
-        d = vc_or_lower_bound(space).lower
+        d = vc_dimension(space).lower
     if D is None:
         D = float(doubling_constant(space, eps).upper)
     D = max(D, 1.0)

@@ -3,9 +3,11 @@
 A delta-packing is a set of ranges with pairwise rho >= delta. Finding
 the largest one is a max clique in the "far graph": an exact
 branch-and-bound with greedy colouring, limited by DEFAULT_CLIQUE_NODES
-search nodes and, for packings, DEFAULT_CLIQUE_CAP ranges. Past either
-limit it raises CapExceededError, and callers fall back to bounds: the
-search's incumbent or a first-fit greedy packing below, a colouring above.
+search nodes and, for packings, DEFAULT_CLIQUE_CAP ranges. max_clique
+raises CapExceededError past its budget, with its incumbent as .members;
+its callers answer with bounds instead: max_packing_exact returns a
+first-fit greedy packing labelled exact=False, and doubling_constant a
+bracket with the incumbent below and a colouring above.
 """
 
 from __future__ import annotations
@@ -196,23 +198,25 @@ def greedy_packing(
 def max_packing_exact(
     space: RangeSpace, delta: Fraction, indices: list[int] | None = None
 ) -> Packing:
-    """Maximum delta-packing via exact max clique of the far graph.
-    Raises CapExceededError over DEFAULT_CLIQUE_CAP ranges or the clique
-    node budget."""
+    """Maximum delta-packing via exact max clique of the far graph. Over
+    DEFAULT_CLIQUE_CAP ranges or the clique node budget, the greedy
+    packing, labelled exact=False."""
     delta = Fraction(delta)
     if indices is None:
         indices = list(range(len(space.ranges)))
-    if len(indices) > DEFAULT_CLIQUE_CAP:
-        raise CapExceededError(
-            f"exact packing capped at {DEFAULT_CLIQUE_CAP} ranges, got {len(indices)}")
     if not indices:
         return Packing(delta, (), True)
+    greedy = greedy_packing(space, delta, indices)
+    if len(indices) > DEFAULT_CLIQUE_CAP:
+        return greedy
     adj = far_adjacency(space, indices, delta)
     # Seed the incumbent with the greedy packing's size so pruning bites
     # early. Its members are pairwise far, a clique of adj, so the search
     # still returns a clique at least that large.
-    greedy = greedy_packing(space, delta, indices)
-    _, members = max_clique(adj, lower_bound=len(greedy.members) - 1)
+    try:
+        _, members = max_clique(adj, lower_bound=len(greedy.members) - 1)
+    except CapExceededError:
+        return greedy
     return Packing(delta, tuple(sorted(indices[v] for v in members)), True)
 
 
@@ -239,17 +243,14 @@ def haussler_certificate(
     """Check the packing bound: any delta-packing has size at most
     e(d+1) * (2e/delta)^d where d is the dimension of the packed family.
 
-    Uses the exact maximum packing when it fits under the range cap and
-    the clique node budget (else greedy, which still must obey the bound).
-    strict raises on violation.
+    Checks max_packing_exact's packing: the maximum one, or past its
+    range cap or clique budget a greedy one, which still must obey the
+    bound. strict raises on violation.
     """
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    try:
-        packing = max_packing_exact(space, delta)
-    except CapExceededError:
-        packing = greedy_packing(space, delta)
+    packing = max_packing_exact(space, delta)
     if not packing.members:
         return HausslerReport(delta, packing, -1, 0.0, True)
     from .complexity import vc_dimension  # local import avoids a cycle

@@ -138,7 +138,7 @@ def test_criterion_01d_block_family_doubling_constant():
     for p in GRID:
         sp = gen_lower_bound_family(p)
         eps = Fraction(p.k, p.n)
-        D = doubling_constant(sp, eps, mode="exact").value
+        D = doubling_constant(sp, eps).value
         rows.append((p, D))
     bad = [(p, D) for p, D in rows if D != 2 * p.l + 1]
     ok = not bad
@@ -450,7 +450,7 @@ def test_criterion_10_doubling_vs_shallow_cell():
             continue
         d = vc_dimension(sp).value
         for eps in EPS_GRID:
-            D = doubling_constant(sp, eps, mode="exact").value
+            D = doubling_constant(sp, eps).value
             tau = alexander_capacity(sp, eps)
             y = min(math.ceil(8 * d * tau), sp.n)
             l = min(24 * d, sp.n)

@@ -23,7 +23,6 @@ from epsnet.complexity import (
     star_number,
     vc_dimension,
     vc_of_masks,
-    vc_or_lower_bound,
 )
 from epsnet.core import (
     CapExceededError,
@@ -83,15 +82,14 @@ def test_vc_of_masks_direct():
     assert vc_of_masks([0b11], 2).value == 0
 
 
-def test_vc_node_budget_raises_with_work_spent_and_falls_back(monkeypatch):
+def test_vc_node_budget_trip_is_a_bracket(monkeypatch):
+    # One node visits only the empty set: the lower end is 0 with an
+    # empty witness, the upper end min(n, floor(log2 |R|)) = 4.
     monkeypatch.setattr(complexity, "WALK_NODES", 1)
     sp = CORPUS["intervals6"]
-    with pytest.raises(CapExceededError) as info:
-        vc_dimension(sp)
-    assert info.value.spent == 1
-    lo = vc_or_lower_bound(sp)
-    assert not lo.exact and lo.lower <= oracle_vc(sp) <= lo.upper
-    assert lo.witness == info.value.members
+    lo = vc_dimension(sp)
+    assert (lo.lower, lo.upper, lo.witness) == (0, 4, ())
+    assert lo.lower <= oracle_vc(sp) <= lo.upper
 
 
 def test_projection_matches_oracle():
@@ -131,6 +129,14 @@ def test_sauer_check_with_a_bracketed_row_is_a_cap_error(monkeypatch):
     monkeypatch.setattr(complexity, "WALK_NODES", 1)
     with pytest.raises(CapExceededError):
         sauer_check(CORPUS["intervals6"], d=2)
+
+
+def test_sauer_check_with_a_bracketed_dimension_is_a_cap_error(monkeypatch):
+    # Without d, the certificate needs the exact dimension; a VC walk
+    # that runs out of nodes leaves it bracketed, and the error names it.
+    monkeypatch.setattr(complexity, "WALK_NODES", 1)
+    with pytest.raises(CapExceededError, match=r"bracketed in \[0, 4\]"):
+        sauer_check(CORPUS["intervals6"])
 
 
 def test_sauer_check_catches_forged_growth():
@@ -213,7 +219,7 @@ def test_doubling_exact_matches_oracle():
     for key in SMALL:
         sp = CORPUS[key]
         for eps in (Fraction(1, 4), Fraction(1, 8)):
-            got = doubling_constant(sp, eps, mode="exact")
+            got = doubling_constant(sp, eps)
             want = oracle_doubling(sp, eps)
             assert got.mode == "exact"
             assert got.value == want, (key, eps)
@@ -222,10 +228,10 @@ def test_doubling_exact_matches_oracle():
 def test_doubling_frozen_values():
     # disjoint singletons at eps=1/8: every pair is 2/8-separated, all eight
     # fit below the 2*eps0 weight cap at eps0=1/8
-    r = doubling_constant(CORPUS["singles8"], Fraction(1, 8), mode="exact")
+    r = doubling_constant(CORPUS["singles8"], Fraction(1, 8))
     assert r.value == 8
     # nested chain: symmetric differences nest too, the packing is tiny
-    r = doubling_constant(CORPUS["chain8"], Fraction(1, 4), mode="exact")
+    r = doubling_constant(CORPUS["chain8"], Fraction(1, 4))
     assert r.value == oracle_doubling(CORPUS["chain8"], Fraction(1, 4)) == 2
 
 
@@ -233,7 +239,7 @@ def test_doubling_bracket_brackets_exact(monkeypatch):
     for key in ("intervals6", "halfplanes5", "random10a"):
         sp = CORPUS[key]
         eps = Fraction(1, 8)
-        exact = doubling_constant(sp, eps, mode="exact").value
+        exact = doubling_constant(sp, eps).value
         with monkeypatch.context() as m:
             m.setattr(packing, "DEFAULT_CLIQUE_NODES", 3)
             br = doubling_constant(sp, eps)
@@ -244,7 +250,7 @@ def test_doubling_bracket_brackets_exact(monkeypatch):
 def test_doubling_members_are_separated():
     sp = CORPUS["intervals6"]
     eps = Fraction(1, 8)
-    r = doubling_constant(sp, eps, mode="exact")
+    r = doubling_constant(sp, eps)
     eps0 = r.eps0
     for i in r.witness:
         assert sp.measure(i) <= 2 * eps0
@@ -274,14 +280,16 @@ def test_doubling_is_exact_on_halfplanes30():
     assert r.mode == "exact" and r.value == 25
 
 
-def test_doubling_exact_mode_raises_when_clique_budget_runs_out(monkeypatch):
+def test_doubling_mode_is_ignored_and_a_clique_trip_is_a_bracket(monkeypatch):
+    # mode is accepted and ignored, whatever its value: a tripped clique
+    # budget answers the same bracket, which holds the exact value.
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 1)
     sp = CORPUS["intervals6"]
-    with pytest.raises(CapExceededError):
-        doubling_constant(sp, Fraction(1, 8), mode="exact")
-    assert doubling_constant(sp, Fraction(1, 8)).mode == "bracket"
-    with pytest.raises(ValueError):
-        doubling_constant(sp, Fraction(1, 8), mode="bracket")
+    r = doubling_constant(sp, Fraction(1, 8))
+    assert r.mode == "bracket"
+    assert r.lower <= oracle_doubling(sp, Fraction(1, 8)) <= r.upper
+    for mode in ("exact", "bracket"):
+        assert doubling_constant(sp, Fraction(1, 8), mode=mode) == r
 
 
 def test_doubling_bracket_lower_end_is_at_least_one_range(monkeypatch):
@@ -298,16 +306,14 @@ def test_doubling_bracket_lower_end_is_at_least_one_range(monkeypatch):
 
 def test_doubling_deeper_than_the_recursion_limit_is_a_bracket():
     # 1,200 singletons at eps = 1/1200: every pair is far, so the clique
-    # search descends 1,200 levels and passes the recursion limit. Auto
-    # mode answers with a bracket up to the colouring's 1,200; exact mode
-    # raises the budget's error, never a RecursionError.
+    # search descends 1,200 levels and passes the recursion limit. The
+    # answer is a bracket up to the colouring's 1,200 that holds the exact
+    # value, all 1,200 singletons, never a RecursionError.
     n = 1200
     sp = build_range_space(n, [1] * n, [[p] for p in range(n)])
     eps = Fraction(1, n)
     r = doubling_constant(sp, eps)
-    assert r.mode == "bracket" and 1 <= r.lower and r.upper == n
-    with pytest.raises(CapExceededError):
-        doubling_constant(sp, eps, mode="exact")
+    assert r.mode == "bracket" and 1 <= r.lower < r.upper == n
 
 
 def test_shallow_cell_matches_oracle():
@@ -424,7 +430,7 @@ def test_value_of_a_bracket_raises(monkeypatch):
         "pi": (projection_function(sp, 3), oracle_pi(sp, 3)),
         # at most 7 traces of size <= 1, against 21 ranges
         "phi": (shallow_cell(sp, 6, 1), oracle_shallow(sp, 6, 1)),
-        "vc": (vc_or_lower_bound(sp), oracle_vc(sp)),
+        "vc": (vc_dimension(sp), oracle_vc(sp)),
         "star": (star_number(chain), oracle_star(chain)),
         "doubling": (doubling_constant(sp, Fraction(1, 8)),
                      oracle_doubling(sp, Fraction(1, 8))),

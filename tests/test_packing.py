@@ -234,17 +234,18 @@ def test_colour_bound_bounds_the_clique_number():
         assert max_clique(adj)[0] <= colour_bound(adj) <= n
 
 
-def test_exact_packing_over_node_budget_raises_and_certificate_falls_back(
-    monkeypatch,
-):
+def test_exact_packing_over_node_budget_is_the_greedy_packing(monkeypatch):
+    # A tripped clique budget answers the greedy packing, labelled
+    # inexact: a lower end for the maximum, and the packing the
+    # certificate checks.
     sp = CORPUS["singles8"]
     delta = Fraction(1, 4)
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 2)
-    with pytest.raises(CapExceededError):
-        max_packing_exact(sp, delta)
+    pk = max_packing_exact(sp, delta)
+    assert pk == greedy_packing(sp, delta) and not pk.exact
+    assert len(pk.members) <= oracle_max_packing(sp, delta)
     cert = haussler_certificate(sp, delta)
-    assert not cert.packing_exact
-    assert cert.packing_size == len(greedy_packing(sp, delta).members)
+    assert cert.packing == pk
 
 
 def test_certificate_computes_d_of_the_packing_on_40_points():
@@ -280,10 +281,14 @@ def test_exact_packing_matches_oracle():
 
 
 def test_exact_packing_cap(monkeypatch):
+    # Past the range cap no clique search runs: the greedy packing,
+    # labelled inexact, is a lower end for the maximum.
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_CAP", 5)
+    monkeypatch.setattr(packing, "max_clique", None)
     sp = CORPUS["intervals6"]
-    with pytest.raises(CapExceededError):
-        max_packing_exact(sp, Fraction(1, 8))
+    pk = max_packing_exact(sp, Fraction(1, 8))
+    assert pk == greedy_packing(sp, Fraction(1, 8)) and not pk.exact
+    assert len(pk.members) <= oracle_max_packing(sp, Fraction(1, 8))
 
 
 def test_packing_frozen_values():

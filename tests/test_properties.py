@@ -27,7 +27,6 @@ from epsnet.complexity import (
     shallow_cell,
     star_number,
     vc_dimension,
-    vc_or_lower_bound,
 )
 from epsnet.core import (
     CapExceededError,
@@ -186,7 +185,7 @@ def test_estimates_labelled_exact_match_oracle(space, data):
         pi = projection_function(space, y)
         phi = shallow_cell(space, y, l)
         star = star_number(space)
-        vc = vc_or_lower_bound(space)
+        vc = vc_dimension(space)
     for got, want in ((pi, oracle_pi(space, y)),
                       (phi, oracle_shallow(space, y, l)),
                       (star, oracle_star(space)),
@@ -263,7 +262,7 @@ def test_capacity_table_matches_oracle_at_every_scale(space, data):
 @given(small_spaces(), st.sampled_from([Fraction(1, 2), Fraction(1, 4),
                                         Fraction(1, 8), Fraction(1, 16)]))
 def test_exact_doubling_matches_oracle_with_certified_members(space, eps):
-    got = doubling_constant(space, eps, mode="exact")
+    got = doubling_constant(space, eps)
     assert got.mode == "exact" and got.value == oracle_doubling(space, eps)
     if got.value:
         eps0 = got.eps0
