@@ -118,7 +118,8 @@ def cmd_pack(args) -> int:
     delta = parse_rational(args.delta)
     cert = haussler_certificate(space, delta, strict=False)
     # Exact mode prints the packing the certificate used: the maximum one,
-    # or a greedy one (exact: false) past the range cap or the clique budget.
+    # or (exact: false) the clique search's incumbent past its budget or a
+    # greedy one past the range cap.
     if args.mode == "exact":
         packing = cert.packing
     else:

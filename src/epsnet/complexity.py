@@ -17,16 +17,14 @@ set, one bitmask over range indices per class. Adding a point splits each
 class by that point's incidence column (RangeSpace.incidence), so a step
 costs O(#distinct traces) rather than a pass over all ranges, and a
 subtree is cut only by exact bounds on the traces it can still reach.
-Exact doubling computes each pairwise distance once and sweeps the
-breakpoints upward, deleting far-graph edges as the threshold passes
-them. Data with O(m^2) entries lives in typed arrays, never in Python
-lists or per-pair big ints, because it sets the profile's peak memory.
+Exact doubling reads one packing.FarGraph, which computes each pairwise
+distance once, and sweeps the breakpoints upward, so the far graph loses
+edges as the threshold passes them and is never rebuilt.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +44,7 @@ from .core import (
     points_of,
     stream_rng,
 )
-from .packing import colour_bound, max_clique
+from .packing import FarGraph, colour_bound, max_clique
 
 # Node budget of each walk (VC, pi, phi and star).
 WALK_NODES = 300_000
@@ -434,11 +432,10 @@ def doubling_constant(
     far graph at every breakpoint gives D exactly. Ranges are ranked by
     (measure, index); at scale eps0 the eligible ranges are a rank prefix
     and the far graph keeps the pairs at integer distance >= ceil(eps0*W).
-    Each distance is computed once; pair codes p * m + q go into one typed
-    array per distinct distance (O(m^2) data never lives in Python lists),
-    and the sweep deletes each bucket's edges from one adjacency as the
-    threshold passes it. A breakpoint with no more eligible ranges than
-    the incumbent is skipped, since it cannot beat it.
+    One packing.FarGraph over the ranked ranges computes each distance
+    once and loses edges as the sweep's threshold rises. A breakpoint with
+    no more eligible ranges than the incumbent is skipped, since it cannot
+    beat it.
 
     When a clique search runs out of packing.DEFAULT_CLIQUE_NODES, its
     incumbent, or one eligible range if it is empty, is the lower end and
@@ -453,47 +450,23 @@ def doubling_constant(
     """
     eps = _unit_eps(eps)
     sorted_idx = space.measure_order
-    m = len(sorted_idx)
     w = space.total_weight
-    ranked = [space.ranges[i] for i in sorted_idx]
-    typecode = "i" if m * m < 1 << 31 else "q"
-    by_dist: dict[int, array] = {}
-    for p in range(m):
-        rp = ranked[p]
-        code = p * m + p
-        for d in map(space.mask_weight, [rp ^ r for r in ranked[p + 1:]]):
-            code += 1
-            bucket = by_dist.get(d)
-            if bucket is None:
-                bucket = by_dist[d] = array(typecode)
-            bucket.append(code)
-    values = sorted(by_dist)
-
+    graph = FarGraph(space, [space.ranges[i] for i in sorted_idx])
     candidates = {eps}
     for x in set(space.sorted_weights):
         h = Fraction(x, 2 * w)
         if eps <= h <= 1:
             candidates.add(h)
     lo = space.ceil_weight(eps)
-    candidates.update(Fraction(v, w) for v in values if lo <= v <= w)
+    candidates.update(Fraction(v, w) for v in graph.distances if lo <= v <= w)
 
-    adj = [((1 << m) - 1) ^ (1 << p) for p in range(m)]
-    removed = 0  # buckets whose edges are already gone
     best, best_eps0, best_members = 0, None, ()
     upper = None  # set once a clique search has run out of budget
     for eps0 in sorted(candidates):
         j = _eligible_count(space, eps0)
         if j <= (best if upper is None else upper):
             continue
-        threshold = space.ceil_weight(eps0)
-        while removed < len(values) and values[removed] < threshold:
-            for code in by_dist.pop(values[removed]):
-                p, q = divmod(code, m)
-                adj[p] ^= 1 << q
-                adj[q] ^= 1 << p
-            removed += 1
-        low = (1 << j) - 1
-        far = [adj[p] & low for p in range(j)]
+        far = graph.rows(j, space.ceil_weight(eps0))
         if upper is None:
             try:
                 size, members = max_clique(far, lower_bound=best)

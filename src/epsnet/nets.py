@@ -5,7 +5,8 @@ A candidate is a set of support points; it is a net at scale eps when it
 meets every range of measure >= eps (inclusive). Randomized builders
 report honest outcomes: one-shot methods may return is_net=False, while
 the stratified and packing-guided builders carry deterministic repair
-steps and always verify.
+steps and always verify. They and the small-D head share one per-scale
+loop, _scale_nets: draw into the bucket union, then repair the scale.
 
 The sampling builders take their draws as one mask (core.draw_mask): a
 sample of m points is the set of distinct points it hits, and draws past
@@ -178,17 +179,31 @@ def _greedy_hit(space: RangeSpace, masks: list[int], have: int = 0) -> list[int]
     return _greedy_pick(cols, cands, (1 << len(targets)) - 1)
 
 
-def _repair(
-    space: RangeSpace, groups: list[list[int]], net_mask: int
-) -> tuple[int, int]:
-    """Greedily finish each target group in turn on top of net_mask.
-    Returns the grown net mask and the number of points added."""
-    added = 0
-    for targets in groups:
-        pts = _greedy_hit(space, targets, net_mask)
-        added += len(pts)
-        net_mask |= mask_of(pts)
-    return net_mask, added
+def _scale_nets(
+    space: RangeSpace, dec: DyadicDecomposition, scales: range, groups,
+    rng=None, size=None,
+) -> tuple[int, list[int], list[int]]:
+    """Per scale b in scales: draw size(b) points with rng into the bucket
+    union (no draw when size is None), then greedily finish each target
+    group in groups(b) in turn on top. A scale whose bucket is empty or
+    whose union holds no support point is skipped. Returns the net mask
+    and, per scale, the draws made and the points the repair added."""
+    net_mask = 0
+    draws, added = [], []
+    for b in scales:
+        union = dec.unions[b]
+        m = k = 0
+        if dec.buckets[b] and space.support_mask & union:
+            if size is not None:
+                m = size(b)
+                net_mask |= draw_mask(space, m, rng, within_mask=union)
+            for targets in groups(b):
+                pts = _greedy_hit(space, targets, net_mask)
+                k += len(pts)
+                net_mask |= mask_of(pts)
+        draws.append(m)
+        added.append(k)
+    return net_mask, draws, added
 
 
 def _quarter_groups(
@@ -433,38 +448,27 @@ def stratified_net(
         d = vc_dimension(space).lower
     d_eff = max(d, 1)
     dec = _decomposition(space, eps, dec)
-    rng = stream_rng(seed, "stratified")
-    net_mask = 0
-    draws = 0
-    repaired = 0
-    level_sizes = []
-    for b in range(dec.z + 1):
-        bucket = dec.buckets[b]
-        union = dec.unions[b]
-        if not bucket or not space.mask_weight(union):
-            level_sizes.append(0)
-            continue
-        tau = dec.taus[b]
-        level_eps = Fraction(1, 2) / tau  # conditional scale 1/(2 tau)
-        base_m = _draw_count(
+
+    def size(b):
+        level_eps = Fraction(1, 2) / dec.taus[b]  # conditional scale 1/(2 tau)
+        return _draw_count(
             C * (d_eff * math.log(1 / float(level_eps)) + LN2) / float(level_eps)
         )
-        net_mask |= draw_mask(space, base_m, rng, within_mask=union)
-        draws += base_m
-        # Bucket 0 has no hitting requirement below the base scale.
-        if b >= 1:
-            targets = [space.ranges[i] for i in bucket]
-            net_mask, added = _repair(space, [targets], net_mask)
-            repaired += added
-        level_sizes.append(base_m)
+
+    # Bucket 0 has no hitting requirement below the base scale.
+    net_mask, level_sizes, added = _scale_nets(
+        space, dec, range(dec.z + 1),
+        lambda b: [[space.ranges[i] for i in dec.buckets[b]]] if b else [],
+        stream_rng(seed, "stratified"), size,
+    )
     pts = list(iter_bits(net_mask))
     stats = {
         "seed": seed,
         "C": C,
         "d": d,
-        "draws": draws,
+        "draws": sum(level_sizes),
         "level_draws": level_sizes,
-        "repair_points": repaired,
+        "repair_points": sum(added),
         "taus": list(dec.taus),
         "z": dec.z,
     }
@@ -504,40 +508,33 @@ def doubling_net(
         D = float(doubling_constant(space, eps).upper)
     D = max(D, 1.0)
     dec = _decomposition(space, eps, dec)
-    rng = stream_rng(seed, "doubling")
-    net_mask = 0
-    draws = 0
-    repaired = 0
-    level_sizes = []
-    packing_sizes = []
-    for b in range(1, dec.z + 1):
-        bucket = dec.buckets[b]
-        union = dec.unions[b]
-        if not bucket or not space.mask_weight(union):
-            level_sizes.append(0)
-            packing_sizes.append(0)
-            continue
-        packing_size, groups = _quarter_groups(space, dec, b)
-        packing_sizes.append(packing_size)
+
+    def size(b):
         t_i = max(math.log(D / float(dec.taus[b])), LN2)
-        m = _draw_count(C * (t_i + d_eff) * float(dec.taus[b - 1]))
-        net_mask |= draw_mask(space, m, rng, within_mask=union)
-        draws += m
-        # Per packing member, greedily finish the quarter-scale net of its
-        # group inside the member.
-        net_mask, added = _repair(space, groups, net_mask)
-        repaired += added
-        level_sizes.append(m)
+        return _draw_count(C * (t_i + d_eff) * float(dec.taus[b - 1]))
+
+    # Per packing member, greedily finish the quarter-scale net of its
+    # group inside the member.
+    scales = range(1, dec.z + 1)
+    net_mask, level_sizes, added = _scale_nets(
+        space, dec, scales, lambda b: _quarter_groups(space, dec, b)[1],
+        stream_rng(seed, "doubling"), size,
+    )
+    # Above scale 0 only an empty bucket is skipped.
+    packing_sizes = [
+        _quarter_groups(space, dec, b)[0] if dec.buckets[b] else 0
+        for b in scales
+    ]
     pts = list(iter_bits(net_mask))
     stats = {
         "seed": seed,
         "C": C,
         "d": d,
         "D": D,
-        "draws": draws,
+        "draws": sum(level_sizes),
         "level_draws": level_sizes,
         "packing_sizes": packing_sizes,
-        "repair_points": repaired,
+        "repair_points": sum(added),
         "taus": list(dec.taus),
         "z": dec.z,
     }
@@ -553,15 +550,9 @@ def _small_d_parts(space: RangeSpace, dec: DyadicDecomposition, i0: int):
     key = ("small-d", i0)
     if key in dec.memo:
         return dec.memo[key]
-    net_mask = 0
-    member_net_sizes = []
-    for b in range(1, i0 + 1):
-        if not dec.buckets[b]:
-            member_net_sizes.append(0)
-            continue
-        _, groups = _quarter_groups(space, dec, b)
-        net_mask, added = _repair(space, groups, net_mask)
-        member_net_sizes.append(added)
+    net_mask, _, member_net_sizes = _scale_nets(
+        space, dec, range(1, i0 + 1), lambda b: _quarter_groups(space, dec, b)[1]
+    )
     tail = [
         i
         for b in range(i0 + 1, dec.z + 1)

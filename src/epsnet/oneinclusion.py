@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import RangeSpace, TheoremViolationError, draw_points, stream_rng
+from .core import (
+    RangeSpace,
+    TheoremViolationError,
+    draw_points,
+    incidence_columns,
+    stream_rng,
+)
 from .complexity import vc_of_masks
 
 
@@ -53,14 +59,10 @@ def trace_vertices(space: RangeSpace, sample: list[int]) -> tuple[int, ...]:
     for p in sample:
         if not 0 <= p < space.n:
             raise ValueError(f"sample point {p} outside 0..{space.n - 1}")
-    out = set()
-    for r in space.ranges:
-        t = 0
-        for j, p in enumerate(sample):
-            if r >> p & 1:
-                t |= 1 << j
-        out.add(t)
-    return tuple(sorted(out))
+    # Row i of the transposed sample columns is range i's trace.
+    cols = space.incidence()
+    traces = incidence_columns([cols[p] for p in sample], len(space.ranges))
+    return tuple(sorted(set(traces)))
 
 
 def build_oig(source, sample: list[int] | None = None, m: int | None = None) -> OneInclusionGraph:

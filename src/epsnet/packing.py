@@ -1,20 +1,23 @@
 """Packings under the symmetric-difference metric and the packing bound.
 
 A delta-packing is a set of ranges with pairwise rho >= delta. Finding
-the largest one is a max clique in the "far graph": an exact
-branch-and-bound with greedy colouring, limited by DEFAULT_CLIQUE_NODES
-search nodes and, for packings, DEFAULT_CLIQUE_CAP ranges. max_clique
-raises CapExceededError past its budget, with its incumbent as .members;
-its callers answer with bounds instead: max_packing_exact returns a
-first-fit greedy packing labelled exact=False, and doubling_constant a
-bracket with the incumbent below and a colouring above.
+the largest one is a max clique in the "far graph" (FarGraph, which
+exact doubling reads too): an exact branch-and-bound with greedy
+colouring, limited by DEFAULT_CLIQUE_NODES search nodes and, for
+packings, DEFAULT_CLIQUE_CAP ranges. Past its budget max_clique raises
+CapExceededError with its incumbent as .members, and both callers answer
+with that incumbent labelled inexact: max_packing_exact with exact=False
+(past the range cap, a greedy packing) and doubling_constant as the
+lower end of a bracket with a colouring above.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .core import (
     Budget,
@@ -152,19 +155,49 @@ class Packing:
     exact: bool
 
 
-def far_adjacency(space: RangeSpace, indices: list[int], delta: Fraction) -> list[int]:
-    """Adjacency bitmasks over positions in indices of the far graph:
-    an edge joins two ranges at distance rho >= delta."""
-    k = len(indices)
-    adj = [0] * k
-    far = space.ceil_weight(delta)
-    masks = [space.ranges[i] for i in indices]
-    for a in range(k):
-        for b in range(a + 1, k):
-            if space.mask_weight(masks[a] ^ masks[b]) >= far:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return adj
+class FarGraph:
+    """Far graphs of masks at a rising threshold on the weight of their
+    symmetric difference. Each pair distance is computed once, and pair
+    codes p * m + q go into one typed array per distinct distance: O(m^2)
+    data, which sets the profile's peak memory, never lives in Python
+    lists or per-pair big ints. distances: the distinct pair distances,
+    ascending."""
+
+    def __init__(self, space: RangeSpace, masks: Sequence[int]) -> None:
+        m = len(masks)
+        typecode = "i" if m * m < 1 << 31 else "q"
+        by_dist: dict[int, array] = {}
+        for p in range(m):
+            rp = masks[p]
+            code = p * m + p
+            for d in map(space.mask_weight, [rp ^ r for r in masks[p + 1:]]):
+                code += 1
+                bucket = by_dist.get(d)
+                if bucket is None:
+                    bucket = by_dist[d] = array(typecode)
+                bucket.append(code)
+        self.distances = sorted(by_dist)
+        self._by_dist = by_dist
+        self._adj = [((1 << m) - 1) ^ (1 << p) for p in range(m)]
+        self._removed = 0  # buckets whose edges are already gone
+
+    def rows(self, j: int, threshold: int) -> list[int]:
+        """Adjacency bitmasks on the first j masks of the far graph at
+        threshold, after deleting the edges of every distance bucket below
+        it. A threshold at or below a deleted distance is a ValueError."""
+        values, adj, m = self.distances, self._adj, len(self._adj)
+        removed = self._removed
+        if removed and values[removed - 1] >= threshold:
+            raise ValueError(f"far graph threshold {threshold} fell")
+        while removed < len(values) and values[removed] < threshold:
+            for code in self._by_dist.pop(values[removed]):
+                p, q = divmod(code, m)
+                adj[p] ^= 1 << q
+                adj[q] ^= 1 << p
+            removed += 1
+        self._removed = removed
+        low = (1 << j) - 1
+        return [adj[p] & low for p in range(j)]
 
 
 def greedy_packing(
@@ -195,29 +228,25 @@ def greedy_packing(
     return Packing(delta, tuple(sorted(chosen)), False)
 
 
-def max_packing_exact(
-    space: RangeSpace, delta: Fraction, indices: list[int] | None = None
-) -> Packing:
-    """Maximum delta-packing via exact max clique of the far graph. Over
-    DEFAULT_CLIQUE_CAP ranges or the clique node budget, the greedy
-    packing, labelled exact=False."""
+def max_packing_exact(space: RangeSpace, delta: Fraction) -> Packing:
+    """Maximum delta-packing via exact max clique of the far graph. Past
+    the clique node budget, the search's incumbent, and over
+    DEFAULT_CLIQUE_CAP ranges the greedy packing, labelled exact=False."""
     delta = Fraction(delta)
-    if indices is None:
-        indices = list(range(len(space.ranges)))
-    if not indices:
+    m = len(space.ranges)
+    if not m:
         return Packing(delta, (), True)
-    greedy = greedy_packing(space, delta, indices)
-    if len(indices) > DEFAULT_CLIQUE_CAP:
+    greedy = greedy_packing(space, delta)
+    if m > DEFAULT_CLIQUE_CAP:
         return greedy
-    adj = far_adjacency(space, indices, delta)
+    far = FarGraph(space, space.ranges).rows(m, space.ceil_weight(delta))
     # Seed the incumbent with the greedy packing's size so pruning bites
-    # early. Its members are pairwise far, a clique of adj, so the search
-    # still returns a clique at least that large.
+    # early; any clique the search holds, even when it trips, is as large.
     try:
-        _, members = max_clique(adj, lower_bound=len(greedy.members) - 1)
-    except CapExceededError:
-        return greedy
-    return Packing(delta, tuple(sorted(indices[v] for v in members)), True)
+        _, members = max_clique(far, lower_bound=len(greedy.members) - 1)
+    except CapExceededError as exc:
+        return Packing(delta, exc.members or greedy.members, False)
+    return Packing(delta, members, True)
 
 
 @dataclass(frozen=True)
@@ -244,7 +273,7 @@ def haussler_certificate(
     e(d+1) * (2e/delta)^d where d is the dimension of the packed family.
 
     Checks max_packing_exact's packing: the maximum one, or past its
-    range cap or clique budget a greedy one, which still must obey the
+    clique budget or range cap an inexact one, which still must obey the
     bound. strict raises on violation.
     """
     delta = Fraction(delta)

@@ -40,6 +40,34 @@ def oracle_incidence_columns(masks, n):
     return cols
 
 
+def oracle_far_rows(space, masks, threshold):
+    """Far-graph rows over masks: bit q of row p is set when p != q and
+    the symmetric difference of masks p and q weighs at least threshold,
+    one pair at a time."""
+    sets = [frozenset(_bits(r)) for r in masks]
+    rows = []
+    for p, a in enumerate(sets):
+        row = 0
+        for q, b in enumerate(sets):
+            if p != q and set_weight(space, a ^ b) >= threshold:
+                row |= 1 << q
+        rows.append(row)
+    return rows
+
+
+def oracle_trace_vertices(space, sample):
+    """Distinct traces on an ordered sample, one bit test per (range,
+    sample position): bit j is set when sample[j] lies in the range."""
+    out = set()
+    for r in space.ranges:
+        t = 0
+        for j, p in enumerate(sample):
+            if r >> p & 1:
+                t |= 1 << j
+        out.add(t)
+    return tuple(sorted(out))
+
+
 def set_weight(space, s):
     return sum(space.weights[p] for p in s)
 

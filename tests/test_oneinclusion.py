@@ -1,5 +1,6 @@
 """One-inclusion graph, bounded orientation, leave-one-out accounting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,11 @@ from epsnet.oneinclusion import (
 )
 
 from corpus import CORPUS
-from oracles import oracle_min_out_degree, reference_predict
+from oracles import (
+    oracle_min_out_degree,
+    oracle_trace_vertices,
+    reference_predict,
+)
 
 
 def test_cube_graph_from_explicit_masks():
@@ -40,6 +45,18 @@ def test_trace_vertices_with_repeats():
         assert (v >> 0 & 1) == (v >> 1 & 1)
     with pytest.raises(ValueError):
         trace_vertices(sp, [0, 5])
+
+
+def test_trace_vertices_match_the_per_bit_oracle():
+    rng = random.Random(4)
+    for key, sp in CORPUS.items():
+        for size in (0, 1, 3, sp.n, sp.n + 2):
+            sample = [rng.randrange(sp.n) for _ in range(size)]
+            assert trace_vertices(sp, sample) == oracle_trace_vertices(
+                sp, sample), (key, sample)
+        # A negative point would index the columns from the end.
+        with pytest.raises(ValueError):
+            trace_vertices(sp, [-1])
 
 
 def test_build_oig_from_space_nonempty_family():

@@ -20,6 +20,7 @@ from epsnet.generators import (
 from epsnet.packing import (
     E_LOWER,
     E_UPPER,
+    FarGraph,
     colour_bound,
     dudley_style_bound,
     greedy_packing,
@@ -31,7 +32,13 @@ from epsnet.packing import (
 )
 
 from corpus import CORPUS
-from oracles import oracle_max_packing, set_measure, as_sets
+from oracles import (
+    as_sets,
+    oracle_far_rows,
+    oracle_max_packing,
+    set_measure,
+    set_weight,
+)
 
 
 def _clique_brute(adj):
@@ -235,9 +242,9 @@ def test_colour_bound_bounds_the_clique_number():
 
 
 def test_exact_packing_over_node_budget_is_the_greedy_packing(monkeypatch):
-    # A tripped clique budget answers the greedy packing, labelled
-    # inexact: a lower end for the maximum, and the packing the
-    # certificate checks.
+    # A clique search that trips before it holds a clique as large as the
+    # greedy packing answers the greedy packing, labelled inexact: a lower
+    # end for the maximum, and the packing the certificate checks.
     sp = CORPUS["singles8"]
     delta = Fraction(1, 4)
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 2)
@@ -246,6 +253,52 @@ def test_exact_packing_over_node_budget_is_the_greedy_packing(monkeypatch):
     assert len(pk.members) <= oracle_max_packing(sp, delta)
     cert = haussler_certificate(sp, delta)
     assert cert.packing == pk
+
+
+def test_exact_packing_over_node_budget_keeps_the_search_incumbent(monkeypatch):
+    # Primed at the greedy size less one, the tripped search holds a
+    # larger packing than the greedy one (16 against 11; the maximum is
+    # 20), and that incumbent is the answer, labelled inexact.
+    sp = gen_geometric("intervals", random_points(24, 1, seed=3))
+    delta = Fraction(1, 4)
+    greedy = greedy_packing(sp, delta)
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 16)
+    pk = max_packing_exact(sp, delta)
+    assert not pk.exact
+    assert len(pk.members) > len(greedy.members)
+    fam = as_sets(sp)
+    for a, b in combinations(pk.members, 2):
+        assert set_measure(sp, fam[a] ^ fam[b]) >= delta
+    assert haussler_certificate(sp, delta).packing == pk
+
+
+def test_far_graph_rows_match_the_pair_oracle():
+    # One graph per space serves every threshold in rising order, as the
+    # doubling sweep reads it, and every prefix at each threshold.
+    for key, sp in CORPUS.items():
+        masks = [sp.ranges[i] for i in sp.measure_order]
+        graph = FarGraph(sp, masks)
+        sets = as_sets(sp)
+        fam = [sets[i] for i in sp.measure_order]
+        dists = sorted({set_weight(sp, a ^ b) for a, b in combinations(fam, 2)})
+        assert graph.distances == dists, key
+        for threshold in [0, *dists, sp.total_weight + 1]:
+            full = oracle_far_rows(sp, masks, threshold)
+            for j in range(len(masks) + 1):
+                low = (1 << j) - 1
+                assert graph.rows(j, threshold) == [
+                    row & low for row in full[:j]], (key, threshold, j)
+
+
+def test_far_graph_rejects_a_threshold_below_a_deleted_distance():
+    # Every pair of singletons is at distance 2. A threshold may fall as
+    # long as no deleted distance reaches it.
+    sp = CORPUS["singles8"]
+    graph = FarGraph(sp, list(sp.ranges))
+    assert graph.distances == [2]
+    assert graph.rows(8, 4) == graph.rows(8, 3) == [0] * 8
+    with pytest.raises(ValueError, match="threshold 2"):
+        graph.rows(8, 2)
 
 
 def test_certificate_computes_d_of_the_packing_on_40_points():
