@@ -25,7 +25,7 @@ edges as the threshold passes them and is never rebuilt.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -192,7 +192,7 @@ def _max_traces(space: RangeSpace, y: int, top: int) -> int:
     the incumbent reaches its ceiling. The walks of one call share
     WALK_NODES nodes; past them, CapExceededError.
     """
-    cols = space.incidence()
+    cols = space.incidence
     budget = Budget(WALK_NODES, "exact pi search")
     spend = budget.spend
 
@@ -373,13 +373,13 @@ def alexander_capacity(space: RangeSpace, eps: Fraction) -> Fraction:
     bisects and at most one Fraction.
     """
     eps = _unit_eps(eps)
-    xs, nums, dens = space.capacity_table()
+    xs, nums, dens = space.capacity_table
     a, b, w = eps.numerator, eps.denominator, space.total_weight
-    # The ratio at eps itself: the union of ranges of weight <= eps*w,
-    # over eps*w.
-    num = space.union_prefix[bisect_right(space.sorted_weights, a * w // b)] * b
+    # The ratio at eps itself: the union of ranges of measure <= eps, over
+    # eps*w.
+    num = space.union_prefix[space.count_at_most(eps)] * b
     den = a * w
-    k = bisect_left(xs, -(-a * w // b))
+    k = bisect_left(xs, space.ceil_weight(eps))
     if k < len(xs) and nums[k] * den > num * dens[k]:
         num, den = nums[k], dens[k]
     return Fraction(num, den) if num > den else _ONE
@@ -407,15 +407,6 @@ def capacity_vector(space: RangeSpace, eps: Fraction) -> list[Fraction]:
 
 
 # -- doubling ---------------------------------------------------------------
-
-
-def _eligible_count(space: RangeSpace, eps0: Fraction) -> int:
-    """How many ranges have measure <= 2 * eps0; they are the first ones
-    of space.measure_order."""
-    w = space.total_weight
-    return bisect_right(
-        space.sorted_weights, 2 * eps0.numerator * w // eps0.denominator
-    )
 
 
 def doubling_constant(
@@ -463,7 +454,7 @@ def doubling_constant(
     best, best_eps0, best_members = 0, None, ()
     upper = None  # set once a clique search has run out of budget
     for eps0 in sorted(candidates):
-        j = _eligible_count(space, eps0)
+        j = space.count_at_most(2 * eps0)
         if j <= (best if upper is None else upper):
             continue
         far = graph.rows(j, space.ceil_weight(eps0))
@@ -498,7 +489,7 @@ def _max_shallow(space: RangeSpace, y: int, l: int) -> int:
     points to go, and there are never more than m traces. Past WALK_NODES
     nodes, CapExceededError.
     """
-    cols = space.incidence()
+    cols = space.incidence
     n, m = space.n, len(space.ranges)
     best = 0
     budget = Budget(WALK_NODES, "exact phi search")
@@ -583,7 +574,7 @@ def star_number(space: RangeSpace, cap: int | None = None) -> Bound:
     runs out adds its incumbent to the lower end and its point count to
     the upper end. The witness is a star set of size lower. cap is ignored.
     """
-    cols = space.incidence()
+    cols = space.incidence
     budget = Budget(WALK_NODES, "star walk")
     spend = budget.spend
 

@@ -6,17 +6,19 @@ from non-negative integer point weights. Nothing in this module ever
 rounds: every measure comparison is exact.
 
 Sampling draws i.i.d. points from P with random.choices on a stream_rng
-stream. draw_points returns the draws; draw_mask returns only the set
-they hit, skipping the draws that can no longer change it, and leaves
-the stream exactly where draw_points would.
+stream. draw_points returns the draws; hit_mask returns only the set
+they hit, stopping at the draws that can no longer change it, and
+draw_mask skips the stream past those, leaving it exactly where
+draw_points would.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
@@ -162,6 +164,23 @@ def ceil_log2(q: Fraction) -> int:
     return k
 
 
+class cached_index:
+    """A RangeSpace index built on first read and kept by object.__setattr__
+    (the dataclass is frozen). functools.cached_property keeps it through
+    __dict__, which on CPython 3.11 moves the space's attribute values into
+    a dict for good and slows every later read (mask_weight by a third)."""
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, space, owner=None):
+        if space is None:
+            return self
+        value = self.build(space)
+        object.__setattr__(space, self.name, value)
+        return value
+
+
 @dataclass(frozen=True)
 class RangeSpace:
     """A finite range space: weighted points plus a family of subsets.
@@ -169,14 +188,15 @@ class RangeSpace:
     ranges are canonical: deduplicated, no empty range, sorted by their
     point tuples. The measure of a range is weight(range)/total_weight.
 
-    Derived per-space data follows one rule. What is computed through
-    mask_weight (range_weights, union_prefix) is built with the space, so
-    the mask_weight calls an operation makes do not depend on whether it
-    is the first to touch the space. The byte tables that mask_weight
-    reads on a non-uniform space are also built with it, from weights
-    alone, and make no mask_weight call. Everything else (the sampling
-    population, the incidence index, the capacity table) is built on
-    first use and calls no mask_weight.
+    Every piece of derived per-space data is declared here, and it
+    follows one rule. What is computed through mask_weight (range_weights,
+    union_prefix) is built with the space, so the mask_weight calls an
+    operation makes do not depend on whether it is the first to touch the
+    space. The byte tables that mask_weight reads on a non-uniform space
+    are also built with it, from weights alone, and make no mask_weight
+    call; they are empty on a uniform space. The cached indices
+    (incidence, capacity_table, population) are built on first read and
+    call no mask_weight.
     """
 
     n: int
@@ -186,63 +206,47 @@ class RangeSpace:
     total_weight: int = field(init=False, compare=False, default=0)
     support_mask: int = field(init=False, compare=False, default=0)
     range_weights: tuple[int, ...] = field(init=False, compare=False, default=())
+    # Range indices by ascending measure (ties by index), their weights in
+    # that order, and union_prefix[j] = weight of the union of the first j
+    # of them, so capacity at a scale, the ranges eligible at a doubling
+    # scale and the dyadic cuts are bisects.
+    measure_order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    sorted_weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    union_prefix: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # _byte_weights[c][b]: weight of the points 8c + k for the bits k set
+    # in byte b, so a mask of points in 0..n-1 weighs as one lookup per
+    # byte; () on a uniform space, which weighs by bit_count.
+    _byte_weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        w = sum(self.weights)
-        object.__setattr__(self, "total_weight", w)
-        sup = 0
-        for i, wi in enumerate(self.weights):
-            if wi > 0:
-                sup |= 1 << i
-        object.__setattr__(self, "support_mask", sup)
-        uniform = all(wi == 1 for wi in self.weights)
-        object.__setattr__(self, "_uniform", uniform)
-        # _byte_weights[c][b]: weight of the points 8c + k for the bits k
-        # set in byte b, so a mask of points in 0..n-1 weighs as one
-        # lookup per byte.
+        put = partial(object.__setattr__, self)  # the dataclass is frozen
+        put("total_weight", sum(self.weights))
+        put("support_mask", mask_of(i for i, wi in enumerate(self.weights) if wi))
         tables = ()
-        if not uniform:
+        if not all(wi == 1 for wi in self.weights):
             for c in range(0, self.n, 8):
                 t = [0]
                 for wk in self.weights[c:c + 8]:
                     t += [v + wk for v in t]
                 tables += (tuple(t),)
-        object.__setattr__(self, "_byte_weights", tables)
-        object.__setattr__(
-            self, "range_weights", tuple(self.mask_weight(r) for r in self.ranges)
-        )
-        # Range indices by ascending measure (ties by index), their weights
-        # in that order, and union_prefix[j] = weight of the union of the
-        # first j of them, so capacity at a scale and the ranges eligible at
-        # a doubling scale are bisects. union_prefix calls mask_weight, so
-        # it is built here (see the class docstring); the order and the
-        # sorted weights come from range_weights alone.
-        order = tuple(
-            sorted(range(len(self.ranges)), key=self.range_weights.__getitem__)
-        )
-        prefix = [0]
-        union = 0
+        put("_byte_weights", tables)
+        put("range_weights", tuple(self.mask_weight(r) for r in self.ranges))
+        order = sorted(range(len(self.ranges)), key=self.range_weights.__getitem__)
+        prefix, union = [0], 0
         for i in order:
             prefix.append(prefix[-1] + self.mask_weight(self.ranges[i] & ~union))
             union |= self.ranges[i]
-        object.__setattr__(self, "measure_order", order)
-        object.__setattr__(
-            self, "sorted_weights", tuple(self.range_weights[i] for i in order)
-        )
-        object.__setattr__(self, "union_prefix", tuple(prefix))
-        # Derived data built on first use (see draw_points, incidence and
-        # capacity_table).
-        object.__setattr__(self, "_population", None)
-        object.__setattr__(self, "_incidence", None)
-        object.__setattr__(self, "_capacity", None)
+        put("measure_order", tuple(order))
+        put("sorted_weights", tuple(self.range_weights[i] for i in order))
+        put("union_prefix", tuple(prefix))
 
     # -- measures ---------------------------------------------------------
 
     def mask_weight(self, mask: int) -> int:
-        if self._uniform:  # type: ignore[attr-defined]
+        if not self._byte_weights:
             return mask.bit_count()
         total = 0
-        for table in self._byte_weights:  # type: ignore[attr-defined]
+        for table in self._byte_weights:
             if not mask:
                 break
             total += table[mask & 255]
@@ -259,6 +263,13 @@ class RangeSpace:
         measure_order."""
         return bisect_left(self.sorted_weights, self.ceil_weight(q))
 
+    def count_at_most(self, q: Fraction) -> int:
+        """How many ranges have measure <= q; they are the first ones of
+        measure_order."""
+        return bisect_right(
+            self.sorted_weights, q.numerator * self.total_weight // q.denominator
+        )
+
     def mask_measure(self, mask: int) -> Fraction:
         return Fraction(self.mask_weight(mask), self.total_weight)
 
@@ -272,45 +283,43 @@ class RangeSpace:
 
     # -- structure --------------------------------------------------------
 
+    @cached_index
     def incidence(self) -> tuple[int, ...]:
         """cols[x]: bitmask over range indices of the ranges containing
-        point x. Built once per space."""
-        cols = self._incidence  # type: ignore[attr-defined]
-        if cols is None:
-            cols = tuple(incidence_columns(self.ranges, self.n))
-            object.__setattr__(self, "_incidence", cols)
-        return cols
+        point x."""
+        return tuple(incidence_columns(self.ranges, self.n))
 
-    def capacity_table(
-        self,
-    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    @cached_index
+    def capacity_table(self) -> tuple[tuple[int, ...], ...]:
         """(xs, nums, dens): xs are the distinct positive range weights in
         ascending order, and nums[k]/dens[k] is the largest ratio
         union_prefix[bisect_right(sorted_weights, x)] / x over x in xs[k:],
-        the capacity candidates at the scales x/total_weight. Built once
-        per space from sorted_weights and union_prefix alone."""
-        table = self._capacity  # type: ignore[attr-defined]
-        if table is None:
-            sw, prefix = self.sorted_weights, self.union_prefix
-            xs, nums, dens = [], [], []
-            bp, bx = 0, 1
-            # Walk the distinct weights downward; j + 1 is bisect_right at
-            # sw[j] when j is the last index holding that weight.
-            for j in range(len(sw) - 1, -1, -1):
-                x = sw[j]
-                if x == 0:
-                    break
-                if xs and xs[-1] == x:
-                    continue
-                p = prefix[j + 1]
-                if p * bx > bp * x:
-                    bp, bx = p, x
-                xs.append(x)
-                nums.append(bp)
-                dens.append(bx)
-            table = (tuple(xs[::-1]), tuple(nums[::-1]), tuple(dens[::-1]))
-            object.__setattr__(self, "_capacity", table)
-        return table
+        the capacity candidates at the scales x/total_weight. Built from
+        sorted_weights and union_prefix alone."""
+        sw, prefix = self.sorted_weights, self.union_prefix
+        xs, nums, dens = [], [], []
+        bp, bx = 0, 1
+        # Walk the distinct weights downward; j + 1 is bisect_right at
+        # sw[j] when j is the last index holding that weight.
+        for j in range(len(sw) - 1, -1, -1):
+            x = sw[j]
+            if x == 0:
+                break
+            if xs and xs[-1] == x:
+                continue
+            p = prefix[j + 1]
+            if p * bx > bp * x:
+                bp, bx = p, x
+            xs.append(x)
+            nums.append(bp)
+            dens.append(bx)
+        return tuple(xs[::-1]), tuple(nums[::-1]), tuple(dens[::-1])
+
+    @cached_index
+    def population(self) -> tuple[list[int], list[int] | None]:
+        """(points, cumulative weights) of the whole support, for
+        random.choices (see _population)."""
+        return _population(self, self.support_mask)
 
     def project(self, y: int | Iterable[int]) -> list[int]:
         """Distinct traces {R & Y} of the family on Y, canonically ordered.
@@ -439,7 +448,7 @@ def build_range_space(
     return RangeSpace(n=n, weights=weights, ranges=canon, name=name)
 
 
-# The most draws that one choices chunk (draw_mask, cal_net) or one skip
+# The most draws that one choices chunk (hit_mask, cal_net) or one skip
 # (draw_mask) takes, so their memory stays bounded whatever k is.
 DRAW_BLOCK = 1 << 14
 
@@ -453,18 +462,14 @@ def draw_points(space: RangeSpace, k: int, rng, within_mask: int | None = None) 
     return rng.choices(pts, cum_weights=cum, k=k)
 
 
-def draw_mask(space: RangeSpace, k: int, rng, within_mask: int | None = None) -> int:
-    """mask_of(draw_points(space, k, rng, within_mask)), leaving rng in
-    the same state, without building the k-point list.
-
-    Draws in choices chunks, the first as long as the candidate points
-    and each next one twice as long (at most DRAW_BLOCK). Once every
-    candidate point has been drawn the rest of the k draws cannot change
-    the mask, so they are skipped: each choices draw, uniform or
-    weighted, takes exactly one random(), two 32-bit MT19937 words, so
-    getrandbits(64 * rest) advances the stream past them, in blocks of at
-    most DRAW_BLOCK draws.
-    """
+def hit_mask(
+    space: RangeSpace, k: int, rng, within_mask: int | None = None
+) -> tuple[int, int]:
+    """(mask_of(draw_points(space, k, rng, within_mask)), rest). Draws in
+    choices chunks, the first as long as the candidate points and each next
+    one twice as long (at most DRAW_BLOCK), and stops once every candidate
+    is hit: the rest of the k draws cannot change the mask, and rng is left
+    after the draws made (draw_mask skips it past the rest)."""
     pts, cum = _population(space, within_mask)
     bits = [1 << p for p in pts]
     full = sum(bits)
@@ -476,39 +481,42 @@ def draw_mask(space: RangeSpace, k: int, rng, within_mask: int | None = None) ->
         mask |= sum(set(rng.choices(bits, cum_weights=cum, k=take)))
         k -= take
         chunk = min(2 * chunk, DRAW_BLOCK)
-    while k > 0:
-        skip = min(k, DRAW_BLOCK)
+    return mask, k
+
+
+def draw_mask(space: RangeSpace, k: int, rng, within_mask: int | None = None) -> int:
+    """mask_of(draw_points(space, k, rng, within_mask)), leaving rng in
+    the same state, without building the k-point list.
+
+    The draws hit_mask leaves undrawn are skipped: each choices draw,
+    uniform or weighted, takes exactly one random(), two 32-bit MT19937
+    words, so getrandbits(64 * rest) advances the stream past them, in
+    blocks of at most DRAW_BLOCK draws.
+    """
+    mask, rest = hit_mask(space, k, rng, within_mask)
+    while rest > 0:
+        skip = min(rest, DRAW_BLOCK)
         rng.getrandbits(64 * skip)
-        k -= skip
+        rest -= skip
     return mask
 
 
 def _population(
     space: RangeSpace, within_mask: int | None
 ) -> tuple[list[int], list[int] | None]:
-    """(points, cumulative weights) of the support, or of its part inside
-    within_mask, for random.choices; the whole support's pair is built on
-    first use. A within_mask of measure zero is an InstanceError."""
+    """(points, cumulative weights) of the support (space.population), or
+    of its part inside within_mask, for random.choices. The weights are
+    None on a uniform space: choices then draws floor(random() * n), the
+    same point that a bisect of [1, ..., n] would give, without the
+    bisect. A within_mask of measure zero is an InstanceError."""
     if within_mask is None:
-        pop = getattr(space, "_population")
-        if pop is None:
-            pts = list(iter_bits(space.support_mask))
-            pop = (pts, _cum_weights(space, pts))
-            object.__setattr__(space, "_population", pop)
-        return pop
+        return space.population
     pts = list(iter_bits(space.support_mask & within_mask))
     if not pts:
         raise InstanceError("sampling event has measure zero")
-    return pts, _cum_weights(space, pts)
-
-
-def _cum_weights(space: RangeSpace, pts: list[int]) -> list[int] | None:
-    """Cumulative weights for random.choices, or None on a uniform space:
-    choices then draws floor(random() * n), the same point that a bisect
-    of [1, ..., n] would give, without the bisect."""
-    if space._uniform:  # type: ignore[attr-defined]
-        return None
-    return list(accumulate(space.weights[p] for p in pts))
+    if not space._byte_weights:
+        return pts, None
+    return pts, list(accumulate(space.weights[p] for p in pts))
 
 
 def stream_rng(seed: int, *stream: object):

@@ -8,10 +8,12 @@ the stratified and packing-guided builders carry deterministic repair
 steps and always verify. They and the small-D head share one per-scale
 loop, _scale_nets: draw into the bucket union, then repair the scale.
 
-The sampling builders take their draws as one mask (core.draw_mask): a
-sample of m points is the set of distinct points it hits, and draws past
-the point where every candidate has been hit are skipped without changing
-the stream. Their stats still report the requested sizes. cal_net reads
+The sampling builders take their draws as one mask (core.hit_mask): a
+sample of m points is the set of distinct points it hits, and the draws
+past the point where every candidate has been hit are not made. The
+dyadic builders read one stream across scales, so they skip it past
+those draws (core.draw_mask); iid_net drops its stream after its one
+sample. Their stats still report the requested sizes. cal_net reads
 its private stream in chunks and counts the draws it looked at.
 
 Hits are bitmasks over range indices. The ranges a point set meets are
@@ -56,6 +58,7 @@ from .core import (
     draw_mask,
     draw_points,
     format_rational,
+    hit_mask,
     incidence_columns,
     iter_bits,
     mask_of,
@@ -139,7 +142,7 @@ def verify_net(
             raise InstanceError(f"candidate point {p} outside 0..{space.n - 1}")
         if space.weights[p] == 0:
             raise InstanceError(f"candidate point {p} has zero weight")
-    cols = space.incidence()
+    cols = space.incidence
     hits = 0
     for p in pts:
         hits |= cols[p]
@@ -249,9 +252,10 @@ class DyadicDecomposition:
     depend on (space, eps) alone, each scale's quarter groups and the
     small-D builder's head and tail per cut, are kept in memo the first
     time a builder asks for them, so builders handed one shared
-    decomposition (the dec= argument) compute them once. Nothing is kept
-    on the space."""
+    decomposition (the dec= argument) compute them once. It records the
+    space it was built for, and keeps nothing on it."""
 
+    space: RangeSpace = field(compare=False, repr=False)
     eps: Fraction
     z: int
     levels: tuple[Fraction, ...]  # scale i -> min(2^i eps, 1), i = 0..z
@@ -264,12 +268,14 @@ class DyadicDecomposition:
 def _decomposition(
     space: RangeSpace, eps: Fraction, dec: DyadicDecomposition | None
 ) -> DyadicDecomposition:
-    """dec when given (it must be build_decomposition(space, eps)), else a
-    new one."""
+    """dec when given, else a new one. A dec built for another space or
+    another eps is a ValueError."""
     if dec is None:
         return build_decomposition(space, eps)
     if dec.eps != eps:
         raise ValueError(f"decomposition is at scale {dec.eps}, not {eps}")
+    if dec.space != space:
+        raise ValueError("decomposition was built for another space")
     return dec
 
 
@@ -314,7 +320,7 @@ def build_decomposition(space: RangeSpace, eps: Fraction) -> DyadicDecomposition
                 f"fell below 1/(2*tau)"
             )
     return DyadicDecomposition(
-        eps, z, levels, tuple(buckets), tuple(unions), taus,
+        space, eps, z, levels, tuple(buckets), tuple(unions), taus,
     )
 
 
@@ -350,6 +356,24 @@ def small_doubling_size_bound(d: int, D: float, eps) -> float:
     return max(d, 1) * max(D, 1.0) * max(math.log(1 / (float(eps) * max(D, 1.0))), LN2)
 
 
+def _check_C(C: float) -> None:
+    """A ValueError unless the sample-size constant C is positive and
+    finite; every sizing checks it before any work."""
+    if not (C > 0 and math.isfinite(C)):
+        raise ValueError(f"C must be positive and finite, got {C!r}")
+
+
+def _sizing_D(space: RangeSpace, eps: Fraction, D: float | None) -> float:
+    """The doubling value a packing-guided sizing uses: D, or the upper
+    end of doubling_constant(space, eps) when None, at least 1. A D that
+    is not finite is a ValueError."""
+    if D is None:
+        D = float(doubling_constant(space, eps).upper)
+    if not math.isfinite(D):
+        raise ValueError(f"D must be finite, got {D!r}")
+    return max(D, 1.0)
+
+
 def _draw_count(x: float) -> int:
     """ceil(x) as a number of draws: a ValueError when x is not finite or
     the count would exceed sys.maxsize, the most draws a sample can take."""
@@ -377,8 +401,7 @@ def iid_sample_size(
     eps, delta = Fraction(eps), Fraction(delta)
     if not 0 < eps <= 1 or not 0 < delta <= 1:
         raise ValueError("eps and delta must be in (0, 1]")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    _check_C(C)
     d = max(d, 0)
     if sizing == "vc":
         term = d * math.log(1 / float(eps))
@@ -407,12 +430,14 @@ def iid_net(
     failed draw is reported as is_net=False.
     """
     eps, delta = _unit_eps(eps), Fraction(delta)
+    _check_C(C)
     if d is None:
         d = vc_dimension(space).lower
     tau = alexander_capacity(space, eps) if sizing == "capacity" else None
     m = iid_sample_size(eps, delta, d, sizing, tau, C)
-    rng = stream_rng(seed, "iid", sizing)
-    net_mask = draw_mask(space, m, rng)
+    # The stream is private to this draw, so the draws that cannot change
+    # the sample are not skipped past.
+    net_mask = hit_mask(space, m, stream_rng(seed, "iid", sizing))[0]
     stats = {"seed": seed, "draws": m, "sizing": sizing, "C": C, "d": d}
     if tau is not None:
         stats["tau"] = tau
@@ -444,6 +469,7 @@ def stratified_net(
     caller running several seeds or builders at one eps can pass one.
     """
     eps = _unit_eps(eps)
+    _check_C(C)
     if d is None:
         d = vc_dimension(space).lower
     d_eff = max(d, 1)
@@ -501,12 +527,11 @@ def doubling_net(
     shared one keeps the packings and quarter groups of each scale.
     """
     eps = _unit_eps(eps)
+    _check_C(C)
     if d is None:
         d = vc_dimension(space).lower
     d_eff = max(d, 1)
-    if D is None:
-        D = float(doubling_constant(space, eps).upper)
-    D = max(D, 1.0)
+    D = _sizing_D(space, eps, D)
     dec = _decomposition(space, eps, dec)
 
     def size(b):
@@ -590,11 +615,10 @@ def doubling_net_small_d(
     and doubling value per cut, so only the tail's draw is per seed.
     """
     eps = _unit_eps(eps)
+    _check_C(C)
     if d is None:
         d = vc_dimension(space).lower
-    if D is None:
-        D = float(doubling_constant(space, eps).upper)
-    D = max(D, 1.0)
+    D = _sizing_D(space, eps, D)
     DF = Fraction(D)  # exact binary value of the float
     if DF > Fraction(1, 2) / eps:
         rep = doubling_net(space, eps, C=C, seed=seed, D=D, d=d, dec=dec)
@@ -653,7 +677,7 @@ def cal_net(
     if budget_n < 1:
         raise ValueError("budget_n must be >= 1")
     rng = stream_rng(seed, "cal")
-    cols = space.incidence()
+    cols = space.incidence
     # Over range indices; a range of measure 0 can never be hit by a draw.
     surviving = mask_of(i for i, w in enumerate(space.range_weights) if w)
     kept: list[int] = []
@@ -691,7 +715,7 @@ def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
     scored on the space's incidence index masked by the heavy ranges."""
     eps = _unit_eps(eps)
     heavy = _heavy(space, eps)
-    cols = space.incidence()
+    cols = space.incidence
     cands = [p for p in iter_bits(space.support_mask) if cols[p] & heavy]
     pts = _greedy_pick(cols, cands, heavy)
     return verify_net(

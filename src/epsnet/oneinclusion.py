@@ -60,7 +60,7 @@ def trace_vertices(space: RangeSpace, sample: list[int]) -> tuple[int, ...]:
         if not 0 <= p < space.n:
             raise ValueError(f"sample point {p} outside 0..{space.n - 1}")
     # Row i of the transposed sample columns is range i's trace.
-    cols = space.incidence()
+    cols = space.incidence
     traces = incidence_columns([cols[p] for p in sample], len(space.ranges))
     return tuple(sorted(set(traces)))
 

@@ -315,10 +315,18 @@ def projection_count_estimate(
     |F| <= E|F restricted to A| / (1 - slack). The expectation is
     estimated by trials draws; strict mode raises if the empirical
     mean violates the inequality with generous tolerance (3 sigma).
+    A delta outside (0, 1], a slack outside (0, 1) or fewer than one
+    trial is a ValueError before any work.
     """
     from .complexity import vc_dimension
 
     delta = Fraction(delta)
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    if not 0 < slack < 1:
+        raise ValueError(f"slack must be in (0, 1), got {slack}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     packing = max_packing_exact(space, delta)
     if len(packing.members) <= 1:
         return {"family": len(packing.members), "ok": True, "mean": None,

@@ -263,7 +263,8 @@ def test_net_eps_outside_unit_interval_is_exit_2_before_any_work(
         real = getattr(nets, name)
         return lambda *a, **k: calls.append(name) or real(*a, **k)
 
-    for name in ("vc_dimension", "_heavy", "draw_points", "draw_mask"):
+    for name in ("vc_dimension", "_heavy", "draw_points", "draw_mask",
+                 "hit_mask"):
         monkeypatch.setattr(nets, name, spy(name))
     assert main(["net", str(chain_file), "--method", method,
                  f"--eps={eps}"]) == 2

@@ -2,6 +2,7 @@
 conditioning, serialization, rational helpers, and the sampling stream
 contract of draw_mask."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -18,7 +19,11 @@ from epsnet import (
     parse_rational,
     stream_rng,
 )
-from epsnet.core import DRAW_BLOCK, ceil_log2, iter_bits, mask_of, points_of
+from epsnet.complexity import alexander_capacity, doubling_constant
+from epsnet.core import (
+    DRAW_BLOCK, cached_index, ceil_log2, iter_bits, mask_of, points_of,
+)
+from epsnet.nets import greedy_net, verify_net
 
 from corpus import CORPUS
 
@@ -88,11 +93,33 @@ def test_malformed_instance_is_instance_error(doc):
 
 def test_incidence_columns_are_built_once():
     sp = build_range_space(4, [1] * 4, [[0, 1], [1, 2], [3]])
-    cols = sp.incidence()
+    cols = sp.incidence
     for x in range(sp.n):
         assert cols[x] == sum(
             1 << i for i, r in enumerate(sp.ranges) if r >> x & 1)
-    assert sp.incidence() is cols
+    assert sp.incidence is cols
+
+
+def test_readers_keep_only_the_declared_per_space_index():
+    # Everything a space holds is a declared field or a cached index,
+    # whichever readers have touched it. Fresh copies, so that the readers
+    # here build every cached index.
+    declared = {f.name for f in dataclasses.fields(RangeSpace)}
+    cached = {name for name, value in vars(RangeSpace).items()
+              if isinstance(value, cached_index)}
+    eps = Fraction(1, 4)
+    for key, shared in CORPUS.items():
+        sp = RangeSpace.from_dict(shared.to_dict())
+        verify_net(sp, greedy_net(sp, eps).points, eps)
+        alexander_capacity(sp, eps)
+        draw_mask(sp, 3 * sp.n, stream_rng(0, "guard"))
+        doubling_constant(sp, eps)
+        assert set(vars(sp)) == declared | cached, key
+        w, m = sp.total_weight, len(sp.ranges)
+        for x in set(sp.range_weights):
+            for q in (Fraction(x, w), Fraction(x, 2 * w)):
+                want = sum(1 for i in range(m) if sp.measure(i) <= q)
+                assert sp.count_at_most(q) == want, (key, q)
 
 
 def test_exact_measures():

@@ -3,6 +3,8 @@ failure honestly), and the exact oracle pins down minimum sizes."""
 
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from epsnet.core import (
     stream_rng,
 )
 from epsnet.experiment import METHODS, ExperimentConfig, run_method
-from epsnet.generators import gen_geometric, random_points
+from epsnet.generators import gen_geometric, gen_random, random_points
 from epsnet.nets import (
     build_decomposition,
     cal_net,
@@ -206,6 +208,54 @@ def test_iid_sample_size_validation():
                         sizing="capacity")  # tau missing
 
 
+@pytest.mark.parametrize("C", [-1.0, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "build", [iid_net, stratified_net, doubling_net, doubling_net_small_d])
+def test_builders_reject_a_sample_constant_that_is_not_positive_and_finite(
+    build, C, monkeypatch,
+):
+    # Unchecked, C = -1 sizes negative draw counts and C = 0 draws nothing.
+    # The check comes before the VC walk and the decomposition.
+    def no_work(*args):
+        raise AssertionError("work ran before the C check")
+
+    for name in ("vc_dimension", "alexander_capacity", "build_decomposition"):
+        monkeypatch.setattr(nets, name, no_work)
+    sp, eps = CORPUS["chain8"], Fraction(1, 8)
+    args = ({"delta": Fraction(1, 10)} if build is iid_net
+            else {} if build is stratified_net else {"D": 4.0})
+    with pytest.raises(ValueError, match="C must be positive and finite"):
+        build(sp, eps, C=C, **args)
+
+
+@pytest.mark.parametrize("build", [doubling_net, doubling_net_small_d])
+def test_doubling_builders_reject_an_infinite_D(build):
+    with pytest.raises(ValueError, match="D must be finite"):
+        build(CORPUS["chain8"], Fraction(1, 8), D=math.inf, d=1)
+
+
+def test_iid_net_does_not_skip_the_stream_it_drops(monkeypatch):
+    # The draws past the one that completes the sample cannot change it,
+    # and iid_net reads nothing more from its stream, so it never skips.
+    class NoSkip(random.Random):
+        def getrandbits(self, k):
+            raise AssertionError("iid_net skipped its stream")
+
+    def no_skip_rng(seed, *stream):
+        rng = NoSkip()
+        rng.setstate(stream_rng(seed, *stream).getstate())
+        return rng
+
+    sp, eps, delta = CORPUS["chain8"], Fraction(1, 8), Fraction(1, 10)
+    want = iid_net(sp, eps, delta, seed=3).to_dict()
+    monkeypatch.setattr(nets, "stream_rng", no_skip_rng)
+    assert iid_net(sp, eps, delta, seed=3).to_dict() == want
+    # About 3.5e11 requested draws; only the first few are made.
+    rep = iid_net(sp, eps, delta, C=1e10, seed=3)
+    assert rep.stats["draws"] > 10**11
+    assert rep.points == tuple(range(sp.n))
+
+
 # -- the guaranteed builders always verify ------------------------------------
 
 
@@ -298,10 +348,19 @@ def test_shared_decomposition_gives_the_same_reports():
 
 
 def test_decomposition_at_another_eps_is_rejected():
-    sp = CORPUS["chain8"]
-    dec = build_decomposition(sp, Fraction(1, 4))
-    with pytest.raises(ValueError, match="scale"):
-        stratified_net(sp, Fraction(1, 8), dec=dec)
+    chain = CORPUS["chain8"]
+    # Taken unchecked, a decomposition of another space on as many points
+    # gives taus [19/6, 2, 1, 1] where the space's own are [4, 2, 1, 1].
+    other = gen_random(8, 20, "uniform", "uniform", seed=3)
+    cases = [
+        (chain, Fraction(1, 8), build_decomposition(chain, Fraction(1, 4)),
+         "scale"),
+        (gen_geometric("intervals", range(8)), Fraction(1, 4),
+         build_decomposition(other, Fraction(1, 4)), "another space"),
+    ]
+    for sp, eps, dec, match in cases:
+        with pytest.raises(ValueError, match=match):
+            stratified_net(sp, eps, dec=dec)
 
 
 def test_seed_free_methods_ignore_the_seed():
@@ -413,7 +472,7 @@ def test_greedy_net_reads_the_cached_incidence_index(monkeypatch):
         return build(masks, n)
 
     sp = CORPUS["random12w"]
-    sp.incidence()
+    sp.incidence
     monkeypatch.setattr(nets, "incidence_columns", spy)
     monkeypatch.setattr(core, "incidence_columns", spy)
     for eps in EPS_GRID:

@@ -434,6 +434,28 @@ def test_projection_count_estimate_is_frozen(name, sample_size, trials, mean):
     assert out["mean"] == mean
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"delta": Fraction(0)}, {"delta": Fraction(-1)}, {"delta": Fraction(3, 2)},
+     {"slack": Fraction(0)}, {"slack": Fraction(1)}, {"slack": Fraction(2)},
+     {"trials": 0}],
+    ids=["delta-0", "delta-negative", "delta-above-1", "slack-0", "slack-1",
+         "slack-2", "trials-0"],
+)
+def test_projection_count_estimate_rejects_bad_inputs_before_any_work(
+    bad, monkeypatch,
+):
+    # Unchecked, these divide by zero, raise TheoremViolationError (which
+    # only a bug may raise) or, at slack 2, certify vacuously.
+    def no_search(*args):
+        raise AssertionError("a packing search ran")
+
+    monkeypatch.setattr(packing, "max_packing_exact", no_search)
+    args = {"delta": Fraction(1, 4), **bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        projection_count_estimate(CORPUS["chain8"], **args)
+
+
 def test_projection_count_estimate_trivial_family():
     sp = build_range_space(2, [1, 1], [[0, 1]])
     out = projection_count_estimate(sp, Fraction(1, 4))
