@@ -90,7 +90,7 @@ def cmd_gen(args) -> int:
     else:
         if args.points_file:
             pts = _read_points_file(args.points_file)
-        elif args.random_points:
+        elif args.random_points is not None:
             pts = random_points(args.random_points, GEO_DIMS[args.kind],
                                 seed=args.seed, grid=args.grid)
         else:
@@ -287,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--method", required=True, choices=tuple(METHODS))
     p.add_argument("--eps", required=True)
-    p.add_argument("--delta", default="1/10")
-    p.add_argument("--C", type=float, default=8.0)
+    p.add_argument("--delta", default=format_rational(ExperimentConfig.delta))
+    p.add_argument("--C", type=float, default=ExperimentConfig.C)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-n", type=int, default=20)
+    p.add_argument("--budget-n", type=int, default=ExperimentConfig.cal_budget)
     p.add_argument("--d", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_net)

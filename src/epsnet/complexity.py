@@ -36,8 +36,10 @@ from .core import (
     CapExceededError,
     RangeSpace,
     TheoremViolationError,
+    _unit_eps,
     ceil_log2,
     components,
+    format_rational,
     incidence_columns,
     iter_bits,
     mask_of,
@@ -76,17 +78,6 @@ class Bound:
         if not self.exact:
             raise ValueError("no single exact value in bracket mode")
         return self.lower
-
-
-def _unit_eps(eps) -> Fraction:
-    """eps as a Fraction in (0, 1], else a ValueError. A Fraction already
-    in range is returned as it is: its denominator is positive."""
-    if type(eps) is Fraction and 0 < eps.numerator <= eps.denominator:
-        return eps
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    return eps
 
 
 def _split(classes: list[int], col: int) -> tuple[list[int], list[int]]:
@@ -636,15 +627,13 @@ class ComplexityProfile:
     d: Bound
     tau: Fraction
     tau_vector: tuple[Fraction, ...]
-    z: int
     doubling: Bound
     pi: tuple[tuple[int, Bound], ...]  # (y, pi(y))
     phi: tuple[tuple[int, int, Bound], ...]  # (y, l, phi(y, l))
     star: Bound
 
     def to_dict(self) -> dict:
-        from .core import format_rational as fr
-
+        fr = format_rational
         d, dbl, star = self.d, self.doubling, self.star
         return {
             "name": self.name,
@@ -652,7 +641,7 @@ class ComplexityProfile:
             "vc": {"value": d.lower, "exact": d.exact, "witness": list(d.witness)},
             "tau": fr(self.tau),
             "tau_vector": [fr(t) for t in self.tau_vector],
-            "z": self.z,
+            "z": len(self.tau_vector),
             "doubling": {
                 "mode": dbl.mode,
                 "lower": dbl.lower,
@@ -678,7 +667,6 @@ def compute_profile(
     d = vc_dimension(space)
     tau = alexander_capacity(space, eps)
     tau_vec = tuple(capacity_vector(space, eps))
-    z, _ = capacity_levels(eps)
     doubling = doubling_constant(space, eps)
     pi_rows = []
     for y in range(min(space.n, pi_max_y) + 1):
@@ -694,6 +682,6 @@ def compute_profile(
         phi_rows = ((y_phi, l_phi, shallow_cell(space, y_phi, l_phi, seed=seed)),)
     star = star_number(space)
     return ComplexityProfile(
-        name=space.name, eps=eps, d=d, tau=tau, tau_vector=tau_vec, z=z,
+        name=space.name, eps=eps, d=d, tau=tau, tau_vector=tau_vec,
         doubling=doubling, pi=tuple(pi_rows), phi=phi_rows, star=star,
     )

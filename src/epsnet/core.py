@@ -149,6 +149,18 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _unit_eps(eps, name: str = "eps") -> Fraction:
+    """eps as a Fraction in (0, 1], else a ValueError naming the input. A
+    Fraction already in range is returned as it is: its denominator is
+    positive."""
+    if type(eps) is Fraction and 0 < eps.numerator <= eps.denominator:
+        return eps
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError(f"{name} must be in (0, 1], got {eps}")
+    return eps
+
+
 def ceil_log2(q: Fraction) -> int:
     """Smallest integer k with 2**k >= q, computed exactly. Requires q > 0."""
     if q <= 0:

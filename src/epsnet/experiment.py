@@ -31,6 +31,7 @@ from .core import (
 )
 from .complexity import doubling_constant, vc_dimension
 from .nets import (
+    DEFAULT_C,
     build_decomposition,
     cal_net,
     capacity_size_bound,
@@ -126,7 +127,7 @@ class ExperimentConfig:
     eps_grid: list = field(default_factory=list)
     methods: list = field(default_factory=list)
     seeds: list = field(default_factory=list)
-    C: float = 8.0
+    C: float = DEFAULT_C
     delta: Fraction = Fraction(1, 10)
     cal_budget: int = 20
     base_dir: Path = field(default_factory=Path)

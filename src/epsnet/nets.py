@@ -7,6 +7,11 @@ report honest outcomes: one-shot methods may return is_net=False, while
 the stratified and packing-guided builders carry deterministic repair
 steps and always verify. They and the small-D head share one per-scale
 loop, _scale_nets: draw into the bucket union, then repair the scale.
+The four sampling builders share one input step, _inputs (eps, C and a
+given D checked before any work, d from the VC walk when None), and
+stratified_net and doubling_net one report step, _dyadic_report (the
+loop on the stream named after the method, its per-scale stats, then
+verify_net).
 
 The sampling builders take their draws as one mask (core.hit_mask): a
 sample of m points is the set of distinct points it hits, and the draws
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import (
@@ -53,6 +58,7 @@ from .core import (
     InstanceError,
     RangeSpace,
     TheoremViolationError,
+    _unit_eps,
     ceil_log2,
     components,
     draw_mask,
@@ -65,7 +71,6 @@ from .core import (
     stream_rng,
 )
 from .complexity import (
-    _unit_eps,
     alexander_capacity,
     capacity_levels,
     doubling_constant,
@@ -207,6 +212,21 @@ def _scale_nets(
         draws.append(m)
         added.append(k)
     return net_mask, draws, added
+
+
+def _dyadic_report(
+    space: RangeSpace, dec: DyadicDecomposition, method: str, scales: range,
+    groups, size, stats: dict,
+) -> NetReport:
+    """The dyadic builders' report step: _scale_nets over scales on the
+    stream stream_rng(stats["seed"], method), its per-scale draws and
+    repair points and dec's taus and z added to stats, then verify_net."""
+    net_mask, level_draws, added = _scale_nets(
+        space, dec, scales, groups, stream_rng(stats["seed"], method), size
+    )
+    stats.update(draws=sum(level_draws), level_draws=level_draws,
+                 repair_points=sum(added), taus=list(dec.taus), z=dec.z)
+    return verify_net(space, iter_bits(net_mask), dec.eps, method, stats)
 
 
 def _quarter_groups(
@@ -363,14 +383,26 @@ def _check_C(C: float) -> None:
         raise ValueError(f"C must be positive and finite, got {C!r}")
 
 
+def _inputs(
+    space: RangeSpace, eps, C: float, d: int | None, D: float | None = None
+) -> tuple[Fraction, int]:
+    """The sampling builders' input step: eps in (0, 1], C positive and
+    finite and a given D finite, else a ValueError before any work; then
+    eps as a Fraction and d, the VC walk's lower end when None."""
+    eps = _unit_eps(eps)
+    _check_C(C)
+    if D is not None and not math.isfinite(D):
+        raise ValueError(f"D must be finite, got {D!r}")
+    if d is None:
+        d = vc_dimension(space).lower
+    return eps, d
+
+
 def _sizing_D(space: RangeSpace, eps: Fraction, D: float | None) -> float:
     """The doubling value a packing-guided sizing uses: D, or the upper
-    end of doubling_constant(space, eps) when None, at least 1. A D that
-    is not finite is a ValueError."""
+    end of doubling_constant(space, eps) when None, at least 1."""
     if D is None:
         D = float(doubling_constant(space, eps).upper)
-    if not math.isfinite(D):
-        raise ValueError(f"D must be finite, got {D!r}")
     return max(D, 1.0)
 
 
@@ -398,9 +430,7 @@ def iid_sample_size(
     vc sizing: ceil(C * (d*ln(1/eps) + ln(1/delta)) / eps).
     capacity sizing: ceil(C * (d*ln(tau) + ln(1/delta)) / eps).
     """
-    eps, delta = Fraction(eps), Fraction(delta)
-    if not 0 < eps <= 1 or not 0 < delta <= 1:
-        raise ValueError("eps and delta must be in (0, 1]")
+    eps, delta = _unit_eps(eps), _unit_eps(delta, "delta")
     _check_C(C)
     d = max(d, 0)
     if sizing == "vc":
@@ -429,10 +459,10 @@ def iid_net(
     No retries: the success probability is the object under test, so a
     failed draw is reported as is_net=False.
     """
-    eps, delta = _unit_eps(eps), Fraction(delta)
-    _check_C(C)
-    if d is None:
-        d = vc_dimension(space).lower
+    delta = _unit_eps(delta, "delta")
+    if sizing not in ("vc", "capacity"):
+        raise ValueError(f"unknown sizing: {sizing}")
+    eps, d = _inputs(space, eps, C, d)
     tau = alexander_capacity(space, eps) if sizing == "capacity" else None
     m = iid_sample_size(eps, delta, d, sizing, tau, C)
     # The stream is private to this draw, so the draws that cannot change
@@ -468,10 +498,7 @@ def stratified_net(
     dec is build_decomposition(space, eps), built here when None; a
     caller running several seeds or builders at one eps can pass one.
     """
-    eps = _unit_eps(eps)
-    _check_C(C)
-    if d is None:
-        d = vc_dimension(space).lower
+    eps, d = _inputs(space, eps, C, d)
     d_eff = max(d, 1)
     dec = _decomposition(space, eps, dec)
 
@@ -482,23 +509,11 @@ def stratified_net(
         )
 
     # Bucket 0 has no hitting requirement below the base scale.
-    net_mask, level_sizes, added = _scale_nets(
-        space, dec, range(dec.z + 1),
+    return _dyadic_report(
+        space, dec, "stratified", range(dec.z + 1),
         lambda b: [[space.ranges[i] for i in dec.buckets[b]]] if b else [],
-        stream_rng(seed, "stratified"), size,
+        size, {"seed": seed, "C": C, "d": d},
     )
-    pts = list(iter_bits(net_mask))
-    stats = {
-        "seed": seed,
-        "C": C,
-        "d": d,
-        "draws": sum(level_sizes),
-        "level_draws": level_sizes,
-        "repair_points": sum(added),
-        "taus": list(dec.taus),
-        "z": dec.z,
-    }
-    return verify_net(space, pts, eps, method="stratified", stats=stats)
 
 
 # -- packing-guided construction ----------------------------------------------
@@ -526,10 +541,7 @@ def doubling_net(
     dec is build_decomposition(space, eps), built here when None; a
     shared one keeps the packings and quarter groups of each scale.
     """
-    eps = _unit_eps(eps)
-    _check_C(C)
-    if d is None:
-        d = vc_dimension(space).lower
+    eps, d = _inputs(space, eps, C, d, D)
     d_eff = max(d, 1)
     D = _sizing_D(space, eps, D)
     dec = _decomposition(space, eps, dec)
@@ -538,32 +550,19 @@ def doubling_net(
         t_i = max(math.log(D / float(dec.taus[b])), LN2)
         return _draw_count(C * (t_i + d_eff) * float(dec.taus[b - 1]))
 
-    # Per packing member, greedily finish the quarter-scale net of its
-    # group inside the member.
     scales = range(1, dec.z + 1)
-    net_mask, level_sizes, added = _scale_nets(
-        space, dec, scales, lambda b: _quarter_groups(space, dec, b)[1],
-        stream_rng(seed, "doubling"), size,
-    )
     # Above scale 0 only an empty bucket is skipped.
     packing_sizes = [
         _quarter_groups(space, dec, b)[0] if dec.buckets[b] else 0
         for b in scales
     ]
-    pts = list(iter_bits(net_mask))
-    stats = {
-        "seed": seed,
-        "C": C,
-        "d": d,
-        "D": D,
-        "draws": sum(level_sizes),
-        "level_draws": level_sizes,
-        "packing_sizes": packing_sizes,
-        "repair_points": sum(added),
-        "taus": list(dec.taus),
-        "z": dec.z,
-    }
-    return verify_net(space, pts, eps, method="doubling", stats=stats)
+    # Per packing member, greedily finish the quarter-scale net of its
+    # group inside the member.
+    return _dyadic_report(
+        space, dec, "doubling", scales,
+        lambda b: _quarter_groups(space, dec, b)[1], size,
+        {"seed": seed, "C": C, "d": d, "D": D, "packing_sizes": packing_sizes},
+    )
 
 
 def _small_d_parts(space: RangeSpace, dec: DyadicDecomposition, i0: int):
@@ -578,17 +577,13 @@ def _small_d_parts(space: RangeSpace, dec: DyadicDecomposition, i0: int):
     net_mask, _, member_net_sizes = _scale_nets(
         space, dec, range(1, i0 + 1), lambda b: _quarter_groups(space, dec, b)[1]
     )
-    tail = [
-        i
-        for b in range(i0 + 1, dec.z + 1)
-        for i in dec.buckets[b]
-    ]
+    tail = [i for b in range(i0 + 1, dec.z + 1) for i in dec.buckets[b]]
     tail_parts = None
     if tail:
         lam = dec.levels[i0]
         sub = space.subfamily(tail)
-        sub_D = max(float(doubling_constant(sub, lam).upper), 1.0)
-        tail_parts = (lam, sub, build_decomposition(sub, lam), sub_D)
+        tail_parts = (lam, sub, build_decomposition(sub, lam),
+                      _sizing_D(sub, lam, None))
     dec.memo[key] = net_mask, tuple(member_net_sizes), tail_parts
     return dec.memo[key]
 
@@ -614,24 +609,16 @@ def doubling_net_small_d(
     shared one keeps the head and the tail's subfamily, decomposition
     and doubling value per cut, so only the tail's draw is per seed.
     """
-    eps = _unit_eps(eps)
-    _check_C(C)
-    if d is None:
-        d = vc_dimension(space).lower
+    eps, d = _inputs(space, eps, C, d, D)
     D = _sizing_D(space, eps, D)
     DF = Fraction(D)  # exact binary value of the float
     if DF > Fraction(1, 2) / eps:
         rep = doubling_net(space, eps, C=C, seed=seed, D=D, d=d, dec=dec)
-        stats = dict(rep.stats)
-        stats["fallback"] = True
-        return NetReport(
-            "doubling-small", rep.eps, rep.points, rep.is_net,
-            rep.violations, stats,
-        )
+        return replace(rep, method="doubling-small",
+                       stats={**rep.stats, "fallback": True})
     dec = _decomposition(space, eps, dec)
-    # Rational cut: smallest i0 with 2^i0 >= e/(D*eps), capped at z.
-    i0 = min(ceil_log2(E_UPPER / (DF * eps)), dec.z)
-    i0 = max(i0, 1)
+    # Rational cut: smallest i0 >= 1 with 2^i0 >= e/(D*eps), capped at z.
+    i0 = max(min(ceil_log2(E_UPPER / (DF * eps)), dec.z), 1)
     net_mask, member_net_sizes, tail = _small_d_parts(space, dec, i0)
     tail_stats: dict = {"size": 0}
     if tail is not None:
@@ -641,19 +628,10 @@ def doubling_net_small_d(
         net_mask |= tail_rep.mask
         tail_stats = {"size": tail_rep.size, "scale": lam,
                       "draws": tail_rep.stats.get("draws", 0)}
-    pts = list(iter_bits(net_mask))
-    stats = {
-        "seed": seed,
-        "C": C,
-        "d": d,
-        "D": D,
-        "i0": i0,
-        "z": dec.z,
-        "member_net_sizes": list(member_net_sizes),
-        "tail": tail_stats,
-        "draws": tail_stats.get("draws", 0),
-    }
-    return verify_net(space, pts, eps, method="doubling-small", stats=stats)
+    stats = {"seed": seed, "C": C, "d": d, "D": D, "i0": i0, "z": dec.z,
+             "member_net_sizes": list(member_net_sizes), "tail": tail_stats,
+             "draws": tail_stats.get("draws", 0)}
+    return verify_net(space, iter_bits(net_mask), eps, "doubling-small", stats)
 
 
 # -- sequential disagreement sampling -----------------------------------------

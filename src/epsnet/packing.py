@@ -24,6 +24,7 @@ from .core import (
     CapExceededError,
     RangeSpace,
     TheoremViolationError,
+    _unit_eps,
     draw_mask,
     incidence_columns,
     stream_rng,
@@ -276,9 +277,7 @@ def haussler_certificate(
     clique budget or range cap an inexact one, which still must obey the
     bound. strict raises on violation.
     """
-    delta = Fraction(delta)
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    delta = _unit_eps(delta, "delta")
     packing = max_packing_exact(space, delta)
     if not packing.members:
         return HausslerReport(delta, packing, -1, 0.0, True)
@@ -320,9 +319,7 @@ def projection_count_estimate(
     """
     from .complexity import vc_dimension
 
-    delta = Fraction(delta)
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    delta = _unit_eps(delta, "delta")
     if not 0 < slack < 1:
         raise ValueError(f"slack must be in (0, 1), got {slack}")
     if trials < 1:

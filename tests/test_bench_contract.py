@@ -1,9 +1,12 @@
 """The benchmark's hold on the package: every function bench/tracer.py
-wraps exists, and bench/make_reference.py, called with the keywords it
-passes, still computes reference values equal to the brute-force
-oracles. Nothing under bench/ is changed by these tests."""
+wraps exists, every builder call of bench/run.py's nets workload binds
+to the builder's signature with each value on the parameter it means,
+and bench/make_reference.py, called with the keywords it passes, still
+computes reference values equal to the brute-force oracles. Nothing
+under bench/ is changed by these tests."""
 
 import importlib
+import inspect
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from epsnet import capacity_levels, format_rational
+from epsnet.experiment import ExperimentConfig
 
 from corpus import CORPUS
 from oracles import (
@@ -25,12 +29,36 @@ from oracles import (
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import make_reference  # noqa: E402
+import run as bench_run  # noqa: E402
+from instances import SWEEP_METHODS  # noqa: E402
 from tracer import SPAN_TARGETS  # noqa: E402
 
 
 @pytest.mark.parametrize("module,name", SPAN_TARGETS)
 def test_span_target_exists(module, name):
     assert callable(getattr(importlib.import_module(f"epsnet.{module}"), name))
+
+
+def test_nets_workload_calls_bind_to_the_builder_signatures():
+    # The nets workload calls the builders positionally, so a reordered or
+    # renamed parameter fails here rather than in the benchmark: each
+    # argument must land on the parameter whose value it carries.
+    work = bench_run.NetsWorkload.__new__(bench_run.NetsWorkload)
+    work.setup()
+    config, seed = ExperimentConfig(), 12345
+    pins = {space.name: (d, D) for space, d, D in work.spaces}
+    methods = set()
+    for method, space, eps, fn in work.ops(seed):
+        methods.add(method)
+        d, D = pins[space.name]
+        want = {"space": space, "eps": eps, "seed": seed, "C": config.C,
+                "delta": config.delta, "budget_n": config.cal_budget,
+                "d": d, "D": D,
+                "sizing": "capacity" if method == "iid-capacity" else "vc"}
+        bound = inspect.signature(fn.func).bind(*fn.args, **fn.keywords)
+        for name, value in bound.arguments.items():
+            assert value == want[name], (method, name, value)
+    assert methods == {*SWEEP_METHODS, "oig"}
 
 
 def test_profile_reference_matches_oracles():

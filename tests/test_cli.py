@@ -68,6 +68,12 @@ def test_gen_negative_grid_is_exit_2_naming_grid(capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def test_gen_zero_random_points_is_exit_2_naming_the_point_count(capsys):
+    # --random-points 0 is given, so the error is about the count.
+    assert main(["gen", "--kind", "halfplanes", "--random-points", "0"]) == 2
+    assert "need at least one point" in capsys.readouterr().err
+
+
 def test_doubling_net_deeper_than_the_recursion_limit_exits_0(tmp_path):
     # The clique search behind D passes the recursion limit on 1,200
     # singletons at eps = 1/1200; the builder goes on with the bracket.
@@ -109,6 +115,15 @@ def test_gen_kind_choices_are_the_library_kinds(tmp_path):
         assert main(["gen", "--kind", name, "--random-points", "5",
                      "--out", str(out)]) == 0
         assert RangeSpace.loads(out.read_text()).n == 5
+
+
+def test_net_defaults_are_the_experiment_config_defaults():
+    args = build_parser().parse_args(
+        ["net", "x.json", "--method", "iid", "--eps", "1/8"])
+    config = ExperimentConfig()
+    assert args.C == config.C == nets.DEFAULT_C
+    assert Fraction(args.delta) == config.delta
+    assert args.budget_n == config.cal_budget
 
 
 def test_net_exit_codes(chain_file, capsys):

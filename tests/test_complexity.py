@@ -171,20 +171,6 @@ def test_capacity_elementary_bounds():
             assert 1 <= tau <= Fraction(1, 1) / eps, (key, eps)
 
 
-def test_unit_eps_passes_an_in_range_fraction_and_rejects_the_rest():
-    eps = Fraction(3, 8)
-    assert complexity._unit_eps(eps) is eps
-    assert complexity._unit_eps(Fraction(1)) == 1
-    assert complexity._unit_eps("1/8") == Fraction(1, 8)
-    assert complexity._unit_eps(0.5) == Fraction(1, 2)
-    for bad, text in [(0, "got 0$"), (Fraction(-1, 2), "got -1/2$"),
-                      (Fraction(3, 2), "got 3/2$"), ("1.5", "got 3/2$")]:
-        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\], " + text):
-            complexity._unit_eps(bad)
-    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'abc'"):
-        complexity._unit_eps("abc")
-
-
 def test_capacity_monotone_in_eps():
     for key in SMALL:
         sp = CORPUS[key]

@@ -21,7 +21,7 @@ from epsnet import (
 )
 from epsnet.complexity import alexander_capacity, doubling_constant
 from epsnet.core import (
-    DRAW_BLOCK, cached_index, ceil_log2, iter_bits, mask_of, points_of,
+    DRAW_BLOCK, _unit_eps, cached_index, ceil_log2, iter_bits, mask_of, points_of,
 )
 from epsnet.nets import greedy_net, verify_net
 
@@ -166,6 +166,22 @@ def test_parse_and_format_rational():
     for bad in ("1/0", "a/b", "", "1/2/3"):
         with pytest.raises(InstanceError):
             parse_rational(bad)
+
+
+def test_unit_eps_passes_an_in_range_fraction_and_rejects_the_rest():
+    eps = Fraction(3, 8)
+    assert _unit_eps(eps) is eps
+    assert _unit_eps(Fraction(1)) == 1
+    assert _unit_eps("1/8") == Fraction(1, 8)
+    assert _unit_eps(0.5) == Fraction(1, 2)
+    for bad, text in [(0, "got 0$"), (Fraction(-1, 2), "got -1/2$"),
+                      (Fraction(3, 2), "got 3/2$"), ("1.5", "got 3/2$")]:
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\], " + text):
+            _unit_eps(bad)
+    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'abc'"):
+        _unit_eps("abc")
+    with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\], got 0$"):
+        _unit_eps(0, "delta")
 
 
 @pytest.mark.parametrize(

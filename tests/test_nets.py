@@ -199,8 +199,10 @@ def test_builders_compute_d_themselves_on_40_points():
 
 
 def test_iid_sample_size_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eps must be in"):
         iid_sample_size(Fraction(0), Fraction(1, 2), 1)
+    with pytest.raises(ValueError, match="delta must be in"):
+        iid_sample_size(Fraction(1, 2), Fraction(0), 1)
     with pytest.raises(ValueError):
         iid_sample_size(Fraction(1, 2), Fraction(1, 2), 1, sizing="nope")
     with pytest.raises(ValueError):
@@ -208,19 +210,25 @@ def test_iid_sample_size_validation():
                         sizing="capacity")  # tau missing
 
 
+@pytest.fixture()
+def no_work(monkeypatch):
+    """The builders' work (the VC walk, capacity, D and the decomposition)
+    patched to fail, so a test sees which inputs are checked first."""
+    def fail(*args):
+        raise AssertionError("work ran before the input checks")
+
+    for name in ("vc_dimension", "alexander_capacity", "build_decomposition",
+                 "doubling_constant"):
+        monkeypatch.setattr(nets, name, fail)
+
+
 @pytest.mark.parametrize("C", [-1.0, 0.0, math.inf, math.nan])
 @pytest.mark.parametrize(
     "build", [iid_net, stratified_net, doubling_net, doubling_net_small_d])
 def test_builders_reject_a_sample_constant_that_is_not_positive_and_finite(
-    build, C, monkeypatch,
+    build, C, no_work,
 ):
     # Unchecked, C = -1 sizes negative draw counts and C = 0 draws nothing.
-    # The check comes before the VC walk and the decomposition.
-    def no_work(*args):
-        raise AssertionError("work ran before the C check")
-
-    for name in ("vc_dimension", "alexander_capacity", "build_decomposition"):
-        monkeypatch.setattr(nets, name, no_work)
     sp, eps = CORPUS["chain8"], Fraction(1, 8)
     args = ({"delta": Fraction(1, 10)} if build is iid_net
             else {} if build is stratified_net else {"D": 4.0})
@@ -228,10 +236,25 @@ def test_builders_reject_a_sample_constant_that_is_not_positive_and_finite(
         build(sp, eps, C=C, **args)
 
 
+@pytest.mark.parametrize("build,args,match", [
+    (iid_net, {"delta": 0}, r"delta must be in \(0, 1\], got 0"),
+    (iid_net, {"delta": Fraction(3, 2)}, r"delta must be in \(0, 1\], got 3/2"),
+    (iid_net, {"delta": Fraction(1, 10), "sizing": "nope"}, "unknown sizing"),
+    (iid_net, {"delta": Fraction(1, 10), "eps": 0}, r"eps must be in \(0, 1\]"),
+    (stratified_net, {"eps": Fraction(2)}, r"eps must be in \(0, 1\]"),
+], ids=["delta-0", "delta-3/2", "sizing", "iid-eps", "stratified-eps"])
+def test_builders_reject_a_bad_delta_sizing_or_eps_before_any_work(
+    build, args, match, no_work,
+):
+    args = {"eps": Fraction(1, 8), **args}
+    with pytest.raises(ValueError, match=match):
+        build(CORPUS["chain8"], **args)
+
+
 @pytest.mark.parametrize("build", [doubling_net, doubling_net_small_d])
-def test_doubling_builders_reject_an_infinite_D(build):
+def test_doubling_builders_reject_an_infinite_D(build, no_work):
     with pytest.raises(ValueError, match="D must be finite"):
-        build(CORPUS["chain8"], Fraction(1, 8), D=math.inf, d=1)
+        build(CORPUS["chain8"], Fraction(1, 8), D=math.inf)
 
 
 def test_iid_net_does_not_skip_the_stream_it_drops(monkeypatch):
