@@ -17,6 +17,8 @@ set, one bitmask over range indices per class. Adding a point splits each
 class by that point's incidence column (RangeSpace.incidence), so a step
 costs O(#distinct traces) rather than a pass over all ranges, and a
 subtree is cut only by exact bounds on the traces it can still reach.
+projection_rows computes pi rows from the largest y down, and a walk for
+pi(y) also yields pi(y - 1) when it provably covered every (y - 1)-set.
 Exact doubling reads one packing.FarGraph, which computes each pairwise
 distance once, and sweeps the breakpoints upward, so the far graph loses
 edges as the threshold passes them and is never rebuilt.
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
+from typing import Sequence
 
 from .core import (
     Budget,
@@ -161,48 +164,97 @@ def vc_dimension(space: RangeSpace) -> Bound:
     return vc_of_masks(space.ranges, space.n)
 
 
-def _max_traces(space: RangeSpace, y: int, top: int) -> int:
-    """Exact pi(y), by the point-sharing components (core.components).
+def projection_rows(
+    space: RangeSpace, ys: Sequence[int], seed: int = 0, d: int | None = None,
+) -> tuple[tuple[int, Bound], ...]:
+    """(y, pi(y)) for every size y in ys, in the order of ys: the max
+    number of distinct traces over point sets of size y, computed from the
+    largest y down.
 
-    Every range lies inside one component C_i, so on Y = union of its parts
-    Y_i the nonempty traces are those of each component on its own Y_i,
-    and the empty trace counts once. With a_i(s) the most traces and b_i(s)
-    the most nonempty traces over s-point subsets of C_i, pi(y) is the max
-    of a_j(s_j) + sum_{i != j} b_i(s_i) over one component j that holds the
+    Every range lies inside one point-sharing component C_i
+    (core.components), so on Y = union of its parts Y_i the nonempty
+    traces are those of each component on its own Y_i, and the empty
+    trace counts once. With a_i(s) the most traces and b_i(s) the most
+    nonempty traces over s-point subsets of C_i, pi(y) is the max of
+    a_j(s_j) + sum_{i != j} b_i(s_i) over one component j that holds the
     empty trace and splits with sum s_i <= y (points in no range pad the
     rest): a two-state knapsack. b_i(s) is the a_i(s) walk with one more
     range index, which no incidence column holds and so always keeps the
     empty trace, minus 1. One component is a single walk at min(y, |C|)
-    that also stops at top.
+    that also stops at the row's ceiling.
 
     A walk goes depth first over the s-subsets of a component in
     combinations order, refining the partition of the component's ranges
     (its range-index mask) by each added point. A node with c classes and
     k points to add reaches at most min(c * 2^k, m) traces, so it is
     pruned when that cannot beat the incumbent, and the walk stops once
-    the incumbent reaches its ceiling. The walks of one call share
-    WALK_NODES nodes; past them, CapExceededError.
-    """
-    cols = space.incidence
-    budget = Budget(WALK_NODES, "exact pi search")
-    spend = budget.spend
+    the incumbent reaches its ceiling. The walks of one row share
+    WALK_NODES nodes; past them, the row is the sampled Bound(best,
+    ceiling) on its own stream.
 
-    def walk(pts: tuple[int, ...], root: int, s: int, top: float) -> int:
-        # Most trace classes of the ranges in root over s-subsets of pts.
+    A single-component walk at s = y also yields row y - 1 when ys asks
+    for it. Its depth-(y - 1) nodes are the (y - 1)-subsets it has room
+    for; each other (y - 1)-subset is a node with k >= 2 points to add
+    plus the component's last k - 1 points, counted at that node. Row y's
+    walk, its pruning and its stop are unchanged, so it spends the nodes
+    it spends alone. The harvest stands only if it reached row y - 1's
+    ceiling, or if it covered every (y - 1)-subset: row y's walk was not
+    stopped at its ceiling, and no pruned subtree's bound min(c * 2^(k-1),
+    m) beats it. It runs only where row y - 1's own walk, which visits at
+    most C(|C|, y - 2) nodes, cannot run out of WALK_NODES, so a harvested
+    row is what that walk returns. d, when given, must be the exact VC
+    dimension: it closes each row at Sauer's sum.
+    """
+    if any(type(y) is not int or not 0 <= y <= space.n for y in ys):
+        raise ValueError(f"projection sizes must be integers in "
+                         f"0..{space.n}, got {list(ys)}")
+    cols = space.incidence
+    groups = [(pts, reduce(or_, [cols[x] for x in pts]))
+              for pts in map(points_of, components(space.ranges))]
+
+    def ceiling(y: int) -> int:
+        top = min(1 << y, len(space.ranges))
+        return top if d is None else min(top, _binomial_sum(y, d))
+
+    def walk(pts, root, s, top, budget, top1=0) -> tuple[int, int | None]:
+        # (most trace classes of the ranges in root over s-subsets of
+        # pts, the harvested most over (s - 1)-subsets or None); the
+        # harvest is asked for by a positive ceiling top1.
         m = root.bit_count()
         top = min(top, 1 << s, m)
         if not s:
-            return 1
+            return 1, None
+        top1 = min(top1, 1 << (s - 1), m)
+        spend = budget.spend
         ccols = [cols[x] for x in pts]
         n = len(ccols)
-        best = 0
+        best = below = lost = 0
 
         def rec(classes: list[int], start: int, k: int) -> bool:
-            nonlocal best
+            nonlocal best, below, lost
             spend()
             c = len(classes)
+            if k == 1 and c > below:
+                below = c
             if min(c << k, m) <= best:
+                if below < top1:
+                    lost = max(lost, min(c << (k - 1), m))
                 return False
+            if k > 1 and below < top1 and min(c << (k - 1), m) > below:
+                # This node plus the last k - 1 points: an (s - 1)-subset
+                # the s-walk has no room to visit.
+                tail = classes
+                for col in ccols[n - k + 1:n - 1]:
+                    inside, outside = _split(tail, col)
+                    tail = inside + outside
+                count = len(tail)
+                col = ccols[n - 1]
+                for cl in tail:
+                    a = cl & col
+                    if a and a != cl:
+                        count += 1
+                if count > below:
+                    below = count
             for i in range(start, n - k + 1):
                 col = ccols[i]
                 if k == 1:
@@ -221,29 +273,53 @@ def _max_traces(space: RangeSpace, y: int, top: int) -> int:
                         return True
             return False
 
-        budget.run(rec, [root], 0, s)
-        return best
+        stopped = budget.run(rec, [root], 0, s)
+        if top1 and (below >= top1 or not stopped and lost <= below):
+            return best, below
+        return best, None
 
-    groups = [(pts, reduce(or_, [cols[x] for x in pts]))
-              for pts in map(points_of, components(space.ranges))]
-    if len(groups) == 1:
-        pts, root = groups[0]
-        return walk(pts, root, min(y, len(pts)), top)
-    extra = 1 << len(space.ranges)
-    # free[t] / owned[t]: the best sum over the components so far on at
-    # most t points, without / with the empty trace counted.
-    free = owned = [0] * (y + 1)
-    for pts, root in groups:
-        sizes = range(min(y, len(pts)) + 1)
-        a = [walk(pts, root, s, math.inf) for s in sizes]
-        b = [walk(pts, root | extra, s, math.inf) - 1 for s in sizes]
-        free, owned = (
-            [max(free[t - s] + b[s] for s in sizes if s <= t)
-             for t in range(y + 1)],
-            [max(max(owned[t - s] + b[s], free[t - s] + a[s])
-                 for s in sizes if s <= t) for t in range(y + 1)],
-        )
-    return owned[y]
+    def exact(y: int, top: int, top1: int) -> tuple[int, int | None]:
+        # Row y, and row y - 1 when harvested; CapExceededError when the
+        # row's walks run out of WALK_NODES.
+        budget = Budget(WALK_NODES, "exact pi search")
+        if len(groups) == 1:
+            pts, root = groups[0]
+            harvest = (y <= len(pts) and
+                       math.comb(len(pts), max(y - 2, 0)) <= WALK_NODES)
+            return walk(pts, root, min(y, len(pts)), top, budget,
+                        top1 if harvest else 0)
+        extra = 1 << len(space.ranges)
+        # free[t] / owned[t]: the best sum over the components so far on
+        # at most t points, without / with the empty trace counted.
+        free = owned = [0] * (y + 1)
+        for pts, root in groups:
+            sizes = range(min(y, len(pts)) + 1)
+            a = [walk(pts, root, s, math.inf, budget)[0] for s in sizes]
+            b = [walk(pts, root | extra, s, math.inf, budget)[0] - 1
+                 for s in sizes]
+            free, owned = (
+                [max(free[t - s] + b[s] for s in sizes if s <= t)
+                 for t in range(y + 1)],
+                [max(max(owned[t - s] + b[s], free[t - s] + a[s])
+                     for s in sizes if s <= t) for t in range(y + 1)],
+            )
+        return owned[y], None
+
+    rows: dict[int, Bound] = {}
+    for y in sorted(ys, reverse=True):
+        if y in rows:
+            continue
+        top = ceiling(y)
+        try:
+            v, below = exact(y, top, ceiling(y - 1) if y - 1 in ys else 0)
+        except CapExceededError:
+            rows[y] = _sampled(space, stream_rng(seed, "pi", y),
+                               lambda rng: y, len, top)
+            continue
+        rows[y] = Bound(v, v)
+        if below is not None:
+            rows[y - 1] = Bound(below, below)
+    return tuple((y, rows[y]) for y in ys)
 
 
 def _sampled(space: RangeSpace, rng, size, score, top: int) -> Bound:
@@ -263,24 +339,15 @@ def _sampled(space: RangeSpace, rng, size, score, top: int) -> Bound:
 def projection_function(
     space: RangeSpace, y: int, seed: int = 0, d: int | None = None,
 ) -> Bound:
-    """Max number of distinct traces over point sets of size y.
+    """Max number of distinct traces over point sets of size y: the one
+    row of projection_rows.
 
     The ceiling is min(2^y, |R|), and also sum_{i<=d} C(y, i) when the
-    caller passes the exact VC dimension d. Exact by the component walks
-    of _max_traces, which stop at the ceiling; when they run out of
-    WALK_NODES, the sampled Bound(best, ceiling).
+    caller passes the exact VC dimension d. Exact by the component walks,
+    which stop at the ceiling; when they run out of WALK_NODES, the
+    sampled Bound(best, ceiling).
     """
-    if y < 0 or y > space.n:
-        raise ValueError(f"projection size {y} outside 0..{space.n}")
-    top = min(1 << y, len(space.ranges))
-    if d is not None:
-        top = min(top, _binomial_sum(y, d))
-    try:
-        v = _max_traces(space, y, top)
-    except CapExceededError:
-        return _sampled(space, stream_rng(seed, "pi", y), lambda rng: y, len,
-                        top)
-    return Bound(v, v)
+    return projection_rows(space, (y,), seed, d)[0][1]
 
 
 @dataclass(frozen=True)
@@ -319,7 +386,7 @@ def sauer_check(space: RangeSpace, d: int | None = None) -> SauerReport:
     CapExceededError naming the bracket when a walk runs out of its budget
     and leaves the dimension or a row bracketed, and TheoremViolationError
     on any failure (which would mean a bug). d is not passed on to
-    projection_function, so every row is counted rather than closed at the
+    projection_rows, so every row is counted rather than closed at the
     Sauer sum it is checked against.
     """
     def exact(what: str, b: Bound) -> int:
@@ -333,8 +400,8 @@ def sauer_check(space: RangeSpace, d: int | None = None) -> SauerReport:
     if d < 0:
         return SauerReport(d, ())
     rows = []
-    for y in range(d, space.n + 1):
-        pi = exact(f"pi({y})", projection_function(space, y))
+    for y, b in projection_rows(space, range(d, space.n + 1)):
+        pi = exact(f"pi({y})", b)
         bsum = _sauer_sum(pi, y, d)
         if d >= 1 and y >= 1:
             power = (math.e * y / d) ** d
@@ -662,19 +729,21 @@ def compute_profile(
     seed: int = 0,
 ) -> ComplexityProfile:
     """One-stop profile at scale eps, exact where the module's budgets
-    permit."""
+    permit. pi_max_y must be a non-negative int; the pi rows are those of
+    projection_rows for y = 0..min(n, pi_max_y)."""
+    if type(pi_max_y) is not int or pi_max_y < 0:
+        raise ValueError(f"pi_max_y must be a non-negative integer, "
+                         f"got {pi_max_y!r}")
     eps = _unit_eps(eps)
     d = vc_dimension(space)
     tau = alexander_capacity(space, eps)
     tau_vec = tuple(capacity_vector(space, eps))
     doubling = doubling_constant(space, eps)
-    pi_rows = []
-    for y in range(min(space.n, pi_max_y) + 1):
-        pi = projection_function(space, y, seed=seed,
-                                 d=d.lower if d.exact else None)
-        if d.exact:  # a value above Sauer's sum means a bug: raise
+    pi_rows = projection_rows(space, range(min(space.n, pi_max_y) + 1),
+                              seed, d.lower if d.exact else None)
+    if d.exact:  # a value above Sauer's sum means a bug: raise
+        for y, pi in pi_rows:
             _sauer_sum(pi.lower, y, d.lower)
-        pi_rows.append((y, pi))
     phi_rows = ()
     if d.exact and d.lower >= 1:
         y_phi = min(math.ceil(8 * d.lower * tau), space.n)
@@ -683,5 +752,5 @@ def compute_profile(
     star = star_number(space)
     return ComplexityProfile(
         name=space.name, eps=eps, d=d, tau=tau, tau_vector=tau_vec,
-        doubling=doubling, pi=tuple(pi_rows), phi=phi_rows, star=star,
+        doubling=doubling, pi=pi_rows, phi=phi_rows, star=star,
     )

@@ -155,7 +155,10 @@ def _unit_eps(eps, name: str = "eps") -> Fraction:
     positive."""
     if type(eps) is Fraction and 0 < eps.numerator <= eps.denominator:
         return eps
-    eps = Fraction(eps)
+    try:
+        eps = Fraction(eps)
+    except OverflowError:  # an infinite float, which no Fraction holds
+        raise ValueError(f"{name} must be in (0, 1], got {eps}") from None
     if not 0 < eps <= 1:
         raise ValueError(f"{name} must be in (0, 1], got {eps}")
     return eps

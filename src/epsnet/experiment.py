@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,12 +25,14 @@ from .core import (
     PRNG_ALGORITHM,
     RangeSpace,
     _items,
+    _unit_eps,
     format_rational,
     parse_rational,
 )
 from .complexity import doubling_constant, vc_dimension
 from .nets import (
     DEFAULT_C,
+    _check_C,
     build_decomposition,
     cal_net,
     capacity_size_bound,
@@ -133,14 +134,15 @@ class ExperimentConfig:
     base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self) -> None:
-        """Reject settings no builder can use."""
-        if not (math.isfinite(self.C) and self.C > 0):
-            raise InstanceError(f"'C' must be positive and finite, got {self.C!r}")
-        if not 0 < self.delta <= 1:
-            raise InstanceError(f"'delta' must be in (0, 1], got {self.delta}")
-        for eps in self.eps_grid:
-            if not 0 < eps <= 1:
-                raise InstanceError(f"'eps' must be in (0, 1], got {eps}")
+        """Reject settings no builder can use, by the builders' own checks
+        (an InstanceError, so the CLI exits 2)."""
+        try:
+            _check_C(self.C)
+            _unit_eps(self.delta, "'delta'")
+            for eps in self.eps_grid:
+                _unit_eps(eps, "'eps'")
+        except ValueError as exc:
+            raise InstanceError(str(exc)) from None
         if self.cal_budget < 1:
             raise InstanceError(f"'cal_budget' must be at least 1, got {self.cal_budget!r}")
 

@@ -432,6 +432,23 @@ def test_experiment_config_rejects_eps_outside_unit_interval(eps):
                                     "methods": ["greedy"], "seeds": [0]})
 
 
+@pytest.mark.parametrize("settings", [
+    {"C": 0.0}, {"C": float("inf")}, {"C": -1.0},
+    {"delta": Fraction(0)}, {"delta": Fraction(3, 2)}, {"delta": float("inf")},
+])
+def test_experiment_config_range_errors_are_the_builders_errors(settings):
+    # The config applies the builders' own C and (0, 1] checks, so both
+    # reject the same settings with the same words.
+    from epsnet.core import InstanceError, _unit_eps
+
+    (key, value), = settings.items()
+    with pytest.raises(ValueError) as builder:
+        nets._check_C(value) if key == "C" else _unit_eps(value, "'delta'")
+    with pytest.raises(InstanceError) as config:
+        ExperimentConfig(**settings)
+    assert str(config.value) == str(builder.value)
+
+
 # Each case was silently coerced (or crashed with a traceback) before
 # config fields were type-checked.
 MALFORMED_CONFIG = {

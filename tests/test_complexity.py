@@ -18,6 +18,7 @@ from epsnet.complexity import (
     compute_profile,
     doubling_constant,
     projection_function,
+    projection_rows,
     sauer_check,
     shallow_cell,
     star_number,
@@ -389,11 +390,93 @@ def test_profile_sauer_sum_certifies_sampled_pi():
 
 
 def test_profile_pi_above_the_sauer_sum_is_loud(monkeypatch):
-    # intervals6 has d = 2, so no 3-point set has 8 traces.
-    monkeypatch.setattr(complexity, "projection_function",
-                        lambda space, y, seed=0, d=None: Bound(1 << y, 1 << y))
+    # intervals6 has d = 2, so no 3-point set has 8 traces: a forged
+    # pi(3), the row pi(4)'s walk harvests, must raise.
+    rows = complexity.projection_rows
+
+    def forged(space, ys, seed=0, d=None):
+        return tuple((y, Bound(8, 8) if y == 3 else b)
+                     for y, b in rows(space, ys, seed, d))
+
+    monkeypatch.setattr(complexity, "projection_rows", forged)
     with pytest.raises(TheoremViolationError):
         compute_profile(CORPUS["intervals6"], Fraction(1, 4))
+
+
+@pytest.mark.parametrize("pi_max_y", [-3, -1, True, False, 2.0, "8", None])
+def test_profile_rejects_a_pi_max_y_that_is_not_a_non_negative_int(
+    pi_max_y, monkeypatch,
+):
+    # Negative sizes used to give no pi rows and True acted as 1; the
+    # check comes before any search.
+    calls = []
+    monkeypatch.setattr(complexity, "vc_dimension",
+                        lambda space: calls.append(space))
+    with pytest.raises(ValueError, match="pi_max_y"):
+        compute_profile(CORPUS["intervals6"], Fraction(1, 4), pi_max_y=pi_max_y)
+    assert calls == []
+
+
+@pytest.mark.parametrize("y", [2.0, True, "2", -1, 7])
+def test_projection_size_outside_the_points_or_not_an_int_is_a_value_error(y):
+    with pytest.raises(ValueError, match="projection sizes"):
+        projection_function(CORPUS["intervals6"], y)
+
+
+# Nodes each pi row's walk spends, with the exact VC dimension passed as
+# compute_profile passes it, recorded before pi rows were harvested; y
+# runs from 0. A walk that also yields the row below must spend what it
+# spent alone, so every trip and bracket stays where it was.
+PI_WALK_SPENDS = {
+    "singles8": [0, 16, 16, 16, 16, 16, 16, 16, 16],
+    "powerset3": [0, 1, 2, 3],
+    "sparse-singles8": [0, 8, 8, 8, 8, 8, 8, 8, 8],
+    "chain8": [0, 1, 3, 10, 25, 40, 41, 28, 8],
+    "intervals6": [0, 1, 2, 3, 4, 5, 6],
+    "intervals8w": [0, 1, 2, 3, 4, 5, 6, 7, 8],
+    "lb-k1d2l1m2": [0, 6, 10, 16, 16, 16],
+    "lb-k1d2l2m2": [0, 12, 20, 32, 32, 32, 32, 32, 32],
+    "lb-k2d3l1m2": [0, 4, 12, 36, 84, 94, 106, 106, 106],
+    "random10a": [0, 1, 2, 3, 120, 210, 252, 16, 12],
+    "random10b": [0, 1, 2, 4, 120, 210, 252, 12, 8],
+    "random12w": [0, 1, 2, 3, 7, 495, 792, 924, 36],
+    "halfplanes5": [0, 1, 2, 3, 10, 5],
+    "disks5": [0, 1, 2, 3, 10, 5],
+}
+
+
+def test_pi_walks_spend_the_nodes_they_spent_alone(monkeypatch):
+    budgets = []
+
+    class Recorded(complexity.Budget):
+        def __init__(self, nodes, search):
+            super().__init__(nodes, search)
+            budgets.append(self)
+
+    disks14 = gen_geometric("disks", random_points(14, 2, seed=3),
+                            name="disks14")
+    cases = [(CORPUS[key], dict(enumerate(spends)))
+             for key, spends in PI_WALK_SPENDS.items()]
+    cases.append((disks14, {7: 3003, 8: 3432}))
+    monkeypatch.setattr(complexity, "Budget", Recorded)
+    harvested = []
+    for sp, spends in cases:
+        d = vc_dimension(sp).value
+        for y in [y for y in spends if y - 1 in spends]:
+            budgets.clear()
+            alone = [projection_function(sp, x, d=d) for x in (y - 1, y)]
+            assert [b.spent for b in budgets] == [spends[y - 1], spends[y]]
+            budgets.clear()
+            rows = projection_rows(sp, (y - 1, y), d=d)
+            # Row y is walked first; row y - 1 is walked only when the
+            # harvest did not stand, and is then the same either way.
+            walked = [b.spent for b in budgets]
+            assert walked in ([spends[y]], [spends[y], spends[y - 1]])
+            assert rows == ((y - 1, alone[0]), (y, alone[1])), (sp.name, y)
+            if len(walked) == 1:
+                harvested.append((sp.name, y - 1))
+    # pi(7) of disks14 comes from pi(8)'s walk.
+    assert ("disks14", 7) in harvested
 
 
 def test_star_frozen_values():

@@ -1,7 +1,8 @@
 """Property tests: mask weights and incidence columns against per-bit
 loops, the canonical sort key against point tuples, the trace-class
 enumerations (pi, phi, VC), the brackets of their sampled estimates,
-pi and the star number on disjoint unions,
+pi and the star number on disjoint unions, the pi rows computed
+together against each row alone,
 the capacity table at every scale, the exact doubling sweep and its
 budget-tripped bracket, the minimum net, the net verifier and the dyadic
 buckets agree with the brute-force oracles on small weighted random
@@ -24,6 +25,7 @@ from epsnet.complexity import (
     capacity_vector,
     doubling_constant,
     projection_function,
+    projection_rows,
     shallow_cell,
     star_number,
     vc_dimension,
@@ -66,10 +68,12 @@ def small_spaces(draw, max_n=8, max_ranges=12):
     return build_range_space(n, weights, ranges)
 
 
-def disjoint_union(a, b):
-    """a's points, then b's shifted past them, with both families."""
-    return build_range_space(a.n + b.n, a.weights + b.weights,
-                             list(a.ranges) + [r << a.n for r in b.ranges])
+def disjoint_union(a, b, pad=0):
+    """a's points, then b's shifted past them, then pad points in no
+    range, with both families."""
+    return build_range_space(
+        a.n + b.n + pad, a.weights + b.weights + (1,) * pad,
+        list(a.ranges) + [r << a.n for r in b.ranges])
 
 
 def is_star_set(space, pts) -> bool:
@@ -137,8 +141,7 @@ def test_projection_on_disjoint_unions_with_padding_matches_oracle(
     # counted once, and points in no range pad the split; it must be
     # exact at every y, and with the walk budget forced low each bound
     # must still bracket the oracle.
-    u = disjoint_union(a, b)
-    space = build_range_space(u.n + pad, u.weights + (1,) * pad, u.ranges)
+    space = disjoint_union(a, b, pad)
     want = [oracle_pi(space, y) for y in range(space.n + 1)]
     assert [projection_function(space, y) for y in range(space.n + 1)] == [
         Bound(v, v) for v in want]
@@ -147,6 +150,39 @@ def test_projection_on_disjoint_unions_with_padding_matches_oracle(
         for y, v in enumerate(want):
             got = projection_function(space, y)
             assert got.lower <= v <= got.upper
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(
+    small_spaces(),
+    st.builds(disjoint_union, small_spaces(5, 6), small_spaces(5, 6),
+              st.integers(0, 2)),
+), st.booleans(), st.data())
+def test_projection_rows_match_the_oracle_and_each_row_alone(
+    space, pass_d, data,
+):
+    # The multi-row entry point computes its rows from the largest y
+    # down, and a walk may also yield the row below it. Every row must
+    # bracket the oracle, equal it when exact, and be what that row's own
+    # walk (projection_function) returns, at the default budgets and with
+    # them forced low.
+    lo = data.draw(st.integers(0, space.n))
+    ys = range(lo, data.draw(st.integers(lo, space.n)) + 1)
+    d = oracle_vc(space) if pass_d else None
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            mp.setattr(complexity, "WALK_NODES", data.draw(st.integers(1, 3)))
+            mp.setattr(complexity, "ESTIMATE_DRAWS",
+                       data.draw(st.integers(1, 3)))
+        rows = projection_rows(space, ys, d=d)
+        alone = [projection_function(space, y, d=d) for y in ys]
+    assert [y for y, _ in rows] == list(ys)
+    for (y, got), own in zip(rows, alone):
+        want = oracle_pi(space, y)
+        assert got.lower <= want <= got.upper
+        if got.exact:
+            assert got.value == want
+        assert got == own, y
 
 
 @PROPERTY_SETTINGS
