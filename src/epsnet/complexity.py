@@ -116,6 +116,20 @@ def _splits_all(classes: list[int], col: int) -> bool:
     return True
 
 
+def _whole(classes: list[int], col: int, slack: int) -> int:
+    """How many classes the point with incidence col leaves whole,
+    counted only until the count passes slack: a leaf that leaves more
+    than slack classes whole cannot beat the incumbent."""
+    whole = 0
+    for s in classes:
+        a = s & col
+        if not a or a == s:
+            whole += 1
+            if whole > slack:
+                break
+    return whole
+
+
 def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
     """Dimension of an arbitrary family of subset masks on n points.
 
@@ -188,22 +202,29 @@ def projection_rows(
     (its range-index mask) by each added point. A node with c classes and
     k points to add reaches at most min(c * 2^k, m) traces, so it is
     pruned when that cannot beat the incumbent, and the walk stops once
-    the incumbent reaches its ceiling. The walks of one row share
-    WALK_NODES nodes; past them, the row is the sampled Bound(best,
-    ceiling) on its own stream.
+    the incumbent reaches its ceiling. A leaf, the last point added at a
+    node with c classes, counts c plus the classes it splits; a one-range
+    class never splits, so the leaf beats the incumbent only if at most
+    slack = #multi-range classes + c - best - 1 of those classes stay
+    whole. It stops scanning past slack, and the node returns once slack
+    is negative. Leaves are not nodes, so this moves no count, prune or
+    stop. The walks of one row share WALK_NODES nodes; past them, the row
+    is the sampled Bound(best, ceiling) on its own stream.
 
     A single-component walk at s = y also yields row y - 1 when ys asks
     for it. Its depth-(y - 1) nodes are the (y - 1)-subsets it has room
     for; each other (y - 1)-subset is a node with k >= 2 points to add
-    plus the component's last k - 1 points, counted at that node. Row y's
-    walk, its pruning and its stop are unchanged, so it spends the nodes
-    it spends alone. The harvest stands only if it reached row y - 1's
-    ceiling, or if it covered every (y - 1)-subset: row y's walk was not
-    stopped at its ceiling, and no pruned subtree's bound min(c * 2^(k-1),
-    m) beats it. It runs only where row y - 1's own walk, which visits at
-    most C(|C|, y - 2) nodes, cannot run out of WALK_NODES, so a harvested
-    row is what that walk returns. d, when given, must be the exact VC
-    dimension: it closes each row at Sauer's sum.
+    plus the component's last k - 1 points, counted at that node, whose
+    last point is a leaf scanned the same way against row y - 1's
+    incumbent. Row y's walk, its pruning and its stop are unchanged, so
+    it spends the nodes it spends alone. The harvest stands only if it
+    reached row y - 1's ceiling, or if it covered every (y - 1)-subset:
+    row y's walk was not stopped at its ceiling, and no pruned subtree's
+    bound min(c * 2^(k-1), m) beats it. It runs only where row y - 1's own
+    walk, which visits at most C(|C|, y - 2) nodes, cannot run out of
+    WALK_NODES, so a harvested row is what that walk returns. d, when
+    given, must be the exact VC dimension: it closes each row at Sauer's
+    sum.
     """
     if any(type(y) is not int or not 0 <= y <= space.n for y in ys):
         raise ValueError(f"projection sizes must be integers in "
@@ -247,30 +268,37 @@ def projection_rows(
                 for col in ccols[n - k + 1:n - 1]:
                     inside, outside = _split(tail, col)
                     tail = inside + outside
-                count = len(tail)
-                col = ccols[n - 1]
-                for cl in tail:
-                    a = cl & col
-                    if a and a != cl:
-                        count += 1
-                if count > below:
-                    below = count
-            for i in range(start, n - k + 1):
-                col = ccols[i]
-                if k == 1:
-                    count = c
-                    for cl in classes:
-                        a = cl & col
-                        if a and a != cl:
-                            count += 1
-                    if count > best:
-                        best = count
+                # Its last point is a leaf that counts only if it beats
+                # below: stop once more than slack classes stay whole.
+                slack = 2 * len(tail) - below - 1
+                whole = _whole(tail, ccols[n - 1], slack)
+                if whole <= slack:
+                    below = 2 * len(tail) - whole
+            if k == 1:
+                # A leaf counts c plus the classes its point splits, and a
+                # one-range class never splits, so a leaf beats best only
+                # if at most slack of the multi-range classes stay whole.
+                # Filtering them out pays only over three or more leaves;
+                # below that every class is scanned and singletons count
+                # as whole.
+                multi = ([cl for cl in classes if cl & (cl - 1)]
+                         if n - start > 2 else classes)
+                most = len(multi) + c  # a leaf that leaves no class whole
+                slack = most - best - 1
+                for i in range(start, n):
+                    if slack < 0:
+                        return False
+                    whole = _whole(multi, ccols[i], slack)
+                    if whole <= slack:
+                        best = most - whole
                         if best >= top:
                             return True
-                else:
-                    inside, outside = _split(classes, col)
-                    if rec(inside + outside, i + 1, k - 1):
-                        return True
+                        slack = whole - 1
+                return False
+            for i in range(start, n - k + 1):
+                inside, outside = _split(classes, ccols[i])
+                if rec(inside + outside, i + 1, k - 1):
+                    return True
             return False
 
         stopped = budget.run(rec, [root], 0, s)

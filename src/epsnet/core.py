@@ -383,11 +383,13 @@ class RangeSpace:
 
     @staticmethod
     def from_dict(data: dict) -> "RangeSpace":
+        if not isinstance(data, dict):
+            raise InstanceError(f"instance must be an object, got {data!r}")
         try:
             n = data["n"]
             weights = data["weights"]
             ranges = data["ranges"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise InstanceError(f"missing instance field: {exc}") from exc
         name = data.get("name", "")
         return build_range_space(n, weights, ranges, name=name)

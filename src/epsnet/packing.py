@@ -351,14 +351,6 @@ def projection_count_estimate(
             "sample_size": sample_size, "trials": trials, "d": d}
 
 
-def dudley_style_bound(d: int, delta: Fraction) -> float:
-    """The cruder chaining-free packing estimate (c/delta)^{2d} with c = 2e,
-    for comparison against the refined e(d+1)(2e/delta)^d."""
-    if d <= 0:
-        return math.e
-    return (2 * math.e / float(delta)) ** (2 * d)
-
-
 def haussler_optimization_identity(d: int) -> dict:
     """Exact-rational verification of the optimization step in the packing
     bound proof: over slack t in (0,1), the coefficient (d+1)/(t*(1-t)^d)

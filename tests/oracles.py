@@ -7,6 +7,7 @@ graph's vertices as the trace masks they are. Only run these at desk
 scale.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -325,3 +326,11 @@ def oracle_geometric(kind, points):
         raise ValueError(kind)
     traces.discard(frozenset())
     return traces
+
+
+def dudley_style_bound(d, delta):
+    """The cruder chaining-free packing estimate (c/delta)^{2d} with c = 2e,
+    for comparison against the refined e(d+1)(2e/delta)^d."""
+    if d <= 0:
+        return math.e
+    return (2 * math.e / float(delta)) ** (2 * d)

@@ -198,6 +198,17 @@ def test_verify_on_float_point_instance_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "ranges"])
+def test_instance_that_is_not_an_object_is_exit_2_saying_so(
+    doc, tmp_path, capsys,
+):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    assert main(["profile", str(inst), "--eps", "1/4"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: instance must be an object, got {doc!r}" in err
+
+
 def test_deeply_nested_json_is_exit_2(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000)

@@ -34,6 +34,7 @@ from epsnet.generators import (
     LowerBoundParams,
     gen_geometric,
     gen_lower_bound_family,
+    gen_random,
     random_points,
 )
 
@@ -458,6 +459,10 @@ def test_pi_walks_spend_the_nodes_they_spent_alone(monkeypatch):
     cases = [(CORPUS[key], dict(enumerate(spends)))
              for key, spends in PI_WALK_SPENDS.items()]
     cases.append((disks14, {7: 3003, 8: 3432}))
+    # Recorded before pi leaves stopped short of the incumbent, which
+    # they do here.
+    cases.append((gen_random(14, 120, "uniform", "uniform", seed=1),
+                  {7: 3003, 8: 3432}))
     monkeypatch.setattr(complexity, "Budget", Recorded)
     harvested = []
     for sp, spends in cases:

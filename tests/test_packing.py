@@ -22,7 +22,6 @@ from epsnet.packing import (
     E_UPPER,
     FarGraph,
     colour_bound,
-    dudley_style_bound,
     greedy_packing,
     haussler_certificate,
     haussler_optimization_identity,
@@ -34,6 +33,7 @@ from epsnet.packing import (
 from corpus import CORPUS
 from oracles import (
     as_sets,
+    dudley_style_bound,
     oracle_far_rows,
     oracle_max_packing,
     set_measure,

@@ -2,7 +2,7 @@
 loops, the canonical sort key against point tuples, the trace-class
 enumerations (pi, phi, VC), the brackets of their sampled estimates,
 pi and the star number on disjoint unions, the pi rows computed
-together against each row alone,
+together against each row alone and on near-duplicate ranges,
 the capacity table at every scale, the exact doubling sweep and its
 budget-tripped bracket, the minimum net, the net verifier and the dyadic
 buckets agree with the brute-force oracles on small weighted random
@@ -183,6 +183,45 @@ def test_projection_rows_match_the_oracle_and_each_row_alone(
         if got.exact:
             assert got.value == want
         assert got == own, y
+
+
+def near_duplicates(n, bases, flips):
+    """Each base mask on n points and its copies with one flip point
+    toggled: the copies share their trace on every point set that misses
+    the flip, so pi walks meet classes of several ranges."""
+    ranges = [b ^ f for b in bases for f in [0] + [1 << x for x in flips]]
+    return build_range_space(n, [1] * n, [r for r in ranges if r])
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 9).flatmap(lambda n: st.builds(
+    near_duplicates, st.just(n),
+    st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=5),
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=4),
+)), st.booleans(), st.integers(1, 60))
+# A node whose leaves are cut short, one that runs out of slack, and a
+# leaf that reaches the row's ceiling after leaves before it were cut.
+@example(near_duplicates(8, [101, 221, 88, 255], [2, 2, 0]), False, 60)
+def test_projection_rows_on_repeated_traces_match_the_oracle(
+    space, pass_d, nodes,
+):
+    # A leaf stops once too many of its node's classes stay whole to beat
+    # the incumbent. Every row must equal the oracle at the default
+    # budgets, and bracket it with few WALK_NODES (so that some walks
+    # finish and some trip).
+    ys = range(space.n + 1)
+    d = oracle_vc(space) if pass_d else None
+    want = [oracle_pi(space, y) for y in ys]
+    assert [b for _, b in projection_rows(space, ys, d=d)] == [
+        Bound(v, v) for v in want]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "WALK_NODES", nodes)
+        mp.setattr(complexity, "ESTIMATE_DRAWS", 3)
+        rows = projection_rows(space, ys, d=d)
+    for (y, got), v in zip(rows, want):
+        assert got.lower <= v <= got.upper
+        if got.exact:
+            assert got.value == v
 
 
 @PROPERTY_SETTINGS
