@@ -512,7 +512,10 @@ def doubling_constant(
     One packing.FarGraph over the ranked ranges computes each distance
     once and loses edges as the sweep's threshold rises. A breakpoint with
     no more eligible ranges than the incumbent is skipped, since it cannot
-    beat it.
+    beat it. Each other breakpoint asks max_clique for a clique larger
+    than the incumbent; most cannot beat it, and max_clique settles those
+    by a greedy colouring in vertex order with no more classes than the
+    incumbent, with no search and no node spent.
 
     When a clique search runs out of packing.DEFAULT_CLIQUE_NODES, its
     incumbent, or one eligible range if it is empty, is the lower end and

@@ -391,6 +391,9 @@ class RangeSpace:
             ranges = data["ranges"]
         except KeyError as exc:
             raise InstanceError(f"missing instance field: {exc}") from exc
+        unknown = sorted(set(data) - {"n", "weights", "ranges", "name"}, key=repr)
+        if unknown:
+            raise InstanceError(f"unknown instance keys: {unknown}")
         name = data.get("name", "")
         return build_range_space(n, weights, ranges, name=name)
 

@@ -4,7 +4,10 @@ A delta-packing is a set of ranges with pairwise rho >= delta. Finding
 the largest one is a max clique in the "far graph" (FarGraph, which
 exact doubling reads too): an exact branch-and-bound with greedy
 colouring, limited by DEFAULT_CLIQUE_NODES search nodes and, for
-packings, DEFAULT_CLIQUE_CAP ranges. Past its budget max_clique raises
+packings, DEFAULT_CLIQUE_CAP ranges. When a greedy colouring in vertex
+order needs no more classes than the lower bound a caller asks
+max_clique to beat, no clique beats it, and the call returns at once
+without spending a node. Past its budget max_clique raises
 CapExceededError with its incumbent as .members, and both callers answer
 with that incumbent labelled inexact: max_packing_exact with exact=False
 (past the range cap, a greedy packing) and doubling_constant as the
@@ -93,8 +96,13 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
     colouring of each candidate set gives the pruning bound, and only
     the colours a node can still branch on are listed. adj must be
     symmetric; a vertex in its own row or a neighbour index >= n raises
-    ValueError. lower_bound primes the incumbent size (the returned
-    members may then be empty if nothing beats it). A search that would
+    ValueError. lower_bound primes the incumbent size: the answer is
+    (max(lower_bound, clique number), members), with members empty when
+    no clique beats lower_bound. A positive lower_bound is first tried
+    against a greedy colouring in vertex order; if it needs no more than
+    lower_bound classes, no clique beats it, and the call returns
+    (lower_bound, ()) at once, before the degree sort and without
+    spending a node. A search that would
     expand more than DEFAULT_CLIQUE_NODES nodes, or pass Python's
     recursion limit, raises CapExceededError carrying the nodes spent
     and, as .members, the largest clique it found that beats
@@ -107,6 +115,10 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
         if a >> n:
             raise ValueError(f"max clique: vertex {v} has a neighbour "
                              f"index past its {n} vertices")
+    if lower_bound > 0 and not _colour((1 << n) - 1, [~a for a in adj], lower_bound):
+        # No vertex is coloured above lower_bound, so no clique beats it:
+        # the search's own answer, settled before any node is spent.
+        return lower_bound, ()
     if n == 0:
         return 0, ()
     order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)

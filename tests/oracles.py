@@ -161,6 +161,18 @@ def oracle_max_packing(space, delta, eligible=None):
     return rec(idx)
 
 
+def oracle_clique_number(adj):
+    """Clique number of the graph with adjacency rows adj: the largest
+    vertex subset whose pairs are all edges, trying every subset from
+    the largest size down."""
+    n = len(adj)
+    for size in range(n, 0, -1):
+        for sub in combinations(range(n), size):
+            if all(adj[a] >> b & 1 for a, b in combinations(sub, 2)):
+                return size
+    return 0
+
+
 def oracle_tau(space, eps):
     """Capacity by dense scan: all range measures, eps, and midpoints."""
     eps = Fraction(eps)

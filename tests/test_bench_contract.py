@@ -1,12 +1,15 @@
 """The benchmark's hold on the package: every function bench/tracer.py
-wraps exists, every builder call of bench/run.py's nets workload binds
-to the builder's signature with each value on the parameter it means,
-and bench/make_reference.py, called with the keywords it passes, still
-computes reference values equal to the brute-force oracles. Nothing
-under bench/ is changed by these tests."""
+wraps exists and importing epsnet.cli loads its module, every builder
+call of bench/run.py's nets workload binds to the builder's signature
+with each value on the parameter it means, and bench/make_reference.py,
+called with the keywords it passes, still computes reference values
+equal to the brute-force oracles. Nothing under bench/ is changed by
+these tests."""
 
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +40,21 @@ from tracer import SPAN_TARGETS  # noqa: E402
 @pytest.mark.parametrize("module,name", SPAN_TARGETS)
 def test_span_target_exists(module, name):
     assert callable(getattr(importlib.import_module(f"epsnet.{module}"), name))
+
+
+def test_importing_the_cli_loads_every_span_target_module():
+    # Tracer.install() imports epsnet.cli alone and then looks each
+    # SPAN_TARGETS module up in sys.modules, so a CLI that imported one
+    # of them lazily would make `bench/run.py --trace 1` a KeyError.
+    modules = sorted({f"epsnet.{module}" for module, _ in SPAN_TARGETS})
+    code = ("import sys, epsnet.cli; "
+            "print(*[m for m in sys.argv[1:] if m not in sys.modules])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    out = subprocess.run([sys.executable, "-c", code, *modules], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_nets_workload_calls_bind_to_the_builder_signatures():

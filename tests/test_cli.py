@@ -209,6 +209,14 @@ def test_instance_that_is_not_an_object_is_exit_2_saying_so(
     assert f"error: instance must be an object, got {doc!r}" in err
 
 
+def test_instance_with_an_unknown_key_is_exit_2_naming_it(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(
+        {"n": 2, "weights": [1, 1], "ranges": [[0]], "extra": 1}))
+    assert main(["verify", str(inst), "--eps", "1/4", "--points", "0"]) == 2
+    assert "error: unknown instance keys: ['extra']" in capsys.readouterr().err
+
+
 def test_deeply_nested_json_is_exit_2(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000)

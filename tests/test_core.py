@@ -82,9 +82,10 @@ def test_validation_errors():
         {"n": 2, "weights": [1, 1], "ranges": [[0.0]]},
         {"n": 2, "weights": [1, 1], "ranges": [[-1]]},
         {"n": 2, "weights": [1, 1], "ranges": "01"},
+        {"n": 2, "weights": [1, 1], "ranges": [[0]], "extra": 1},
     ],
     ids=["float-weight", "bool-weight", "string-weight", "bool-n",
-         "float-point", "negative-point", "string-ranges"],
+         "float-point", "negative-point", "string-ranges", "unknown-key"],
 )
 def test_malformed_instance_is_instance_error(doc):
     with pytest.raises(InstanceError):

@@ -9,7 +9,12 @@ import pytest
 
 import epsnet.complexity as complexity
 import epsnet.packing as packing
-from epsnet.core import CapExceededError, TheoremViolationError, build_range_space
+from epsnet.core import (
+    Budget,
+    CapExceededError,
+    TheoremViolationError,
+    build_range_space,
+)
 from epsnet.generators import (
     LowerBoundParams,
     gen_geometric,
@@ -34,24 +39,12 @@ from corpus import CORPUS
 from oracles import (
     as_sets,
     dudley_style_bound,
+    oracle_clique_number,
     oracle_far_rows,
     oracle_max_packing,
     set_measure,
     set_weight,
 )
-
-
-def _clique_brute(adj):
-    n = len(adj)
-    best = 0
-    for size in range(n, 0, -1):
-        if size <= best:
-            break
-        for sub in combinations(range(n), size):
-            if all(adj[a] >> b & 1 for a, b in combinations(sub, 2)):
-                best = size
-                break
-    return best
 
 
 def _adj_from_edges(n, edges):
@@ -99,7 +92,7 @@ def test_max_clique_random_vs_brute():
                     adj[a] |= 1 << b
                     adj[b] |= 1 << a
         size, members = max_clique(adj)
-        assert size == _clique_brute(adj), trial
+        assert size == oracle_clique_number(adj), trial
         assert len(members) == size
         for a, b in combinations(members, 2):
             assert adj[a] >> b & 1
@@ -153,16 +146,26 @@ def test_max_clique_out_of_budget_leaves_its_incumbent(monkeypatch):
     assert found >= 1
 
 
+# The profile workload's four spaces.
+PROFILE_SPACES = {
+    "disks14": lambda: gen_geometric("disks", random_points(14, 2, seed=3)),
+    "intervals24": lambda: gen_geometric("intervals", random_points(24, 1, seed=3)),
+    "random-n20r300s1": lambda: gen_random(20, 300, "uniform", "uniform", seed=1),
+    "lb-k2d3l2m3": lambda: gen_lower_bound_family(
+        LowerBoundParams(k=2, d=3, l=2, m=3)),
+}
+
+
 @pytest.mark.parametrize(
     "make, calls, digest",
     [
-        (lambda: gen_geometric("disks", random_points(14, 2, seed=3)), 19,
+        (PROFILE_SPACES["disks14"], 19,
          "ac61828a945cd77b665b69dd3d4a6fd4502fe3521e19280e2da5a425f2f816f3"),
-        (lambda: gen_geometric("intervals", random_points(24, 1, seed=3)), 31,
+        (PROFILE_SPACES["intervals24"], 31,
          "1d1adf0f219764b29c330ab21676c0a86d066e5387dfe7960f17a3b7b1654b74"),
-        (lambda: gen_random(20, 300, "uniform", "uniform", seed=1), 131,
+        (PROFILE_SPACES["random-n20r300s1"], 131,
          "64932bc510b48c98892ca54b3e4a97f2b5f08e37108d264c877c59b650f2f164"),
-        (lambda: gen_lower_bound_family(LowerBoundParams(k=2, d=3, l=2, m=3)), 6,
+        (PROFILE_SPACES["lb-k2d3l2m3"], 6,
          "195a60081a8b5876802a22cb125e93cb4659539e6a1cc9d39cde70584ca40aa4"),
     ],
 )
@@ -193,6 +196,44 @@ def test_max_clique_trip_is_frozen(monkeypatch):
         max_clique(adj)
     assert info.value.members == (4, 6, 16, 17, 22, 23)
     assert info.value.spent == 12
+
+
+@pytest.mark.parametrize("name, settled", [
+    ("disks14", 17), ("intervals24", 30), ("random-n20r300s1", 85),
+    ("lb-k2d3l2m3", 5),
+])
+def test_colouring_certificate_settles_doubling_calls_without_a_node(
+    monkeypatch, name, settled,
+):
+    # Of the 19, 31, 131 and 6 clique calls of the doubling sweep at 1/8,
+    # these many ask to beat an incumbent that a vertex-order colouring
+    # already certifies, and spend no search node.
+    spent = []
+    spend = Budget.spend
+
+    def counting(self):
+        spent[-1] += 1
+        spend(self)
+
+    def recording(adj, lower_bound=0):
+        spent.append(0)
+        return max_clique(adj, lower_bound)
+
+    monkeypatch.setattr(Budget, "spend", counting)
+    monkeypatch.setattr(complexity, "max_clique", recording)
+    complexity.doubling_constant(PROFILE_SPACES[name](), Fraction(1, 8))
+    assert spent.count(0) == settled
+
+
+def test_max_clique_settled_by_its_colouring_needs_no_node(monkeypatch):
+    adj = _random_graph(random.Random(1), 24, 0.6)
+    classes = colour_bound(adj)
+    assert classes > max_clique(adj)[0] == 7
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 0)
+    assert max_clique(adj, classes) == (classes, ())
+    with pytest.raises(CapExceededError) as info:
+        max_clique(adj, classes - 1)
+    assert info.value.spent == 0
 
 
 def test_colour_above_kmin_lists_exactly_the_upper_classes():

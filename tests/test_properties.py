@@ -6,8 +6,9 @@ together against each row alone and on near-duplicate ranges,
 the capacity table at every scale, the exact doubling sweep and its
 budget-tripped bracket, the minimum net, the net verifier and the dyadic
 buckets agree with the brute-force oracles on small weighted random
-spaces, their witnesses certify what they claim, and the point-sharing
-components partition any family."""
+spaces, as does the max-clique search at every lower bound on small
+random graphs; their witnesses certify what they claim, and the
+point-sharing components partition any family."""
 
 from fractions import Fraction
 from functools import reduce
@@ -43,6 +44,7 @@ from epsnet.nets import build_decomposition, min_net_exact, verify_net
 
 from oracles import (
     as_sets,
+    oracle_clique_number,
     oracle_doubling,
     oracle_incidence_columns,
     oracle_min_hitting,
@@ -66,6 +68,23 @@ def small_spaces(draw, max_n=8, max_ranges=12):
                    .filter(lambda w: sum(w) >= 1))
     ranges = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=max_ranges))
     return build_range_space(n, weights, ranges)
+
+
+@st.composite
+def graphs(draw, max_n=14):
+    """Symmetric adjacency rows on at most max_n vertices, each pair an
+    edge or not, the whole pattern complemented half the time so dense
+    graphs come up as often as sparse ones."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    flip = draw(st.booleans())
+    adj = [0] * n
+    for (a, b), k in zip(pairs, keep):
+        if k != flip:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
 
 
 def disjoint_union(a, b, pad=0):
@@ -366,6 +385,25 @@ def test_budget_tripped_doubling_is_a_certified_bracket(space, eps, budget):
             assert space.measure(i) <= 2 * eps0
         for a, b in combinations(got.witness, 2):
             assert space.rho(a, b) >= eps0
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_max_clique_matches_the_oracle_at_every_lower_bound(adj):
+    # Below the clique number the search finds a maximum clique; at or
+    # above it the answer is the lower bound with no members, whether a
+    # colouring settles it before the search or the search finds nothing.
+    omega = oracle_clique_number(adj)
+    for lower_bound in range(len(adj) + 2):
+        size, members = packing.max_clique(adj, lower_bound)
+        assert size == max(lower_bound, omega)
+        if omega > lower_bound:
+            assert len(members) == omega
+            assert list(members) == sorted(set(members))
+            for a, b in combinations(members, 2):
+                assert adj[a] >> b & 1
+        else:
+            assert members == ()
 
 
 @PROPERTY_SETTINGS
