@@ -19,9 +19,11 @@ costs O(#distinct traces) rather than a pass over all ranges, and a
 subtree is cut only by exact bounds on the traces it can still reach.
 projection_rows computes pi rows from the largest y down, and a walk for
 pi(y) also yields pi(y - 1) when it provably covered every (y - 1)-set.
-Exact doubling reads one packing.FarGraph, which computes each pairwise
-distance once, and sweeps the breakpoints upward, so the far graph loses
-edges as the threshold passes them and is never rebuilt.
+Exact doubling reads one packing.FarGraph, whose bit-sliced counters
+hold every pairwise distance, and sweeps the breakpoints upward: the far
+graph at a breakpoint is one comparison of the counters with its
+threshold, made only when the threshold has passed a distance, and the
+counters are never rebuilt.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .core import (
     TheoremViolationError,
     _unit_eps,
     ceil_log2,
-    components,
     format_rational,
     incidence_columns,
     iter_bits,
@@ -186,9 +187,9 @@ def projection_rows(
     largest y down.
 
     Every range lies inside one point-sharing component C_i
-    (core.components), so on Y = union of its parts Y_i the nonempty
-    traces are those of each component on its own Y_i, and the empty
-    trace counts once. With a_i(s) the most traces and b_i(s) the most
+    (RangeSpace.point_components), so on Y = union of its parts Y_i the
+    nonempty traces are those of each component on its own Y_i, and the
+    empty trace counts once. With a_i(s) the most traces and b_i(s) the most
     nonempty traces over s-point subsets of C_i, pi(y) is the max of
     a_j(s_j) + sum_{i != j} b_i(s_i) over one component j that holds the
     empty trace and splits with sum s_i <= y (points in no range pad the
@@ -231,7 +232,7 @@ def projection_rows(
                          f"0..{space.n}, got {list(ys)}")
     cols = space.incidence
     groups = [(pts, reduce(or_, [cols[x] for x in pts]))
-              for pts in map(points_of, components(space.ranges))]
+              for pts in map(points_of, space.point_components)]
 
     def ceiling(y: int) -> int:
         top = min(1 << y, len(space.ranges))
@@ -509,12 +510,13 @@ def doubling_constant(
     far graph at every breakpoint gives D exactly. Ranges are ranked by
     (measure, index); at scale eps0 the eligible ranges are a rank prefix
     and the far graph keeps the pairs at integer distance >= ceil(eps0*W).
-    One packing.FarGraph over the ranked ranges computes each distance
-    once and loses edges as the sweep's threshold rises. A breakpoint with
-    no more eligible ranges than the incumbent is skipped, since it cannot
-    beat it. Each other breakpoint asks max_clique for a clique larger
-    than the incumbent; most cannot beat it, and max_clique settles those
-    by a greedy colouring in vertex order with no more classes than the
+    One packing.FarGraph over the ranked ranges holds every distance in
+    bit-sliced counters and gives the far graph at each rising threshold
+    by one comparison with them. A breakpoint with no more eligible
+    ranges than the incumbent is skipped, since it cannot beat it. Each
+    other breakpoint asks max_clique for a clique larger than the
+    incumbent; most cannot beat it, and max_clique settles those by a
+    greedy colouring in vertex order with no more classes than the
     incumbent, with no search and no node spent.
 
     When a clique search runs out of packing.DEFAULT_CLIQUE_NODES, its
@@ -696,7 +698,7 @@ def star_number(space: RangeSpace, cap: int | None = None) -> Bound:
                 walk(j + 1, chosen + [pts[j]], grown)
 
     lower, upper, witness = 0, 0, []
-    for comp in components(space.ranges):
+    for comp in space.point_components:
         pts = list(iter_bits(comp))
         best, star = [], (0, [])
         for x in pts:

@@ -210,8 +210,8 @@ class RangeSpace:
     space. The byte tables that mask_weight reads on a non-uniform space
     are also built with it, from weights alone, and make no mask_weight
     call; they are empty on a uniform space. The cached indices
-    (incidence, capacity_table, population) are built on first read and
-    call no mask_weight.
+    (incidence, capacity_table, point_components, population) are built
+    on first read and call no mask_weight.
     """
 
     n: int
@@ -329,6 +329,12 @@ class RangeSpace:
             nums.append(bp)
             dens.append(bx)
         return tuple(xs[::-1]), tuple(nums[::-1]), tuple(dens[::-1])
+
+    @cached_index
+    def point_components(self) -> tuple[int, ...]:
+        """Point masks of the point-sharing components of the ranges
+        (components), by lowest point."""
+        return tuple(components(self.ranges))
 
     @cached_index
     def population(self) -> tuple[list[int], list[int] | None]:

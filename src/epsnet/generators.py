@@ -152,13 +152,45 @@ def _sign_masks(signs) -> tuple[int, int]:
     return closed, opened
 
 
+def _runs(pts) -> list[int]:
+    """One point mask per distinct 1-D coordinate, in ascending order."""
+    at: dict[int, int] = {}
+    for i, (x,) in enumerate(pts):
+        at[x] = at.get(x, 0) | 1 << i
+    return [at[v] for v in sorted(at)]
+
+
+def _hull_coords(pts) -> list[tuple[int, ...]]:
+    """pts projected onto the pivot axes of their difference vectors from
+    pts[0], found by fraction-free elimination. The projection is one to
+    one and affine on the points' affine hull, so it maps the hull's
+    halfspaces onto those of the projected space; points spanning their
+    whole space come back unchanged."""
+    rows = [[c - b for c, b in zip(p, pts[0])] for p in pts[1:]]
+    axes = []
+    for axis in range(len(pts[0])):
+        pivot = next((r for r in rows if r[axis]), None)
+        if pivot is None:
+            continue
+        axes.append(axis)
+        rows = [[a * pivot[axis] - b * r[axis] for a, b in zip(r, pivot)]
+                for r in rows if r is not pivot]
+    if len(axes) == len(pts[0]):
+        return pts
+    return [tuple(p[a] for a in axes) for p in pts]
+
+
 def gen_geometric(kind: str, points, weights=None, name: str = "") -> RangeSpace:
     """Range space of all distinct nonempty traces of a geometric family.
 
     kinds: intervals (1d), halfplanes (2d), disks (2d), halfspaces3d (3d).
     Coordinates are exact rationals, scaled to one integer grid; both
     closed and open boundary variants are enumerated so degenerate
-    inputs stay canonical.
+    inputs stay canonical. Halfplanes and halfspaces are enumerated in
+    the dimension of the points' affine hull (_hull_coords): a halfspace
+    meets the hull in one of the hull's own halfspaces, or in all of it,
+    so collinear points get the halflines along their line and coplanar
+    3-D points the halfplanes of their plane.
     """
     if kind not in GEO_DIMS:
         raise InstanceError(f"unknown geometric kind: {kind}")
@@ -172,12 +204,8 @@ def gen_geometric(kind: str, points, weights=None, name: str = "") -> RangeSpace
     masks = {full}
 
     if kind == "intervals":
-        # One point mask per distinct coordinate, in ascending order; an
-        # interval's trace is the OR of a run of them.
-        at: dict[int, int] = {}
-        for i, (x,) in enumerate(pts):
-            at[x] = at.get(x, 0) | 1 << i
-        runs = [at[v] for v in sorted(at)]
+        # An interval's trace is the OR of a run of the point masks.
+        runs = _runs(pts)
         for a in range(len(runs)):
             m = 0
             for run in runs[a:]:
@@ -203,12 +231,23 @@ def gen_geometric(kind: str, points, weights=None, name: str = "") -> RangeSpace
                 nrm = tuple(-c for c in nrm)
             masks.update(_sign_masks(_side_values(nrm, face[0], lifted)))
 
-    else:  # halfplanes, halfspaces3d: both sides of every spanned boundary
-        for face in combinations(pts, GEO_DIMS[kind]):
-            nrm = _normal(face)
-            if any(nrm):
-                closed, opened = _sign_masks(_side_values(nrm, face[0], pts))
-                masks.update((closed, opened, full ^ opened, full ^ closed))
+    else:  # halfplanes, halfspaces3d, in the dimension of the points' hull
+        flat = _hull_coords(pts)
+        dim = len(flat[0])
+        if dim == 1:
+            # On a line a halfspace is a halfline: a prefix or a suffix
+            # of the runs.
+            prefix = 0
+            for run in _runs(flat)[:-1]:
+                prefix |= run
+                masks.update((prefix, full ^ prefix))
+        elif dim > 1:
+            # Both sides of every boundary through dim of the points.
+            for face in combinations(flat, dim):
+                nrm = _normal(face)
+                if any(nrm):
+                    closed, opened = _sign_masks(_side_values(nrm, face[0], flat))
+                    masks.update((closed, opened, full ^ opened, full ^ closed))
 
     return build_range_space(n, list(weights), masks, name=name or f"{kind}{n}")
 

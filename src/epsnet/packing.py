@@ -1,8 +1,10 @@
 """Packings under the symmetric-difference metric and the packing bound.
 
 A delta-packing is a set of ranges with pairwise rho >= delta. Finding
-the largest one is a max clique in the "far graph" (FarGraph, which
-exact doubling reads too): an exact branch-and-bound with greedy
+the largest one is a max clique in the "far graph". FarGraph, which
+exact doubling reads too, sums every pair's distance at once in
+bit-sliced counters and gives the graph at a threshold by one comparison
+with them. max_clique is an exact branch-and-bound with greedy
 colouring, limited by DEFAULT_CLIQUE_NODES search nodes and, for
 packings, DEFAULT_CLIQUE_CAP ranges. When a greedy colouring in vertex
 order needs no more classes than the lower bound a caller asks
@@ -17,12 +19,15 @@ lower end of a bracket with a colouring above.
 from __future__ import annotations
 
 import math
-from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from struct import iter_unpack, unpack_from
 from typing import Sequence
 
 from .core import (
+    _BIT_DIGITS,
     Budget,
     CapExceededError,
     RangeSpace,
@@ -39,6 +44,9 @@ DEFAULT_CLIQUE_NODES = 200_000
 # e > 2718281828/10^9, used for exact-rational bound certificates.
 E_LOWER = Fraction(2718281828, 10**9)
 E_UPPER = Fraction(2718281829, 10**9)
+
+# The struct codes of far-graph row blocks that unpack straight to ints.
+_INT_ROWS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _colour(cand: int, non_adj: list[int], kmin: int = 0) -> list[tuple[int, int]]:
@@ -170,47 +178,114 @@ class Packing:
 
 class FarGraph:
     """Far graphs of masks at a rising threshold on the weight of their
-    symmetric difference. Each pair distance is computed once, and pair
-    codes p * m + q go into one typed array per distinct distance: O(m^2)
-    data, which sets the profile's peak memory, never lives in Python
-    lists or per-pair big ints. distances: the distinct pair distances,
-    ascending."""
+    symmetric difference, read from bit-sliced distance counters.
+
+    The distances are held in B = total_weight.bit_length() planes. Plane
+    k is one big int with bit k of every pair distance: the distances
+    from mask p to every mask q are bit q of row p's big-endian block of
+    `stride` bytes, and the rows lie end to end. A point x of weight w
+    adds w to the pairs it separates: in row p, to the masks without x
+    when p holds x, else to the masks with x. That term is one bytes join
+    of two prebuilt row blocks, picked by x's byte lane in the masks (as
+    in core.incidence_columns), and a ripple-carry add puts it at the
+    planes of w's set bits. So every pair is summed at once, in a few
+    big-int operations per point and no step per pair, and the planes
+    take O(m^2 log W) bits.
+
+    distances: the distinct pair distances, ascending, from a depth-first
+    descent that splits the pairs by one plane at a time. rows compares
+    the planes with the threshold, again for all pairs at once and only
+    when the threshold has passed a distance since the last comparison,
+    and unpacks the first j row blocks with struct.
+    """
 
     def __init__(self, space: RangeSpace, masks: Sequence[int]) -> None:
         m = len(masks)
-        typecode = "i" if m * m < 1 << 31 else "q"
-        by_dist: dict[int, array] = {}
-        for p in range(m):
-            rp = masks[p]
-            code = p * m + p
-            for d in map(space.mask_weight, [rp ^ r for r in masks[p + 1:]]):
-                code += 1
-                bucket = by_dist.get(d)
-                if bucket is None:
-                    bucket = by_dist[d] = array(typecode)
-                bucket.append(code)
-        self.distances = sorted(by_dist)
-        self._by_dist = by_dist
-        self._adj = [((1 << m) - 1) ^ (1 << p) for p in range(m)]
-        self._removed = 0  # buckets whose edges are already gone
+        full = (1 << m) - 1
+        # A row block of at most 8 bytes is 1, 2, 4 or 8 of them, so that
+        # struct unpacks it straight to an int.
+        stride = next(s for s in (1, 2, 4, 8, (m + 7) >> 3) if 8 * s >= m)
+        lanes = (space.n + 7) >> 3
+        data = b"".join([r.to_bytes(lanes, "little") for r in masks])
+        cols = incidence_columns(masks, space.n)
+        planes = [0] * space.total_weight.bit_length()
+        for x, w in enumerate(space.weights):
+            col = cols[x]
+            if not w or col == 0 or col == full:
+                continue  # x separates no pair
+            # Byte x >> 3 of every mask, as in core.incidence_columns,
+            # marks the rows that hold x with "1".
+            inside = data[x >> 3::lanes].translate(_BIT_DIGITS[x & 7])
+            sides = {48: col.to_bytes(stride, "big"),
+                     49: (full ^ col).to_bytes(stride, "big")}
+            term = int.from_bytes(b"".join(map(sides.__getitem__, inside)), "big")
+            for k in range(w.bit_length()):
+                carry, i = term if w >> k & 1 else 0, k
+                while carry:
+                    plane = planes[i]
+                    planes[i] = plane ^ carry
+                    carry &= plane
+                    i += 1
+        # Every pair p != q: the far graph below the least distance.
+        pairs = int.from_bytes(b"".join(
+            [(full ^ (1 << p)).to_bytes(stride, "big") for p in range(m)]), "big")
+        values = []
+        stack = [(pairs, len(planes), 0)] if pairs else []
+        while stack:
+            held, k, value = stack.pop()
+            if not k:
+                values.append(value)
+                continue
+            k -= 1
+            high = held & planes[k]
+            if high != held:
+                stack.append((held ^ high, k, value))
+            if high:
+                stack.append((high, k, value | 1 << k))
+        self.distances = sorted(values)
+        self._planes, self._pairs, self._stride = planes, pairs, stride
+        self._bytes = pairs.to_bytes(m * stride, "big")
+        self._removed = 0  # distances below the threshold of _bytes
 
     def rows(self, j: int, threshold: int) -> list[int]:
         """Adjacency bitmasks on the first j masks of the far graph at
-        threshold, after deleting the edges of every distance bucket below
-        it. A threshold at or below a deleted distance is a ValueError."""
-        values, adj, m = self.distances, self._adj, len(self._adj)
-        removed = self._removed
+        threshold: the pairs at distance >= threshold. A threshold at or
+        below a distance that an earlier call's threshold passed is a
+        ValueError."""
+        values, removed = self.distances, self._removed
         if removed and values[removed - 1] >= threshold:
             raise ValueError(f"far graph threshold {threshold} fell")
-        while removed < len(values) and values[removed] < threshold:
-            for code in self._by_dist.pop(values[removed]):
-                p, q = divmod(code, m)
-                adj[p] ^= 1 << q
-                adj[q] ^= 1 << p
-            removed += 1
-        self._removed = removed
-        low = (1 << j) - 1
-        return [adj[p] & low for p in range(j)]
+        below = bisect_left(values, threshold)
+        if below > removed:
+            self._removed = below
+            far = _at_least(self._planes, threshold, self._pairs)
+            self._bytes = far.to_bytes(len(self._bytes), "big")
+        low, stride = (1 << j) - 1, self._stride
+        if stride in _INT_ROWS:
+            rows = unpack_from(f">{j}{_INT_ROWS[stride]}", self._bytes)
+        else:
+            view = memoryview(self._bytes)[:j * stride]
+            blocks = chain.from_iterable(iter_unpack(f"{stride}s", view)) if j else ()
+            rows = map(int.from_bytes, blocks, repeat("big"))
+        return list(map(low.__and__, rows))
+
+
+def _at_least(planes: list[int], threshold: int, pairs: int) -> int:
+    """The pairs in the mask pairs whose bit-sliced value in planes is at
+    least threshold >= 1: a comparison from the top plane down that stops
+    below the threshold's lowest set bit, where every pair still equal to
+    it so far is at least it."""
+    if threshold >> len(planes):
+        return 0
+    above, equal = 0, pairs
+    for k in range(len(planes) - 1, (threshold & -threshold).bit_length() - 2, -1):
+        high = equal & planes[k]
+        if threshold >> k & 1:
+            equal = high
+        else:
+            above |= high
+            equal ^= high
+    return above | equal
 
 
 def greedy_packing(

@@ -56,6 +56,23 @@ def oracle_far_rows(space, masks, threshold):
     return rows
 
 
+class PairFarGraph:
+    """The far-graph interface (distances, rows(j, threshold)) one pair at
+    a time: distances are the distinct weights of the pairs' symmetric
+    differences, and each rows call is oracle_far_rows on the first j
+    masks. It keeps no edges between calls, so it never rejects a falling
+    threshold."""
+
+    def __init__(self, space, masks):
+        self.space, self.masks = space, list(masks)
+        sets = [frozenset(_bits(r)) for r in self.masks]
+        self.distances = sorted({set_weight(space, a ^ b)
+                                 for a, b in combinations(sets, 2)})
+
+    def rows(self, j, threshold):
+        return oracle_far_rows(self.space, self.masks[:j], threshold)
+
+
 def oracle_trace_vertices(space, sample):
     """Distinct traces on an ordered sample, one bit test per (range,
     sample position): bit j is set when sample[j] lies in the range."""
@@ -282,11 +299,25 @@ def oracle_geometric(kind, points):
     disk when both are equal), closed and open circumcircle disks of
     three counterclockwise points, and closed and open halfspaces on the
     positive side of a plane through three points; the whole point set
-    is always a trace."""
+    is always a trace. Points that do not span their space get halfplanes
+    or halfspaces by a lift rather than a projection: with unit offsets
+    of the first point added until the set spans, the traces on the
+    points are the lifted set's traces cut back to them, since every
+    halfspace meets both sets."""
     pts = [
         tuple(Fraction(c) for c in ((p,) if isinstance(p, (int, Fraction)) else p))
         for p in points
     ]
+    if kind in ("halfplanes", "halfspaces3d"):
+        lifted = list(pts)
+        for axis in range(len(pts[0])):
+            z = tuple(c + (k == axis) for k, c in enumerate(pts[0]))
+            if _affine_rank(lifted + [z]) > _affine_rank(lifted):
+                lifted.append(z)
+        if len(lifted) > len(pts):
+            cut = (frozenset(i for i in t if i < len(pts))
+                   for t in oracle_geometric(kind, lifted))
+            return {t for t in cut if t}
 
     def add_sides(values):
         traces.add(frozenset(i for i, v in enumerate(values) if v >= 0))
@@ -338,6 +369,21 @@ def oracle_geometric(kind, points):
         raise ValueError(kind)
     traces.discard(frozenset())
     return traces
+
+
+def _affine_rank(pts):
+    """Dimension of the affine hull of Fraction points, by Gaussian
+    elimination on their differences from the first."""
+    rows = [[c - b for c, b in zip(p, pts[0])] for p in pts[1:]]
+    rank = 0
+    for axis in range(len(pts[0])):
+        pivot = next((r for r in rows if r[axis]), None)
+        if pivot is None:
+            continue
+        rank += 1
+        rows = [[a - b * r[axis] / pivot[axis] for a, b in zip(r, pivot)]
+                for r in rows if r is not pivot]
+    return rank
 
 
 def dudley_style_bound(d, delta):

@@ -27,6 +27,7 @@ from epsnet.complexity import (
 )
 from epsnet.core import (
     CapExceededError,
+    RangeSpace,
     TheoremViolationError,
     build_range_space,
 )
@@ -40,6 +41,7 @@ from epsnet.generators import (
 
 from corpus import CORPUS, EPS_GRID
 from oracles import (
+    PairFarGraph,
     oracle_doubling,
     oracle_pi,
     oracle_shallow,
@@ -211,6 +213,53 @@ def test_doubling_exact_matches_oracle():
             want = oracle_doubling(sp, eps)
             assert got.mode == "exact"
             assert got.value == want, (key, eps)
+
+
+def _far_graph_spaces():
+    """The corpus and 40 seeded random spaces, half of them weighted (up
+    to 12 points of weight 1..60, so up to 10 planes)."""
+    spaces = list(CORPUS.values())
+    for seed in range(40):
+        spaces.append(gen_random(
+            6 + seed % 7, 8 + 3 * (seed % 6), ("uniform", "geometric")[seed % 2],
+            ("ones", "uniform")[seed >= 20], seed=seed, w_max=(8, 60)[seed % 3 == 0]))
+    return spaces
+
+
+def test_doubling_reads_the_same_from_a_pair_at_a_time_far_graph(monkeypatch):
+    # The same Bound (value, upper end, members, eps0) and the same clique
+    # questions and answers, in order, whether the sweep reads the far
+    # graph from the bit-sliced counters or one pair at a time.
+    spaces = _far_graph_spaces()
+    asked = []
+
+    def recording(adj, lower_bound=0):
+        out = packing.max_clique(adj, lower_bound)
+        asked.append((lower_bound, out))
+        return out
+
+    monkeypatch.setattr(complexity, "max_clique", recording)
+    for sp in spaces:
+        for eps in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
+            monkeypatch.setattr(complexity, "FarGraph", packing.FarGraph)
+            real = doubling_constant(sp, eps)
+            real_asked = asked[:]
+            asked.clear()
+            monkeypatch.setattr(complexity, "FarGraph", PairFarGraph)
+            assert doubling_constant(sp, eps) == real, (sp.name, eps)
+            assert asked == real_asked, (sp.name, eps)
+            asked.clear()
+
+    # Building the counters weighs no mask.
+    weighed = []
+    mask_weight = RangeSpace.mask_weight
+    monkeypatch.setattr(RangeSpace, "mask_weight",
+                        lambda self, mask: weighed.append(mask) or mask_weight(self, mask))
+    for sp in spaces:
+        packing.FarGraph(sp, [sp.ranges[i] for i in sp.measure_order])
+    assert weighed == []
+    spaces[0].mask_weight(1)
+    assert weighed == [1]
 
 
 def test_doubling_frozen_values():

@@ -19,9 +19,10 @@ from epsnet import (
     parse_rational,
     stream_rng,
 )
-from epsnet.complexity import alexander_capacity, doubling_constant
+from epsnet.complexity import alexander_capacity, doubling_constant, star_number
 from epsnet.core import (
-    DRAW_BLOCK, _unit_eps, cached_index, ceil_log2, iter_bits, mask_of, points_of,
+    DRAW_BLOCK, _unit_eps, cached_index, ceil_log2, components, iter_bits, mask_of,
+    points_of,
 )
 from epsnet.nets import greedy_net, verify_net
 
@@ -101,6 +102,13 @@ def test_incidence_columns_are_built_once():
     assert sp.incidence is cols
 
 
+def test_point_components_are_built_once():
+    sp = build_range_space(6, [1] * 6, [[0, 1], [1, 2], [3], [4, 5], [5]])
+    comps = sp.point_components
+    assert comps == tuple(components(sp.ranges)) == (0b000111, 0b001000, 0b110000)
+    assert sp.point_components is comps
+
+
 def test_readers_keep_only_the_declared_per_space_index():
     # Everything a space holds is a declared field or a cached index,
     # whichever readers have touched it. Fresh copies, so that the readers
@@ -115,6 +123,7 @@ def test_readers_keep_only_the_declared_per_space_index():
         alexander_capacity(sp, eps)
         draw_mask(sp, 3 * sp.n, stream_rng(0, "guard"))
         doubling_constant(sp, eps)
+        star_number(sp)
         assert set(vars(sp)) == declared | cached, key
         w, m = sp.total_weight, len(sp.ranges)
         for x in set(sp.range_weights):

@@ -289,6 +289,63 @@ def test_geometric_space_is_unchanged_by_positive_scaling(case, q):
     assert gen_geometric(kind, scaled).dumps() == gen_geometric(kind, pts).dumps()
 
 
+@st.composite
+def collinear_inputs(draw):
+    """(kind, steps, points): 1 to 8 integer points base + t * step on one
+    line, for halfplanes or halfspaces3d; equal t are coincident points."""
+    kind = draw(st.sampled_from(["halfplanes", "halfspaces3d"]))
+    coord = st.integers(-4, 4)
+    base = draw(st.tuples(*[coord] * DIMS[kind]))
+    step = draw(st.tuples(*[coord] * DIMS[kind]).filter(any))
+    ts = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+    return kind, ts, [tuple(b + t * d for b, d in zip(base, step)) for t in ts]
+
+
+@GEOMETRIC_SETTINGS
+@given(collinear_inputs())
+@example(("halfplanes", [0, 1, 2], [(0, 0), (1, 0), (2, 0)]))
+@example(("halfspaces3d", [0, 0, 1], [(1, 1, 1), (1, 1, 1), (2, 3, 4)]))
+def test_collinear_points_get_the_halflines_along_their_line(case):
+    # Every nonempty prefix and suffix in the order along the line, and
+    # nothing else.
+    kind, ts, pts = case
+    space = gen_geometric(kind, pts)
+    halflines = set()
+    for cut in set(ts):
+        halflines.add(frozenset(i for i, t in enumerate(ts) if t <= cut))
+        halflines.add(frozenset(i for i, t in enumerate(ts) if t >= cut))
+    assert set(as_sets(space)) == halflines
+
+
+@st.composite
+def coplanar_inputs(draw):
+    """(plane coordinates, 3-D points): 1 to 8 integer points (u, v) put
+    at base + u * e1 + v * e2 for integer e1, e2 spanning a plane."""
+    coord = st.integers(-3, 3)
+    uv = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
+    base = draw(st.tuples(coord, coord, coord))
+    e1, e2 = draw(st.tuples(st.tuples(coord, coord, coord),
+                            st.tuples(coord, coord, coord))
+                  .filter(lambda e: any(_cross(*e))))
+    return uv, [tuple(b + u * x + v * y for b, x, y in zip(base, e1, e2))
+                for u, v in uv]
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+@GEOMETRIC_SETTINGS
+@given(coplanar_inputs())
+@example(([(0, 0), (1, 0), (0, 1), (1, 1)],
+          [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]))
+def test_coplanar_points_get_the_halfplanes_of_their_plane(case):
+    uv, pts = case
+    assert (gen_geometric("halfspaces3d", pts).ranges
+            == gen_geometric("halfplanes", uv).ranges)
+
+
 # -- random families ----------------------------------------------------------
 
 

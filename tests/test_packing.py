@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import epsnet.complexity as complexity
 import epsnet.packing as packing
@@ -329,6 +330,59 @@ def test_far_graph_rows_match_the_pair_oracle():
                 low = (1 << j) - 1
                 assert graph.rows(j, threshold) == [
                     row & low for row in full[:j]], (key, threshold, j)
+
+
+@st.composite
+def weighted_spaces(draw):
+    """Spaces on 1..9 points with weights in 0..300 (zeros included, W up
+    to 2,700, so up to 12 planes) and 0..25 ranges before deduplication."""
+    n = draw(st.integers(1, 9))
+    weights = draw(st.lists(st.integers(0, 300), min_size=n, max_size=n)
+                   .filter(lambda w: sum(w) >= 1))
+    ranges = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1),
+                           max_size=25))
+    return build_range_space(n, weights, [sorted(r) for r in ranges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_spaces())
+@example(build_range_space(2, [3, 0], []))  # m = 0
+@example(build_range_space(2, [3, 0], [[0, 1]]))  # m = 1
+@example(build_range_space(3, [300, 0, 255], [[0], [1], [2], [0, 1], [1, 2]]))
+def test_far_graph_rows_match_the_pair_oracle_on_weighted_spaces(sp):
+    # Thresholds rise over 0, every distance and W + 1, as the doubling
+    # sweep reads them; every prefix at each threshold.
+    masks = [sp.ranges[i] for i in sp.measure_order]
+    graph = FarGraph(sp, masks)
+    sets = as_sets(sp)
+    fam = [sets[i] for i in sp.measure_order]
+    dists = sorted({set_weight(sp, a ^ b) for a, b in combinations(fam, 2)})
+    assert graph.distances == dists
+    for threshold in [0, *dists, sp.total_weight + 1]:
+        full = oracle_far_rows(sp, masks, threshold)
+        for j in range(len(masks) + 1):
+            low = (1 << j) - 1
+            assert graph.rows(j, threshold) == [row & low for row in full[:j]]
+
+
+def test_far_graph_rows_past_eight_byte_blocks_match_the_pair_oracle():
+    # Over 64 masks a row block is longer than a struct int, and the rows
+    # are read as bytes; prefixes at, around and past the block edges.
+    sp = gen_random(12, 120, "uniform", "uniform", seed=3, w_max=20)
+    masks = [sp.ranges[i] for i in sp.measure_order]
+    m = len(masks)
+    assert m > 64
+    graph = FarGraph(sp, masks)
+    sets = as_sets(sp)
+    fam = [sets[i] for i in sp.measure_order]
+    assert graph.distances == sorted(
+        {set_weight(sp, a ^ b) for a, b in combinations(fam, 2)})
+    for threshold in [0, *graph.distances[::7], sp.total_weight + 1]:
+        full = oracle_far_rows(sp, masks, threshold)
+        for j in (0, 1, 8, 9, 64, 65, m):
+            low = (1 << j) - 1
+            assert graph.rows(j, threshold) == [
+                row & low for row in full[:j]], (threshold, j)
 
 
 def test_far_graph_rejects_a_threshold_below_a_deleted_distance():
