@@ -22,8 +22,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from struct import iter_unpack, unpack_from
+from struct import unpack_from
 from typing import Sequence
 
 from .core import (
@@ -45,8 +44,9 @@ DEFAULT_CLIQUE_NODES = 200_000
 E_LOWER = Fraction(2718281828, 10**9)
 E_UPPER = Fraction(2718281829, 10**9)
 
-# The struct codes of far-graph row blocks that unpack straight to ints.
-_INT_ROWS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# FarGraph cuts its distance planes into spans of rows of at most this
+# many pair bits (128 KiB).
+_SPAN_BITS = 1 << 20
 
 
 def _colour(cand: int, non_adj: list[int], kmin: int = 0) -> list[tuple[int, int]]:
@@ -181,41 +181,46 @@ class FarGraph:
     symmetric difference, read from bit-sliced distance counters.
 
     The distances are held in B = total_weight.bit_length() planes. Plane
-    k is one big int with bit k of every pair distance: the distances
-    from mask p to every mask q are bit q of row p's big-endian block of
-    `stride` bytes, and the rows lie end to end. A point x of weight w
-    adds w to the pairs it separates: in row p, to the masks without x
-    when p holds x, else to the masks with x. That term is one bytes join
-    of two prebuilt row blocks, picked by x's byte lane in the masks (as
-    in core.incidence_columns), and a ripple-carry add puts it at the
-    planes of w's set bits. So every pair is summed at once, in a few
-    big-int operations per point and no step per pair, and the planes
-    take O(m^2 log W) bits.
+    k holds bit k of every pair distance: the distances from mask p to
+    every mask q are bit q of row p's big-endian block of `stride` bytes,
+    and the rows lie end to end. A point x of weight w adds w to the
+    pairs it separates: in row p, to the masks without x when p holds x,
+    else to the masks with x. That term is one bytes join of two prebuilt
+    row blocks, picked by x's byte lane in the masks (as in
+    core.incidence_columns), and a ripple-carry add puts it at the planes
+    of w's set bits. So every pair is summed at once, in a few big-int
+    operations per point and no step per pair, and the planes take
+    O(m^2 log W) bits.
 
-    distances: the distinct pair distances, ascending, from a depth-first
-    descent that splits the pairs by one plane at a time. rows compares
-    the planes with the threshold, again for all pairs at once and only
-    when the threshold has passed a distance since the last comparison,
-    and unpacks the first j row blocks with struct.
+    The finished planes are cut into spans of rows of at most _SPAN_BITS
+    pair bits, one big int per plane and span, so that what the readers
+    hold besides the planes stays small. distances: the distinct pair
+    distances, ascending, from a depth-first descent that splits a
+    span's pairs by one plane at a time. rows compares each span's planes
+    with the threshold, for all its pairs at once and only when the
+    threshold has passed a distance since the last comparison, and reads
+    the first j row blocks of the result.
     """
 
     def __init__(self, space: RangeSpace, masks: Sequence[int]) -> None:
         m = len(masks)
         full = (1 << m) - 1
-        # A row block of at most 8 bytes is 1, 2, 4 or 8 of them, so that
-        # struct unpacks it straight to an int.
-        stride = next(s for s in (1, 2, 4, 8, (m + 7) >> 3) if 8 * s >= m)
+        # Up to 64 masks a row is one 64-bit word, which struct unpacks
+        # straight to an int.
+        stride = 8 if m <= 64 else (m + 7) >> 3
         lanes = (space.n + 7) >> 3
         data = b"".join([r.to_bytes(lanes, "little") for r in masks])
-        cols = incidence_columns(masks, space.n)
         planes = [0] * space.total_weight.bit_length()
         for x, w in enumerate(space.weights):
-            col = cols[x]
-            if not w or col == 0 or col == full:
-                continue  # x separates no pair
-            # Byte x >> 3 of every mask, as in core.incidence_columns,
-            # marks the rows that hold x with "1".
+            if not w or not m:
+                continue  # x adds nothing, or there are no pairs
+            # Byte x >> 3 of every mask marks the rows that hold x with
+            # "1", and read backwards it is x's incidence column, as in
+            # core.incidence_columns.
             inside = data[x >> 3::lanes].translate(_BIT_DIGITS[x & 7])
+            col = int(inside[::-1], 2)
+            if col == 0 or col == full:
+                continue  # x separates no pair
             sides = {48: col.to_bytes(stride, "big"),
                      49: (full ^ col).to_bytes(stride, "big")}
             term = int.from_bytes(b"".join(map(sides.__getitem__, inside)), "big")
@@ -226,25 +231,34 @@ class FarGraph:
                     planes[i] = plane ^ carry
                     carry &= plane
                     i += 1
+        # Split the planes by spans of rows, one whole plane at a time.
+        size = m * stride
+        step = max(1, (_SPAN_BITS >> 3) // stride) * stride
+        spans = [(a, min(size, a + step), []) for a in range(0, size, step)]
+        for k, plane in enumerate(planes):
+            planes[k] = 0
+            whole = plane.to_bytes(size, "big")
+            for a, b, sliced in spans:
+                sliced.append(int.from_bytes(whole[a:b], "big"))
         # Every pair p != q: the far graph below the least distance.
-        pairs = int.from_bytes(b"".join(
-            [(full ^ (1 << p)).to_bytes(stride, "big") for p in range(m)]), "big")
-        values = []
-        stack = [(pairs, len(planes), 0)] if pairs else []
-        while stack:
-            held, k, value = stack.pop()
-            if not k:
-                values.append(value)
-                continue
-            k -= 1
-            high = held & planes[k]
-            if high != held:
-                stack.append((held ^ high, k, value))
-            if high:
-                stack.append((high, k, value | 1 << k))
+        pairs = b"".join([(full ^ (1 << p)).to_bytes(stride, "big") for p in range(m)])
+        self._spans, self._stride, self._bytes = spans, stride, pairs
+        values: set[int] = set()
+        for a, b, sliced in spans:
+            held = int.from_bytes(pairs[a:b], "big")
+            stack = [(held, len(sliced), 0)] if held else []
+            while stack:
+                held, k, value = stack.pop()
+                if not k:
+                    values.add(value)
+                    continue
+                k -= 1
+                high = held & sliced[k]
+                if high != held:
+                    stack.append((held ^ high, k, value))
+                if high:
+                    stack.append((high, k, value | 1 << k))
         self.distances = sorted(values)
-        self._planes, self._pairs, self._stride = planes, pairs, stride
-        self._bytes = pairs.to_bytes(m * stride, "big")
         self._removed = 0  # distances below the threshold of _bytes
 
     def rows(self, j: int, threshold: int) -> list[int]:
@@ -257,27 +271,26 @@ class FarGraph:
             raise ValueError(f"far graph threshold {threshold} fell")
         below = bisect_left(values, threshold)
         if below > removed:
+            # threshold > values[0] >= 0, as _at_least needs.
             self._removed = below
-            far = _at_least(self._planes, threshold, self._pairs)
-            self._bytes = far.to_bytes(len(self._bytes), "big")
-        low, stride = (1 << j) - 1, self._stride
-        if stride in _INT_ROWS:
-            rows = unpack_from(f">{j}{_INT_ROWS[stride]}", self._bytes)
-        else:
-            view = memoryview(self._bytes)[:j * stride]
-            blocks = chain.from_iterable(iter_unpack(f"{stride}s", view)) if j else ()
-            rows = map(int.from_bytes, blocks, repeat("big"))
-        return list(map(low.__and__, rows))
+            self._bytes = b"".join([_at_least(sliced, threshold).to_bytes(b - a, "big")
+                                    for a, b, sliced in self._spans])
+        low, stride, data = (1 << j) - 1, self._stride, self._bytes
+        if stride == 8:  # one word a row
+            return list(map(low.__and__, unpack_from(f">{j}Q", data)))
+        return [int.from_bytes(data[i:i + stride], "big") & low
+                for i in range(0, j * stride, stride)]
 
 
-def _at_least(planes: list[int], threshold: int, pairs: int) -> int:
-    """The pairs in the mask pairs whose bit-sliced value in planes is at
-    least threshold >= 1: a comparison from the top plane down that stops
-    below the threshold's lowest set bit, where every pair still equal to
-    it so far is at least it."""
+def _at_least(planes: list[int], threshold: int) -> int:
+    """The pairs whose bit-sliced value in planes is at least threshold
+    >= 1: a comparison from the top plane down that stops below the
+    threshold's lowest set bit, where every pair still equal to it so far
+    is at least it. The diagonal and the padding of the row blocks hold
+    0, so they never count."""
     if threshold >> len(planes):
         return 0
-    above, equal = 0, pairs
+    above, equal = 0, -1
     for k in range(len(planes) - 1, (threshold & -threshold).bit_length() - 2, -1):
         high = equal & planes[k]
         if threshold >> k & 1:

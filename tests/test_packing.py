@@ -385,6 +385,27 @@ def test_far_graph_rows_past_eight_byte_blocks_match_the_pair_oracle():
                 row & low for row in full[:j]], (threshold, j)
 
 
+@pytest.mark.parametrize("span_bits", [8, 1000])
+def test_far_graph_cut_into_spans_matches_the_pair_oracle(monkeypatch, span_bits):
+    # Spans of one row, and of a few rows with a shorter last span, on
+    # word rows (m <= 64) and byte rows (m > 64).
+    monkeypatch.setattr(packing, "_SPAN_BITS", span_bits)
+    for sp in (CORPUS["random12w"],
+               gen_random(12, 120, "uniform", "uniform", seed=3, w_max=20)):
+        masks = [sp.ranges[i] for i in sp.measure_order]
+        graph = FarGraph(sp, masks)
+        sets = as_sets(sp)
+        fam = [sets[i] for i in sp.measure_order]
+        assert graph.distances == sorted(
+            {set_weight(sp, a ^ b) for a, b in combinations(fam, 2)})
+        for threshold in [0, *graph.distances[::3], sp.total_weight + 1]:
+            full = oracle_far_rows(sp, masks, threshold)
+            for j in (0, 1, 7, 8, 9, len(masks)):
+                low = (1 << j) - 1
+                assert graph.rows(j, threshold) == [
+                    row & low for row in full[:j]], (sp.name, threshold, j)
+
+
 def test_far_graph_rejects_a_threshold_below_a_deleted_distance():
     # Every pair of singletons is at distance 2. A threshold may fall as
     # long as no deleted distance reaches it.
