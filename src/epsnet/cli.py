@@ -118,8 +118,7 @@ def cmd_pack(args) -> int:
     delta = parse_rational(args.delta)
     cert = haussler_certificate(space, delta, strict=False)
     # Exact mode prints the packing the certificate used: the maximum one,
-    # or (exact: false) the clique search's incumbent past its budget or a
-    # greedy one past the range cap.
+    # or (exact: false) the clique search's incumbent past its budget.
     if args.mode == "exact":
         packing = cert.packing
     else:

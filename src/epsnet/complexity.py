@@ -107,16 +107,6 @@ def _split(classes: list[int], col: int) -> tuple[list[int], list[int]]:
     return inside, outside
 
 
-def _splits_all(classes: list[int], col: int) -> bool:
-    """Whether adding the point with incidence col splits every class,
-    i.e. whether Y + x is shattered when Y is."""
-    for s in classes:
-        a = s & col
-        if not a or a == s:
-            return False
-    return True
-
-
 def _whole(classes: list[int], col: int, slack: int) -> int:
     """How many classes the point with incidence col leaves whole,
     counted only until the count passes slack: a leaf that leaves more
@@ -163,7 +153,7 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
             return
         for x in range(start, n):
             col = cols[x]
-            if _splits_all(classes, col):
+            if not _whole(classes, col, 0):  # Y + x is shattered
                 inside, outside = _split(classes, col)
                 rec(inside + outside, y | 1 << x, size + 1, x + 1)
 
@@ -183,8 +173,7 @@ def projection_rows(
     space: RangeSpace, ys: Sequence[int], seed: int = 0, d: int | None = None,
 ) -> tuple[tuple[int, Bound], ...]:
     """(y, pi(y)) for every size y in ys, in the order of ys: the max
-    number of distinct traces over point sets of size y, computed from the
-    largest y down.
+    number of distinct traces over point sets of size y.
 
     Every range lies inside one point-sharing component C_i
     (RangeSpace.point_components), so on Y = union of its parts Y_i the
@@ -195,8 +184,10 @@ def projection_rows(
     empty trace and splits with sum s_i <= y (points in no range pad the
     rest): a two-state knapsack. b_i(s) is the a_i(s) walk with one more
     range index, which no incidence column holds and so always keeps the
-    empty trace, minus 1. One component is a single walk at min(y, |C|)
-    that also stops at the row's ceiling.
+    empty trace, minus 1. Each a_i(s) and b_i(s) is walked once, in
+    ascending s on one budget, and one knapsack gives every row. One
+    component is instead a walk per row at min(y, |C|), from the largest y
+    down, that also stops at the row's ceiling.
 
     A walk goes depth first over the s-subsets of a component in
     combinations order, refining the partition of the component's ranges
@@ -209,8 +200,9 @@ def projection_rows(
     slack = #multi-range classes + c - best - 1 of those classes stay
     whole. It stops scanning past slack, and the node returns once slack
     is negative. Leaves are not nodes, so this moves no count, prune or
-    stop. The walks of one row share WALK_NODES nodes; past them, the row
-    is the sampled Bound(best, ceiling) on its own stream.
+    stop. The walks of one row, those of sizes <= y, share WALK_NODES
+    nodes; past them, the row is the sampled Bound(best, ceiling) on its
+    own stream.
 
     A single-component walk at s = y also yields row y - 1 when ys asks
     for it. Its depth-(y - 1) nodes are the (y - 1)-subsets it has room
@@ -307,47 +299,58 @@ def projection_rows(
             return best, below
         return best, None
 
-    def exact(y: int, top: int, top1: int) -> tuple[int, int | None]:
-        # Row y, and row y - 1 when harvested; CapExceededError when the
-        # row's walks run out of WALK_NODES.
+    def knapsack(last: int) -> list[int]:
+        # pi(y) for every y <= last whose walks fit in WALK_NODES. walked[i]
+        # lists component i's (a_i(s), b_i(s)) for s = 0, 1, ..., walked
+        # in ascending s until the budget runs out.
         budget = Budget(WALK_NODES, "exact pi search")
-        if len(groups) == 1:
-            pts, root = groups[0]
-            harvest = (y <= len(pts) and
-                       math.comb(len(pts), max(y - 2, 0)) <= WALK_NODES)
-            return walk(pts, root, min(y, len(pts)), top, budget,
-                        top1 if harvest else 0)
         extra = 1 << len(space.ranges)
+        walked = [[(1, 0)] for _ in groups]
+        try:
+            for s in range(1, last + 1):
+                for (pts, root), sizes in zip(groups, walked):
+                    if s <= len(pts):
+                        sizes.append((walk(pts, root, s, math.inf, budget)[0],
+                                      walk(pts, root | extra, s, math.inf, budget)[0] - 1))
+        except CapExceededError:
+            last = s - 1
         # free[t] / owned[t]: the best sum over the components so far on
         # at most t points, without / with the empty trace counted.
-        free = owned = [0] * (y + 1)
-        for pts, root in groups:
-            sizes = range(min(y, len(pts)) + 1)
-            a = [walk(pts, root, s, math.inf, budget)[0] for s in sizes]
-            b = [walk(pts, root | extra, s, math.inf, budget)[0] - 1
-                 for s in sizes]
+        free = owned = [0] * (last + 1)
+        for sizes in walked:
             free, owned = (
-                [max(free[t - s] + b[s] for s in sizes if s <= t)
-                 for t in range(y + 1)],
-                [max(max(owned[t - s] + b[s], free[t - s] + a[s])
-                     for s in sizes if s <= t) for t in range(y + 1)],
+                [max(free[t - s] + b for s, (a, b) in enumerate(sizes[:t + 1]))
+                 for t in range(last + 1)],
+                [max(max(owned[t - s] + b, free[t - s] + a)
+                     for s, (a, b) in enumerate(sizes[:t + 1])) for t in range(last + 1)],
             )
-        return owned[y], None
+        return owned
 
     rows: dict[int, Bound] = {}
-    for y in sorted(ys, reverse=True):
-        if y in rows:
-            continue
-        top = ceiling(y)
-        try:
-            v, below = exact(y, top, ceiling(y - 1) if y - 1 in ys else 0)
-        except CapExceededError:
+    if len(groups) == 1:
+        pts, root = groups[0]
+        for y in sorted(ys, reverse=True):
+            if y in rows:
+                continue
+            # Row y, and row y - 1 when harvested; past WALK_NODES, neither.
+            harvest = (y <= len(pts) and
+                       math.comb(len(pts), max(y - 2, 0)) <= WALK_NODES)
+            top1 = ceiling(y - 1) if harvest and y - 1 in ys else 0
+            try:
+                v, below = walk(pts, root, min(y, len(pts)), ceiling(y),
+                                Budget(WALK_NODES, "exact pi search"), top1)
+            except CapExceededError:
+                continue
+            rows[y] = Bound(v, v)
+            if below is not None:
+                rows[y - 1] = Bound(below, below)
+    else:
+        known = knapsack(max(ys, default=0))
+        rows = {y: Bound(known[y], known[y]) for y in ys if y < len(known)}
+    for y in ys:
+        if y not in rows:
             rows[y] = _sampled(space, stream_rng(seed, "pi", y),
-                               lambda rng: y, len, top)
-            continue
-        rows[y] = Bound(v, v)
-        if below is not None:
-            rows[y - 1] = Bound(below, below)
+                               lambda rng: y, len, ceiling(y))
     return tuple((y, rows[y]) for y in ys)
 
 

@@ -102,24 +102,27 @@ _BIT_DIGITS = tuple(
 )
 
 
-def incidence_columns(masks: Sequence[int], n: int) -> list[int]:
-    """cols[x]: bitmask over the positions in masks of the masks that
-    contain point x, for x in 0..n-1.
+def point_lanes(masks: Sequence[int], n: int) -> Iterator[bytes]:
+    """Each point's lane, for x in 0..n-1: one ASCII "1" or "0" digit per
+    mask, in the order of masks, by whether the mask holds x.
 
-    Built by byte lanes: the masks are laid end to end as nb-byte
-    little-endian strings, so byte x >> 3 of every mask is the stride-nb
-    slice from it. Translating that lane to the digits of bit x & 7 and
-    reversing it (mask 0 last, the least significant digit) gives the
-    column as one base-2 parse."""
-    if not masks:
-        return [0] * n
+    The masks are laid end to end as nb-byte little-endian strings, so
+    byte x >> 3 of every mask is the stride-nb slice from it, and
+    translating that slice to the digits of bit x & 7 gives the lane."""
     nb = (n + 7) >> 3
     full = (1 << n) - 1
     data = b"".join([(r & full).to_bytes(nb, "little") for r in masks])
-    return [
-        int(data[x >> 3::nb].translate(_BIT_DIGITS[x & 7])[::-1], 2)
-        for x in range(n)
-    ]
+    for x in range(n):
+        yield data[x >> 3::nb].translate(_BIT_DIGITS[x & 7])
+
+
+def incidence_columns(masks: Sequence[int], n: int) -> list[int]:
+    """cols[x]: bitmask over the positions in masks of the masks that
+    contain point x, for x in 0..n-1: x's point lane reversed (mask 0
+    last, the least significant digit) and parsed in base 2."""
+    if not masks:
+        return [0] * n
+    return [int(lane[::-1], 2) for lane in point_lanes(masks, n)]
 
 
 def components(masks: Iterable[int]) -> list[int]:

@@ -5,15 +5,13 @@ the largest one is a max clique in the "far graph". FarGraph, which
 exact doubling reads too, sums every pair's distance at once in
 bit-sliced counters and gives the graph at a threshold by one comparison
 with them. max_clique is an exact branch-and-bound with greedy
-colouring, limited by DEFAULT_CLIQUE_NODES search nodes and, for
-packings, DEFAULT_CLIQUE_CAP ranges. When a greedy colouring in vertex
-order needs no more classes than the lower bound a caller asks
-max_clique to beat, no clique beats it, and the call returns at once
-without spending a node. Past its budget max_clique raises
-CapExceededError with its incumbent as .members, and both callers answer
-with that incumbent labelled inexact: max_packing_exact with exact=False
-(past the range cap, a greedy packing) and doubling_constant as the
-lower end of a bracket with a colouring above.
+colouring, limited by DEFAULT_CLIQUE_NODES search nodes alone. When a
+greedy colouring in vertex order needs no more classes than the lower
+bound a caller asks max_clique to beat, no clique beats it, and the call
+returns at once without spending a node. Past its budget max_clique
+raises CapExceededError with its incumbent as .members, and both callers
+answer with that incumbent labelled inexact: max_packing_exact with
+exact=False and doubling_constant as the lower end of a bracket.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from struct import unpack_from
 from typing import Sequence
 
 from .core import (
-    _BIT_DIGITS,
     Budget,
     CapExceededError,
     RangeSpace,
@@ -34,10 +31,10 @@ from .core import (
     _unit_eps,
     draw_mask,
     incidence_columns,
+    point_lanes,
     stream_rng,
 )
 
-DEFAULT_CLIQUE_CAP = 400
 DEFAULT_CLIQUE_NODES = 200_000
 
 # e > 2718281828/10^9, used for exact-rational bound certificates.
@@ -177,7 +174,7 @@ class Packing:
 
 
 class FarGraph:
-    """Far graphs of masks at a rising threshold on the weight of their
+    """Far graphs of masks at any threshold on the weight of their
     symmetric difference, read from bit-sliced distance counters.
 
     The distances are held in B = total_weight.bit_length() planes. Plane
@@ -186,20 +183,19 @@ class FarGraph:
     and the rows lie end to end. A point x of weight w adds w to the
     pairs it separates: in row p, to the masks without x when p holds x,
     else to the masks with x. That term is one bytes join of two prebuilt
-    row blocks, picked by x's byte lane in the masks (as in
-    core.incidence_columns), and a ripple-carry add puts it at the planes
-    of w's set bits. So every pair is summed at once, in a few big-int
-    operations per point and no step per pair, and the planes take
-    O(m^2 log W) bits.
+    row blocks, picked by x's lane of core.point_lanes, and a
+    ripple-carry add puts it at the planes of w's set bits. So every pair
+    is summed at once, in a few big-int operations per point and no step
+    per pair, and the planes take O(m^2 log W) bits.
 
     The finished planes are cut into spans of rows of at most _SPAN_BITS
     pair bits, one big int per plane and span, so that what the readers
     hold besides the planes stays small. distances: the distinct pair
     distances, ascending, from a depth-first descent that splits a
     span's pairs by one plane at a time. rows compares each span's planes
-    with the threshold, for all its pairs at once and only when the
-    threshold has passed a distance since the last comparison, and reads
-    the first j row blocks of the result.
+    with the threshold, for all its pairs at once, and reads the first j
+    row blocks of the result; it keeps the last comparison, which serves
+    every threshold with the same count of distances below it.
     """
 
     def __init__(self, space: RangeSpace, masks: Sequence[int]) -> None:
@@ -208,16 +204,12 @@ class FarGraph:
         # Up to 64 masks a row is one 64-bit word, which struct unpacks
         # straight to an int.
         stride = 8 if m <= 64 else (m + 7) >> 3
-        lanes = (space.n + 7) >> 3
-        data = b"".join([r.to_bytes(lanes, "little") for r in masks])
         planes = [0] * space.total_weight.bit_length()
-        for x, w in enumerate(space.weights):
-            if not w or not m:
-                continue  # x adds nothing, or there are no pairs
-            # Byte x >> 3 of every mask marks the rows that hold x with
-            # "1", and read backwards it is x's incidence column, as in
-            # core.incidence_columns.
-            inside = data[x >> 3::lanes].translate(_BIT_DIGITS[x & 7])
+        # x's point lane marks the rows that hold x with "1", and read
+        # backwards it is x's incidence column.
+        for w, inside in zip(space.weights, point_lanes(masks, space.n) if m else ()):
+            if not w:
+                continue  # x adds nothing
             col = int(inside[::-1], 2)
             if col == 0 or col == full:
                 continue  # x separates no pair
@@ -242,7 +234,7 @@ class FarGraph:
                 sliced.append(int.from_bytes(whole[a:b], "big"))
         # Every pair p != q: the far graph below the least distance.
         pairs = b"".join([(full ^ (1 << p)).to_bytes(stride, "big") for p in range(m)])
-        self._spans, self._stride, self._bytes = spans, stride, pairs
+        self._spans, self._stride, self._pairs = spans, stride, pairs
         values: set[int] = set()
         for a, b, sliced in spans:
             held = int.from_bytes(pairs[a:b], "big")
@@ -259,22 +251,20 @@ class FarGraph:
                 if high:
                     stack.append((high, k, value | 1 << k))
         self.distances = sorted(values)
-        self._removed = 0  # distances below the threshold of _bytes
+        # The graph last compared and the count of distances below its
+        # threshold.
+        self._below, self._bytes = 0, pairs
 
     def rows(self, j: int, threshold: int) -> list[int]:
         """Adjacency bitmasks on the first j masks of the far graph at
-        threshold: the pairs at distance >= threshold. A threshold at or
-        below a distance that an earlier call's threshold passed is a
-        ValueError."""
-        values, removed = self.distances, self._removed
-        if removed and values[removed - 1] >= threshold:
-            raise ValueError(f"far graph threshold {threshold} fell")
-        below = bisect_left(values, threshold)
-        if below > removed:
-            # threshold > values[0] >= 0, as _at_least needs.
-            self._removed = below
-            self._bytes = b"".join([_at_least(sliced, threshold).to_bytes(b - a, "big")
-                                    for a, b, sliced in self._spans])
+        threshold: the pairs at distance >= threshold. Thresholds may come
+        in any order."""
+        below = bisect_left(self.distances, threshold)
+        if below != self._below:
+            self._below, self._bytes = below, self._pairs
+            if below:  # threshold > distances[0] >= 0, as _at_least needs
+                self._bytes = b"".join([_at_least(sliced, threshold).to_bytes(b - a, "big")
+                                        for a, b, sliced in self._spans])
         low, stride, data = (1 << j) - 1, self._stride, self._bytes
         if stride == 8:  # one word a row
             return list(map(low.__and__, unpack_from(f">{j}Q", data)))
@@ -331,16 +321,11 @@ def greedy_packing(
 
 def max_packing_exact(space: RangeSpace, delta: Fraction) -> Packing:
     """Maximum delta-packing via exact max clique of the far graph. Past
-    the clique node budget, the search's incumbent, and over
-    DEFAULT_CLIQUE_CAP ranges the greedy packing, labelled exact=False."""
+    the clique node budget, the search's incumbent, or the greedy packing
+    if it held none larger, labelled exact=False."""
     delta = Fraction(delta)
-    m = len(space.ranges)
-    if not m:
-        return Packing(delta, (), True)
     greedy = greedy_packing(space, delta)
-    if m > DEFAULT_CLIQUE_CAP:
-        return greedy
-    far = FarGraph(space, space.ranges).rows(m, space.ceil_weight(delta))
+    far = FarGraph(space, space.ranges).rows(len(space.ranges), space.ceil_weight(delta))
     # Seed the incumbent with the greedy packing's size so pruning bites
     # early; any clique the search holds, even when it trips, is as large.
     try:
@@ -374,8 +359,8 @@ def haussler_certificate(
     e(d+1) * (2e/delta)^d where d is the dimension of the packed family.
 
     Checks max_packing_exact's packing: the maximum one, or past its
-    clique budget or range cap an inexact one, which still must obey the
-    bound. strict raises on violation.
+    clique budget an inexact one, which still must obey the bound. strict
+    raises on violation.
     """
     delta = _unit_eps(delta, "delta")
     packing = max_packing_exact(space, delta)

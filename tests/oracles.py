@@ -60,8 +60,7 @@ class PairFarGraph:
     """The far-graph interface (distances, rows(j, threshold)) one pair at
     a time: distances are the distinct weights of the pairs' symmetric
     differences, and each rows call is oracle_far_rows on the first j
-    masks. It keeps no edges between calls, so it never rejects a falling
-    threshold."""
+    masks, so thresholds may come in any order, as in FarGraph."""
 
     def __init__(self, space, masks):
         self.space, self.masks = space, list(masks)

@@ -339,17 +339,17 @@ def test_pack_falls_back_to_greedy_when_clique_budget_runs_out(
     assert doc["size"] == len(doc["members"]) >= 1
 
 
-def test_pack_exact_over_range_cap_is_greedy_with_exit_0(tmp_path, capsys):
-    # 401 distinct subsets of 9 points: one more than the exact packing's
-    # range cap, so the exact mode reports the certificate's greedy packing.
+def test_pack_exact_over_400_ranges_is_exact_with_exit_0(tmp_path, capsys):
+    # 401 distinct subsets of 9 points: no range count limits the exact
+    # packing, and its clique search proves a maximum of 6 within budget.
     ranges = [[x for x in range(9) if s >> x & 1] for s in range(1, 402)]
     path = tmp_path / "wide.json"
     path.write_text(
         json.dumps({"n": 9, "weights": [1] * 9, "ranges": ranges}) + "\n")
     assert main(["pack", str(path), "--delta", "1/2"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["mode"] == "exact" and doc["exact"] is False
-    assert doc["size"] == doc["packing_bound"]["max_packing"] >= 1
+    assert doc["mode"] == "exact" and doc["exact"] is True
+    assert doc["size"] == doc["packing_bound"]["max_packing"] == 6
 
 
 @pytest.mark.parametrize("mode", ["exact", "greedy"])

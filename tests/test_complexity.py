@@ -30,6 +30,7 @@ from epsnet.core import (
     RangeSpace,
     TheoremViolationError,
     build_range_space,
+    stream_rng,
 )
 from epsnet.generators import (
     LowerBoundParams,
@@ -495,14 +496,21 @@ PI_WALK_SPENDS = {
 }
 
 
-def test_pi_walks_spend_the_nodes_they_spent_alone(monkeypatch):
-    budgets = []
+@pytest.fixture
+def budgets(monkeypatch):
+    """The Budgets complexity makes, in the order it makes them."""
+    made = []
 
     class Recorded(complexity.Budget):
         def __init__(self, nodes, search):
             super().__init__(nodes, search)
-            budgets.append(self)
+            made.append(self)
 
+    monkeypatch.setattr(complexity, "Budget", Recorded)
+    return made
+
+
+def test_pi_walks_spend_the_nodes_they_spent_alone(budgets):
     disks14 = gen_geometric("disks", random_points(14, 2, seed=3),
                             name="disks14")
     cases = [(CORPUS[key], dict(enumerate(spends)))
@@ -512,7 +520,6 @@ def test_pi_walks_spend_the_nodes_they_spent_alone(monkeypatch):
     # they do here.
     cases.append((gen_random(14, 120, "uniform", "uniform", seed=1),
                   {7: 3003, 8: 3432}))
-    monkeypatch.setattr(complexity, "Budget", Recorded)
     harvested = []
     for sp, spends in cases:
         d = vc_dimension(sp).value
@@ -531,6 +538,52 @@ def test_pi_walks_spend_the_nodes_they_spent_alone(monkeypatch):
                 harvested.append((sp.name, y - 1))
     # pi(7) of disks14 comes from pi(8)'s walk.
     assert ("disks14", 7) in harvested
+
+
+def two_blocks():
+    """Two point-sharing components: 12 random ranges on points 0..5 and
+    12 on points 6..11."""
+    left = gen_random(6, 12, "uniform", "uniform", seed=1)
+    right = gen_random(6, 12, "uniform", "uniform", seed=2)
+    ranges = ([[x for x in range(6) if r >> x & 1] for r in left.ranges]
+              + [[6 + x for x in range(6) if r >> x & 1] for r in right.ranges])
+    return build_range_space(12, [1] * 12, ranges, name="two-blocks")
+
+
+def test_pi_rows_on_components_walk_each_size_once(budgets):
+    # lb-k2d3l2m3 has six components. Rows 0..8 walk each component once
+    # at each size 1..8 on one budget: 3,968 nodes, where a walk of every
+    # size <= y for each row y spent 12,704.
+    sp = gen_lower_bound_family(LowerBoundParams(k=2, d=3, l=2, m=3))
+    rows = projection_rows(sp, range(9))
+    assert [b.spent for b in budgets] == [3968]
+    assert [b.lower for _, b in rows] == [1, 2, 4, 8, 12, 17, 23, 30, 38]
+    assert all(b.exact for _, b in rows)
+
+
+def test_pi_rows_on_components_past_the_budget_are_exact_below_the_trip(
+    budgets, monkeypatch,
+):
+    # Row y alone walks every size <= y, so its spend is the cost of the
+    # ascending walks through size y. With WALK_NODES at row 3's spend,
+    # the walks of size 4 trip the shared budget: rows 0..3 stay exact
+    # and rows 4..6 are the sampled fallback on their own streams.
+    sp = two_blocks()
+    assert len(sp.point_components) == 2
+    spends = []
+    for y in range(7):
+        projection_function(sp, y)
+        spends.append(budgets[-1].spent)
+    assert spends[3] < spends[4]
+    monkeypatch.setattr(complexity, "WALK_NODES", spends[3])
+    rows = projection_rows(sp, range(7), seed=5)
+    for y, b in rows[:4]:
+        assert b == Bound(oracle_pi(sp, y), oracle_pi(sp, y)), y
+    for y, b in rows[4:]:
+        top = min(1 << y, len(sp.ranges))
+        assert b == complexity._sampled(sp, stream_rng(5, "pi", y),
+                                        lambda rng: y, len, top), y
+        assert b.upper == top and not b.exact
 
 
 def test_star_frozen_values():

@@ -351,14 +351,16 @@ def weighted_spaces(draw):
 @example(build_range_space(3, [300, 0, 255], [[0], [1], [2], [0, 1], [1, 2]]))
 def test_far_graph_rows_match_the_pair_oracle_on_weighted_spaces(sp):
     # Thresholds rise over 0, every distance and W + 1, as the doubling
-    # sweep reads them; every prefix at each threshold.
+    # sweep reads them, and then fall back over the same values; every
+    # prefix at each threshold.
     masks = [sp.ranges[i] for i in sp.measure_order]
     graph = FarGraph(sp, masks)
     sets = as_sets(sp)
     fam = [sets[i] for i in sp.measure_order]
     dists = sorted({set_weight(sp, a ^ b) for a, b in combinations(fam, 2)})
     assert graph.distances == dists
-    for threshold in [0, *dists, sp.total_weight + 1]:
+    rising = [0, *dists, sp.total_weight + 1]
+    for threshold in rising + rising[::-1]:
         full = oracle_far_rows(sp, masks, threshold)
         for j in range(len(masks) + 1):
             low = (1 << j) - 1
@@ -406,17 +408,6 @@ def test_far_graph_cut_into_spans_matches_the_pair_oracle(monkeypatch, span_bits
                     row & low for row in full[:j]], (sp.name, threshold, j)
 
 
-def test_far_graph_rejects_a_threshold_below_a_deleted_distance():
-    # Every pair of singletons is at distance 2. A threshold may fall as
-    # long as no deleted distance reaches it.
-    sp = CORPUS["singles8"]
-    graph = FarGraph(sp, list(sp.ranges))
-    assert graph.distances == [2]
-    assert graph.rows(8, 4) == graph.rows(8, 3) == [0] * 8
-    with pytest.raises(ValueError, match="threshold 2"):
-        graph.rows(8, 2)
-
-
 def test_certificate_computes_d_of_the_packing_on_40_points():
     sp = gen_geometric("intervals", random_points(40, 1, seed=7))
     cert = haussler_certificate(sp, Fraction(1, 4))
@@ -447,17 +438,6 @@ def test_exact_packing_matches_oracle():
             pk = max_packing_exact(sp, delta)
             assert pk.exact
             assert len(pk.members) == oracle_max_packing(sp, delta), (key, delta)
-
-
-def test_exact_packing_cap(monkeypatch):
-    # Past the range cap no clique search runs: the greedy packing,
-    # labelled inexact, is a lower end for the maximum.
-    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_CAP", 5)
-    monkeypatch.setattr(packing, "max_clique", None)
-    sp = CORPUS["intervals6"]
-    pk = max_packing_exact(sp, Fraction(1, 8))
-    assert pk == greedy_packing(sp, Fraction(1, 8)) and not pk.exact
-    assert len(pk.members) <= oracle_max_packing(sp, Fraction(1, 8))
 
 
 def test_packing_frozen_values():
