@@ -25,7 +25,7 @@ from .core import (
     stream_rng,
 )
 from .complexity import compute_profile, vc_of_masks
-from .packing import greedy_packing, haussler_certificate
+from .packing import greedy_packing, haussler_certificate, max_packing_exact
 from .oneinclusion import build_oig, density_check, loo_error, orient_bounded
 from .generators import (
     GEO_DIMS,
@@ -115,22 +115,19 @@ def cmd_profile(args) -> int:
 
 def cmd_pack(args) -> int:
     space = load_instance(args.instance)
-    delta = parse_rational(args.delta)
-    cert = haussler_certificate(space, delta, strict=False)
-    # Exact mode prints the packing the certificate used: the maximum one,
-    # or (exact: false) the clique search's incumbent past its budget.
-    if args.mode == "exact":
-        packing = cert.packing
-    else:
-        packing = greedy_packing(space, delta)
+    # Exact mode: the maximum packing, or (exact: false) the clique
+    # search's incumbent past its budget. The bound is checked on the
+    # packing printed.
+    find = max_packing_exact if args.mode == "exact" else greedy_packing
+    packing = find(space, parse_rational(args.delta))
+    cert = haussler_certificate(space, packing, strict=False)
     doc = {
-        "delta": format_rational(delta),
+        "delta": format_rational(packing.delta),
         "mode": args.mode,
         "members": list(packing.members),
         "size": len(packing.members),
         "exact": packing.exact,
         "packing_bound": {
-            "max_packing": cert.packing_size,
             "d": cert.d_packed,
             "bound": round(cert.bound, 6),
             "ok": cert.ok,
@@ -316,8 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, CapExceededError, FileNotFoundError,
-            ValueError) as exc:
+    except (InstanceError, CapExceededError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TheoremViolationError as exc:

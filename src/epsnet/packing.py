@@ -12,6 +12,11 @@ returns at once without spending a node. Past its budget max_clique
 raises CapExceededError with its incumbent as .members, and both callers
 answer with that incumbent labelled inexact: max_packing_exact with
 exact=False and doubling_constant as the lower end of a bracket.
+
+greedy_packing and max_packing_exact check that delta is in (0, 1].
+haussler_certificate and projection_count_estimate check the packing
+bound and the step behind it on a Packing they are handed, with its
+delta; neither runs a packing search.
 """
 
 from __future__ import annotations
@@ -299,9 +304,10 @@ def greedy_packing(
     """Maximal (not maximum) delta-packing by a single greedy sweep.
 
     Deterministic first-fit in index order. Maximality means every range
-    is within delta of some chosen one.
+    is within delta of some chosen one. A delta outside (0, 1] is a
+    ValueError.
     """
-    delta = Fraction(delta)
+    delta = _unit_eps(delta, "delta")
     if indices is None:
         indices = list(range(len(space.ranges)))
     far = space.ceil_weight(delta)
@@ -322,9 +328,10 @@ def greedy_packing(
 def max_packing_exact(space: RangeSpace, delta: Fraction) -> Packing:
     """Maximum delta-packing via exact max clique of the far graph. Past
     the clique node budget, the search's incumbent, or the greedy packing
-    if it held none larger, labelled exact=False."""
-    delta = Fraction(delta)
+    if it held none larger, labelled exact=False. A delta outside (0, 1]
+    is a ValueError, from greedy_packing."""
     greedy = greedy_packing(space, delta)
+    delta = greedy.delta
     far = FarGraph(space, space.ranges).rows(len(space.ranges), space.ceil_weight(delta))
     # Seed the incumbent with the greedy packing's size so pruning bites
     # early; any clique the search holds, even when it trips, is as large.
@@ -337,39 +344,34 @@ def max_packing_exact(space: RangeSpace, delta: Fraction) -> Packing:
 
 @dataclass(frozen=True)
 class HausslerReport:
-    delta: Fraction
     packing: Packing  # the packing the bound was checked on
     d_packed: int
     bound: float
     ok: bool
 
-    @property
-    def packing_size(self) -> int:
-        return len(self.packing.members)
 
-    @property
-    def packing_exact(self) -> bool:
-        return self.packing.exact
+def _packed_dimension(space: RangeSpace, packing: Packing) -> int:
+    """VC dimension of the packed family, from the walk over its members'
+    masks (a lower end if the walk trips its budget)."""
+    from .complexity import vc_of_masks  # local import avoids a cycle
+
+    return vc_of_masks([space.ranges[i] for i in packing.members], space.n).value
 
 
 def haussler_certificate(
-    space: RangeSpace, delta: Fraction, strict: bool = True
+    space: RangeSpace, packing: Packing, strict: bool = True
 ) -> HausslerReport:
-    """Check the packing bound: any delta-packing has size at most
-    e(d+1) * (2e/delta)^d where d is the dimension of the packed family.
+    """Check the packing bound on the given packing: any delta-packing has
+    size at most e(d+1) * (2e/delta)^d where d is the dimension of the
+    packed family and delta is packing.delta.
 
-    Checks max_packing_exact's packing: the maximum one, or past its
-    clique budget an inexact one, which still must obey the bound. strict
-    raises on violation.
+    Runs no packing search: the caller passes the packing, from
+    max_packing_exact or greedy_packing. strict raises on violation.
     """
-    delta = _unit_eps(delta, "delta")
-    packing = max_packing_exact(space, delta)
+    delta = packing.delta
     if not packing.members:
-        return HausslerReport(delta, packing, -1, 0.0, True)
-    from .complexity import vc_dimension  # local import avoids a cycle
-
-    sub = space.subfamily(packing.members)
-    d = max(vc_dimension(sub).value, 0)
+        return HausslerReport(packing, -1, 0.0, True)
+    d = max(_packed_dimension(space, packing), 0)
     if d == 0:
         bound = math.e * 1.0
     else:
@@ -380,43 +382,39 @@ def haussler_certificate(
             f"packing bound failed: {len(packing.members)} ranges at "
             f"delta={delta} vs bound {bound:.3f} (d={d})"
         )
-    return HausslerReport(delta, packing, d, bound, ok)
+    return HausslerReport(packing, d, bound, ok)
 
 
 def projection_count_estimate(
     space: RangeSpace,
-    delta: Fraction,
+    packing: Packing,
     sample_size: int | None = None,
     trials: int = 64,
     slack: Fraction = Fraction(1, 2),
     seed: int = 0,
     strict: bool = True,
 ) -> dict:
-    """Certify the expected-trace-count step behind the packing bound.
+    """Certify the expected-trace-count step behind the packing bound on
+    the given packing.
 
-    For a delta-separated family F and i.i.d. sample A of size
-    ceil(2d/(delta*slack)), the family size obeys
-    |F| <= E|F restricted to A| / (1 - slack). The expectation is
-    estimated by trials draws; strict mode raises if the empirical
-    mean violates the inequality with generous tolerance (3 sigma).
-    A delta outside (0, 1], a slack outside (0, 1) or fewer than one
-    trial is a ValueError before any work.
+    For the delta-separated family F of the packing's members, delta =
+    packing.delta, and an i.i.d. sample A of size ceil(2d/(delta*slack)),
+    the family size obeys |F| <= E|F restricted to A| / (1 - slack). The
+    expectation is estimated by trials draws; strict mode raises if the
+    empirical mean violates the inequality with generous tolerance (3
+    sigma). Runs no packing search. A slack outside (0, 1) or fewer than
+    one trial is a ValueError before any work.
     """
-    from .complexity import vc_dimension
-
-    delta = _unit_eps(delta, "delta")
     if not 0 < slack < 1:
         raise ValueError(f"slack must be in (0, 1), got {slack}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    packing = max_packing_exact(space, delta)
     if len(packing.members) <= 1:
         return {"family": len(packing.members), "ok": True, "mean": None,
                 "sample_size": 0, "trials": 0}
-    sub = space.subfamily(packing.members)
-    d = max(vc_dimension(sub).value, 1)
+    d = max(_packed_dimension(space, packing), 1)
     if sample_size is None:
-        sample_size = math.ceil(Fraction(2 * d) / (delta * slack))
+        sample_size = math.ceil(Fraction(2 * d) / (packing.delta * slack))
     rng = stream_rng(seed, "lemma-traces")
     fam = len(packing.members)
     counts = []

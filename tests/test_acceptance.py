@@ -220,9 +220,10 @@ def test_criterion_03_packing_bound_and_optimization_identity():
     for key, sp in CORPUS.items():
         for delta in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
                       Fraction(1, 16)):
-            rep = haussler_certificate(sp, delta, strict=True)
+            rep = haussler_certificate(
+                sp, max_packing_exact(sp, delta), strict=True)
             assert rep.ok, (key, delta)
-            assert rep.packing_exact or rep.packing_size == 0
+            assert rep.packing.exact or len(rep.packing.members) == 0
             checked += 1
     idents = [haussler_optimization_identity(d) for d in (1, 2, 3)]
     assert idents[0]["value"] == 8
@@ -247,10 +248,10 @@ def test_criterion_04_trace_count_statistical_check():
     losers = []
     ran = 0
     for key, sp in CORPUS.items():
+        pk = max_packing_exact(sp, Fraction(1, 4))
         for slack in (Fraction(1, 4), Fraction(1, 2)):
             out = projection_count_estimate(
-                sp, Fraction(1, 4), trials=10_000, slack=slack,
-                seed=17, strict=False,
+                sp, pk, trials=10_000, slack=slack, seed=17, strict=False,
             )
             ran += 1
             if not out["ok"]:

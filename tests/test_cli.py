@@ -227,6 +227,24 @@ def test_deeply_nested_json_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, opts", [
+    ("profile", ["--eps", "1/4"]),
+    ("pack", ["--delta", "1/4"]),
+    ("experiment", ["--out", "rows.csv"]),
+], ids=["profile", "pack", "experiment"])
+def test_a_directory_in_place_of_a_file_is_exit_2(
+    command, opts, tmp_path, capsys, monkeypatch,
+):
+    # Reading a directory raises IsADirectoryError, an OSError but not a
+    # FileNotFoundError: the user's error, not a failed check.
+    monkeypatch.chdir(tmp_path)
+    assert main([command, str(tmp_path), *opts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not (tmp_path / "rows.csv").exists()
+
+
 # sha256 of `epsnet profile <instance> --eps 1/8` stdout. It pins every
 # value, witness, eps0 and member set of the profile, so a faster
 # enumeration must leave the bytes unchanged.
@@ -349,7 +367,7 @@ def test_pack_exact_over_400_ranges_is_exact_with_exit_0(tmp_path, capsys):
     assert main(["pack", str(path), "--delta", "1/2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["mode"] == "exact" and doc["exact"] is True
-    assert doc["size"] == doc["packing_bound"]["max_packing"] == 6
+    assert doc["size"] == len(doc["members"]) == 6
 
 
 @pytest.mark.parametrize("mode", ["exact", "greedy"])
@@ -358,6 +376,28 @@ def test_pack_on_40_points(mode, intervals40, capsys):
                  "--mode", mode]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["packing_bound"]["ok"] is True
+    assert set(doc) == {"delta", "mode", "members", "size", "exact",
+                        "packing_bound"}
+    assert set(doc["packing_bound"]) == {"d", "bound", "ok"}
+
+
+def test_pack_greedy_certifies_its_own_packing_without_a_clique_search(
+    intervals40, capsys, monkeypatch,
+):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a clique search ran")
+
+    monkeypatch.setattr(packing, "max_clique", no_search)
+    monkeypatch.setattr(packing, "FarGraph", no_search)
+    assert main(["pack", str(intervals40), "--delta", "1/4",
+                 "--mode", "greedy"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    sp = RangeSpace.loads(intervals40.read_text())
+    assert doc["members"] == list(
+        packing.greedy_packing(sp, Fraction(1, 4)).members)
+    assert doc["exact"] is False and doc["size"] == len(doc["members"])
+    masks = [sp.ranges[i] for i in doc["members"]]
+    assert doc["packing_bound"]["d"] == complexity.vc_of_masks(masks, sp.n).value
 
 
 def test_oig_on_a_30_point_sample(intervals40, capsys):

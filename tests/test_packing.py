@@ -293,7 +293,7 @@ def test_exact_packing_over_node_budget_is_the_greedy_packing(monkeypatch):
     pk = max_packing_exact(sp, delta)
     assert pk == greedy_packing(sp, delta) and not pk.exact
     assert len(pk.members) <= oracle_max_packing(sp, delta)
-    cert = haussler_certificate(sp, delta)
+    cert = haussler_certificate(sp, pk)
     assert cert.packing == pk
 
 
@@ -311,7 +311,7 @@ def test_exact_packing_over_node_budget_keeps_the_search_incumbent(monkeypatch):
     fam = as_sets(sp)
     for a, b in combinations(pk.members, 2):
         assert set_measure(sp, fam[a] ^ fam[b]) >= delta
-    assert haussler_certificate(sp, delta).packing == pk
+    assert haussler_certificate(sp, pk).packing == pk
 
 
 def test_far_graph_rows_match_the_pair_oracle():
@@ -410,7 +410,7 @@ def test_far_graph_cut_into_spans_matches_the_pair_oracle(monkeypatch, span_bits
 
 def test_certificate_computes_d_of_the_packing_on_40_points():
     sp = gen_geometric("intervals", random_points(40, 1, seed=7))
-    cert = haussler_certificate(sp, Fraction(1, 4))
+    cert = haussler_certificate(sp, max_packing_exact(sp, Fraction(1, 4)))
     assert cert.ok and cert.d_packed >= 1
 
 
@@ -454,16 +454,22 @@ def test_haussler_certificate_over_corpus():
         if len(sp.ranges) > 60:
             continue
         for delta in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
-            rep = haussler_certificate(sp, delta, strict=True)
+            pk = max_packing_exact(sp, delta)
+            rep = haussler_certificate(sp, pk, strict=True)
             assert rep.ok, (key, delta)
-            assert rep.packing_size <= rep.bound * (1 + 1e-9) or rep.bound == 0.0
+            assert len(pk.members) <= rep.bound * (1 + 1e-9) or rep.bound == 0.0
 
 
-def test_haussler_certificate_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        haussler_certificate(CORPUS["chain8"], Fraction(0))
-    with pytest.raises(ValueError):
-        haussler_certificate(CORPUS["chain8"], Fraction(3, 2))
+@pytest.mark.parametrize("build", [greedy_packing, max_packing_exact])
+@pytest.mark.parametrize(
+    "delta", [Fraction(0), Fraction(-1), Fraction(3, 2), 2.0],
+    ids=["0", "negative", "3/2", "2.0"])
+def test_packing_builders_reject_bad_delta(build, delta):
+    # Outside (0, 1] no range pair is far enough apart (delta > 1), or
+    # every pair is (delta <= 0): both builders would return a packing
+    # labelled with a delta the bound does not cover.
+    with pytest.raises(ValueError, match="delta"):
+        build(CORPUS["chain8"], delta)
 
 
 def test_refined_bound_beats_crude_bound():
@@ -499,7 +505,8 @@ def test_projection_count_estimate_sparse_singletons():
     # four disjoint singletons among eight uniform points; the sampled
     # trace counts must stay near the family size
     sp = CORPUS["sparse-singles8"]
-    out = projection_count_estimate(sp, Fraction(1, 4), trials=48, seed=5)
+    out = projection_count_estimate(
+        sp, max_packing_exact(sp, Fraction(1, 4)), trials=48, seed=5)
     assert out["ok"]
     assert out["family"] == 4
     assert out["mean"] is not None
@@ -523,8 +530,9 @@ def test_projection_count_estimate_is_frozen(name, sample_size, trials, mean):
     # trials and the stream position each leaves for the next. On the
     # singletons a trial that hits every point early skips the rest of
     # its draws, and a trial that misses one counts fewer traces.
+    sp = CORPUS[name]
     out = projection_count_estimate(
-        CORPUS[name], Fraction(1, 4), sample_size=sample_size,
+        sp, max_packing_exact(sp, Fraction(1, 4)), sample_size=sample_size,
         trials=trials, seed=3, strict=False,
     )
     assert out["mean"] == mean
@@ -532,27 +540,28 @@ def test_projection_count_estimate_is_frozen(name, sample_size, trials, mean):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"delta": Fraction(0)}, {"delta": Fraction(-1)}, {"delta": Fraction(3, 2)},
-     {"slack": Fraction(0)}, {"slack": Fraction(1)}, {"slack": Fraction(2)},
+    [{"slack": Fraction(0)}, {"slack": Fraction(1)}, {"slack": Fraction(2)},
      {"trials": 0}],
-    ids=["delta-0", "delta-negative", "delta-above-1", "slack-0", "slack-1",
-         "slack-2", "trials-0"],
+    ids=["slack-0", "slack-1", "slack-2", "trials-0"],
 )
 def test_projection_count_estimate_rejects_bad_inputs_before_any_work(
     bad, monkeypatch,
 ):
     # Unchecked, these divide by zero, raise TheoremViolationError (which
     # only a bug may raise) or, at slack 2, certify vacuously.
-    def no_search(*args):
-        raise AssertionError("a packing search ran")
+    sp = CORPUS["chain8"]
+    pk = max_packing_exact(sp, Fraction(1, 4))
+    assert len(pk.members) > 1  # past the trivial-family return
 
-    monkeypatch.setattr(packing, "max_packing_exact", no_search)
-    args = {"delta": Fraction(1, 4), **bad}
+    def no_walk(*args):
+        raise AssertionError("a VC walk ran")
+
+    monkeypatch.setattr(packing, "_packed_dimension", no_walk)
     with pytest.raises(ValueError, match=next(iter(bad))):
-        projection_count_estimate(CORPUS["chain8"], **args)
+        projection_count_estimate(sp, pk, **bad)
 
 
 def test_projection_count_estimate_trivial_family():
     sp = build_range_space(2, [1, 1], [[0, 1]])
-    out = projection_count_estimate(sp, Fraction(1, 4))
+    out = projection_count_estimate(sp, max_packing_exact(sp, Fraction(1, 4)))
     assert out["ok"] and out["family"] == 1
