@@ -11,8 +11,6 @@ method.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -208,6 +206,10 @@ def resolve_instances(config: ExperimentConfig) -> list[RangeSpace]:
 
 
 def tau_vector_hash(taus) -> str:
+    # Imported here, not at module level, so that the commands that never
+    # hash (profile, pack, net) do not load hashlib.
+    import hashlib
+
     text = ",".join(format_rational(t) for t in taus)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -357,6 +359,9 @@ def run_experiment(config: ExperimentConfig, timings: bool = False) -> tuple[lis
 
 
 def write_csv(rows: list[dict], path) -> None:
+    # Imported here, not at module level: only the sweep writes CSV.
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()

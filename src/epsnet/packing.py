@@ -8,10 +8,17 @@ with them. max_clique is an exact branch-and-bound with greedy
 colouring, limited by DEFAULT_CLIQUE_NODES search nodes alone. When a
 greedy colouring in vertex order needs no more classes than the lower
 bound a caller asks max_clique to beat, no clique beats it, and the call
-returns at once without spending a node. Past its budget max_clique
-raises CapExceededError with its incumbent as .members, and both callers
-answer with that incumbent labelled inexact: max_packing_exact with
-exact=False and doubling_constant as the lower end of a bracket.
+returns at once without spending a node. Before it branches on a vertex
+of the lowest colour it may branch on, the search runs unit propagation
+over the colour classes below (Li and Quan, AAAI 2010); a conflict
+settles that branch for one node, the node the search without
+propagation would have spent first on it. So an exact answer, members
+included, is the one that search gives, and a search trips only where
+that search trips, with an incumbent at least as large. Past its budget
+max_clique raises CapExceededError with its incumbent as .members, and
+both callers answer with that incumbent labelled inexact:
+max_packing_exact with exact=False and doubling_constant as the lower
+end of a bracket.
 
 greedy_packing and max_packing_exact check that delta is in (0, 1].
 haussler_certificate and projection_count_estimate check the packing
@@ -51,7 +58,8 @@ E_UPPER = Fraction(2718281829, 10**9)
 _SPAN_BITS = 1 << 20
 
 
-def _colour(cand: int, non_adj: list[int], kmin: int = 0) -> list[tuple[int, int]]:
+def _colour(cand: int, non_adj: list[int], kmin: int = 0,
+            classes: list[int] | None = None) -> list[tuple[int, int]]:
     """Sequential greedy colouring of the vertices in cand, lowest bit
     first: (vertex, colour) pairs for the colours above kmin, colours
     1-based and ascending. Each colour class is independent, so a clique
@@ -59,17 +67,20 @@ def _colour(cand: int, non_adj: list[int], kmin: int = 0) -> list[tuple[int, int
     of the graph cand induces. The classes up to kmin are built by bit
     operations alone and never listed (San Segundo et al., BBMC, 2011): a
     search that needs more than kmin further vertices never branches on
-    them."""
+    them. Given a list as classes, their bitmasks are appended to it in
+    colour order."""
     out = []
     color = 0
     rest = cand
     while rest and color < kmin:
         color += 1
-        avail = rest
+        avail = uncoloured = rest
         while avail:
             low = avail & -avail
             rest ^= low
             avail = (avail ^ low) & non_adj[low.bit_length() - 1]
+        if classes is not None:
+            classes.append(uncoloured ^ rest)
     while rest:
         color += 1
         avail = rest
@@ -80,6 +91,28 @@ def _colour(cand: int, non_adj: list[int], kmin: int = 0) -> list[tuple[int, int
             avail = (avail ^ low) & non_adj[v]
             rest ^= low
     return out
+
+
+def _refuted(cand: int, classes: list[int], adj: list[int]) -> bool:
+    """Unit propagation over colour classes (Li and Quan, AAAI 2010): True
+    proves that no clique in cand meets every class, False proves
+    nothing. A class that meets cand in one vertex u forces u, and cand
+    shrinks to u's neighbours; a class that meets it in none refutes.
+    Each class is independent, so a forced class leaves cand once u is
+    taken and needs no further look."""
+    while True:
+        unforced = []
+        for cls in classes:
+            left = cand & cls
+            if not left:
+                return True
+            if left & (left - 1):
+                unforced.append(cls)
+            else:
+                cand &= adj[left.bit_length() - 1]
+        if len(unforced) == len(classes):
+            return False
+        classes = unforced
 
 
 def colour_bound(adj: list[int]) -> int:
@@ -104,19 +137,29 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
 
     Branch and bound: vertices ordered by descending degree, greedy
     colouring of each candidate set gives the pruning bound, and only
-    the colours a node can still branch on are listed. adj must be
-    symmetric; a vertex in its own row or a neighbour index >= n raises
-    ValueError. lower_bound primes the incumbent size: the answer is
-    (max(lower_bound, clique number), members), with members empty when
-    no clique beats lower_bound. A positive lower_bound is first tried
-    against a greedy colouring in vertex order; if it needs no more than
-    lower_bound classes, no clique beats it, and the call returns
-    (lower_bound, ()) at once, before the degree sort and without
-    spending a node. A search that would
-    expand more than DEFAULT_CLIQUE_NODES nodes, or pass Python's
-    recursion limit, raises CapExceededError carrying the nodes spent
-    and, as .members, the largest clique it found that beats
-    lower_bound (empty if none did).
+    the colours a node can still branch on are listed. With k = best -
+    |clique| at node entry, a vertex v of colour k + 1 beats best only
+    with one neighbour from each of the classes 1..k; unit propagation
+    from v's neighbours over those classes (_refuted) that ends in a
+    conflict drops v unsearched and spends one node for the child node
+    it settles. Only branches that hold no improvement are cut and the
+    branching order is kept, so every exact answer, members included,
+    is the one the search without propagation returns; and since each
+    node spent stands for a node that search spends in the same order,
+    a search trips only where that one trips, never with a smaller
+    incumbent.
+
+    adj must be symmetric; a vertex in its own row or a neighbour index
+    >= n raises ValueError. lower_bound primes the incumbent size: the
+    answer is (max(lower_bound, clique number), members), with members
+    empty when no clique beats lower_bound. A positive lower_bound is
+    first tried against a greedy colouring in vertex order; if it needs
+    no more than lower_bound classes, no clique beats it, and the call
+    returns (lower_bound, ()) at once, before the degree sort and
+    without spending a node. A search that would expand more than
+    DEFAULT_CLIQUE_NODES nodes, or pass Python's recursion limit, raises
+    CapExceededError carrying the nodes spent and, as .members, the
+    largest clique it found that beats lower_bound (empty if none did).
     """
     n = len(adj)
     for v, a in enumerate(adj):
@@ -144,19 +187,28 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
     def expand(cand: int, clique: list[int]) -> None:
         nonlocal best, best_members
         spend()
-        colored = _colour(cand, non_adj, best - len(clique))
+        kmin = best - len(clique)
+        classes: list[int] = []
+        colored = _colour(cand, non_adj, kmin, classes)
         for i in range(len(colored) - 1, -1, -1):
             v, c = colored[i]
             if len(clique) + c <= best:
                 return
-            clique.append(v)
             nxt = cand & radj[v]
-            if nxt:
-                expand(nxt, clique)
-            elif len(clique) > best:
-                best = len(clique)
-                best_members = tuple(clique)
-            clique.pop()
+            if c == kmin + 1 and nxt and _refuted(nxt, classes, radj):
+                # Best is still the entry value here, so a clique through
+                # v that beats it needs one vertex from each class up to
+                # kmin, and propagation refuted that: the child node is
+                # settled, and spends the one node it stands for.
+                spend()
+            else:
+                clique.append(v)
+                if nxt:
+                    expand(nxt, clique)
+                elif len(clique) > best:
+                    best = len(clique)
+                    best_members = tuple(clique)
+                clique.pop()
             cand &= ~(1 << v)
 
     try:
@@ -352,10 +404,12 @@ class HausslerReport:
 
 def _packed_dimension(space: RangeSpace, packing: Packing) -> int:
     """VC dimension of the packed family, from the walk over its members'
-    masks (a lower end if the walk trips its budget)."""
+    masks: the walk's upper end, which is the exact value unless the walk
+    trips its budget. Both certificates stay certificates with an upper
+    end, since the packing bound and the sample size grow with d."""
     from .complexity import vc_of_masks  # local import avoids a cycle
 
-    return vc_of_masks([space.ranges[i] for i in packing.members], space.n).value
+    return vc_of_masks([space.ranges[i] for i in packing.members], space.n).upper
 
 
 def haussler_certificate(

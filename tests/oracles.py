@@ -391,3 +391,73 @@ def dudley_style_bound(d, delta):
     if d <= 0:
         return math.e
     return (2 * math.e / float(delta)) ** (2 * d)
+
+
+class ReferenceCliqueTrip(Exception):
+    """The reference clique search ran out of nodes; members is its
+    incumbent, as CapExceededError.members is the package's."""
+
+    def __init__(self, members):
+        super().__init__(f"reference clique search tripped with {members}")
+        self.members = members
+
+
+def reference_max_clique(adj, lower_bound=0, nodes=200_000):
+    """The package's max_clique as it stood before unit propagation: the
+    vertex-order colouring check for the lower bound, then branch and
+    bound over vertices in descending-degree order with greedy colouring,
+    branching on the colours above best - |clique|. Past nodes search
+    nodes it raises ReferenceCliqueTrip. Kept verbatim in behaviour (node
+    order, members, trips) so that a faster search can be held to it."""
+    n = len(adj)
+
+    def colour(cand, rows, kmin):
+        out, colour_no, rest = [], 0, cand
+        while rest:
+            colour_no += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                if colour_no > kmin:
+                    out.append((v, colour_no))
+                avail = (avail ^ low) & ~rows[v]
+                rest ^= low
+        return out
+
+    if lower_bound > 0 and not colour((1 << n) - 1, adj, lower_bound):
+        return lower_bound, ()
+    if n == 0:
+        return 0, ()
+    order = sorted(range(n), key=lambda v: bin(adj[v]).count("1"), reverse=True)
+    rows = []
+    for v in order:
+        row = 0
+        for j, u in enumerate(order):
+            if adj[v] >> u & 1:
+                row |= 1 << j
+        rows.append(row)
+
+    best, best_members, spent = lower_bound, (), 0
+
+    def expand(cand, clique):
+        nonlocal best, best_members, spent
+        if spent == nodes:
+            raise ReferenceCliqueTrip(tuple(sorted(order[i] for i in best_members)))
+        spent += 1
+        coloured = colour(cand, rows, best - len(clique))
+        for v, c in reversed(coloured):
+            if len(clique) + c <= best:
+                return
+            clique.append(v)
+            nxt = cand & rows[v]
+            if nxt:
+                expand(nxt, clique)
+            elif len(clique) > best:
+                best = len(clique)
+                best_members = tuple(clique)
+            clique.pop()
+            cand &= ~(1 << v)
+
+    expand((1 << n) - 1, [])
+    return best, tuple(sorted(order[i] for i in best_members))

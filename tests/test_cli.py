@@ -381,6 +381,22 @@ def test_pack_on_40_points(mode, intervals40, capsys):
     assert set(doc["packing_bound"]) == {"d", "bound", "ok"}
 
 
+def test_pack_certifies_with_the_upper_end_of_a_tripped_vc_walk(
+    intervals40, capsys, monkeypatch,
+):
+    # The walk over the packing's members runs out of nodes and answers a
+    # bracket; the certificates take its upper end, and pack exits 0.
+    monkeypatch.setattr(complexity, "WALK_NODES", 3)
+    assert main(["pack", str(intervals40), "--delta", "1/4",
+                 "--mode", "greedy"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    sp = RangeSpace.loads(intervals40.read_text())
+    walk = complexity.vc_of_masks([sp.ranges[i] for i in doc["members"]], sp.n)
+    assert not walk.exact
+    assert doc["packing_bound"]["d"] == walk.upper
+    assert doc["packing_bound"]["ok"] is True
+
+
 def test_pack_greedy_certifies_its_own_packing_without_a_clique_search(
     intervals40, capsys, monkeypatch,
 ):

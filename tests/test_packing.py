@@ -38,11 +38,13 @@ from epsnet.packing import (
 
 from corpus import CORPUS
 from oracles import (
+    ReferenceCliqueTrip,
     as_sets,
     dudley_style_bound,
     oracle_clique_number,
     oracle_far_rows,
     oracle_max_packing,
+    reference_max_clique,
     set_measure,
     set_weight,
 )
@@ -235,6 +237,93 @@ def test_max_clique_settled_by_its_colouring_needs_no_node(monkeypatch):
     with pytest.raises(CapExceededError) as info:
         max_clique(adj, classes - 1)
     assert info.value.spent == 0
+
+
+@pytest.mark.parametrize("name, ceiling", [
+    ("intervals24", 7_500), ("halfplanes30", 1_000), ("disks14", 110),
+    ("lb-k2d3l2m3", 5),
+])
+def test_doubling_sweep_clique_nodes_stay_pruned(monkeypatch, name, ceiling):
+    # Nodes of the doubling sweep at 1/8, propagation's settled branches
+    # at one node each. Without propagation intervals24 spent 13,343 and
+    # halfplanes30 3,806; disks14 and lb-k2d3l2m3 spent these counts.
+    make = {**PROFILE_SPACES, "halfplanes30": lambda: gen_geometric(
+        "halfplanes", random_points(30, 2, seed=7))}[name]
+    spent = 0
+    spend = Budget.spend
+
+    def counting(self):
+        nonlocal spent
+        spent += 1
+        spend(self)
+
+    monkeypatch.setattr(Budget, "spend", counting)
+    assert complexity.doubling_constant(make(), Fraction(1, 8)).exact
+    assert spent <= ceiling
+
+
+@st.composite
+def _graphs(draw, max_n=40):
+    n = draw(st.integers(0, max_n))
+    density = draw(st.floats(0.1, 0.9))
+    return _random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, density)
+
+
+@settings(max_examples=100, deadline=None)
+@given(adj=_graphs(), data=st.data())
+def test_pruned_search_keeps_the_reference_cliques_and_trips(adj, data):
+    # Propagation cuts only branches that hold no improvement and charges
+    # each one node, so an exact run returns the reference's clique, and
+    # a budget that trips the new search trips the reference too, with an
+    # incumbent no larger.
+    omega = reference_max_clique(adj)[0]
+    lower_bound = data.draw(st.integers(0, omega + 1), label="lower_bound")
+    size, members = max_clique(adj, lower_bound)
+    assert (size, members) == reference_max_clique(adj, lower_bound)
+    if len(adj) <= 12:
+        assert size == max(lower_bound, oracle_clique_number(adj))
+    nodes = data.draw(st.integers(1, 60), label="nodes")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing, "DEFAULT_CLIQUE_NODES", nodes)
+        try:
+            max_clique(adj, lower_bound)
+        except CapExceededError as exc:
+            with pytest.raises(ReferenceCliqueTrip) as ref:
+                reference_max_clique(adj, lower_bound, nodes)
+            assert len(exc.members) >= len(ref.value.members)
+
+
+def test_refuted_propagates_forced_vertices_to_a_conflict():
+    # Path 0-1-2 and vertex 3 alone. Classes {0}, {1, 3}, {2}: in
+    # cand {0, 1, 2, 3} class {0} forces 0, which leaves {1} of {1, 3},
+    # which forces 1, which leaves 2: a triangle-free path has no clique
+    # meeting all three, but propagation needs both forcings to see it.
+    adj = _adj_from_edges(4, [(0, 1), (1, 2)])
+    classes = [0b0001, 0b1010, 0b0100]
+    assert packing._refuted(0b1111, classes, adj)
+    # With edge 0-2 the triangle {0, 1, 2} meets every class.
+    adj = _adj_from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    assert not packing._refuted(0b1111, classes, adj)
+    assert not packing._refuted(0b1111, [], adj)
+    assert packing._refuted(0b1010, classes, adj)
+
+
+def test_colour_appends_the_unlisted_class_masks():
+    rng = random.Random(7)
+    for n in [0, 1, 5, 9, 24, 40]:
+        adj = _random_graph(rng, n, rng.random())
+        non_adj = [~a for a in adj]
+        cand = rng.getrandbits(n) if n else 0
+        full = packing._colour(cand, non_adj)
+        for k in range(n + 2):
+            classes = []
+            assert packing._colour(cand, non_adj, k, classes) == [
+                (v, c) for v, c in full if c > k]
+            expected = [0] * min(k, full[-1][1] if full else 0)
+            for v, c in full:
+                if c <= k:
+                    expected[c - 1] |= 1 << v
+            assert classes == expected
 
 
 def test_colour_above_kmin_lists_exactly_the_upper_classes():
