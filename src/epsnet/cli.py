@@ -26,7 +26,9 @@ from .core import (
 )
 from .complexity import compute_profile, vc_of_masks
 from .packing import greedy_packing, haussler_certificate, max_packing_exact
-from .oneinclusion import build_oig, density_check, loo_error, orient_bounded
+from .oneinclusion import (
+    OrientationInfeasibleError, build_oig, density_check, loo_error, orient_bounded,
+)
 from .generators import (
     GEO_DIMS,
     LowerBoundParams,
@@ -147,16 +149,21 @@ def cmd_oig(args) -> int:
     if not sample:
         raise InstanceError("the sample is empty")
     graph = build_oig(space, sample)
-    if args.d is not None:
-        # A d below the sample's dimension is the user's error; the
-        # density bound and the orientation hold only for d >= it.
-        dim = vc_of_masks(graph.vertices, graph.m).value
-        if args.d < dim:
-            raise InstanceError(
-                f"given d={args.d} is below the sample's dimension {dim}"
-            )
-    check = density_check(graph, d=args.d)
-    orientation = orient_bounded(graph, check["d"])
+    dim = vc_of_masks(graph.vertices, graph.m)
+    d = dim.upper if args.d is None else args.d
+    known = dim.lower if dim.exact else f"in [{dim.lower}, {dim.upper}]"
+    below = InstanceError(f"given d={d} is below the sample's dimension {known}")
+    # Both checks hold at every d >= the dimension, so a d below the walk's
+    # lower end, or in a tripped walk's bracket and failing either, is below it.
+    if d < dim.lower:
+        raise below
+    try:
+        check = density_check(graph, d=d)
+        orientation = orient_bounded(graph, d)
+    except (TheoremViolationError, OrientationInfeasibleError):
+        if d >= dim.upper:
+            raise
+        raise below from None
     loo = [str(loo_error(orientation, v)) for v in range(len(graph.vertices))]
     doc = {
         "sample": sample,

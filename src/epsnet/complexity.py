@@ -1,15 +1,15 @@
 """Combinatorial and measure-theoretic complexity of a range space.
 
 Every estimate is a Bound: what the search found and the ceiling it
-already knows, exact exactly when the two meet. The VC, pi, phi and
-star walks and the clique search count their nodes on a core.Budget of
-work done, not a cap on instance size, and passing Python's recursion
-limit runs it out too; past a budget, the incumbent or a sampled
-estimate is the lower end, and the estimate returns that bracket rather
-than raising. Only sauer_check, a certificate that needs exact values,
-turns a bracket into a CapExceededError. Suprema over a continuous scale
-parameter are finite maxima over breakpoint values where the objective
-can change, so every returned rational is exact.
+already knows, exact exactly when the two meet. The VC, pi, phi and star
+walks and the clique search count their nodes on a core.Budget of work
+done, not a cap on instance size. Budget.run alone catches a trip, past
+the budget or Python's recursion limit; after one, the estimate returns
+a bracket whose lower end is the incumbent or a sampled estimate. Only
+sauer_check, a certificate that needs exact values, turns a bracket into
+a CapExceededError. Suprema over a continuous scale parameter are finite
+maxima over breakpoint values where the objective can change, so every
+returned rational is exact.
 
 The exact enumerations over point sets (pi, phi, VC) walk the sets depth
 first and keep the partition of the ranges by their trace on the current
@@ -157,11 +157,9 @@ def vc_of_masks(masks, n: int, cap: int | None = None) -> Bound:
                 inside, outside = _split(classes, col)
                 rec(inside + outside, y | 1 << x, size + 1, x + 1)
 
-    try:
-        budget.run(rec, [(1 << m) - 1], 0, 0, 0)
-    except CapExceededError:
-        return Bound(best, min(n, m.bit_length() - 1), points_of(witness))
-    return Bound(best, best, points_of(witness))
+    finished = budget.run(rec, [(1 << m) - 1], 0, 0, 0)
+    upper = best if finished else min(n, m.bit_length() - 1)
+    return Bound(best, upper, points_of(witness))
 
 
 def vc_dimension(space: RangeSpace) -> Bound:
@@ -294,8 +292,8 @@ def projection_rows(
                     return True
             return False
 
-        stopped = budget.run(rec, [root], 0, s)
-        if top1 and (below >= top1 or not stopped and lost <= below):
+        budget.run(rec, [root], 0, s)
+        if top1 and (below >= top1 or best < top and lost <= below):
             return best, below
         return best, None
 
@@ -306,14 +304,14 @@ def projection_rows(
         budget = Budget(WALK_NODES, "exact pi search")
         extra = 1 << len(space.ranges)
         walked = [[(1, 0)] for _ in groups]
-        try:
-            for s in range(1, last + 1):
-                for (pts, root), sizes in zip(groups, walked):
-                    if s <= len(pts):
-                        sizes.append((walk(pts, root, s, math.inf, budget)[0],
-                                      walk(pts, root | extra, s, math.inf, budget)[0] - 1))
-        except CapExceededError:
-            last = s - 1
+        for s in range(1, last + 1):
+            for (pts, root), sizes in zip(groups, walked):
+                if s <= len(pts):
+                    sizes.append((walk(pts, root, s, math.inf, budget)[0],
+                                  walk(pts, root | extra, s, math.inf, budget)[0] - 1))
+            if budget.error:
+                last = s - 1
+                break
         # free[t] / owned[t]: the best sum over the components so far on
         # at most t points, without / with the empty trace counted.
         free = owned = [0] * (last + 1)
@@ -336,10 +334,9 @@ def projection_rows(
             harvest = (y <= len(pts) and
                        math.comb(len(pts), max(y - 2, 0)) <= WALK_NODES)
             top1 = ceiling(y - 1) if harvest and y - 1 in ys else 0
-            try:
-                v, below = walk(pts, root, min(y, len(pts)), ceiling(y),
-                                Budget(WALK_NODES, "exact pi search"), top1)
-            except CapExceededError:
+            budget = Budget(WALK_NODES, "exact pi search")
+            v, below = walk(pts, root, min(y, len(pts)), ceiling(y), budget, top1)
+            if budget.error:
                 continue
             rows[y] = Bound(v, v)
             if below is not None:
@@ -573,15 +570,15 @@ def doubling_constant(
 # -- shallow cells ----------------------------------------------------------
 
 
-def _max_shallow(space: RangeSpace, y: int, l: int) -> int:
+def _max_shallow(space: RangeSpace, y: int, l: int) -> int | None:
     """Exact shallow-cell count for a nonempty family: the most trace
     classes with trace size <= l over point sets of size <= y.
 
     Depth first over the point sets, keeping the classes grouped by trace
     size. A trace never shrinks as Y grows, so classes past size l are
     dropped; each kept class can split into at most 2^k parts with k
-    points to go, and there are never more than m traces. Past WALK_NODES
-    nodes, CapExceededError.
+    points to go, and there are never more than m traces. None when the
+    walk's Budget trips.
     """
     cols = space.incidence
     n, m = space.n, len(space.ranges)
@@ -613,8 +610,7 @@ def _max_shallow(space: RangeSpace, y: int, l: int) -> int:
                 return True
         return False
 
-    budget.run(rec, [[(1 << m) - 1]], 0, y)
-    return best
+    return best if budget.run(rec, [[(1 << m) - 1]], 0, y) else None
 
 
 def shallow_cell(
@@ -639,9 +635,8 @@ def shallow_cell(
     y = min(y, space.n)
     if not space.ranges:
         return Bound(0, 0)
-    try:
-        v = _max_shallow(space, y, l)
-    except CapExceededError:
+    v = _max_shallow(space, y, l)
+    if v is None:
         return _sampled(
             space, stream_rng(seed, "shallow", y, l),
             lambda rng: rng.randint(0, y),
@@ -665,8 +660,8 @@ def star_number(space: RangeSpace, cap: int | None = None) -> Bound:
     added, so it is exact. Its first path, the greedy pass in point order,
     is taken ahead so that a walk cut off by the recursion limit still
     reports it. The walks share WALK_NODES nodes: a component whose walk
-    runs out adds its incumbent to the lower end and its point count to
-    the upper end. The witness is a star set of size lower. cap is ignored.
+    does not finish adds its incumbent to the lower end and its point count
+    to the upper end. The witness is a star set of size lower. cap is ignored.
     """
     cols = space.incidence
     budget = Budget(WALK_NODES, "star walk")
@@ -709,13 +704,9 @@ def star_number(space: RangeSpace, cap: int | None = None) -> Bound:
             if grown:
                 best.append(x)
                 star = grown
-        try:
-            if len(best) < len(pts):
-                budget.run(walk, 0, [], (0, []))
-            upper += len(best)
-        except CapExceededError:
-            upper += len(pts)
+        finished = len(best) == len(pts) or budget.run(walk, 0, [], (0, []))
         lower += len(best)
+        upper += len(best) if finished else len(pts)
         witness += best
     return Bound(lower, upper, tuple(sorted(witness)))
 

@@ -34,23 +34,23 @@ class InstanceError(ValueError):
 class CapExceededError(RuntimeError):
     """An exact oracle was asked to run beyond its configured size cap or
     work budget; spent is the work done before it stopped, which a Budget
-    always counts. max_clique leaves its largest clique in members."""
+    always counts, and members the incumbent, such as max_clique's clique."""
 
-    members: tuple[int, ...] = ()
-
-    def __init__(self, message: str = "", spent: int | None = None):
+    def __init__(self, message: str = "", spent: int | None = None,
+                 members: tuple[int, ...] = ()):
         super().__init__(message)
-        self.spent = spent
+        self.spent, self.members = spent, members
 
 
 class Budget:
     """The node budget of one exact search, shared by all its walks.
-    spend() counts a node and raises CapExceededError past the last one;
-    run(walk, *args) calls a recursive walk and raises the same error,
-    with the nodes spent so far, if it passes Python's recursion limit."""
+    spend() counts a node and raises CapExceededError past the last one.
+    run(walk, *args), the one place a trip is caught, returns whether the
+    walk finished and keeps a trip, past the budget or Python's recursion
+    limit, in error. A tripped budget stays spent: a later walk is not run."""
 
     def __init__(self, nodes: int, search: str):
-        self.nodes, self.search, self.spent = nodes, search, 0
+        self.nodes, self.search, self.spent, self.error = nodes, search, 0, None
 
     def spend(self) -> None:
         if self.spent == self.nodes:
@@ -58,12 +58,17 @@ class Budget:
                                    f"{self.nodes} nodes", spent=self.spent)
         self.spent += 1
 
-    def run(self, walk, *args):
+    def run(self, walk, *args) -> bool:
         try:
-            return walk(*args)
+            if self.error is None:
+                walk(*args)
+                return True
+        except CapExceededError as exc:
+            self.error = exc.with_traceback(None)  # its traceback pins the walk's tables
         except RecursionError:
-            raise CapExceededError(f"{self.search} passed the recursion limit after "
-                                   f"{self.spent} nodes", spent=self.spent) from None
+            self.error = CapExceededError(f"{self.search} passed the recursion limit after "
+                                          f"{self.spent} nodes", spent=self.spent)
+        return False
 
 
 class TheoremViolationError(RuntimeError):

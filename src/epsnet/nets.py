@@ -742,7 +742,8 @@ def _min_hit_component(
             rec([m for m in unc if not (m >> p & 1)], chosen)
             chosen.pop()
 
-    budget.run(rec, masks, [])
+    if not budget.run(rec, masks, []):
+        raise budget.error
     return best
 
 

@@ -14,11 +14,11 @@ over the colour classes below (Li and Quan, AAAI 2010); a conflict
 settles that branch for one node, the node the search without
 propagation would have spent first on it. So an exact answer, members
 included, is the one that search gives, and a search trips only where
-that search trips, with an incumbent at least as large. Past its budget
-max_clique raises CapExceededError with its incumbent as .members, and
-both callers answer with that incumbent labelled inexact:
-max_packing_exact with exact=False and doubling_constant as the lower
-end of a bracket.
+that search trips, with an incumbent at least as large. Its core.Budget
+catches the trip, and max_clique raises the budget's error again, with
+its incumbent as .members; both callers answer with that incumbent
+labelled inexact: max_packing_exact with exact=False and
+doubling_constant as the lower end of a bracket.
 
 greedy_packing and max_packing_exact check that delta is in (0, 1].
 haussler_certificate and projection_count_estimate check the packing
@@ -211,16 +211,14 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
                 clique.pop()
             cand &= ~(1 << v)
 
-    try:
-        budget.run(expand, (1 << n) - 1, [])
-    except CapExceededError as exc:
-        exc.members = tuple(sorted(order[i] for i in best_members))
-        raise
-    finally:
-        # expand refers to itself; dropping the name breaks that cycle so
-        # the search tables are freed now rather than at a full collection.
-        del expand
-    return best, tuple(sorted(order[i] for i in best_members))
+    finished = budget.run(expand, (1 << n) - 1, [])
+    # expand refers to itself; dropping the name breaks that cycle so the
+    # search tables are freed now rather than at a full collection.
+    del expand
+    members = tuple(sorted(order[i] for i in best_members))
+    if not finished:
+        raise CapExceededError(str(budget.error), budget.error.spent, members)
+    return best, members
 
 
 @dataclass(frozen=True)

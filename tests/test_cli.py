@@ -9,7 +9,7 @@ import pytest
 
 from epsnet import complexity, experiment, nets, packing
 from epsnet.cli import build_parser, main
-from epsnet.core import RangeSpace, TheoremViolationError
+from epsnet.core import RangeSpace, TheoremViolationError, build_range_space
 from epsnet.generators import (
     GEO_DIMS,
     LowerBoundParams,
@@ -435,6 +435,67 @@ def test_oig_d_below_the_sample_dimension_is_a_usage_error(chain_file, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "below the sample's dimension" in err
+    assert "Traceback" not in err
+
+
+# On chain8's points 0..5 the six vertices are prefix masks joined by five
+# edges, of dimension 1. A VC walk of one node trips with the bracket
+# [0, 2], and one of two nodes finds a shattered point first: [1, 2].
+OIG_SAMPLE = ["--sample", "0,1,2,3,4,5"]
+
+
+@pytest.mark.parametrize("d", [[], ["--d", "3"]])
+def test_oig_past_the_vc_budget_orients_at_the_upper_end_or_above(
+    chain_file, capsys, monkeypatch, d,
+):
+    monkeypatch.setattr(complexity, "WALK_NODES", 1)
+    assert main(["oig", str(chain_file), *OIG_SAMPLE, *d]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # Without --d, the walk's upper end.
+    assert doc["d"] == (int(d[1]) if d else 2)
+    assert doc["max_out_degree"] <= doc["d"]
+
+
+def test_oig_d_below_a_tripped_bracket_is_a_usage_error(
+    chain_file, capsys, monkeypatch,
+):
+    monkeypatch.setattr(complexity, "WALK_NODES", 2)
+    assert main(["oig", str(chain_file), *OIG_SAMPLE, "--d", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "below the sample's dimension in [1, 2]" in err
+    assert "Traceback" not in err
+
+
+def test_oig_d_in_a_tripped_bracket_failing_density_is_a_usage_error(
+    chain_file, capsys, monkeypatch,
+):
+    # d = 0 is in [0, 2], but five edges on six vertices fail the density
+    # bound at 0, which proves the dimension is above it: exit 2, not the
+    # exit 1 of a failed theorem check.
+    monkeypatch.setattr(complexity, "WALK_NODES", 1)
+    assert main(["oig", str(chain_file), *OIG_SAMPLE, "--d", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "below the sample's dimension in [0, 2]" in err
+    assert "check failed" not in err and "Traceback" not in err
+
+
+def test_oig_d_in_a_tripped_bracket_failing_orientation_is_a_usage_error(
+    tmp_path, capsys, monkeypatch,
+):
+    # The traces on points 0..6 are a 3-cube (point 7 gives its empty
+    # vertex) and seven vertices at distance >= 2 from every other: 12
+    # edges on 15 vertices pass the density bound at d = 1, but the cube
+    # has no orientation of out-degree 1, so d = 1 in the bracket [0, 3]
+    # is below the dimension, 3.
+    cube = [[p for p in range(3) if b >> p & 1] or [7] for b in range(8)]
+    far = [[3, 4], [3, 5], [3, 6], [4, 5], [4, 6], [5, 6], [3, 4, 5, 6]]
+    path = tmp_path / "cube.json"
+    path.write_text(build_range_space(8, [1] * 8, cube + far).dumps())
+    monkeypatch.setattr(complexity, "WALK_NODES", 1)
+    rc = main(["oig", str(path), "--sample", "0,1,2,3,4,5,6", "--d", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "below the sample's dimension in [0, 3]" in err
     assert "Traceback" not in err
 
 

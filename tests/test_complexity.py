@@ -4,12 +4,13 @@ Expected values below were computed with tests/oracles.py first and then
 frozen as literals, so a regression in either side trips the comparison.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
 import pytest
 
-from epsnet import complexity, packing
+from epsnet import complexity, nets, packing
 from epsnet.complexity import (
     Bound,
     alexander_capacity,
@@ -39,6 +40,8 @@ from epsnet.generators import (
     gen_random,
     random_points,
 )
+from epsnet.nets import min_net_exact
+from epsnet.packing import max_packing_exact
 
 from corpus import CORPUS, EPS_GRID
 from oracles import (
@@ -616,3 +619,39 @@ def test_value_of_a_bracket_raises(monkeypatch):
         assert got.lower <= want <= got.upper, name
         with pytest.raises(ValueError):
             got.value
+
+
+def test_tripped_outputs_are_frozen(monkeypatch):
+    # Every search of the corpus at budgets small enough to trip: the VC,
+    # pi, phi and star walks at WALK_NODES 1, 7 and 60, doubling and exact
+    # packing at DEFAULT_CLIQUE_NODES 0, 1, 3 and 12, and the min net at
+    # EXACT_NET_NODES 1, 2 and 5, its error text and nodes spent when it
+    # trips. Brackets, sampled rows, incumbents and spends all count.
+    records = []
+    for nodes in (1, 7, 60):
+        monkeypatch.setattr(complexity, "WALK_NODES", nodes)
+        for key, sp in CORPUS.items():
+            y = min(sp.n, 6)
+            records.append((key, nodes, vc_dimension(sp),
+                            projection_rows(sp, range(y + 1)),
+                            shallow_cell(sp, y, 3), star_number(sp)))
+    monkeypatch.undo()
+    for nodes in (0, 1, 3, 12):
+        monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", nodes)
+        for key, sp in CORPUS.items():
+            for eps in (Fraction(1, 4), Fraction(1, 8)):
+                records.append((key, nodes, eps, doubling_constant(sp, eps),
+                                max_packing_exact(sp, eps)))
+    monkeypatch.undo()
+    for nodes in (1, 2, 5):
+        monkeypatch.setattr(nets, "EXACT_NET_NODES", nodes)
+        for key, sp in CORPUS.items():
+            for eps in (Fraction(1, 4), Fraction(1, 8)):
+                try:
+                    got = min_net_exact(sp, eps).points
+                except CapExceededError as exc:
+                    got = (str(exc), exc.spent)
+                records.append((key, nodes, eps, got))
+    assert len(records) == 238
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+        "13a1d2e3bb6b43a5716fa670f6d3a41153a62d53ca84381c5d4e703a2bb9bd82")

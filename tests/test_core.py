@@ -21,7 +21,7 @@ from epsnet import (
 )
 from epsnet.complexity import alexander_capacity, doubling_constant, star_number
 from epsnet.core import (
-    DRAW_BLOCK, _unit_eps, cached_index, ceil_log2, components, iter_bits, mask_of,
+    DRAW_BLOCK, Budget, CapExceededError, _unit_eps, cached_index, ceil_log2, components, iter_bits, mask_of,
     points_of,
 )
 from epsnet.nets import greedy_net, verify_net
@@ -308,3 +308,57 @@ def test_conditional_on_support_is_identity_measurewise(sp):
         for r, w in zip(sp.ranges, sp.range_weights)
         if r & sp.support_mask
     }
+
+
+# -- Budget: the one place a walk's trip is caught ---------------------------
+
+
+def _chain_walk(budget, depth):
+    """A walk one node per level, depth levels deep."""
+    budget.spend()
+    if depth > 1:
+        _chain_walk(budget, depth - 1)
+
+
+def test_budget_run_of_a_finished_walk_is_true():
+    budget = Budget(5, "chain search")
+    assert budget.run(_chain_walk, budget, 5) is True
+    assert budget.spent == 5 and budget.error is None
+
+
+def test_budget_run_past_its_nodes_is_false_with_the_error_kept():
+    budget = Budget(3, "chain search")
+    assert budget.run(_chain_walk, budget, 5) is False
+    assert isinstance(budget.error, CapExceededError)
+    assert str(budget.error) == "chain search exceeded its budget of 3 nodes"
+    assert budget.error.spent == budget.spent == 3
+    assert budget.error.members == ()
+
+
+def test_budget_run_past_the_recursion_limit_is_false_with_the_nodes_spent():
+    budget = Budget(10**9, "chain search")
+    assert budget.run(_chain_walk, budget, 10**6) is False
+    spent = budget.spent
+    assert 0 < spent < 10**6
+    assert str(budget.error) == (
+        f"chain search passed the recursion limit after {spent} nodes")
+    assert budget.error.spent == spent
+
+
+@pytest.mark.parametrize("nodes, depth", [(3, 5), (10**9, 10**6)])
+def test_a_tripped_budget_stays_spent(nodes, depth):
+    # The pi knapsack and the star walk over several components run later
+    # walks on a budget an earlier one tripped: each stops at its first
+    # node, and the first trip is the one kept.
+    budget = Budget(nodes, "chain search")
+    assert not budget.run(_chain_walk, budget, depth)
+    error, spent = budget.error, budget.spent
+    visited = []
+
+    def walk():
+        budget.spend()
+        visited.append(1)
+
+    assert budget.run(walk) is False
+    assert budget.run(_chain_walk, budget, 1) is False
+    assert visited == [] and budget.spent == spent and budget.error is error
