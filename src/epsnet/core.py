@@ -130,6 +130,37 @@ def incidence_columns(masks: Sequence[int], n: int) -> list[int]:
     return [int(lane[::-1], 2) for lane in point_lanes(masks, n)]
 
 
+def _add(planes: list[int], term: int, w: int) -> None:
+    """Add w to the bit-sliced counters in planes at the positions set in
+    term: a ripple-carry add of term at the plane of each set bit of w.
+    planes must be deep enough to hold every sum."""
+    for k in range(w.bit_length()):
+        carry, i = term if w >> k & 1 else 0, k
+        while carry:
+            plane = planes[i]
+            planes[i] = plane ^ carry
+            carry &= plane
+            i += 1
+
+
+def _at_least(planes: Sequence[int], threshold: int) -> int:
+    """The positions whose bit-sliced value in planes is at least
+    threshold >= 1: a comparison from the top plane down that stops below
+    the threshold's lowest set bit, where every position still equal to
+    it so far is at least it. A position holding 0 never counts."""
+    if threshold >> len(planes):
+        return 0
+    above, equal = 0, -1
+    for k in range(len(planes) - 1, (threshold & -threshold).bit_length() - 2, -1):
+        high = equal & planes[k]
+        if threshold >> k & 1:
+            equal = high
+        else:
+            above |= high
+            equal ^= high
+    return above | equal
+
+
 def components(masks: Iterable[int]) -> list[int]:
     """Point masks of the point-sharing components of masks, by lowest
     point: masks joined by a chain of pairwise-meeting masks share one
@@ -218,8 +249,8 @@ class RangeSpace:
     space. The byte tables that mask_weight reads on a non-uniform space
     are also built with it, from weights alone, and make no mask_weight
     call; they are empty on a uniform space. The cached indices
-    (incidence, capacity_table, point_components, population) are built
-    on first read and call no mask_weight.
+    (incidence, weight_planes, capacity_table, point_components,
+    population) are built on first read and call no mask_weight.
     """
 
     n: int
@@ -293,6 +324,11 @@ class RangeSpace:
             self.sorted_weights, q.numerator * self.total_weight // q.denominator
         )
 
+    def ranges_at_least(self, q: Fraction) -> int:
+        """Bitmask over range indices of the ranges of measure >= q > 0,
+        read from weight_planes."""
+        return _at_least(self.weight_planes, self.ceil_weight(q))
+
     def mask_measure(self, mask: int) -> Fraction:
         return Fraction(self.mask_weight(mask), self.total_weight)
 
@@ -311,6 +347,15 @@ class RangeSpace:
         """cols[x]: bitmask over range indices of the ranges containing
         point x."""
         return tuple(incidence_columns(self.ranges, self.n))
+
+    @cached_index
+    def weight_planes(self) -> tuple[int, ...]:
+        """range_weights bit-sliced over range indices: bit i of plane k is
+        bit k of range i's weight, in total_weight.bit_length() planes."""
+        planes = [0] * self.total_weight.bit_length()
+        for i, w in enumerate(self.range_weights):
+            _add(planes, 1 << i, w)  # bit i is still 0 everywhere: no carry
+        return tuple(planes)
 
     @cached_index
     def capacity_table(self) -> tuple[tuple[int, ...], ...]:

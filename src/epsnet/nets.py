@@ -23,9 +23,13 @@ its private stream in chunks and counts the draws it looked at.
 
 Hits are bitmasks over range indices. The ranges a point set meets are
 the OR of its points' incidence columns (RangeSpace.incidence), and the
-heavy ranges, those of measure >= eps, are a suffix of the space's
-measure order, so a net's violations are heavy & ~hits. The dyadic
-buckets are runs of that order between bisected cuts.
+heavy ranges, those of measure >= eps, are one comparison with the
+space's bit-sliced range weights (RangeSpace.ranges_at_least), so a
+net's violations are heavy & ~hits. A dyadic bucket is the difference of
+two such comparisons, and a quarter group the comparison of bit-sliced
+counters over the bucket's ranges with a quarter of a packing member's
+weight; the repair builds traces only for the group's ranges the net
+misses.
 
 Only the samples are random. The dyadic builders take the space's
 decomposition at eps as an optional dec=; one shared between calls keeps
@@ -58,6 +62,8 @@ from .core import (
     InstanceError,
     RangeSpace,
     TheoremViolationError,
+    _add,
+    _at_least,
     _unit_eps,
     ceil_log2,
     components,
@@ -125,7 +131,7 @@ class NetReport:
 def _heavy(space: RangeSpace, eps: Fraction) -> int:
     """Bitmask over range indices of the ranges of measure >= eps, the
     ones a net must hit."""
-    return mask_of(space.measure_order[space.count_below(eps):])
+    return space.ranges_at_least(eps)
 
 
 def verify_net(
@@ -137,11 +143,15 @@ def verify_net(
 ) -> NetReport:
     """Exact check that candidate hits every range of measure >= eps.
 
-    Candidate points must lie in the support; a zero-weight point is an
-    error, not a silent pass.
+    Candidate points must be ints (not bools or floats) in the support; a
+    zero-weight point is an error, not a silent pass.
     """
     eps = _unit_eps(eps)
-    pts = sorted(set(candidate))
+    pts = set(candidate)
+    for p in pts:
+        if type(p) is not int:
+            raise InstanceError(f"candidate point {p!r} is not an integer")
+    pts = sorted(pts)
     for p in pts:
         if not 0 <= p < space.n:
             raise InstanceError(f"candidate point {p} outside 0..{space.n - 1}")
@@ -177,11 +187,11 @@ def _greedy_pick(cols, cands: list[int], todo: int) -> list[int]:
     return chosen
 
 
-def _greedy_hit(space: RangeSpace, masks: list[int], have: int = 0) -> list[int]:
+def _greedy_hit(space: RangeSpace, masks: list[int]) -> list[int]:
     """Support points chosen greedily (_greedy_pick, candidates in point
-    order) to hit every mask that have does not meet, scored on the
-    incidence columns of those targets."""
-    targets = [m & space.support_mask for m in masks if not (m & have)]
+    order) to hit every mask, scored on the incidence columns of those
+    targets."""
+    targets = [m & space.support_mask for m in masks]
     cols = incidence_columns(targets, space.n)
     cands = [p for p in range(space.n) if cols[p]]
     return _greedy_pick(cols, cands, (1 << len(targets)) - 1)
@@ -192,10 +202,15 @@ def _scale_nets(
     rng=None, size=None,
 ) -> tuple[int, list[int], list[int]]:
     """Per scale b in scales: draw size(b) points with rng into the bucket
-    union (no draw when size is None), then greedily finish each target
-    group in groups(b) in turn on top. A scale whose bucket is empty or
-    whose union holds no support point is skipped. Returns the net mask
-    and, per scale, the draws made and the points the repair added."""
+    union (no draw when size is None), then greedily finish each group
+    (Q, g) of groups(b) in turn on top, Q a point mask (-1 for all points)
+    and g a bitmask over range indices. The columns of the net's points
+    in Q are cleared from g, and the traces R & Q of the ranges left, in
+    index order, are _greedy_hit's targets: the ranges of g whose trace
+    the net misses. A scale whose bucket is empty or whose union holds no
+    support point is skipped. Returns the net mask and, per scale, the
+    draws made and the points the repair added."""
+    ranges, cols = space.ranges, space.incidence
     net_mask = 0
     draws, added = [], []
     for b in scales:
@@ -205,10 +220,13 @@ def _scale_nets(
             if size is not None:
                 m = size(b)
                 net_mask |= draw_mask(space, m, rng, within_mask=union)
-            for targets in groups(b):
-                pts = _greedy_hit(space, targets, net_mask)
-                k += len(pts)
-                net_mask |= mask_of(pts)
+            for q, g in groups(b):
+                for x in iter_bits(q & net_mask):
+                    g &= ~cols[x]
+                if g:
+                    pts = _greedy_hit(space, [ranges[i] & q for i in iter_bits(g)])
+                    k += len(pts)
+                    net_mask |= mask_of(pts)
         draws.append(m)
         added.append(k)
     return net_mask, draws, added
@@ -231,35 +249,42 @@ def _dyadic_report(
 
 def _quarter_groups(
     space: RangeSpace, dec: DyadicDecomposition, b: int
-) -> tuple[int, list[list[int]]]:
-    """Size of a greedy maximal sep-packing of bucket b of dec, sep =
-    levels[b - 1], and per member Q the targets of its quarter-scale net:
-    the traces R & Q of the bucket ranges R with P(R & Q) >= P(Q)/4.
-    Kept in dec.memo, so callers must not alter the groups.
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Size of a greedy maximal sep-packing of bucket b >= 1 of dec, sep =
+    levels[b - 1], and per member its quarter group (Q, g): Q the member's
+    point mask and g the bitmask over range indices of the bucket ranges
+    R with 4 w(R & Q) >= w(Q). Kept in dec.memo.
+
+    g is read from bit-sliced counters over range indices: each point x
+    of Q adds its weight at the bucket ranges holding x (core._add), and
+    g holds the counters at least ceil(w(Q)/4) >= 1 (core._at_least),
+    since a member of bucket b >= 1 has positive weight.
 
     Maximality forces every bucket range into some member's group; a
-    range without one is a TheoremViolationError.
+    range without one, the lowest such index, is a TheoremViolationError.
     """
     key = ("quarter", b)
     if key in dec.memo:
         return dec.memo[key]
-    bucket, sep = dec.buckets[b], dec.levels[b - 1]
-    members = greedy_packing(space, sep, list(bucket)).members
-    ranges, weigh = space.ranges, space.mask_weight
-    slots = [(ranges[q], space.range_weights[q], []) for q in members]
-    for i in bucket:
-        ri = ranges[i]
-        homed = False
-        for rq, wq, group in slots:
-            trace = ri & rq
-            if 4 * weigh(trace) >= wq:
-                group.append(trace)
-                homed = True
-        if not homed:
-            raise TheoremViolationError(
-                f"range {i} shares no quarter-mass packing member at scale {sep}"
-            )
-    dec.memo[key] = len(members), [group for _, _, group in slots]
+    bucket, sep = dec.masks[b], dec.levels[b - 1]
+    members = greedy_packing(space, sep, list(dec.buckets[b])).members
+    cols, weights = space.incidence, space.weights
+    groups, homed = [], 0
+    for q in members:
+        rq, wq = space.ranges[q], space.range_weights[q]
+        planes = [0] * wq.bit_length()  # every count is at most wq
+        for x in iter_bits(rq):
+            _add(planes, cols[x] & bucket, weights[x])
+        g = _at_least(planes, -(-wq // 4))
+        groups.append((rq, g))
+        homed |= g
+    if homed != bucket:
+        lost = bucket & ~homed
+        raise TheoremViolationError(
+            f"range {(lost & -lost).bit_length() - 1} shares no quarter-mass "
+            f"packing member at scale {sep}"
+        )
+    dec.memo[key] = len(members), tuple(groups)
     return dec.memo[key]
 
 
@@ -268,7 +293,8 @@ def _quarter_groups(
 
 @dataclass(frozen=True)
 class DyadicDecomposition:
-    """The dyadic buckets of one space at one eps. The derived parts that
+    """The dyadic buckets of one space at one eps, each as its ascending
+    range indices and as their bitmask. The derived parts that
     depend on (space, eps) alone, each scale's quarter groups and the
     small-D builder's head and tail per cut, are kept in memo the first
     time a builder asks for them, so builders handed one shared
@@ -280,6 +306,7 @@ class DyadicDecomposition:
     z: int
     levels: tuple[Fraction, ...]  # scale i -> min(2^i eps, 1), i = 0..z
     buckets: tuple[tuple[int, ...], ...]  # per scale, indices of its ranges
+    masks: tuple[int, ...]  # per scale, bitmask over those indices
     unions: tuple[int, ...]  # per scale, union mask of its bucket
     taus: tuple[Fraction, ...]  # capacity at each scale, i = 0..z
     memo: dict = field(default_factory=dict, compare=False, repr=False)
@@ -313,6 +340,9 @@ def build_decomposition(space: RangeSpace, eps: Fraction) -> DyadicDecomposition
     # In measure order bucket b is the run between cuts[b] and cuts[b+1].
     order = space.measure_order
     cuts = [0] + [space.count_below(lv) for lv in levels[:z]] + [len(order)]
+    # The same cuts as range-index masks: the ranges at or past each.
+    every = (1 << len(order)) - 1
+    past = [every] + [space.ranges_at_least(lv) for lv in levels[:z]] + [0]
     buckets = []
     unions = []
     w = space.total_weight
@@ -339,8 +369,9 @@ def build_decomposition(space: RangeSpace, eps: Fraction) -> DyadicDecomposition
                 f"conditional measure of range {order[lo]} in bucket {b} "
                 f"fell below 1/(2*tau)"
             )
+    masks = tuple(past[b] ^ past[b + 1] for b in range(z + 1))
     return DyadicDecomposition(
-        space, eps, z, levels, tuple(buckets), tuple(unions), taus,
+        space, eps, z, levels, tuple(buckets), masks, tuple(unions), taus,
     )
 
 
@@ -511,7 +542,7 @@ def stratified_net(
     # Bucket 0 has no hitting requirement below the base scale.
     return _dyadic_report(
         space, dec, "stratified", range(dec.z + 1),
-        lambda b: [[space.ranges[i] for i in dec.buckets[b]]] if b else [],
+        lambda b: [(-1, dec.masks[b])] if b else [],
         size, {"seed": seed, "C": C, "d": d},
     )
 
@@ -657,7 +688,7 @@ def cal_net(
     rng = stream_rng(seed, "cal")
     cols = space.incidence
     # Over range indices; a range of measure 0 can never be hit by a draw.
-    surviving = mask_of(i for i, w in enumerate(space.range_weights) if w)
+    surviving = space.ranges_at_least(Fraction(1, space.total_weight))
     kept: list[int] = []
     drawn = 0
     guard = min(1 << min(budget_n, 64), DRAW_CAP)
@@ -800,7 +831,7 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
     eps = _unit_eps(eps)
     targets = {
         space.ranges[i] & space.support_mask
-        for i in iter_bits(_heavy(space, eps))
+        for i in space.measure_order[space.count_below(eps):]
     }
     taken, kept = _reduce(list(targets), space.n)
     pts = list(iter_bits(taken))

@@ -40,6 +40,8 @@ from .core import (
     CapExceededError,
     RangeSpace,
     TheoremViolationError,
+    _add,
+    _at_least,
     _unit_eps,
     draw_mask,
     incidence_columns,
@@ -239,9 +241,11 @@ class FarGraph:
     pairs it separates: in row p, to the masks without x when p holds x,
     else to the masks with x. That term is one bytes join of two prebuilt
     row blocks, picked by x's lane of core.point_lanes, and a
-    ripple-carry add puts it at the planes of w's set bits. So every pair
-    is summed at once, in a few big-int operations per point and no step
-    per pair, and the planes take O(m^2 log W) bits.
+    ripple-carry add (core._add) puts it at the planes of w's set bits.
+    So every pair is summed at once, in a few big-int operations per
+    point and no step per pair, and the planes take O(m^2 log W) bits.
+    The diagonal and the padding of the row blocks hold 0, so
+    core._at_least never counts them.
 
     The finished planes are cut into spans of rows of at most _SPAN_BITS
     pair bits, one big int per plane and span, so that what the readers
@@ -271,13 +275,7 @@ class FarGraph:
             sides = {48: col.to_bytes(stride, "big"),
                      49: (full ^ col).to_bytes(stride, "big")}
             term = int.from_bytes(b"".join(map(sides.__getitem__, inside)), "big")
-            for k in range(w.bit_length()):
-                carry, i = term if w >> k & 1 else 0, k
-                while carry:
-                    plane = planes[i]
-                    planes[i] = plane ^ carry
-                    carry &= plane
-                    i += 1
+            _add(planes, term, w)
         # Split the planes by spans of rows, one whole plane at a time.
         size = m * stride
         step = max(1, (_SPAN_BITS >> 3) // stride) * stride
@@ -325,25 +323,6 @@ class FarGraph:
             return list(map(low.__and__, unpack_from(f">{j}Q", data)))
         return [int.from_bytes(data[i:i + stride], "big") & low
                 for i in range(0, j * stride, stride)]
-
-
-def _at_least(planes: list[int], threshold: int) -> int:
-    """The pairs whose bit-sliced value in planes is at least threshold
-    >= 1: a comparison from the top plane down that stops below the
-    threshold's lowest set bit, where every pair still equal to it so far
-    is at least it. The diagonal and the padding of the row blocks hold
-    0, so they never count."""
-    if threshold >> len(planes):
-        return 0
-    above, equal = 0, -1
-    for k in range(len(planes) - 1, (threshold & -threshold).bit_length() - 2, -1):
-        high = equal & planes[k]
-        if threshold >> k & 1:
-            equal = high
-        else:
-            above |= high
-            equal ^= high
-    return above | equal
 
 
 def greedy_packing(

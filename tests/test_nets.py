@@ -15,6 +15,7 @@ from epsnet.core import (
     CapExceededError,
     InstanceError,
     RangeSpace,
+    TheoremViolationError,
     build_range_space,
     stream_rng,
 )
@@ -35,6 +36,7 @@ from epsnet.nets import (
     stratified_size_bound,
     verify_net,
 )
+from epsnet.packing import Packing
 
 from corpus import CORPUS, EPS_GRID
 from oracles import oracle_min_hitting
@@ -79,6 +81,15 @@ def test_zero_weight_candidate_is_an_error():
         verify_net(sp, [2], Fraction(1, 2))
     with pytest.raises(InstanceError):
         verify_net(sp, [7], Fraction(1, 2))
+
+
+def test_candidate_points_must_be_true_ints():
+    # True equals 1 and 1.0 sorts among ints, but neither is a point:
+    # each is an InstanceError that names it, as is a string.
+    sp = build_range_space(3, [1, 1, 1], [[0, 1]])
+    for candidate, name in (([True], "True"), ([0, 1.0], "1.0"), (["2"], "'2'")):
+        with pytest.raises(InstanceError, match=f"candidate point {name} is not"):
+            verify_net(sp, candidate, Fraction(1, 2))
 
 
 def test_bad_eps_rejected():
@@ -158,6 +169,21 @@ def test_capacity_and_decomposition_mask_weight_counts_repeat(monkeypatch):
         assert (len(weights), len(packings)) == (w0 + 2 * w1, p0 + 2 * p1), build
         if build in (doubling_net, doubling_net_small_d):
             assert p1 > 0, build
+
+
+def test_a_non_maximal_packing_leaves_the_lowest_unhomed_range_named(monkeypatch):
+    # Bucket 1 of sparse-singles8 at 1/8 holds its four disjoint
+    # singletons, each its own packing member. Without members 1 and 2
+    # their ranges share no quarter of a member's mass.
+    sp = CORPUS["sparse-singles8"]
+    eps = Fraction(1, 8)
+    assert build_decomposition(sp, eps).buckets[1] == (0, 1, 2, 3)
+    monkeypatch.setattr(nets, "greedy_packing",
+                        lambda *args: Packing(eps, (0, 3), False))
+    with pytest.raises(TheoremViolationError,
+                       match=r"^range 1 shares no quarter-mass packing member "
+                             r"at scale 1/8$"):
+        doubling_net(sp, eps, d=1, D=4.0)
 
 
 # -- i.i.d. builder -----------------------------------------------------------

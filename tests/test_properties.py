@@ -4,9 +4,10 @@ enumerations (pi, phi, VC), the brackets of their sampled estimates,
 pi and the star number on disjoint unions, the pi rows computed
 together against each row alone and on near-duplicate ranges,
 the capacity table at every scale, the exact doubling sweep and its
-budget-tripped bracket, the minimum net, the net verifier and the dyadic
-buckets agree with the brute-force oracles on small weighted random
-spaces, as does the max-clique search at every lower bound on small
+budget-tripped bracket, the minimum net, the net verifier, the dyadic
+buckets, the range-index masks of heavy ranges and buckets and the
+quarter groups agree with the brute-force oracles on small weighted
+random spaces, as does the max-clique search at every lower bound on small
 random graphs; their witnesses certify what they claim, and the
 point-sharing components partition any family."""
 
@@ -54,6 +55,7 @@ from oracles import (
     oracle_tau,
     oracle_vc,
     set_measure,
+    set_weight,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -430,6 +432,35 @@ def test_violations_and_buckets_match_fraction_measures(space, eps, data):
     assert dec.buckets == tuple(
         tuple(i for i in range(len(fam)) if home[i] == b) for b in range(z + 1)
     )
+
+
+@PROPERTY_SETTINGS
+@given(small_spaces(), st.sampled_from([Fraction(1), Fraction(1, 2),
+                                        Fraction(3, 7), Fraction(1, 3),
+                                        Fraction(1, 8), Fraction(1, 16)]))
+def test_range_masks_and_quarter_groups_match_fraction_measures(space, eps):
+    # The bit-sliced range-index masks against one Fraction per range:
+    # the ranges at or above a measure, each bucket's mask, and each
+    # quarter group against the rule for its (range, member) pairs.
+    fam = as_sets(space)
+    measures = [set_measure(space, r) for r in fam]
+    dec = build_decomposition(space, eps)
+    for q in set(dec.levels) | {eps / 3, Fraction(1, sum(space.weights))}:
+        assert space.ranges_at_least(q) == sum(
+            1 << i for i, m in enumerate(measures) if m >= q), q
+    for b, bucket in enumerate(dec.buckets):
+        assert dec.masks[b] == mask_of(bucket)
+        if not b or not bucket:
+            continue
+        k, groups = nets._quarter_groups(space, dec, b)
+        members = packing.greedy_packing(space, dec.levels[b - 1],
+                                         list(bucket)).members
+        assert k == len(members) == len(groups)
+        for j, (rq, g) in zip(members, groups):
+            assert rq == space.ranges[j]
+            wq = set_weight(space, fam[j])
+            assert g == sum(1 << i for i in bucket
+                            if 4 * set_weight(space, fam[i] & fam[j]) >= wq)
 
 
 @PROPERTY_SETTINGS
