@@ -154,15 +154,16 @@ def cmd_oig(args) -> int:
     known = dim.lower if dim.exact else f"in [{dim.lower}, {dim.upper}]"
     below = InstanceError(f"given d={d} is below the sample's dimension {known}")
     # Both checks hold at every d >= the dimension, so a d below the walk's
-    # lower end, or in a tripped walk's bracket and failing either, is below it.
+    # lower end, or in a tripped walk's bracket and failing either, is below
+    # it, and a failure at d >= the walk's upper end is a theorem violation.
     if d < dim.lower:
         raise below
     try:
         check = density_check(graph, d=d)
         orientation = orient_bounded(graph, d)
-    except (TheoremViolationError, OrientationInfeasibleError):
+    except (TheoremViolationError, OrientationInfeasibleError) as exc:
         if d >= dim.upper:
-            raise
+            raise TheoremViolationError(str(exc)) from exc
         raise below from None
     loo = [str(loo_error(orientation, v)) for v in range(len(graph.vertices))]
     doc = {

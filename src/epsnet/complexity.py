@@ -472,17 +472,14 @@ def alexander_capacity(space: RangeSpace, eps: Fraction) -> Fraction:
     return Fraction(num, den) if num > den else _ONE
 
 
+@lru_cache(maxsize=256)
 def capacity_levels(eps: Fraction) -> tuple[int, tuple[Fraction, ...]]:
     """Dyadic scales: z = 1 + ceil(log2(1/eps)) and eps_i = min(2^i eps, 1)
     for i = 0..z."""
-    eps = _unit_eps(eps)
-    return _capacity_levels(eps)
-
-
-@lru_cache(maxsize=256)
-def _capacity_levels(eps: Fraction) -> tuple[int, tuple[Fraction, ...]]:
     # Memoised: a sweep asks for the same few scales thousands of times.
-    # The value is a tuple of immutables, so no caller can alter it.
+    # A raise is not cached, equal eps of any type share an entry, and the
+    # value is a tuple of immutables, so no caller can alter it.
+    eps = _unit_eps(eps)
     z = 1 + ceil_log2(1 / eps)
     return z, tuple(min(Fraction(2) ** i * eps, _ONE) for i in range(z + 1))
 

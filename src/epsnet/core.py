@@ -204,18 +204,16 @@ def _unit_eps(eps, name: str = "eps") -> Fraction:
 
 
 def ceil_log2(q: Fraction) -> int:
-    """Smallest integer k with 2**k >= q, computed exactly. Requires q > 0."""
+    """Smallest integer k with 2**k >= q, computed exactly. Requires q > 0.
+
+    For q > 1 that is the bit length of ceil(q) - 1 = (num - 1) // den; for
+    q <= 1 it is minus the largest j with 2**j <= den // num."""
     if q <= 0:
         raise ValueError("ceil_log2 needs a positive argument")
     num, den = q.numerator, q.denominator
-    k = num.bit_length() - den.bit_length()
-    # k is within 1 of the answer; fix up with exact comparisons.
-    while (1 << max(k, 0)) * den >= num if k >= 0 else den >= num * (1 << -k):
-        k -= 1
-    k += 1
-    while ((1 << k) * den < num if k >= 0 else den < num * (1 << -k)):
-        k += 1
-    return k
+    if num > den:
+        return ((num - 1) // den).bit_length()
+    return 1 - (den // num).bit_length()
 
 
 class cached_index:

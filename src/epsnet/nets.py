@@ -128,12 +128,6 @@ class NetReport:
         }
 
 
-def _heavy(space: RangeSpace, eps: Fraction) -> int:
-    """Bitmask over range indices of the ranges of measure >= eps, the
-    ones a net must hit."""
-    return space.ranges_at_least(eps)
-
-
 def verify_net(
     space: RangeSpace,
     candidate,
@@ -161,7 +155,7 @@ def verify_net(
     hits = 0
     for p in pts:
         hits |= cols[p]
-    missed = _heavy(space, eps) & ~hits
+    missed = space.ranges_at_least(eps) & ~hits
     violations = tuple(iter_bits(missed))
     return NetReport(
         method, eps, tuple(pts), not violations, violations, stats or {}
@@ -723,7 +717,7 @@ def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
     """Deterministic greedy hitting set over the qualifying ranges,
     scored on the space's incidence index masked by the heavy ranges."""
     eps = _unit_eps(eps)
-    heavy = _heavy(space, eps)
+    heavy = space.ranges_at_least(eps)
     cols = space.incidence
     cands = [p for p in iter_bits(space.support_mask) if cols[p] & heavy]
     pts = _greedy_pick(cols, cands, heavy)
@@ -745,15 +739,6 @@ def _min_hit_component(
     # Greedy upper bound primes the incumbent.
     best = _greedy_hit(space, masks)
 
-    def lower_bound(unc: list[int]) -> int:
-        used = 0
-        count = 0
-        for m in sorted(unc, key=lambda m: m.bit_count()):
-            if not (m & used):
-                count += 1
-                used |= m
-        return count
-
     def rec(unc: list[int], chosen: list[int]) -> None:
         nonlocal best
         budget.spend()
@@ -761,9 +746,17 @@ def _min_hit_component(
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        if len(chosen) + lower_bound(unc) >= len(best):
+        # One stable sort serves the bound and the pivot: by_size[0] is the
+        # first smallest mask.
+        by_size = sorted(unc, key=int.bit_count)
+        used = bound = 0
+        for m in by_size:
+            if not m & used:
+                bound += 1
+                used |= m
+        if len(chosen) + bound >= len(best):
             return
-        pivot = min(unc, key=lambda m: m.bit_count())
+        pivot = by_size[0]
         cands = sorted(
             iter_bits(pivot),
             key=lambda p: (-sum(1 for m in unc if m >> p & 1), p),

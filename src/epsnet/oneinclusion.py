@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import (
-    RangeSpace,
-    TheoremViolationError,
-    draw_points,
-    incidence_columns,
-    stream_rng,
-)
+from .core import RangeSpace, TheoremViolationError, incidence_columns
 from .complexity import vc_of_masks
 
 
@@ -190,57 +184,3 @@ def loo_error(orientation: Orientation, v_idx: int) -> Fraction:
         if predict(orientation, v_idx, coord) != (v >> coord & 1):
             mistakes += 1
     return Fraction(mistakes, graph.m)
-
-
-def expected_risk_report(
-    space: RangeSpace,
-    m: int,
-    d: int,
-    trials: int = 32,
-    seed: int = 0,
-    strict: bool = True,
-) -> dict:
-    """Empirical check that every trace's leave-one-out error stays at or
-    under d/m across random samples, and report the mean.
-
-    Each trial draws an i.i.d. weighted sample, orients its graph with
-    bound d, and evaluates loo_error at every vertex. Mistake counts
-    equal out-degrees, so the per-vertex bound is deterministic once an
-    orientation exists; existence for d at least the family dimension is
-    part of what this certifies.
-    """
-    if m < 1 or d < 0:
-        raise ValueError("need m >= 1 and d >= 0")
-    rng = stream_rng(seed, "oig-risk", m)
-    worst = Fraction(0)
-    total = Fraction(0)
-    count = 0
-    bound = Fraction(d, m)
-    for _ in range(trials):
-        sample = draw_points(space, m, rng)
-        graph = build_oig(space, sample)
-        orientation = orient_bounded(graph, d)
-        for v_idx in range(len(graph.vertices)):
-            err = loo_error(orientation, v_idx)
-            out_deg = orientation.out_degree(v_idx)
-            if err != Fraction(out_deg, m):
-                raise TheoremViolationError(
-                    "leave-one-out error diverged from out-degree"
-                )
-            worst = max(worst, err)
-            total += err
-            count += 1
-        if strict and worst > bound:
-            raise TheoremViolationError(
-                f"leave-one-out error {worst} exceeded {bound}"
-            )
-    return {
-        "m": m,
-        "d": d,
-        "trials": trials,
-        "vertices_checked": count,
-        "mean": total / count if count else Fraction(0),
-        "worst": worst,
-        "bound": bound,
-        "ok": worst <= bound,
-    }

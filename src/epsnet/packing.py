@@ -51,8 +51,7 @@ from .core import (
 
 DEFAULT_CLIQUE_NODES = 200_000
 
-# e > 2718281828/10^9, used for exact-rational bound certificates.
-E_LOWER = Fraction(2718281828, 10**9)
+# e < E_UPPER, used for exact-rational bound certificates.
 E_UPPER = Fraction(2718281829, 10**9)
 
 # FarGraph cuts its distance planes into spans of rows of at most this

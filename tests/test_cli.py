@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from epsnet import complexity, experiment, nets, packing
+from epsnet import cli, complexity, experiment, nets, oneinclusion, packing
 from epsnet.cli import build_parser, main
 from epsnet.core import RangeSpace, TheoremViolationError, build_range_space
 from epsnet.generators import (
@@ -311,13 +311,14 @@ def test_net_eps_outside_unit_interval_is_exit_2_before_any_work(
     # builder rejects: at eps <= 0 every range counts as heavy.
     calls = []
 
-    def spy(name):
-        real = getattr(nets, name)
+    def spy(owner, name):
+        real = getattr(owner, name)
         return lambda *a, **k: calls.append(name) or real(*a, **k)
 
-    for name in ("vc_dimension", "_heavy", "draw_points", "draw_mask",
-                 "hit_mask"):
-        monkeypatch.setattr(nets, name, spy(name))
+    for name in ("vc_dimension", "draw_points", "draw_mask", "hit_mask"):
+        monkeypatch.setattr(nets, name, spy(nets, name))
+    monkeypatch.setattr(RangeSpace, "ranges_at_least",
+                        spy(RangeSpace, "ranges_at_least"))
     assert main(["net", str(chain_file), "--method", method,
                  f"--eps={eps}"]) == 2
     captured = capsys.readouterr()
@@ -497,6 +498,28 @@ def test_oig_d_in_a_tripped_bracket_failing_orientation_is_a_usage_error(
     err = capsys.readouterr().err
     assert "below the sample's dimension in [0, 3]" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("check, error", [
+    ("density_check", TheoremViolationError),
+    ("orient_bounded", oneinclusion.OrientationInfeasibleError),
+])
+def test_oig_check_failing_at_the_dimension_is_exit_1(
+    check, error, tmp_path, capsys, monkeypatch,
+):
+    # Both checks hold at every d >= the dimension, so a failure at the
+    # walk's own d is a theorem violation, reported, not a traceback.
+    path = tmp_path / "intervals8w.json"
+    path.write_text(CORPUS["intervals8w"].dumps())
+
+    def fail(*a, **k):
+        raise error("forced failure")
+
+    monkeypatch.setattr(cli, check, fail)
+    assert main(["oig", str(path), "--sample", "0,1,2,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "check failed: forced failure" in captured.err
 
 
 @pytest.mark.parametrize("sample", [
@@ -708,6 +731,25 @@ def test_experiment_timings_fill_every_row():
     for i in range(0, len(rows), 3):
         if rows[i]["method"] in ("greedy", "exact"):
             assert len({r["wall_ms"] for r in rows[i:i + 3]}) == 1
+
+
+def test_experiment_row_with_a_bracketed_doubling_constant(monkeypatch):
+    # A one-node clique budget leaves D at 1/8 a bracket on singles8; the
+    # row prints its upper end as a float, and the doubling builders,
+    # sized by that end, still return nets.
+    monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 1)
+    config = ExperimentConfig.from_dict({
+        "instances": [{"inline": CORPUS["singles8"].to_dict()}],
+        "eps": ["1/8"],
+        "methods": ["doubling", "doubling-small"],
+        "seeds": [0],
+    })
+    rows, _ = run_experiment(config)
+    assert [r["method"] for r in rows] == ["doubling", "doubling-small"]
+    for row in rows:
+        assert row["D_mode"] == "bracket"
+        assert row["D_value"] == "8.000000"
+        assert row["is_net"] == "true"
 
 
 def test_experiment_theorem_violation_is_loud(tmp_path, monkeypatch, capsys):

@@ -215,6 +215,31 @@ def test_ceil_log2(q, k):
     assert Fraction(2) ** (k - 1) < q
 
 
+def _oracle_ceil_log2(q: Fraction) -> int:
+    """Smallest k with 2**k >= q, walked to by Fraction comparisons."""
+    k = 0
+    while Fraction(2) ** k < q:
+        k += 1
+    while Fraction(2) ** (k - 1) >= q:
+        k -= 1
+    return k
+
+
+_near_powers_of_two = st.builds(
+    lambda e, s: Fraction(2) ** e + s * Fraction(1, 10**70),
+    st.integers(-200, 200), st.sampled_from([-1, 0, 1]),
+)
+
+
+@given(st.one_of(
+    st.builds(Fraction, st.integers(1, 2**200), st.integers(1, 2**200)),
+    _near_powers_of_two,
+))
+@settings(max_examples=300, deadline=None)
+def test_ceil_log2_matches_the_comparison_oracle(q):
+    assert ceil_log2(q) == _oracle_ceil_log2(q)
+
+
 def test_draw_points_deterministic_and_support_only():
     sp = build_range_space(5, [1, 0, 2, 0, 3], [[0, 2], [4]])
     a = draw_points(sp, 50, stream_rng(11, "t"))

@@ -560,6 +560,21 @@ def test_reduction_rules_alone_solve_intervals(monkeypatch):
     assert greedy_net(sp, Fraction(1, 16)).size == 15
 
 
+def test_branch_and_bound_beats_its_greedy_prime():
+    # The reduction rules take no point here and drop one superset; the
+    # greedy incumbent over the seven ranges left has 4 points, and the
+    # branch and bound improves it to the minimum, 3.
+    ranges = [[0, 1, 2, 7], [0, 1, 3, 5], [0, 2], [0, 3, 5, 6], [1, 2, 7],
+              [1, 6], [2, 4, 6], [5, 7]]
+    sp = build_range_space(9, [1] * 9, ranges)
+    eps = Fraction(1, 9)
+    assert greedy_net(sp, eps).points == (0, 1, 2, 5)
+    rep = min_net_exact(sp, eps)
+    assert rep.stats["kept_after_pruning"] == 7
+    assert rep.is_net and rep.points == (0, 6, 7)
+    assert oracle_min_hitting(sp, eps) == 3
+
+
 def test_min_net_past_its_node_budget_reports_the_nodes_spent(monkeypatch):
     # The 5-cycle survives every reduction rule, so its minimum of 3
     # needs the branch and bound; two nodes are not enough.

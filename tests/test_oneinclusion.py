@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsnet import oneinclusion
 from epsnet.core import TheoremViolationError, build_range_space
 from epsnet.oneinclusion import (
     OrientationInfeasibleError,
     build_oig,
     density_check,
-    expected_risk_report,
     loo_error,
     orient_bounded,
     predict,
@@ -128,29 +126,6 @@ def test_orientation_deterministic():
     o1 = orient_bounded(g, 2)
     o2 = orient_bounded(g, 2)
     assert o1.tails == o2.tails
-
-
-def test_expected_risk_report_corpus():
-    for key in ("powerset3", "intervals6", "chain8"):
-        sp = CORPUS[key]
-        from epsnet.complexity import vc_dimension
-
-        d = vc_dimension(sp).value
-        out = expected_risk_report(sp, m=5, d=d, trials=12, seed=3, strict=True)
-        assert out["worst"] <= Fraction(d, 5)
-        assert out["mean"] <= out["worst"]
-
-
-def test_expected_risk_report_validates_args():
-    with pytest.raises(ValueError):
-        expected_risk_report(CORPUS["chain8"], m=0, d=1)
-
-
-def test_expected_risk_report_is_loud_when_loo_and_out_degree_diverge(monkeypatch):
-    monkeypatch.setattr(oneinclusion.Orientation, "out_degree",
-                        lambda self, v_idx: self.tails.count(v_idx) + 1)
-    with pytest.raises(TheoremViolationError, match="diverged"):
-        expected_risk_report(CORPUS["chain8"], m=5, d=1, trials=1)
 
 
 @st.composite
