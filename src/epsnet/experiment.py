@@ -5,8 +5,10 @@ Rows are computed one after another in configuration order, so output
 bytes are a pure function of the config. Wall times are opt-in because
 they would break that. What depends on (instance, eps) alone is computed
 once per cell and shared by its rows: the dyadic decomposition with the
-parts the builders derive from it, and the outcome of each seed-free
-method.
+parts the builders derive from it, the outcome of each seed-free method
+and the formatted profile columns. The packing-guided report is kept
+per (cell, seed) on the decomposition, so a doubling-small row outside
+the small-D regime reuses the doubling row's draws.
 """
 
 from __future__ import annotations
@@ -231,8 +233,8 @@ def _outcome(build) -> tuple:
 def instance_profile(space: RangeSpace, eps: Fraction, d_res) -> dict:
     """Shared per-(instance, eps) facts for every row of the sweep: d, D
     and the dyadic decomposition for the builders, the exact method's
-    outcome, and the formatted CSV columns. d_res is the instance's VC
-    Bound, computed once per instance; d is its lower end."""
+    outcome, and the formatted CSV columns, eps among them. d_res is the
+    instance's VC Bound, computed once per instance; d is its lower end."""
     dec = build_decomposition(space, eps)
     taus, tau = dec.taus, dec.taus[0]
     doubling = doubling_constant(space, eps)
@@ -244,6 +246,7 @@ def instance_profile(space: RangeSpace, eps: Fraction, d_res) -> dict:
         "dec": dec,
         "outcomes": {"exact": exact},
         "columns": {
+            "eps": format_rational(eps),
             "d": str(d),
             "d_exact": "true" if d_res.exact else "false",
             "tau": format_rational(tau),
@@ -278,11 +281,10 @@ def run_method(
     return METHODS[method].build(space, eps, seed, config, d, D, dec)
 
 
-def _row(space, eps, method, seed, profile, outcome, timings) -> dict:
+def _row(space, method, seed, profile, outcome, timings) -> dict:
     result, ms = outcome
     row = {
         "instance": space.name,
-        "eps": format_rational(eps),
         "method": method,
         "seed": str(seed),
         **profile["columns"],
@@ -316,7 +318,7 @@ def run_experiment(config: ExperimentConfig, timings: bool = False) -> tuple[lis
                             space, eps, method, seed, config,
                             profile["d"], profile["D"], profile["dec"]))
                     rows.append(
-                        _row(space, eps, method, seed, profile, outcome, timings)
+                        _row(space, method, seed, profile, outcome, timings)
                     )
 
     summary: dict = {
@@ -359,14 +361,25 @@ def run_experiment(config: ExperimentConfig, timings: bool = False) -> tuple[lis
 
 
 def write_csv(rows: list[dict], path) -> None:
+    """The header and one line per row, in CSV_COLUMNS order. A row whose
+    keys are not exactly CSV_COLUMNS is a ValueError naming a key it
+    lacks or one it has beyond them."""
     # Imported here, not at module level: only the sweep writes CSV.
     import csv
 
+    width = len(CSV_COLUMNS)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(row)
+            try:
+                line = [row[k] for k in CSV_COLUMNS]
+            except KeyError as exc:
+                raise ValueError(f"row lacks CSV column {exc.args[0]!r}") from None
+            if len(row) != width:
+                extra = sorted(set(row) - set(CSV_COLUMNS))
+                raise ValueError(f"row has keys beyond the CSV columns: {extra}")
+            writer.writerow(line)
 
 
 def write_summary(summary: dict, path) -> None:

@@ -34,9 +34,12 @@ misses.
 Only the samples are random. The dyadic builders take the space's
 decomposition at eps as an optional dec=; one shared between calls keeps
 the seed-free parts they derive from it (each scale's quarter groups,
-the small-D head and tail) in its memo, so a sweep computes them once per
-(instance, eps). A builder called without dec= builds its own and keeps
-nothing past the call.
+the small-D head and tail, and each scale's draw size per C, d and D) in
+its memo, so a sweep computes them once per (instance, eps). It keeps
+doubling_net's report per (C, seed, D, d) too, so the fallback of
+doubling_net_small_d, which makes the same call, reads the doubling
+row's report rather than drawing again. A builder called without dec=
+builds its own and keeps nothing past the call.
 
 One greedy scoring loop, _greedy_pick, serves every hitting set:
 greedy_net runs it on the space's cached incidence columns with the
@@ -288,12 +291,14 @@ def _quarter_groups(
 @dataclass(frozen=True)
 class DyadicDecomposition:
     """The dyadic buckets of one space at one eps, each as its ascending
-    range indices and as their bitmask. The derived parts that
-    depend on (space, eps) alone, each scale's quarter groups and the
-    small-D builder's head and tail per cut, are kept in memo the first
-    time a builder asks for them, so builders handed one shared
-    decomposition (the dec= argument) compute them once. It records the
-    space it was built for, and keeps nothing on it."""
+    range indices and as their bitmask. The builders handed one shared
+    decomposition (the dec= argument) keep in memo, the first time one
+    asks, what depends on (space, eps) and their own inputs alone, so
+    they compute it once: each scale's quarter groups, the small-D
+    builder's head and tail per cut, each scale's draw size per builder
+    and (C, d, D) it reads, and doubling_net's report per (C, seed, D,
+    d), which the small-D fallback reuses. It records the space it was
+    built for, and keeps nothing on it."""
 
     space: RangeSpace = field(compare=False, repr=False)
     eps: Fraction
@@ -439,6 +444,22 @@ def _draw_count(x: float) -> int:
     return math.ceil(x)
 
 
+def _scale_sizes(dec: DyadicDecomposition, key: tuple, count):
+    """size(b) = count(b), kept in dec.memo under key per scale the first
+    time scale b asks, so builders on one shared dec size each scale once
+    and a skipped scale is never sized. key holds every input count reads
+    besides dec."""
+    sizes = dec.memo.setdefault(key, {})
+
+    def size(b):
+        m = sizes.get(b)
+        if m is None:
+            m = sizes[b] = count(b)
+        return m
+
+    return size
+
+
 # -- i.i.d. construction ------------------------------------------------------
 
 
@@ -521,13 +542,14 @@ def stratified_net(
     sampled for size-accounting parity but needs no hits.
 
     dec is build_decomposition(space, eps), built here when None; a
-    caller running several seeds or builders at one eps can pass one.
+    caller running several seeds or builders at one eps can pass one,
+    which keeps each scale's draw size per (C, d).
     """
     eps, d = _inputs(space, eps, C, d)
     d_eff = max(d, 1)
     dec = _decomposition(space, eps, dec)
 
-    def size(b):
+    def count(b):
         level_eps = Fraction(1, 2) / dec.taus[b]  # conditional scale 1/(2 tau)
         return _draw_count(
             C * (d_eff * math.log(1 / float(level_eps)) + LN2) / float(level_eps)
@@ -537,7 +559,8 @@ def stratified_net(
     return _dyadic_report(
         space, dec, "stratified", range(dec.z + 1),
         lambda b: [(-1, dec.masks[b])] if b else [],
-        size, {"seed": seed, "C": C, "d": d},
+        _scale_sizes(dec, ("stratified-sizes", C, d_eff), count),
+        {"seed": seed, "C": C, "d": d},
     )
 
 
@@ -564,14 +587,20 @@ def doubling_net(
     hitting sets, so the result always verifies. There are no redraws.
 
     dec is build_decomposition(space, eps), built here when None; a
-    shared one keeps the packings and quarter groups of each scale.
+    shared one keeps the packings, quarter groups and draw sizes of each
+    scale, and the report per (C, seed, D, d), which a second call with
+    the same inputs returns.
     """
     eps, d = _inputs(space, eps, C, d, D)
     d_eff = max(d, 1)
     D = _sizing_D(space, eps, D)
     dec = _decomposition(space, eps, dec)
+    # The stats echo C, seed, D and d as given, so the key tells 8 from 8.0.
+    key = ("doubling",) + tuple((type(v), v) for v in (C, seed, D, d))
+    if key in dec.memo:
+        return dec.memo[key]
 
-    def size(b):
+    def count(b):
         t_i = max(math.log(D / float(dec.taus[b])), LN2)
         return _draw_count(C * (t_i + d_eff) * float(dec.taus[b - 1]))
 
@@ -583,11 +612,14 @@ def doubling_net(
     ]
     # Per packing member, greedily finish the quarter-scale net of its
     # group inside the member.
-    return _dyadic_report(
+    rep = _dyadic_report(
         space, dec, "doubling", scales,
-        lambda b: _quarter_groups(space, dec, b)[1], size,
+        lambda b: _quarter_groups(space, dec, b)[1],
+        _scale_sizes(dec, ("doubling-sizes", C, d_eff, D), count),
         {"seed": seed, "C": C, "d": d, "D": D, "packing_sizes": packing_sizes},
     )
+    dec.memo[key] = rep
+    return rep
 
 
 def _small_d_parts(space: RangeSpace, dec: DyadicDecomposition, i0: int):
@@ -632,7 +664,9 @@ def doubling_net_small_d(
 
     dec is build_decomposition(space, eps), built here when None; a
     shared one keeps the head and the tail's subfamily, decomposition
-    and doubling value per cut, so only the tail's draw is per seed.
+    and doubling value per cut, so only the tail's draw is per seed. The
+    fallback hands it to doubling_net, so it reuses the report that a
+    doubling call with the same seed, C, D and d kept there.
     """
     eps, d = _inputs(space, eps, C, d, D)
     D = _sizing_D(space, eps, D)

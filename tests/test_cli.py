@@ -716,6 +716,45 @@ def test_experiment_computes_seed_free_work_once_per_cell(monkeypatch):
     assert len(greedy) == len(exact) == cells
 
 
+def test_experiment_fallback_rows_reuse_the_doubling_draws(monkeypatch):
+    # Outside the small-D regime doubling-small falls back to doubling_net
+    # on the same stream, seed, C, D and d, so on the cell's shared
+    # decomposition it reads the doubling row's report: no draw again.
+    config = ExperimentConfig.from_dict({
+        "instances": [{"inline": sp.to_dict()} for sp in CORPUS.values()],
+        "eps": ["1/4", "1/8", "1/16"],
+        "methods": ["doubling", "doubling-small"],
+        "seeds": [0, 1, 2],
+    })
+    scale_nets = nets._scale_nets
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return scale_nets(*args, **kwargs)
+
+    small_d = experiment.doubling_net_small_d
+    fallbacks = []
+
+    def watched(space, eps, C, seed, **kwargs):
+        before = len(calls)
+        rep = small_d(space, eps, C, seed, **kwargs)
+        if rep.stats.get("fallback"):
+            fallbacks.append(((space.name, str(eps), str(seed)), len(calls) - before))
+        return rep
+
+    monkeypatch.setattr(nets, "_scale_nets", counted)
+    monkeypatch.setattr(experiment, "doubling_net_small_d", watched)
+    rows, _ = run_experiment(config)
+    assert fallbacks
+    assert [n for _, n in fallbacks] == [0] * len(fallbacks)
+    by_cell = {(r["instance"], r["eps"], r["seed"], r["method"]): r for r in rows}
+    for cell, _ in fallbacks:
+        small, plain = by_cell[(*cell, "doubling-small")], by_cell[(*cell, "doubling")]
+        for column in ("size", "is_net", "draws"):
+            assert small[column] == plain[column], (cell, column)
+
+
 def test_experiment_timings_fill_every_row():
     config = ExperimentConfig.from_dict({
         "instances": [{"inline": CORPUS["intervals8w"].to_dict()}],
@@ -799,3 +838,21 @@ def test_write_csv_and_summary_trailing_format(tmp_path):
     sm_path = tmp_path / "summary.json"
     write_summary(summary, sm_path)
     assert sm_path.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("change, key", [
+    (lambda row: row.pop("tau"), "'tau'"),
+    (lambda row: row.update(note="x"), "'note'"),
+    (lambda row: (row.pop("tau"), row.update(note="x")), "'tau'"),
+], ids=["missing", "extra", "missing-and-extra"])
+def test_write_csv_names_a_key_off_the_columns(tmp_path, change, key):
+    config = ExperimentConfig.from_dict({
+        "instances": [{"inline": CORPUS["chain8"].to_dict()}],
+        "eps": ["1/4"],
+        "methods": ["greedy"],
+        "seeds": [0],
+    })
+    rows, _ = run_experiment(config)
+    change(rows[0])
+    with pytest.raises(ValueError, match=key):
+        write_csv(rows, tmp_path / "rows.csv")

@@ -396,6 +396,29 @@ def test_shared_decomposition_gives_the_same_reports():
                     assert shared.to_dict() == own.to_dict(), (key, eps, build)
 
 
+def test_shared_decomposition_keys_cover_c_d_and_big_d():
+    # Reports and draw sizes kept on a shared decomposition are read back
+    # only for the same C, D and d: seeds 0, 1, 0 revisit every key. The
+    # stats echo C as given, so 8 and 8.0 are told apart too.
+    settings = [
+        (C, D, d) for C in (8.0, 2.0, 8) for D in (None, 3.0) for d in (None, 1)
+    ]
+    for key, sp in CORPUS.items():
+        for eps in EPS_GRID:
+            dec = build_decomposition(sp, eps)
+            for seed in (0, 1, 0):
+                for C, D, d in settings:
+                    kwargs = {"C": C, "seed": seed, "d": d}
+                    for build, extra in ((stratified_net, {}),
+                                         (doubling_net, {"D": D}),
+                                         (doubling_net_small_d, {"D": D})):
+                        shared = build(sp, eps, dec=dec, **kwargs, **extra)
+                        own = build(sp, eps, **kwargs, **extra)
+                        assert (json.dumps(shared.to_dict(), sort_keys=True)
+                                == json.dumps(own.to_dict(), sort_keys=True)), (
+                            key, eps, build.__name__, seed, C, D, d)
+
+
 def test_decomposition_at_another_eps_is_rejected():
     chain = CORPUS["chain8"]
     # Taken unchecked, a decomposition of another space on as many points
