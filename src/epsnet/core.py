@@ -161,6 +161,13 @@ def _at_least(planes: Sequence[int], threshold: int) -> int:
     return above | equal
 
 
+def _weigher(space: RangeSpace):
+    """space.mask_weight, or int.bit_count on a uniform space, where the
+    two agree: a loop that weighs a mask per pair calls it without a
+    method frame per call."""
+    return space.mask_weight if space._byte_weights else int.bit_count
+
+
 def components(masks: Iterable[int]) -> list[int]:
     """Point masks of the point-sharing components of masks, by lowest
     point: masks joined by a chain of pairwise-meeting masks share one

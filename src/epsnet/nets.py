@@ -28,18 +28,23 @@ space's bit-sliced range weights (RangeSpace.ranges_at_least), so a
 net's violations are heavy & ~hits. A dyadic bucket is the difference of
 two such comparisons, and a quarter group the comparison of bit-sliced
 counters over the bucket's ranges with a quarter of a packing member's
-weight; the repair builds traces only for the group's ranges the net
-misses.
+weight. A group is built on demand, only when the member holds a support
+point the net lacks, since the net meets every range of the group
+otherwise; the repair builds traces only for the group's ranges the net
+misses. That every bucket range shares a quarter of some member's weight
+is checked apart from the groups, by a first fit over the members per
+range.
 
 Only the samples are random. The dyadic builders take the space's
 decomposition at eps as an optional dec=; one shared between calls keeps
-the seed-free parts they derive from it (each scale's quarter groups,
-the small-D head and tail, and each scale's draw size per C, d and D) in
-its memo, so a sweep computes them once per (instance, eps). It keeps
-doubling_net's report per (C, seed, D, d) too, so the fallback of
-doubling_net_small_d, which makes the same call, reads the doubling
-row's report rather than drawing again. A builder called without dec=
-builds its own and keeps nothing past the call.
+the seed-free parts they derive from it (each scale's packing and the
+quarter groups built so far, the small-D head and tail, and each scale's
+draw size per C, d and D) in its memo, so a sweep computes them at most
+once per (instance, eps). It keeps doubling_net's report per (C, seed,
+D, d) too, so the fallback of doubling_net_small_d, which makes the same
+call, reads the doubling row's report rather than drawing again. A
+builder called without dec= builds its own and keeps nothing past the
+call.
 
 One greedy scoring loop, _greedy_pick, serves every hitting set:
 greedy_net runs it on the space's cached incidence columns with the
@@ -58,6 +63,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable
 
 from .core import (
     DRAW_BLOCK,
@@ -68,6 +74,7 @@ from .core import (
     _add,
     _at_least,
     _unit_eps,
+    _weigher,
     ceil_log2,
     components,
     draw_mask,
@@ -200,24 +207,31 @@ def _scale_nets(
 ) -> tuple[int, list[int], list[int]]:
     """Per scale b in scales: draw size(b) points with rng into the bucket
     union (no draw when size is None), then greedily finish each group
-    (Q, g) of groups(b) in turn on top, Q a point mask (-1 for all points)
-    and g a bitmask over range indices. The columns of the net's points
-    in Q are cleared from g, and the traces R & Q of the ranges left, in
-    index order, are _greedy_hit's targets: the ranges of g whose trace
-    the net misses. A scale whose bucket is empty or whose union holds no
-    support point is skipped. Returns the net mask and, per scale, the
-    draws made and the points the repair added."""
-    ranges, cols = space.ranges, space.incidence
+    in turn on top. groups(b) is (qs, group): group j has the point mask
+    qs[j] = Q (-1 for all points) and group(j) = g, a bitmask over range
+    indices of ranges R that each have a support point in Q. g is read
+    only while Q holds a support point the net lacks: otherwise the net
+    meets every R of g in Q already. The columns of the net's points in Q
+    are cleared from g, and the traces R & Q of the ranges left, in index
+    order, are _greedy_hit's targets: the ranges of g whose trace the net
+    misses. A scale whose bucket is empty or whose union holds no support
+    point is skipped. Returns the net mask and, per scale, the draws made
+    and the points the repair added."""
+    ranges, cols, support = space.ranges, space.incidence, space.support_mask
     net_mask = 0
     draws, added = [], []
     for b in scales:
         union = dec.unions[b]
         m = k = 0
-        if dec.buckets[b] and space.support_mask & union:
+        if dec.buckets[b] and support & union:
             if size is not None:
                 m = size(b)
                 net_mask |= draw_mask(space, m, rng, within_mask=union)
-            for q, g in groups(b):
+            qs, group = groups(b)
+            for j, q in enumerate(qs):
+                if not q & support & ~net_mask:
+                    continue
+                g = group(j)
                 for x in iter_bits(q & net_mask):
                     g &= ~cols[x]
                 if g:
@@ -244,44 +258,61 @@ def _dyadic_report(
     return verify_net(space, iter_bits(net_mask), dec.eps, method, stats)
 
 
+def _quarter_group(space: RangeSpace, bucket: int, rq: int, wq: int) -> int:
+    """The bitmask over range indices of the ranges R of bucket with
+    4 w(R & Q) >= w(Q), Q = rq of weight wq > 0, read from bit-sliced
+    counters over range indices: each point x of Q adds its weight at the
+    bucket ranges holding x (core._add), and the group holds the counters
+    at least ceil(wq/4) >= 1 (core._at_least)."""
+    cols, weights = space.incidence, space.weights
+    planes = [0] * wq.bit_length()  # every count is at most wq
+    for x in iter_bits(rq):
+        _add(planes, cols[x] & bucket, weights[x])
+    return _at_least(planes, -(-wq // 4))
+
+
 def _quarter_groups(
     space: RangeSpace, dec: DyadicDecomposition, b: int
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Size of a greedy maximal sep-packing of bucket b >= 1 of dec, sep =
-    levels[b - 1], and per member its quarter group (Q, g): Q the member's
-    point mask and g the bitmask over range indices of the bucket ranges
-    R with 4 w(R & Q) >= w(Q). Kept in dec.memo.
+) -> tuple[tuple[int, ...], Callable[[int], int]]:
+    """The point masks Q of the members of a greedy maximal sep-packing
+    of bucket b >= 1 of dec, sep = levels[b - 1], and group, where
+    group(j) is member j's quarter group: the bitmask over range indices
+    of the bucket ranges R with 4 w(R & Q) >= w(Q) (_quarter_group),
+    built on the first call for j and kept. Kept in dec.memo, so a group
+    is built at most once per decomposition, and only if the repair
+    reads it.
 
-    g is read from bit-sliced counters over range indices: each point x
-    of Q adds its weight at the bucket ranges holding x (core._add), and
-    g holds the counters at least ceil(w(Q)/4) >= 1 (core._at_least),
-    since a member of bucket b >= 1 has positive weight.
-
-    Maximality forces every bucket range into some member's group; a
-    range without one, the lowest such index, is a TheoremViolationError.
+    Maximality forces every bucket range to share a quarter of some
+    member's weight. That is checked here, apart from the groups, by a
+    first fit per bucket range in index order over the members; a range
+    with no such member, the lowest such index, is a
+    TheoremViolationError.
     """
     key = ("quarter", b)
     if key in dec.memo:
         return dec.memo[key]
     bucket, sep = dec.masks[b], dec.levels[b - 1]
     members = greedy_packing(space, sep, list(dec.buckets[b])).members
-    cols, weights = space.incidence, space.weights
-    groups, homed = [], 0
-    for q in members:
-        rq, wq = space.ranges[q], space.range_weights[q]
-        planes = [0] * wq.bit_length()  # every count is at most wq
-        for x in iter_bits(rq):
-            _add(planes, cols[x] & bucket, weights[x])
-        g = _at_least(planes, -(-wq // 4))
-        groups.append((rq, g))
-        homed |= g
-    if homed != bucket:
-        lost = bucket & ~homed
-        raise TheoremViolationError(
-            f"range {(lost & -lost).bit_length() - 1} shares no quarter-mass "
-            f"packing member at scale {sep}"
-        )
-    dec.memo[key] = len(members), tuple(groups)
+    ranges, weigh = space.ranges, _weigher(space)
+    quarters = [(ranges[q], space.range_weights[q]) for q in members]
+    for i in dec.buckets[b]:
+        ri = ranges[i]
+        for rq, wq in quarters:
+            if 4 * weigh(ri & rq) >= wq:
+                break
+        else:
+            raise TheoremViolationError(
+                f"range {i} shares no quarter-mass packing member at scale {sep}"
+            )
+    built: list[int | None] = [None] * len(members)
+
+    def group(j):
+        g = built[j]
+        if g is None:
+            g = built[j] = _quarter_group(space, bucket, *quarters[j])
+        return g
+
+    dec.memo[key] = tuple(rq for rq, _ in quarters), group
     return dec.memo[key]
 
 
@@ -294,7 +325,8 @@ class DyadicDecomposition:
     range indices and as their bitmask. The builders handed one shared
     decomposition (the dec= argument) keep in memo, the first time one
     asks, what depends on (space, eps) and their own inputs alone, so
-    they compute it once: each scale's quarter groups, the small-D
+    they compute it once: each scale's packing and its members' quarter
+    groups, each built when a repair first reads it, the small-D
     builder's head and tail per cut, each scale's draw size per builder
     and (C, d, D) it reads, and doubling_net's report per (C, seed, D,
     d), which the small-D fallback reuses. It records the space it was
@@ -558,7 +590,7 @@ def stratified_net(
     # Bucket 0 has no hitting requirement below the base scale.
     return _dyadic_report(
         space, dec, "stratified", range(dec.z + 1),
-        lambda b: [(-1, dec.masks[b])] if b else [],
+        lambda b: ((-1,), lambda j: dec.masks[b]) if b else ((), None),
         _scale_sizes(dec, ("stratified-sizes", C, d_eff), count),
         {"seed": seed, "C": C, "d": d},
     )
@@ -607,14 +639,14 @@ def doubling_net(
     scales = range(1, dec.z + 1)
     # Above scale 0 only an empty bucket is skipped.
     packing_sizes = [
-        _quarter_groups(space, dec, b)[0] if dec.buckets[b] else 0
+        len(_quarter_groups(space, dec, b)[0]) if dec.buckets[b] else 0
         for b in scales
     ]
     # Per packing member, greedily finish the quarter-scale net of its
     # group inside the member.
     rep = _dyadic_report(
         space, dec, "doubling", scales,
-        lambda b: _quarter_groups(space, dec, b)[1],
+        lambda b: _quarter_groups(space, dec, b),
         _scale_sizes(dec, ("doubling-sizes", C, d_eff, D), count),
         {"seed": seed, "C": C, "d": d, "D": D, "packing_sizes": packing_sizes},
     )
@@ -632,7 +664,7 @@ def _small_d_parts(space: RangeSpace, dec: DyadicDecomposition, i0: int):
     if key in dec.memo:
         return dec.memo[key]
     net_mask, _, member_net_sizes = _scale_nets(
-        space, dec, range(1, i0 + 1), lambda b: _quarter_groups(space, dec, b)[1]
+        space, dec, range(1, i0 + 1), lambda b: _quarter_groups(space, dec, b)
     )
     tail = [i for b in range(i0 + 1, dec.z + 1) for i in dec.buckets[b]]
     tail_parts = None

@@ -43,6 +43,7 @@ from .core import (
     _add,
     _at_least,
     _unit_eps,
+    _weigher,
     draw_mask,
     incidence_columns,
     point_lanes,
@@ -339,7 +340,7 @@ def greedy_packing(
     if indices is None:
         indices = list(range(len(space.ranges)))
     far = space.ceil_weight(delta)
-    ranges, weigh = space.ranges, space.mask_weight
+    ranges, weigh = space.ranges, _weigher(space)
     chosen: list[int] = []
     chosen_masks: list[int] = []
     for i in indices:

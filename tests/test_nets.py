@@ -171,6 +171,32 @@ def test_capacity_and_decomposition_mask_weight_counts_repeat(monkeypatch):
             assert p1 > 0, build
 
 
+def test_quarter_groups_are_built_only_for_the_repair(monkeypatch):
+    # Each point of a member adds once to its group's counters. At C = 8
+    # the draws on intervals40 at 1/8 hold the whole support, so the
+    # repair reads no group; the small-D head repairs from an empty net,
+    # so it reads every member's group.
+    sp = gen_geometric("intervals", random_points(40, 1, seed=7),
+                       name="intervals40")
+    eps = Fraction(1, 8)
+    adds = []
+    add = nets._add
+    monkeypatch.setattr(nets, "_add", lambda *args: adds.append(1) or add(*args))
+    rep = doubling_net(sp, eps, C=8, d=2, D=741.0)
+    assert rep.is_net and rep.stats["repair_points"] == 0
+    assert adds == []
+    rep = doubling_net_small_d(sp, eps, C=8, d=2, D=2.0)
+    assert rep.is_net and "fallback" not in rep.stats
+    dec = build_decomposition(sp, eps)
+    want = 0
+    for b in range(1, rep.stats["i0"] + 1):
+        if dec.buckets[b]:
+            members = nets.greedy_packing(sp, dec.levels[b - 1],
+                                          list(dec.buckets[b])).members
+            want += sum(sp.ranges[q].bit_count() for q in members)
+    assert want > 0 and len(adds) == want
+
+
 def test_a_non_maximal_packing_leaves_the_lowest_unhomed_range_named(monkeypatch):
     # Bucket 1 of sparse-singles8 at 1/8 holds its four disjoint
     # singletons, each its own packing member. Without members 1 and 2
@@ -380,6 +406,36 @@ def test_builders_are_frozen():
                     rep = run_method(sp, eps, method, seed, config)
                     h.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
         assert h.hexdigest() == sha, method
+
+
+# The same hash for the dyadic builders at small C, where the draws miss
+# often and most calls add repair points: corpus x EPS_GRID x C x seeds.
+REPAIR_SHA = {
+    "stratified":
+        "af487ec40c53d933df48737bb6416f1cc0becf8d499a4f0bc5d5ec0c4ed012f9",
+    "doubling":
+        "82a52d01eda7e9a05b54ddafc568104fa8c79ed3b3beb088ed36566f4d4be73e",
+    "doubling-small":
+        "f87b4b4a5a3f90e4435cc77b8fec0d877ca297b36b32ffe83930606b704fe520",
+}
+
+
+def test_repairing_builders_are_frozen():
+    repaired = 0
+    for method, sha in REPAIR_SHA.items():
+        h = hashlib.sha256()
+        for C in (0.05, 0.5):
+            config = ExperimentConfig(C=C)
+            for sp in CORPUS.values():
+                for eps in EPS_GRID:
+                    for seed in (0, 1):
+                        rep = run_method(sp, eps, method, seed, config)
+                        stats = rep.stats
+                        repaired += bool(stats.get("repair_points")
+                                         or any(stats.get("member_net_sizes", ())))
+                        h.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
+        assert h.hexdigest() == sha, method
+    assert repaired > 250  # the repair runs on most of these calls
 
 
 def test_shared_decomposition_gives_the_same_reports():

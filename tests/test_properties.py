@@ -452,15 +452,15 @@ def test_range_masks_and_quarter_groups_match_fraction_measures(space, eps):
         assert dec.masks[b] == mask_of(bucket)
         if not b or not bucket:
             continue
-        k, groups = nets._quarter_groups(space, dec, b)
+        points, group = nets._quarter_groups(space, dec, b)
         members = packing.greedy_packing(space, dec.levels[b - 1],
                                          list(bucket)).members
-        assert k == len(members) == len(groups)
-        for j, (rq, g) in zip(members, groups):
+        assert len(members) == len(points)
+        for pos, (j, rq) in enumerate(zip(members, points)):
             assert rq == space.ranges[j]
             wq = set_weight(space, fam[j])
-            assert g == sum(1 << i for i in bucket
-                            if 4 * set_weight(space, fam[i] & fam[j]) >= wq)
+            assert group(pos) == sum(1 << i for i in bucket
+                                     if 4 * set_weight(space, fam[i] & fam[j]) >= wq)
 
 
 @PROPERTY_SETTINGS
