@@ -164,7 +164,8 @@ def _at_least(planes: Sequence[int], threshold: int) -> int:
 def _weigher(space: RangeSpace):
     """space.mask_weight, or int.bit_count on a uniform space, where the
     two agree: a loop that weighs a mask per pair calls it without a
-    method frame per call."""
+    method frame per call. A wrapper rebound on RangeSpace.mask_weight
+    does not see the int.bit_count calls."""
     return space.mask_weight if space._byte_weights else int.bit_count
 
 

@@ -174,8 +174,10 @@ def test_capacity_and_decomposition_mask_weight_counts_repeat(monkeypatch):
 def test_quarter_groups_are_built_only_for_the_repair(monkeypatch):
     # Each point of a member adds once to its group's counters. At C = 8
     # the draws on intervals40 at 1/8 hold the whole support, so the
-    # repair reads no group; the small-D head repairs from an empty net,
-    # so it reads every member's group.
+    # repair reads no group. The small-D head repairs from an empty net;
+    # a member whose support points earlier repairs have all covered would
+    # be skipped, but on this instance no head member is covered before
+    # its turn, so every member's group is built.
     sp = gen_geometric("intervals", random_points(40, 1, seed=7),
                        name="intervals40")
     eps = Fraction(1, 8)
