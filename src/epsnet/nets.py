@@ -11,7 +11,9 @@ The four sampling builders share one input step, _inputs (eps, C and a
 given D checked before any work, d from the VC walk when None), and
 stratified_net and doubling_net one report step, _dyadic_report (the
 loop on the stream named after the method, its per-scale stats, then
-verify_net).
+_report). Every builder reports through _report, verify_net's step
+after its input checks, on its own net mask: the mask holds support
+points by construction, so only a caller's candidate is checked.
 
 The sampling builders take their draws as one mask (core.hit_mask): a
 sample of m points is the set of distinct points it hits, and the draws
@@ -53,8 +55,13 @@ search's incumbent (_greedy_hit) on columns built for their own target
 lists.
 
 The minimum net is a minimum hitting set of the heavy ranges: reduction
-rules, then a branch and bound limited only by EXACT_NET_NODES. Every
-builder and the verifier reject an eps outside (0, 1] before any work.
+rules, then a branch and bound limited only by EXACT_NET_NODES. One
+superset filter, _minimal_masks, keeps the inclusion-minimal masks of a
+family by ANDing incidence columns: min_net_exact runs it over the
+heavy ranges in measure order on the space's own columns, so only the
+minimal ones reach the rules, and _reduce runs it on columns of the
+masks it has left. Every builder and the verifier reject an eps
+outside (0, 1] before any work.
 """
 
 from __future__ import annotations
@@ -155,21 +162,28 @@ def verify_net(
     for p in pts:
         if type(p) is not int:
             raise InstanceError(f"candidate point {p!r} is not an integer")
-    pts = sorted(pts)
-    for p in pts:
+    for p in sorted(pts):
         if not 0 <= p < space.n:
             raise InstanceError(f"candidate point {p} outside 0..{space.n - 1}")
         if space.weights[p] == 0:
             raise InstanceError(f"candidate point {p} has zero weight")
+    return _report(space, mask_of(pts), eps, method, stats or {})
+
+
+def _report(
+    space: RangeSpace, mask: int, eps: Fraction, method: str, stats: dict
+) -> NetReport:
+    """verify_net's report step, which the builders call on their own net
+    mask: its points are support points by construction and eps is in
+    (0, 1]. The ranges the net meets are the OR of its points' incidence
+    columns, and the heavy ranges it misses are its violations."""
+    pts = tuple(iter_bits(mask))
     cols = space.incidence
     hits = 0
     for p in pts:
         hits |= cols[p]
-    missed = space.ranges_at_least(eps) & ~hits
-    violations = tuple(iter_bits(missed))
-    return NetReport(
-        method, eps, tuple(pts), not violations, violations, stats or {}
-    )
+    violations = tuple(iter_bits(space.ranges_at_least(eps) & ~hits))
+    return NetReport(method, eps, pts, not violations, violations, stats)
 
 
 def _greedy_pick(cols, cands: list[int], todo: int) -> list[int]:
@@ -249,13 +263,13 @@ def _dyadic_report(
 ) -> NetReport:
     """The dyadic builders' report step: _scale_nets over scales on the
     stream stream_rng(stats["seed"], method), its per-scale draws and
-    repair points and dec's taus and z added to stats, then verify_net."""
+    repair points and dec's taus and z added to stats, then _report."""
     net_mask, level_draws, added = _scale_nets(
         space, dec, scales, groups, stream_rng(stats["seed"], method), size
     )
     stats.update(draws=sum(level_draws), level_draws=level_draws,
                  repair_points=sum(added), taus=list(dec.taus), z=dec.z)
-    return verify_net(space, iter_bits(net_mask), dec.eps, method, stats)
+    return _report(space, net_mask, dec.eps, method, stats)
 
 
 def _quarter_group(space: RangeSpace, bucket: int, rq: int, wq: int) -> int:
@@ -549,9 +563,7 @@ def iid_net(
     stats = {"seed": seed, "draws": m, "sizing": sizing, "C": C, "d": d}
     if tau is not None:
         stats["tau"] = tau
-    return verify_net(
-        space, iter_bits(net_mask), eps, method="iid", stats=stats
-    )
+    return _report(space, net_mask, eps, "iid", stats)
 
 
 # -- stratified construction --------------------------------------------------
@@ -722,7 +734,7 @@ def doubling_net_small_d(
     stats = {"seed": seed, "C": C, "d": d, "D": D, "i0": i0, "z": dec.z,
              "member_net_sizes": list(member_net_sizes), "tail": tail_stats,
              "draws": tail_stats.get("draws", 0)}
-    return verify_net(space, iter_bits(net_mask), eps, "doubling-small", stats)
+    return _report(space, net_mask, eps, "doubling-small", stats)
 
 
 # -- sequential disagreement sampling -----------------------------------------
@@ -773,7 +785,7 @@ def cal_net(
         "budget_n": budget_n,
         "guard": guard,
     }
-    return verify_net(space, set(kept), eps, method="cal", stats=stats)
+    return _report(space, mask_of(kept), eps, "cal", stats)
 
 
 # -- oracles -------------------------------------------------------------------
@@ -787,10 +799,8 @@ def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
     cols = space.incidence
     cands = [p for p in iter_bits(space.support_mask) if cols[p] & heavy]
     pts = _greedy_pick(cols, cands, heavy)
-    return verify_net(
-        space, pts, eps, method="greedy",
-        stats={"draws": 0, "targets": heavy.bit_count()},
-    )
+    return _report(space, mask_of(pts), eps, "greedy",
+                   {"draws": 0, "targets": heavy.bit_count()})
 
 
 def _min_hit_component(
@@ -837,16 +847,42 @@ def _min_hit_component(
     return best
 
 
+def _minimal_masks(
+    masks, order, cols, alive: int, within: int = -1
+) -> list[int]:
+    """The inclusion-minimal distinct masks among masks[i] & within for the
+    indices i set in alive: walk order and keep each masks[i] & within
+    still alive when reached, dropping from alive at once every index
+    whose mask holds all of its points, the AND of cols[p] (the bitmask
+    over indices of the masks holding p) over them. order must put each
+    proper subset before its supersets, as ascending size or, with every
+    point of within weighted > 0, ascending weight does; then a superset
+    dies before its turn, and of equal masks the first is kept."""
+    kept: list[int] = []
+    for i in order:
+        if not alive:
+            break
+        if alive >> i & 1:
+            m = masks[i] & within
+            sup = alive
+            for p in iter_bits(m):
+                sup &= cols[p]
+            alive ^= sup
+            kept.append(m)
+    return kept
+
+
 def _reduce(masks: list[int], n: int) -> tuple[int, list[int]]:
     """Weihe's hitting-set reduction rules ("Covering trains by
     stations", ALENEX 1998) on nonempty point masks, to a fixpoint: take
     the point of a one-point mask and drop the masks it hits; drop a mask
-    that contains another; drop a point from every mask when another
+    that contains another (_minimal_masks over the distinct masks left,
+    sorted by size and value); drop a point from every mask when another
     point lies in all of its masks (the rest of their intersection),
     keeping the lowest of points with equal columns. Domination is a
     strict order, so every dropped point keeps a dominator and the
     minimum is preserved. Returns the taken points' mask and the masks
-    left."""
+    left, sorted by size and value."""
     taken = 0
     while True:
         single = 0
@@ -854,16 +890,13 @@ def _reduce(masks: list[int], n: int) -> tuple[int, list[int]]:
             if not m & (m - 1):
                 single |= m
         taken |= single
-        # Sorted by size, every proper subset of a mask comes before it,
-        # and a dropped mask has a kept subset of its own: checking
-        # against the kept masks alone drops exactly the supersets.
-        kept: list[int] = []
-        for m in sorted({m for m in masks if not m & single},
-                        key=lambda m: (m.bit_count(), m)):
-            if not any(m & s == s for s in kept):
-                kept.append(m)
-        masks = kept
-        cols = incidence_columns(masks, n)
+        cands = sorted({m for m in masks if not m & single})
+        cands.sort(key=int.bit_count)
+        cols = incidence_columns(cands, n)
+        masks = _minimal_masks(cands, range(len(cands)), cols,
+                               (1 << len(cands)) - 1)
+        if len(masks) < len(cands):
+            cols = incidence_columns(masks, n)
         drop = 0
         for p, col in enumerate(cols):
             if not col:
@@ -881,24 +914,31 @@ def _reduce(masks: list[int], n: int) -> tuple[int, list[int]]:
 
 
 def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
-    """Minimum-cardinality net: the heavy ranges, restricted to support
-    points, are reduced once by _reduce; each point-sharing component of
+    """Minimum-cardinality net: a minimum hitting set of the heavy ranges
+    restricted to the support. Only their inclusion-minimal distinct
+    masks matter, since a net that hits those hits every heavy range:
+    _minimal_masks walks the heavy ranges in measure order, where every
+    support point weighs > 0, on the space's incidence columns. Those
+    masks are reduced once by _reduce; each point-sharing component of
     what is left is solved by branch and bound within one budget of
     EXACT_NET_NODES nodes, past which CapExceededError is raised. The
-    stat kept_after_pruning counts the ranges the branch and bound sees.
+    stat targets counts the distinct heavy masks within the support, and
+    kept_after_pruning the masks the branch and bound sees.
     """
     eps = _unit_eps(eps)
-    targets = {
-        space.ranges[i] & space.support_mask
-        for i in space.measure_order[space.count_below(eps):]
-    }
-    taken, kept = _reduce(list(targets), space.n)
-    pts = list(iter_bits(taken))
+    support, heavy = space.support_mask, space.ranges_at_least(eps)
+    minimal = _minimal_masks(
+        space.ranges, space.measure_order[space.count_below(eps):],
+        space.incidence, heavy, support,
+    )
+    taken, kept = _reduce(minimal, space.n)
     budget = Budget(EXACT_NET_NODES, "hitting-set search")
     for comp in components(kept):
-        pts.extend(_min_hit_component(space, [m for m in kept if m & comp], budget))
-    return verify_net(
-        space, pts, eps, method="exact",
-        stats={"draws": 0, "targets": len(targets),
-               "kept_after_pruning": len(kept)},
-    )
+        taken |= mask_of(
+            _min_hit_component(space, [m for m in kept if m & comp], budget))
+    # The ranges are distinct, so they stay distinct within a full support.
+    targets = heavy.bit_count() if support.bit_count() == space.n else len(
+        {space.ranges[i] & support for i in iter_bits(heavy)})
+    return _report(space, taken, eps, "exact",
+                   {"draws": 0, "targets": targets,
+                    "kept_after_pruning": len(kept)})

@@ -629,6 +629,89 @@ def test_exact_answers_past_two_thousand_heavy_ranges():
     assert rep.is_net and rep.size == 4
 
 
+# sha256 over the sorted-key JSON of min_net_exact(...).to_dict() per
+# space and eps, on spaces past the corpus: points and stats are pinned.
+MIN_NET_SPACES = {
+    "intervals40": lambda: gen_geometric(
+        "intervals", random_points(40, 1, seed=7)),
+    "halfplanes30": lambda: gen_geometric(
+        "halfplanes", random_points(30, 2, seed=7)),
+    "random-n20r300s1": lambda: gen_random(
+        20, 300, "uniform", "uniform", seed=1),
+    "halfspaces3d30": lambda: gen_geometric(
+        "halfspaces3d", random_points(30, 3, seed=7)),
+    "disks14": lambda: gen_geometric("disks", random_points(14, 2, seed=3)),
+}
+MIN_NET_SHA = {
+    ("intervals40", 4):
+        "7089f7cce7cd0721a474cb2e0c9558b535c6856313c456f3a62d38a74cf8750f",
+    ("intervals40", 8):
+        "b508181f3518bb0e7873ccae30985cd4f5c23b30b20d8b920a1be4a8564144e3",
+    ("intervals40", 16):
+        "fb3679f0878a83a675962ed5f0ce23c734f999285d5337aee5e2eabe25f1aad9",
+    ("halfplanes30", 4):
+        "6b820761b605252cfe24db1c2985c283ea8253b9c8d8d1b350923dfbd5c9b7f8",
+    ("halfplanes30", 8):
+        "5e6a2c6c766a8f02bcb74a526a788e16ce750f8d5188ce096e7bc422c855b8e1",
+    ("halfplanes30", 16):
+        "ca3378b09170b3cd210abd121356045463fd56112bb20c7d614b726dd9644c13",
+    ("random-n20r300s1", 4):
+        "fa232f15597f3a6b35cb1483fb8e4950b9b52a5be85ff6ff024619544a4b9b25",
+    ("random-n20r300s1", 8):
+        "2155d7032c8e26d7c42dd9cf238ffd88ba5aefa36f7d8bf5f2c793a5e98325ac",
+    ("random-n20r300s1", 16):
+        "58a83aef482a1d371c79723b73de71fe7f63fca13c1807b3641af64067c09d3b",
+    ("halfspaces3d30", 4):
+        "cb861da5ab6ab3054e10882e1bcefe593f19cada54c91c1872472d8360fd355d",
+    ("halfspaces3d30", 8):
+        "a456b2e1c0b27dbd984bb19ee9aa77deadcf46aeac824ae341b234313148caa2",
+    ("halfspaces3d30", 16):
+        "817b02b6916b69ba827c7a6975ea80906f9535d38b13191a9c7c661242f83112",
+    ("disks14", 4):
+        "34f23cdb8355dc000129ca02fe53205b5bd2b0f8910ccef5e3af60790e186429",
+    ("disks14", 8):
+        "0238b554b56a437fb0cb7f027b7b152dc83c7bf7d1bceca8b1511295a4be019a",
+    ("disks14", 16):
+        "10d8311d2163b63d582fa39d682e6249da0d7265ccf3cbbe2138b1291bedf551",
+}
+
+
+def test_min_net_is_frozen_beyond_the_corpus():
+    for name, build in MIN_NET_SPACES.items():
+        sp = build()
+        for k in (4, 8, 16):
+            rep = min_net_exact(sp, Fraction(1, k))
+            digest = hashlib.sha256(
+                json.dumps(rep.to_dict(), sort_keys=True).encode()).hexdigest()
+            assert digest == MIN_NET_SHA[name, k], (name, k)
+
+
+def test_min_net_drops_superset_ranges_on_the_space_columns(monkeypatch):
+    # halfplanes30 at 1/8 has 826 heavy ranges, 24 of them inclusion-
+    # minimal: the superset filter on the space's own columns leaves only
+    # those for the reduction, and no column build sees more.
+    sizes, seen = [], []
+    build, reduce_ = core.incidence_columns, nets._reduce
+
+    def spy_columns(masks, n):
+        sizes.append(len(masks))
+        return build(masks, n)
+
+    def spy_reduce(masks, n):
+        seen.append(len(masks))
+        return reduce_(masks, n)
+
+    sp = MIN_NET_SPACES["halfplanes30"]()
+    sp.incidence
+    monkeypatch.setattr(nets, "incidence_columns", spy_columns)
+    monkeypatch.setattr(core, "incidence_columns", spy_columns)
+    monkeypatch.setattr(nets, "_reduce", spy_reduce)
+    rep = min_net_exact(sp, Fraction(1, 8))
+    assert rep.stats["targets"] == 826 and rep.is_net
+    assert seen == [24]
+    assert sizes and max(sizes) <= 24
+
+
 def test_reduction_rules_alone_solve_intervals(monkeypatch):
     # On an interval family the three rules leave nothing to search: no
     # branch-and-bound node is spent. 14 is also what the branch and

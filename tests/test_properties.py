@@ -4,12 +4,13 @@ enumerations (pi, phi, VC), the brackets of their sampled estimates,
 pi and the star number on disjoint unions, the pi rows computed
 together against each row alone and on near-duplicate ranges,
 the capacity table at every scale, the exact doubling sweep and its
-budget-tripped bracket, the minimum net, the net verifier, the dyadic
-buckets, the range-index masks of heavy ranges and buckets and the
-quarter groups agree with the brute-force oracles on small weighted
-random spaces, as does the max-clique search at every lower bound on small
-random graphs; their witnesses certify what they claim, and the
-point-sharing components partition any family."""
+budget-tripped bracket, the minimum net (and its superset filter and
+reduction rules on ranges that are equal within the support), the net
+verifier, the dyadic buckets, the range-index masks of heavy ranges and
+buckets and the quarter groups agree with the brute-force oracles on
+small weighted random spaces, as does the max-clique search at every
+lower bound on small random graphs; their witnesses certify what they
+claim, and the point-sharing components partition any family."""
 
 from fractions import Fraction
 from functools import reduce
@@ -485,3 +486,65 @@ def test_min_net_matches_oracle_and_a_tripped_budget_never_misreports(
         except CapExceededError:
             return
     assert got.is_net and got.size == want
+
+
+@st.composite
+def support_twin_spaces(draw, max_n=8, max_ranges=10):
+    """Spaces with at least one zero-weight point where ranges may be
+    twins: distinct, but equal once restricted to the support, because
+    each range may come with copies that add zero-weight points."""
+    n = draw(st.integers(2, max_n))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                   .filter(lambda w: 0 in w and sum(w) >= 1))
+    zero = mask_of(p for p in range(n) if not weights[p])
+    ranges = []
+    for r in draw(st.lists(st.integers(1, (1 << n) - 1), max_size=max_ranges)):
+        ranges.append(r)
+        ranges += [r | z & zero for z in draw(
+            st.lists(st.integers(1, zero), max_size=2))]
+    return build_range_space(n, weights, ranges)
+
+
+def brute_min_hitting(masks):
+    """Fewest points meeting every mask, by trying subsets by size."""
+    pts = points_of(reduce(or_, masks, 0))
+    for k in range(len(pts) + 1):
+        for chosen in combinations(pts, k):
+            hit = mask_of(chosen)
+            if all(m & hit for m in masks):
+                return k
+
+
+@PROPERTY_SETTINGS
+@given(support_twin_spaces(), st.sampled_from([Fraction(1), Fraction(1, 2),
+                                               Fraction(1, 4), Fraction(1, 8),
+                                               Fraction(1, 16)]))
+def test_superset_filter_and_reduction_keep_the_minimum_on_support_twins(
+    space, eps,
+):
+    support = space.support_mask
+    heavy = [r & support for r, s in zip(space.ranges, as_sets(space))
+             if set_measure(space, s) >= eps]
+    distinct = set(heavy)
+    minimal = {m for m in distinct
+               if not any(s != m and s & m == s for s in distinct)}
+    # The superset filter as min_net_exact runs it: the heavy ranges in
+    # measure order on the space's columns, restricted to the support.
+    got = nets._minimal_masks(
+        space.ranges, space.measure_order[space.count_below(eps):],
+        space.incidence, space.ranges_at_least(eps), support)
+    assert sorted(got) == sorted(minimal)
+    # ... and as _reduce runs it: distinct masks by size and value.
+    cands = sorted(distinct, key=lambda m: (m.bit_count(), m))
+    got = nets._minimal_masks(cands, range(len(cands)),
+                              incidence_columns(cands, space.n),
+                              (1 << len(cands)) - 1)
+    assert got == [m for m in cands if m in minimal]
+
+    want = oracle_min_hitting(space, eps)
+    taken, kept = nets._reduce(heavy, space.n)
+    assert not any(m & taken for m in kept)
+    assert taken.bit_count() + brute_min_hitting(kept) == want
+    rep = min_net_exact(space, eps)
+    assert rep.is_net and rep.size == want
+    assert rep.stats["targets"] == len(distinct)
