@@ -936,9 +936,7 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
     for comp in components(kept):
         taken |= mask_of(
             _min_hit_component(space, [m for m in kept if m & comp], budget))
-    # The ranges are distinct, so they stay distinct within a full support.
-    targets = heavy.bit_count() if support.bit_count() == space.n else len(
-        {space.ranges[i] & support for i in iter_bits(heavy)})
+    targets = len({space.ranges[i] & support for i in iter_bits(heavy)})
     return _report(space, taken, eps, "exact",
                    {"draws": 0, "targets": targets,
                     "kept_after_pruning": len(kept)})
