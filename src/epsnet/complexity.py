@@ -547,12 +547,11 @@ def doubling_constant(
             continue
         far = graph.rows(j, space.ceil_weight(eps0))
         if upper is None:
-            try:
-                size, members = max_clique(far, lower_bound=best)
-            except CapExceededError as exc:
+            size, members, exact = max_clique(far, lower_bound=best)
+            if not exact:
                 # One eligible range is a packing even if the search
                 # tripped before its first leaf.
-                members = exc.members or (0,)
+                members = members or (0,)
                 size = len(members)
                 upper = best
             if size > best:
@@ -625,10 +624,12 @@ def shallow_cell(
     monotone in y (padding a point set can destroy small traces, so the
     exact-size max is not monotone). Exact by the walk of _max_shallow,
     which stops at the ceiling |R|; when it runs out of WALK_NODES, the
-    sampled Bound(best, |R|). cap is accepted and ignored.
+    sampled Bound(best, |R|). cap is accepted and ignored. A y or l that
+    is not a non-negative int is a ValueError before any work.
     """
-    if y < 0 or l < 0:
-        raise ValueError("shallow_cell needs y >= 0 and l >= 0")
+    if type(y) is not int or type(l) is not int or y < 0 or l < 0:
+        raise ValueError(f"shallow_cell needs integers y >= 0 and l >= 0, "
+                         f"got {y!r} and {l!r}")
     y = min(y, space.n)
     if not space.ranges:
         return Bound(0, 0)

@@ -34,12 +34,12 @@ class InstanceError(ValueError):
 class CapExceededError(RuntimeError):
     """An exact oracle was asked to run beyond its configured size cap or
     work budget; spent is the work done before it stopped, which a Budget
-    always counts, and members the incumbent, such as max_clique's clique."""
+    always counts. A search that can answer with its incumbent, such as
+    max_clique, returns it labelled inexact instead."""
 
-    def __init__(self, message: str = "", spent: int | None = None,
-                 members: tuple[int, ...] = ()):
+    def __init__(self, message: str = "", spent: int | None = None):
         super().__init__(message)
-        self.spent, self.members = spent, members
+        self.spent = spent
 
 
 class Budget:

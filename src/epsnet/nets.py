@@ -752,11 +752,12 @@ def cal_net(
     Runs until budget_n points are kept, min(2^budget_n, DRAW_CAP) points
     are drawn, or no range of positive measure survives. The net property
     is equivalent to every surviving range having measure below eps,
-    which is exactly what the final verification reports.
+    which is exactly what the final verification reports. A budget_n that
+    is not an int >= 1 (a bool included) is a ValueError before any work.
     """
     eps = _unit_eps(eps)
-    if budget_n < 1:
-        raise ValueError("budget_n must be >= 1")
+    if type(budget_n) is not int or budget_n < 1:
+        raise ValueError(f"budget_n must be an integer >= 1, got {budget_n!r}")
     rng = stream_rng(seed, "cal")
     cols = space.incidence
     # Over range indices; a range of measure 0 can never be hit by a draw.

@@ -15,10 +15,10 @@ settles that branch for one node, the node the search without
 propagation would have spent first on it. So an exact answer, members
 included, is the one that search gives, and a search trips only where
 that search trips, with an incumbent at least as large. Its core.Budget
-catches the trip, and max_clique raises the budget's error again, with
-its incumbent as .members; both callers answer with that incumbent
-labelled inexact: max_packing_exact with exact=False and
-doubling_constant as the lower end of a bracket.
+catches the trip, and max_clique answers (size, members, exact) either
+way, with exact False after a trip; both callers read that flag and
+answer with the incumbent labelled inexact: max_packing_exact with
+exact=False and doubling_constant as the lower end of a bracket.
 
 greedy_packing and max_packing_exact check that delta is in (0, 1].
 haussler_certificate and projection_count_estimate check the packing
@@ -37,7 +37,6 @@ from typing import Sequence
 
 from .core import (
     Budget,
-    CapExceededError,
     RangeSpace,
     TheoremViolationError,
     _add,
@@ -134,7 +133,7 @@ def _relabel(adj: list[int], order: list[int]) -> list[int]:
     return [cols[v] for v in order]
 
 
-def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ...]]:
+def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ...], bool]:
     """Exact maximum clique of a graph given as adjacency bitmasks.
 
     Branch and bound: vertices ordered by descending degree, greedy
@@ -153,15 +152,16 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
 
     adj must be symmetric; a vertex in its own row or a neighbour index
     >= n raises ValueError. lower_bound primes the incumbent size: the
-    answer is (max(lower_bound, clique number), members), with members
-    empty when no clique beats lower_bound. A positive lower_bound is
-    first tried against a greedy colouring in vertex order; if it needs
-    no more than lower_bound classes, no clique beats it, and the call
-    returns (lower_bound, ()) at once, before the degree sort and
-    without spending a node. A search that would expand more than
-    DEFAULT_CLIQUE_NODES nodes, or pass Python's recursion limit, raises
-    CapExceededError carrying the nodes spent and, as .members, the
-    largest clique it found that beats lower_bound (empty if none did).
+    answer is (max(lower_bound, clique number), members, True), with
+    members empty when no clique beats lower_bound. A positive
+    lower_bound is first tried against a greedy colouring in vertex
+    order; if it needs no more than lower_bound classes, no clique beats
+    it, and the call returns (lower_bound, (), True) at once, before the
+    degree sort and without spending a node. A search that would expand
+    more than DEFAULT_CLIQUE_NODES nodes, or pass Python's recursion
+    limit, stops and returns (incumbent size, members, False): the
+    largest clique it found that beats lower_bound (members empty and
+    size lower_bound if none did).
     """
     n = len(adj)
     for v, a in enumerate(adj):
@@ -173,9 +173,9 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
     if lower_bound > 0 and not _colour((1 << n) - 1, [~a for a in adj], lower_bound):
         # No vertex is coloured above lower_bound, so no clique beats it:
         # the search's own answer, settled before any node is spent.
-        return lower_bound, ()
+        return lower_bound, (), True
     if n == 0:
-        return 0, ()
+        return 0, (), True
     order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
     # Candidate masks shrink toward high bits as the search deepens.
     radj = _relabel(adj, order)
@@ -217,10 +217,7 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
     # expand refers to itself; dropping the name breaks that cycle so the
     # search tables are freed now rather than at a full collection.
     del expand
-    members = tuple(sorted(order[i] for i in best_members))
-    if not finished:
-        raise CapExceededError(str(budget.error), budget.error.spent, members)
-    return best, members
+    return best, tuple(sorted(order[i] for i in best_members)), finished
 
 
 @dataclass(frozen=True)
@@ -364,11 +361,8 @@ def max_packing_exact(space: RangeSpace, delta: Fraction) -> Packing:
     far = FarGraph(space, space.ranges).rows(len(space.ranges), space.ceil_weight(delta))
     # Seed the incumbent with the greedy packing's size so pruning bites
     # early; any clique the search holds, even when it trips, is as large.
-    try:
-        _, members = max_clique(far, lower_bound=len(greedy.members) - 1)
-    except CapExceededError as exc:
-        return Packing(delta, exc.members or greedy.members, False)
-    return Packing(delta, members, True)
+    _, members, exact = max_clique(far, lower_bound=len(greedy.members) - 1)
+    return Packing(delta, members or greedy.members, exact)
 
 
 @dataclass(frozen=True)

@@ -395,7 +395,8 @@ def dudley_style_bound(d, delta):
 
 class ReferenceCliqueTrip(Exception):
     """The reference clique search ran out of nodes; members is its
-    incumbent, as CapExceededError.members is the package's."""
+    incumbent, as the members of the package's max_clique answer with
+    exact False are."""
 
     def __init__(self, members):
         super().__init__(f"reference clique search tripped with {members}")

@@ -238,8 +238,9 @@ def test_doubling_reads_the_same_from_a_pair_at_a_time_far_graph(monkeypatch):
     asked = []
 
     def recording(adj, lower_bound=0):
-        out = packing.max_clique(adj, lower_bound)
-        asked.append((lower_bound, out))
+        size, members, exact = out = packing.max_clique(adj, lower_bound)
+        assert exact
+        asked.append((lower_bound, (size, members)))
         return out
 
     monkeypatch.setattr(complexity, "max_clique", recording)
@@ -380,6 +381,13 @@ def test_shallow_cell_counts_small_subsets_too():
         prev = cur
 
 
+@pytest.mark.parametrize("y, l", [(2.5, 1), (2, 1.0), (True, 1), (-1, 1)])
+def test_shallow_cell_rejects_sizes_that_are_not_non_negative_ints(y, l):
+    # A ValueError before the walk, not a TypeError from a shift inside it.
+    with pytest.raises(ValueError, match="shallow_cell needs integers"):
+        shallow_cell(CORPUS["chain8"], y, l)
+
+
 def test_star_matches_oracle():
     for key in SMALL:
         sp = CORPUS[key]
@@ -497,20 +505,6 @@ PI_WALK_SPENDS = {
     "halfplanes5": [0, 1, 2, 3, 10, 5],
     "disks5": [0, 1, 2, 3, 10, 5],
 }
-
-
-@pytest.fixture
-def budgets(monkeypatch):
-    """The Budgets complexity makes, in the order it makes them."""
-    made = []
-
-    class Recorded(complexity.Budget):
-        def __init__(self, nodes, search):
-            super().__init__(nodes, search)
-            made.append(self)
-
-    monkeypatch.setattr(complexity, "Budget", Recorded)
-    return made
 
 
 def test_pi_walks_spend_the_nodes_they_spent_alone(budgets):

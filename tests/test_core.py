@@ -2,13 +2,16 @@
 conditioning, serialization, rational helpers, and the sampling stream
 contract of draw_mask."""
 
+import ast
 import dataclasses
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import epsnet
 from epsnet import (
     InstanceError,
     RangeSpace,
@@ -357,7 +360,6 @@ def test_budget_run_past_its_nodes_is_false_with_the_error_kept():
     assert isinstance(budget.error, CapExceededError)
     assert str(budget.error) == "chain search exceeded its budget of 3 nodes"
     assert budget.error.spent == budget.spent == 3
-    assert budget.error.members == ()
 
 
 def test_budget_run_past_the_recursion_limit_is_false_with_the_nodes_spent():
@@ -387,3 +389,27 @@ def test_a_tripped_budget_stays_spent(nodes, depth):
     assert budget.run(walk) is False
     assert budget.run(_chain_walk, budget, 1) is False
     assert visited == [] and budget.spent == spent and budget.error is error
+
+
+def _catchers(tree, scope=()):
+    """(enclosing def path, exception names) for each except clause."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (node.name,)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            yield ".".join(scope), {getattr(k, "id", getattr(k, "attr", None)) for k in kinds}
+        yield from _catchers(node, inner)
+
+
+def test_only_budget_run_and_the_cli_catch_a_trip():
+    # A search that trips answers a value (a bracket, or max_clique's
+    # exact=False), so the package catches CapExceededError in two places:
+    # Budget.run, for every walk, and the CLI, which turns it into exit 2.
+    sites = set()
+    for path in sorted(Path(epsnet.__file__).parent.glob("*.py")):
+        for scope, names in _catchers(ast.parse(path.read_text())):
+            if "CapExceededError" in names:
+                sites.add(f"{path.stem}.{scope}")
+    assert sites == {"core.Budget.run", "cli.main"}

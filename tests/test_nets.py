@@ -549,6 +549,14 @@ def test_cal_stops_when_only_zero_measure_ranges_survive():
     assert rep.stats["draws"] < 100 < nets.DRAW_CAP
 
 
+@pytest.mark.parametrize("budget_n", [True, 2.5, "3"])
+def test_cal_rejects_a_budget_that_is_not_an_int(budget_n):
+    # Not 1, and not a TypeError from deep in the draw guard: a ValueError
+    # before any draw.
+    with pytest.raises(ValueError, match="budget_n must be an integer"):
+        cal_net(CORPUS["chain8"], Fraction(1, 2), budget_n=budget_n)
+
+
 def test_cal_keeps_only_points_inside_surviving_ranges():
     sp = CORPUS["sparse-singles8"]  # points 1,3,5,7 lie in no range
     rep = cal_net(sp, Fraction(1, 8), budget_n=8, seed=11)

@@ -12,7 +12,6 @@ import epsnet.complexity as complexity
 import epsnet.packing as packing
 from epsnet.core import (
     Budget,
-    CapExceededError,
     TheoremViolationError,
     build_range_space,
 )
@@ -65,8 +64,8 @@ def _random_graph(rng, n, p=0.5):
 def test_max_clique_known_graphs():
     # triangle plus an isolated vertex
     adj = _adj_from_edges(4, [(0, 1), (1, 2), (0, 2)])
-    size, members = max_clique(adj)
-    assert size == 3 and set(members) == {0, 1, 2}
+    size, members, exact = max_clique(adj)
+    assert size == 3 and set(members) == {0, 1, 2} and exact
     # 5-cycle: max clique 2
     c5 = _adj_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     assert max_clique(c5)[0] == 2
@@ -93,8 +92,8 @@ def test_max_clique_random_vs_brute():
                 if rng.random() < 0.5:
                     adj[a] |= 1 << b
                     adj[b] |= 1 << a
-        size, members = max_clique(adj)
-        assert size == oracle_clique_number(adj), trial
+        size, members, exact = max_clique(adj)
+        assert exact and size == oracle_clique_number(adj), trial
         assert len(members) == size
         for a, b in combinations(members, 2):
             assert adj[a] >> b & 1
@@ -102,30 +101,33 @@ def test_max_clique_random_vs_brute():
 
 def test_max_clique_lower_bound_priming_keeps_answer():
     adj = _adj_from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-    full, _ = max_clique(adj)
-    primed, _ = max_clique(adj, lower_bound=2)
+    full, _, _ = max_clique(adj)
+    primed, _, _ = max_clique(adj, lower_bound=2)
     assert full == primed == 3
 
 
-def test_max_clique_node_budget_raises_with_work_spent(monkeypatch):
+def test_max_clique_node_budget_trips_with_work_spent(monkeypatch, budgets):
     adj = _adj_from_edges(6, combinations(range(6), 2))
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 7)
-    assert max_clique(adj)[0] == 6  # one node per depth
+    assert max_clique(adj) == (6, tuple(range(6)), True)  # one node per depth
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 3)
-    with pytest.raises(CapExceededError) as info:
-        max_clique(adj)
-    assert info.value.spent == 3
+    # The trip comes before the first leaf: no clique, the lower bound.
+    assert max_clique(adj) == (0, (), False)
+    assert budgets[-1].spent == budgets[-1].error.spent == 3
+    assert str(budgets[-1].error) == "max clique search exceeded its budget of 3 nodes"
 
 
-def test_max_clique_deeper_than_the_recursion_limit_reports_the_nodes_spent():
+def test_max_clique_deeper_than_the_recursion_limit_reports_the_nodes_spent(budgets):
     # A 1,200-vertex complete graph: the first path of the search is
     # 1,200 nodes deep, past the recursion limit, which is a tripped
-    # budget carrying the nodes visited so far.
+    # budget carrying the nodes visited so far, and no clique.
     n = 1200
     adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
-    with pytest.raises(CapExceededError) as info:
-        max_clique(adj)
-    assert 0 < info.value.spent <= packing.DEFAULT_CLIQUE_NODES
+    assert max_clique(adj) == (0, (), False)
+    (budget,) = budgets
+    assert 0 < budget.error.spent == budget.spent <= packing.DEFAULT_CLIQUE_NODES
+    assert str(budget.error) == (
+        f"max clique search passed the recursion limit after {budget.spent} nodes")
 
 
 def test_max_clique_out_of_budget_leaves_its_incumbent(monkeypatch):
@@ -136,12 +138,11 @@ def test_max_clique_out_of_budget_leaves_its_incumbent(monkeypatch):
     found = 0
     for budget in range(1, 200):
         monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", budget)
-        try:
-            assert max_clique(adj)[0] == omega
+        size, members, exact = max_clique(adj)
+        if exact:
+            assert size == omega
             break
-        except CapExceededError as exc:
-            members = exc.members
-        assert len(members) <= omega
+        assert size == len(members) <= omega
         for a, b in combinations(members, 2):
             assert adj[a] >> b & 1
         found = max(found, len(members))
@@ -178,8 +179,9 @@ def test_max_clique_results_are_frozen(monkeypatch, make, calls, digest):
     seen = []
 
     def recording(adj, lower_bound=0):
-        out = max_clique(adj, lower_bound)
-        seen.append((lower_bound, out))
+        size, members, exact = out = max_clique(adj, lower_bound)
+        assert exact
+        seen.append((lower_bound, (size, members)))
         return out
 
     monkeypatch.setattr(complexity, "max_clique", recording)
@@ -188,16 +190,14 @@ def test_max_clique_results_are_frozen(monkeypatch, make, calls, digest):
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
 
-def test_max_clique_trip_is_frozen(monkeypatch):
+def test_max_clique_trip_is_frozen(monkeypatch, budgets):
     # The search finds a 5-clique, then a 6-clique, and trips at node 12
     # before it reaches the maximum, a 7-clique.
     adj = _random_graph(random.Random(1), 24, 0.6)
-    assert max_clique(adj) == (7, (1, 6, 7, 8, 11, 14, 18))
+    assert max_clique(adj) == (7, (1, 6, 7, 8, 11, 14, 18), True)
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 12)
-    with pytest.raises(CapExceededError) as info:
-        max_clique(adj)
-    assert info.value.members == (4, 6, 16, 17, 22, 23)
-    assert info.value.spent == 12
+    assert max_clique(adj) == (6, (4, 6, 16, 17, 22, 23), False)
+    assert budgets[-1].spent == budgets[-1].error.spent == 12
 
 
 @pytest.mark.parametrize("name, settled", [
@@ -227,15 +227,16 @@ def test_colouring_certificate_settles_doubling_calls_without_a_node(
     assert spent.count(0) == settled
 
 
-def test_max_clique_settled_by_its_colouring_needs_no_node(monkeypatch):
+def test_max_clique_settled_by_its_colouring_needs_no_node(monkeypatch, budgets):
     adj = _random_graph(random.Random(1), 24, 0.6)
     classes = colour_bound(adj)
     assert classes > max_clique(adj)[0] == 7
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 0)
-    assert max_clique(adj, classes) == (classes, ())
-    with pytest.raises(CapExceededError) as info:
-        max_clique(adj, classes - 1)
-    assert info.value.spent == 0
+    budgets.clear()
+    assert max_clique(adj, classes) == (classes, (), True)
+    assert budgets == []  # settled before a Budget is made
+    assert max_clique(adj, classes - 1) == (classes - 1, (), False)
+    assert budgets[-1].spent == budgets[-1].error.spent == 0
 
 
 @pytest.mark.parametrize("name, ceiling", [
@@ -277,19 +278,19 @@ def test_pruned_search_keeps_the_reference_cliques_and_trips(adj, data):
     # incumbent no larger.
     omega = reference_max_clique(adj)[0]
     lower_bound = data.draw(st.integers(0, omega + 1), label="lower_bound")
-    size, members = max_clique(adj, lower_bound)
-    assert (size, members) == reference_max_clique(adj, lower_bound)
+    size, members, exact = max_clique(adj, lower_bound)
+    assert exact and (size, members) == reference_max_clique(adj, lower_bound)
     if len(adj) <= 12:
         assert size == max(lower_bound, oracle_clique_number(adj))
     nodes = data.draw(st.integers(1, 60), label="nodes")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packing, "DEFAULT_CLIQUE_NODES", nodes)
-        try:
-            max_clique(adj, lower_bound)
-        except CapExceededError as exc:
-            with pytest.raises(ReferenceCliqueTrip) as ref:
-                reference_max_clique(adj, lower_bound, nodes)
-            assert len(exc.members) >= len(ref.value.members)
+        size, members, exact = max_clique(adj, lower_bound)
+    if not exact:
+        assert size == max(lower_bound, len(members))
+        with pytest.raises(ReferenceCliqueTrip) as ref:
+            reference_max_clique(adj, lower_bound, nodes)
+        assert len(members) >= len(ref.value.members)
 
 
 def test_refuted_propagates_forced_vertices_to_a_conflict():
