@@ -620,21 +620,22 @@ def test_tripped_outputs_are_frozen(monkeypatch):
     # pi, phi and star walks at WALK_NODES 1, 7 and 60, doubling and exact
     # packing at DEFAULT_CLIQUE_NODES 0, 1, 3 and 12, and the min net at
     # EXACT_NET_NODES 1, 2 and 5, its error text and nodes spent when it
-    # trips. Brackets, sampled rows, incumbents and spends all count.
-    records = []
+    # trips. Brackets, sampled rows, incumbents and spends all count, with
+    # one digest per section.
+    walks, cliques, min_nets = [], [], []
     for nodes in (1, 7, 60):
         monkeypatch.setattr(complexity, "WALK_NODES", nodes)
         for key, sp in CORPUS.items():
             y = min(sp.n, 6)
-            records.append((key, nodes, vc_dimension(sp),
-                            projection_rows(sp, range(y + 1)),
-                            shallow_cell(sp, y, 3), star_number(sp)))
+            walks.append((key, nodes, vc_dimension(sp),
+                          projection_rows(sp, range(y + 1)),
+                          shallow_cell(sp, y, 3), star_number(sp)))
     monkeypatch.undo()
     for nodes in (0, 1, 3, 12):
         monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", nodes)
         for key, sp in CORPUS.items():
             for eps in (Fraction(1, 4), Fraction(1, 8)):
-                records.append((key, nodes, eps, doubling_constant(sp, eps),
+                cliques.append((key, nodes, eps, doubling_constant(sp, eps),
                                 max_packing_exact(sp, eps)))
     monkeypatch.undo()
     for nodes in (1, 2, 5):
@@ -645,7 +646,13 @@ def test_tripped_outputs_are_frozen(monkeypatch):
                     got = min_net_exact(sp, eps).points
                 except CapExceededError as exc:
                     got = (str(exc), exc.spent)
-                records.append((key, nodes, eps, got))
-    assert len(records) == 238
-    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
-        "13a1d2e3bb6b43a5716fa670f6d3a41153a62d53ca84381c5d4e703a2bb9bd82")
+                min_nets.append((key, nodes, eps, got))
+    sections = {"walks": walks, "cliques": cliques, "min nets": min_nets}
+    assert {k: len(v) for k, v in sections.items()} == {
+        "walks": 42, "cliques": 112, "min nets": 84}
+    assert {k: hashlib.sha256(repr(v).encode()).hexdigest()
+            for k, v in sections.items()} == {
+        "walks": "0da9bb4376444cf81668af321e1189b7490efac9233362db4976598a3788a09f",
+        "cliques": "2251ba16f3fb2de70711a08818d2d5aeeaad6358f096d2033ee4fae955212cf5",
+        "min nets": "4cf1a1d7c20b4bbecfd155a90a8375b2f2707863c5ec17d4557a688a1d240e97",
+    }
