@@ -33,21 +33,17 @@ class InstanceError(ValueError):
 
 class CapExceededError(RuntimeError):
     """An exact oracle was asked to run beyond its configured size cap or
-    work budget; spent is the work done before it stopped, which a Budget
-    always counts. A search that can answer with its incumbent, such as
-    max_clique, returns it labelled inexact instead."""
-
-    def __init__(self, message: str = "", spent: int | None = None):
-        super().__init__(message)
-        self.spent = spent
+    work budget. Budget.spend raises it for Budget.run to catch, so a
+    search answers its incumbent labelled inexact or as a bracket; only
+    the generators' range cap and sauer_check let it reach the caller."""
 
 
 class Budget:
     """The node budget of one exact search, shared by all its walks.
     spend() counts a node and raises CapExceededError past the last one.
     run(walk, *args), the one place a trip is caught, returns whether the
-    walk finished and keeps a trip, past the budget or Python's recursion
-    limit, in error. A tripped budget stays spent: a later walk is not run."""
+    walk finished and keeps a trip's message, past the budget or Python's
+    recursion limit, in error. A tripped budget runs no later walk."""
 
     def __init__(self, nodes: int, search: str):
         self.nodes, self.search, self.spent, self.error = nodes, search, 0, None
@@ -55,7 +51,7 @@ class Budget:
     def spend(self) -> None:
         if self.spent == self.nodes:
             raise CapExceededError(f"{self.search} exceeded its budget of "
-                                   f"{self.nodes} nodes", spent=self.spent)
+                                   f"{self.nodes} nodes")
         self.spent += 1
 
     def run(self, walk, *args) -> bool:
@@ -64,10 +60,10 @@ class Budget:
                 walk(*args)
                 return True
         except CapExceededError as exc:
-            self.error = exc.with_traceback(None)  # its traceback pins the walk's tables
+            self.error = str(exc)
         except RecursionError:
-            self.error = CapExceededError(f"{self.search} passed the recursion limit after "
-                                          f"{self.spent} nodes", spent=self.spent)
+            self.error = (f"{self.search} passed the recursion limit after "
+                          f"{self.spent} nodes")
         return False
 
 

@@ -255,7 +255,7 @@ def instance_profile(space: RangeSpace, eps: Fraction, d_res) -> dict:
                         else _fmt_float(doubling.upper)),
             "D_mode": doubling.mode,
             "min_net": ("" if isinstance(exact[0], Exception)
-                        else str(exact[0].size)),
+                        or "lower" in exact[0].stats else str(exact[0].size)),
             "bound_stratified": _fmt_float(stratified_size_bound(d, taus)),
             "bound_capacity": _fmt_float(capacity_size_bound(d, tau, eps)),
             "bound_doubling": _fmt_float(doubling_size_bound(d, taus, D)),

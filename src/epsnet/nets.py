@@ -55,13 +55,13 @@ search's incumbent (_greedy_hit) on columns built for their own target
 lists.
 
 The minimum net is a minimum hitting set of the heavy ranges: reduction
-rules, then a branch and bound limited only by EXACT_NET_NODES. One
-superset filter, _minimal_masks, keeps the inclusion-minimal masks of a
-family by ANDing incidence columns: min_net_exact runs it over the
-heavy ranges in measure order on the space's own columns, so only the
-minimal ones reach the rules, and _reduce runs it on columns of the
-masks it has left. Every builder and the verifier reject an eps
-outside (0, 1] before any work.
+rules, then a branch and bound that, past EXACT_NET_NODES, answers its
+incumbent with a lower end. One superset filter, _minimal_masks, keeps
+the inclusion-minimal masks of a family by ANDing incidence columns:
+min_net_exact runs it over the heavy ranges in measure order on the
+space's own columns, so only the minimal ones reach the rules, and
+_reduce runs it on columns of the masks it has left. Every builder and
+the verifier reject an eps outside (0, 1] before any work.
 """
 
 from __future__ import annotations
@@ -804,14 +804,23 @@ def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
                    {"draws": 0, "targets": heavy.bit_count()})
 
 
+def _disjoint_bound(by_size: list[int]) -> int:
+    """How many masks a first fit over by_size keeps pairwise disjoint: as
+    each needs a point of its own, no hitting set is smaller."""
+    used = bound = 0
+    for m in by_size:
+        if not m & used:
+            bound, used = bound + 1, used | m
+    return bound
+
+
 def _min_hit_component(
     space: RangeSpace, masks: list[int], budget: Budget
-) -> list[int]:
-    """Exact minimum hitting set of one component (masks within the
-    support) via branch and bound.
-
-    Branches on the smallest uncovered mask; a greedy set of pairwise
-    disjoint uncovered masks gives the admissible lower bound.
+) -> tuple[list[int], int]:
+    """Minimum hitting set of one component (masks within the support) by
+    branch and bound, and a lower end: its size, or after a trip the root's
+    disjoint bound beside the incumbent. Branches on the smallest uncovered
+    mask, and prunes by the disjoint bound of the uncovered masks.
     """
     # Greedy upper bound primes the incumbent.
     best = _greedy_hit(space, masks)
@@ -826,12 +835,7 @@ def _min_hit_component(
         # One stable sort serves the bound and the pivot: by_size[0] is the
         # first smallest mask.
         by_size = sorted(unc, key=int.bit_count)
-        used = bound = 0
-        for m in by_size:
-            if not m & used:
-                bound += 1
-                used |= m
-        if len(chosen) + bound >= len(best):
+        if len(chosen) + _disjoint_bound(by_size) >= len(best):
             return
         pivot = by_size[0]
         cands = sorted(
@@ -843,9 +847,9 @@ def _min_hit_component(
             rec([m for m in unc if not (m >> p & 1)], chosen)
             chosen.pop()
 
-    if not budget.run(rec, masks, []):
-        raise budget.error
-    return best
+    if budget.run(rec, masks, []):
+        return best, len(best)
+    return best, _disjoint_bound(sorted(masks, key=int.bit_count))
 
 
 def _minimal_masks(
@@ -920,10 +924,12 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
     masks matter, since a net that hits those hits every heavy range:
     _minimal_masks walks the heavy ranges in measure order, where every
     support point weighs > 0, on the space's incidence columns. Those
-    masks are reduced once by _reduce; each point-sharing component of
-    what is left is solved by branch and bound within one budget of
-    EXACT_NET_NODES nodes, past which CapExceededError is raised. The
-    stat targets counts the distinct heavy masks within the support, and
+    masks are reduced once by _reduce, whose taken points lie in every
+    minimum; each point-sharing component of what is left is solved by
+    branch and bound within one budget of EXACT_NET_NODES nodes. Past it
+    the net is the incumbent, and stat lower (present only below the size)
+    sums the taken points and the components' lower ends. The stat targets
+    counts the distinct heavy masks within the support, and
     kept_after_pruning the masks the branch and bound sees.
     """
     eps = _unit_eps(eps)
@@ -934,10 +940,12 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
     )
     taken, kept = _reduce(minimal, space.n)
     budget = Budget(EXACT_NET_NODES, "hitting-set search")
+    lower = taken.bit_count()
     for comp in components(kept):
-        taken |= mask_of(
-            _min_hit_component(space, [m for m in kept if m & comp], budget))
+        best, low = _min_hit_component(space, [m for m in kept if m & comp], budget)
+        taken, lower = taken | mask_of(best), lower + low
     targets = len({space.ranges[i] & support for i in iter_bits(heavy)})
-    return _report(space, taken, eps, "exact",
-                   {"draws": 0, "targets": targets,
-                    "kept_after_pruning": len(kept)})
+    stats = {"draws": 0, "targets": targets, "kept_after_pruning": len(kept)}
+    if lower < taken.bit_count():
+        stats["lower"] = lower
+    return _report(space, taken, eps, "exact", stats)

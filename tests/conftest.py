@@ -2,14 +2,15 @@
 
 import pytest
 
-from epsnet import complexity, core, packing
+from epsnet import complexity, core, nets, packing
 
 
 @pytest.fixture
 def budgets(monkeypatch):
-    """The Budgets the complexity walks and the clique search make, in the
-    order they make them. A tripped search answers a value, so its Budget
-    is where a test reads the nodes spent and the error."""
+    """The Budgets the complexity walks, the clique search and the
+    minimum-net search make, in the order they make them. A tripped search
+    answers a value, so its Budget is where a test reads the nodes spent
+    and the error."""
     made = []
 
     class Recorded(core.Budget):
@@ -19,4 +20,5 @@ def budgets(monkeypatch):
 
     monkeypatch.setattr(complexity, "Budget", Recorded)
     monkeypatch.setattr(packing, "Budget", Recorded)
+    monkeypatch.setattr(nets, "Budget", Recorded)
     return made

@@ -791,6 +791,37 @@ def test_experiment_row_with_a_bracketed_doubling_constant(monkeypatch):
         assert row["is_net"] == "true"
 
 
+def test_experiment_row_with_a_tripped_minimum_net(monkeypatch):
+    # With no node to spend, the search on random10a at 1/8 (8 masks left
+    # by the reductions) answers its greedy incumbent: the exact rows carry
+    # that net, and min_net, the column of proven minima, stays empty.
+    monkeypatch.setattr(nets, "EXACT_NET_NODES", 0)
+    config = ExperimentConfig.from_dict({
+        "instances": [{"inline": CORPUS["random10a"].to_dict()}],
+        "eps": ["1/8"],
+        "methods": ["greedy", "exact"],
+        "seeds": [0, 1],
+    })
+    rows, summary = run_experiment(config)
+    assert [r["method"] for r in rows] == ["greedy"] * 2 + ["exact"] * 2
+    assert {r["min_net"] for r in rows} == {""}
+    for row in rows[2:]:
+        assert (row["size"], row["is_net"]) == ("3", "true")
+    assert summary["methods"]["exact"]["errors"] == 0
+
+
+def test_net_exact_after_a_trip_prints_its_incumbent_and_lower_end(
+    tmp_path, monkeypatch, capsys,
+):
+    monkeypatch.setattr(nets, "EXACT_NET_NODES", 0)
+    inst = tmp_path / "random10a.json"
+    inst.write_text(CORPUS["random10a"].dumps())
+    assert main(["net", str(inst), "--method", "exact", "--eps", "1/8"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["is_net"] is True and doc["points"] == [1, 3, 4]
+    assert doc["stats"]["lower"] == 2
+
+
 def test_experiment_theorem_violation_is_loud(tmp_path, monkeypatch, capsys):
     def violate(*args):
         raise TheoremViolationError("forged")

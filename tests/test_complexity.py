@@ -619,7 +619,7 @@ def test_tripped_outputs_are_frozen(monkeypatch):
     # Every search of the corpus at budgets small enough to trip: the VC,
     # pi, phi and star walks at WALK_NODES 1, 7 and 60, doubling and exact
     # packing at DEFAULT_CLIQUE_NODES 0, 1, 3 and 12, and the min net at
-    # EXACT_NET_NODES 1, 2 and 5, its error text and nodes spent when it
+    # EXACT_NET_NODES 1, 2 and 5, its points and its lower end when it
     # trips. Brackets, sampled rows, incumbents and spends all count, with
     # one digest per section.
     walks, cliques, min_nets = [], [], []
@@ -642,11 +642,9 @@ def test_tripped_outputs_are_frozen(monkeypatch):
         monkeypatch.setattr(nets, "EXACT_NET_NODES", nodes)
         for key, sp in CORPUS.items():
             for eps in (Fraction(1, 4), Fraction(1, 8)):
-                try:
-                    got = min_net_exact(sp, eps).points
-                except CapExceededError as exc:
-                    got = (str(exc), exc.spent)
-                min_nets.append((key, nodes, eps, got))
+                rep = min_net_exact(sp, eps)
+                min_nets.append((key, nodes, eps, rep.points,
+                                 rep.stats.get("lower")))
     sections = {"walks": walks, "cliques": cliques, "min nets": min_nets}
     assert {k: len(v) for k, v in sections.items()} == {
         "walks": 42, "cliques": 112, "min nets": 84}
@@ -654,5 +652,5 @@ def test_tripped_outputs_are_frozen(monkeypatch):
             for k, v in sections.items()} == {
         "walks": "0da9bb4376444cf81668af321e1189b7490efac9233362db4976598a3788a09f",
         "cliques": "2251ba16f3fb2de70711a08818d2d5aeeaad6358f096d2033ee4fae955212cf5",
-        "min nets": "4cf1a1d7c20b4bbecfd155a90a8375b2f2707863c5ec17d4557a688a1d240e97",
+        "min nets": "7ea94d545886ce73d2279e201b5c5ea2777831b0e706bd842cc540628de2d3eb",
     }

@@ -357,9 +357,8 @@ def test_budget_run_of_a_finished_walk_is_true():
 def test_budget_run_past_its_nodes_is_false_with_the_error_kept():
     budget = Budget(3, "chain search")
     assert budget.run(_chain_walk, budget, 5) is False
-    assert isinstance(budget.error, CapExceededError)
-    assert str(budget.error) == "chain search exceeded its budget of 3 nodes"
-    assert budget.error.spent == budget.spent == 3
+    assert budget.error == "chain search exceeded its budget of 3 nodes"
+    assert budget.spent == 3
 
 
 def test_budget_run_past_the_recursion_limit_is_false_with_the_nodes_spent():
@@ -367,9 +366,8 @@ def test_budget_run_past_the_recursion_limit_is_false_with_the_nodes_spent():
     assert budget.run(_chain_walk, budget, 10**6) is False
     spent = budget.spent
     assert 0 < spent < 10**6
-    assert str(budget.error) == (
+    assert budget.error == (
         f"chain search passed the recursion limit after {spent} nodes")
-    assert budget.error.spent == spent
 
 
 @pytest.mark.parametrize("nodes, depth", [(3, 5), (10**9, 10**6)])
@@ -391,25 +389,47 @@ def test_a_tripped_budget_stays_spent(nodes, depth):
     assert visited == [] and budget.spent == spent and budget.error is error
 
 
-def _catchers(tree, scope=()):
-    """(enclosing def path, exception names) for each except clause."""
-    for node in ast.iter_child_nodes(tree):
-        inner = scope
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            inner = scope + (node.name,)
-        if isinstance(node, ast.ExceptHandler) and node.type is not None:
-            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            yield ".".join(scope), {getattr(k, "id", getattr(k, "attr", None)) for k in kinds}
-        yield from _catchers(node, inner)
+def _package_nodes():
+    """(module.enclosing def path, node) for each node of the package."""
+    def walk(tree, scope):
+        for node in ast.iter_child_nodes(tree):
+            yield scope, node
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(node, f"{scope}.{node.name}")
+            else:
+                yield from walk(node, scope)
+
+    for path in sorted(Path(epsnet.__file__).parent.glob("*.py")):
+        yield from walk(ast.parse(path.read_text()), path.stem)
 
 
 def test_only_budget_run_and_the_cli_catch_a_trip():
-    # A search that trips answers a value (a bracket, or max_clique's
-    # exact=False), so the package catches CapExceededError in two places:
-    # Budget.run, for every walk, and the CLI, which turns it into exit 2.
+    # A search that trips answers a value (a bracket, max_clique's
+    # exact=False, or the minimum net's incumbent and lower end), so the
+    # package catches CapExceededError in two places: Budget.run, for
+    # every walk, and the CLI, which turns it into exit 2.
     sites = set()
-    for path in sorted(Path(epsnet.__file__).parent.glob("*.py")):
-        for scope, names in _catchers(ast.parse(path.read_text())):
-            if "CapExceededError" in names:
-                sites.add(f"{path.stem}.{scope}")
+    for scope, node in _package_nodes():
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if "CapExceededError" in {getattr(k, "id", getattr(k, "attr", None))
+                                      for k in kinds}:
+                sites.add(scope)
     assert sites == {"core.Budget.run", "cli.main"}
+
+
+def test_a_trip_is_raised_in_three_places_and_never_re_raised():
+    # Budget.spend raises a trip for Budget.run to catch and keep as a
+    # message; only the generators' range cap and sauer_check raise one
+    # to a caller, and no search re-raises a Budget's error.
+    built, reraised = set(), []
+    for scope, node in _package_nodes():
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CapExceededError":
+            built.add(".".join(scope.split(".")[:2]))
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Attribute)
+                and node.exc.attr == "error"):
+            reraised.append(scope)
+    assert built == {"core.Budget", "complexity.sauer_check",
+                     "generators.gen_lower_bound_family"}
+    assert reraised == []
+    assert not hasattr(CapExceededError("trip"), "spent")

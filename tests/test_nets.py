@@ -12,7 +12,6 @@ import pytest
 from epsnet import core, nets
 from epsnet.complexity import alexander_capacity, capacity_vector
 from epsnet.core import (
-    CapExceededError,
     InstanceError,
     RangeSpace,
     TheoremViolationError,
@@ -747,14 +746,19 @@ def test_branch_and_bound_beats_its_greedy_prime():
     assert oracle_min_hitting(sp, eps) == 3
 
 
-def test_min_net_past_its_node_budget_reports_the_nodes_spent(monkeypatch):
+def test_min_net_past_its_node_budget_answers_its_incumbent_and_a_lower_end(
+    monkeypatch, budgets,
+):
     # The 5-cycle survives every reduction rule, so its minimum of 3
-    # needs the branch and bound; two nodes are not enough.
+    # needs the branch and bound; two nodes are not enough to prove it.
+    # The greedy incumbent is a minimum, and two disjoint edges bound it.
     sp = build_range_space(5, [1] * 5, [[i, (i + 1) % 5] for i in range(5)])
     monkeypatch.setattr(nets, "EXACT_NET_NODES", 2)
-    with pytest.raises(CapExceededError) as info:
-        min_net_exact(sp, Fraction(2, 5))
-    assert info.value.spent == 2
+    rep = min_net_exact(sp, Fraction(2, 5))
+    assert rep.is_net and rep.points == (0, 2, 3) and rep.stats["lower"] == 2
+    (budget,) = budgets
+    assert budget.spent == 2
+    assert budget.error == "hitting-set search exceeded its budget of 2 nodes"
 
 
 def test_sandwich_min_le_greedy_le_constructions():

@@ -113,8 +113,8 @@ def test_max_clique_node_budget_trips_with_work_spent(monkeypatch, budgets):
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 3)
     # The trip comes before the first leaf: no clique, the lower bound.
     assert max_clique(adj) == (0, (), False)
-    assert budgets[-1].spent == budgets[-1].error.spent == 3
-    assert str(budgets[-1].error) == "max clique search exceeded its budget of 3 nodes"
+    assert budgets[-1].spent == 3
+    assert budgets[-1].error == "max clique search exceeded its budget of 3 nodes"
 
 
 def test_max_clique_deeper_than_the_recursion_limit_reports_the_nodes_spent(budgets):
@@ -125,8 +125,8 @@ def test_max_clique_deeper_than_the_recursion_limit_reports_the_nodes_spent(budg
     adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
     assert max_clique(adj) == (0, (), False)
     (budget,) = budgets
-    assert 0 < budget.error.spent == budget.spent <= packing.DEFAULT_CLIQUE_NODES
-    assert str(budget.error) == (
+    assert 0 < budget.spent <= packing.DEFAULT_CLIQUE_NODES
+    assert budget.error == (
         f"max clique search passed the recursion limit after {budget.spent} nodes")
 
 
@@ -197,7 +197,7 @@ def test_max_clique_trip_is_frozen(monkeypatch, budgets):
     assert max_clique(adj) == (7, (1, 6, 7, 8, 11, 14, 18), True)
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 12)
     assert max_clique(adj) == (6, (4, 6, 16, 17, 22, 23), False)
-    assert budgets[-1].spent == budgets[-1].error.spent == 12
+    assert budgets[-1].spent == 12
 
 
 @pytest.mark.parametrize("name, settled", [
@@ -236,7 +236,7 @@ def test_max_clique_settled_by_its_colouring_needs_no_node(monkeypatch, budgets)
     assert max_clique(adj, classes) == (classes, (), True)
     assert budgets == []  # settled before a Budget is made
     assert max_clique(adj, classes - 1) == (classes - 1, (), False)
-    assert budgets[-1].spent == budgets[-1].error.spent == 0
+    assert budgets[-1].spent == 0
 
 
 @pytest.mark.parametrize("name, ceiling", [
