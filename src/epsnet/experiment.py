@@ -25,7 +25,6 @@ from .core import (
     PRNG_ALGORITHM,
     RangeSpace,
     _items,
-    _unit_eps,
     format_rational,
     parse_rational,
 )
@@ -33,6 +32,7 @@ from .complexity import doubling_constant, vc_dimension
 from .nets import (
     DEFAULT_C,
     _check_C,
+    _float_unit,
     build_decomposition,
     cal_net,
     capacity_size_bound,
@@ -138,9 +138,9 @@ class ExperimentConfig:
         (an InstanceError, so the CLI exits 2)."""
         try:
             _check_C(self.C)
-            _unit_eps(self.delta, "'delta'")
+            _float_unit(self.delta, "'delta'")
             for eps in self.eps_grid:
-                _unit_eps(eps, "'eps'")
+                _float_unit(eps, "'eps'")
         except ValueError as exc:
             raise InstanceError(str(exc)) from None
         if self.cal_budget < 1:

@@ -48,20 +48,19 @@ call, reads the doubling row's report rather than drawing again. A
 builder called without dec= builds its own and keeps nothing past the
 call.
 
-One greedy scoring loop, _greedy_pick, serves every hitting set:
-greedy_net runs it on the space's cached incidence columns with the
-heavy ranges as its todo mask, and the repair steps and the exact
-search's incumbent (_greedy_hit) on columns built for their own target
-lists.
+One greedy scoring loop, _greedy_pick, serves every hitting set on a
+column table it already holds: greedy_net and the repairs on the space's
+incidence columns, and the exact search's incumbent on the columns
+_reduce built for its masks.
 
 The minimum net is a minimum hitting set of the heavy ranges: reduction
-rules, then a branch and bound that, past EXACT_NET_NODES, answers its
-incumbent with a lower end. One superset filter, _minimal_masks, keeps
-the inclusion-minimal masks of a family by ANDing incidence columns:
-min_net_exact runs it over the heavy ranges in measure order on the
-space's own columns, so only the minimal ones reach the rules, and
-_reduce runs it on columns of the masks it has left. Every builder and
-the verifier reject an eps outside (0, 1] before any work.
+rules, then a branch and bound over index masks that, past
+EXACT_NET_NODES, answers its incumbent with a lower end. One superset
+filter, _minimal_masks, keeps the inclusion-minimal masks of a family by
+ANDing incidence columns: min_net_exact runs it over the heavy ranges in
+measure order on the space's own columns, and _reduce on columns of the
+masks it has left, which the search reads. Every builder and the
+verifier reject an eps outside (0, 1] before any work.
 """
 
 from __future__ import annotations
@@ -205,16 +204,6 @@ def _greedy_pick(cols, cands: list[int], todo: int) -> list[int]:
     return chosen
 
 
-def _greedy_hit(space: RangeSpace, masks: list[int]) -> list[int]:
-    """Support points chosen greedily (_greedy_pick, candidates in point
-    order) to hit every mask, scored on the incidence columns of those
-    targets."""
-    targets = [m & space.support_mask for m in masks]
-    cols = incidence_columns(targets, space.n)
-    cands = [p for p in range(space.n) if cols[p]]
-    return _greedy_pick(cols, cands, (1 << len(targets)) - 1)
-
-
 def _scale_nets(
     space: RangeSpace, dec: DyadicDecomposition, scales: range, groups,
     rng=None, size=None,
@@ -226,12 +215,12 @@ def _scale_nets(
     indices of ranges R that each have a support point in Q. g is read
     only while Q holds a support point the net lacks: otherwise the net
     meets every R of g in Q already. The columns of the net's points in Q
-    are cleared from g, and the traces R & Q of the ranges left, in index
-    order, are _greedy_hit's targets: the ranges of g whose trace the net
-    misses. A scale whose bucket is empty or whose union holds no support
-    point is skipped. Returns the net mask and, per scale, the draws made
-    and the points the repair added."""
-    ranges, cols, support = space.ranges, space.incidence, space.support_mask
+    are cleared from g, leaving the ranges whose trace R & Q the net
+    misses, and _greedy_pick hits them from the support points of Q the
+    net lacks, scored by cols[p] & g. A scale whose bucket is empty or
+    whose union holds no support point is skipped. Returns the net mask
+    and, per scale, the draws made and the points the repair added."""
+    cols, support = space.incidence, space.support_mask
     net_mask = 0
     draws, added = [], []
     for b in scales:
@@ -243,13 +232,14 @@ def _scale_nets(
                 net_mask |= draw_mask(space, m, rng, within_mask=union)
             qs, group = groups(b)
             for j, q in enumerate(qs):
-                if not q & support & ~net_mask:
+                free = q & support & ~net_mask
+                if not free:
                     continue
                 g = group(j)
                 for x in iter_bits(q & net_mask):
                     g &= ~cols[x]
                 if g:
-                    pts = _greedy_hit(space, [ranges[i] & q for i in iter_bits(g)])
+                    pts = _greedy_pick(cols, list(iter_bits(free)), g)
                     k += len(pts)
                     net_mask |= mask_of(pts)
         draws.append(m)
@@ -434,7 +424,7 @@ def capacity_size_bound(d: int, tau, eps) -> float:
         max(d, 1)
         * float(tau)
         * math.log(float(tau) + 1)
-        * max(math.log(1 / float(eps)), LN2)
+        * max(math.log(1 / _float_unit(eps)), LN2)
     )
 
 
@@ -449,7 +439,7 @@ def doubling_size_bound(d: int, taus, D: float) -> float:
 
 def small_doubling_size_bound(d: int, D: float, eps) -> float:
     """d * D * max(ln(1/(eps*D)), ln 2)."""
-    return max(d, 1) * max(D, 1.0) * max(math.log(1 / (float(eps) * max(D, 1.0))), LN2)
+    return max(d, 1) * max(D, 1.0) * max(math.log(1 / (_float_unit(eps) * max(D, 1.0))), LN2)
 
 
 def _check_C(C: float) -> None:
@@ -457,6 +447,14 @@ def _check_C(C: float) -> None:
     finite; every sizing checks it before any work."""
     if not (C > 0 and math.isfinite(C)):
         raise ValueError(f"C must be positive and finite, got {C!r}")
+
+
+def _float_unit(q, name: str = "eps") -> float:
+    """float(q) for q in (0, 1] (core._unit_eps), which the size formulas
+    divide by: a q that underflows to 0.0 is a ValueError naming it."""
+    if x := float(_unit_eps(q, name)):
+        return x
+    raise ValueError(f"{name} is below the smallest positive float")
 
 
 def _inputs(
@@ -522,18 +520,18 @@ def iid_sample_size(
     vc sizing: ceil(C * (d*ln(1/eps) + ln(1/delta)) / eps).
     capacity sizing: ceil(C * (d*ln(tau) + ln(1/delta)) / eps).
     """
-    eps, delta = _unit_eps(eps), _unit_eps(delta, "delta")
+    eps, delta = _float_unit(eps), _float_unit(delta, "delta")
     _check_C(C)
     d = max(d, 0)
     if sizing == "vc":
-        term = d * math.log(1 / float(eps))
+        term = d * math.log(1 / eps)
     elif sizing == "capacity":
         if tau is None:
             raise ValueError("capacity sizing needs tau")
         term = d * math.log(float(tau))
     else:
         raise ValueError(f"unknown sizing: {sizing}")
-    m = _draw_count(C * (term + math.log(1 / float(delta))) / float(eps))
+    m = _draw_count(C * (term + math.log(1 / delta)) / eps)
     return max(m, 1)
 
 
@@ -551,7 +549,7 @@ def iid_net(
     No retries: the success probability is the object under test, so a
     failed draw is reported as is_net=False.
     """
-    delta = _unit_eps(delta, "delta")
+    _float_unit(delta, "delta"), _float_unit(eps)  # the sizing's floats
     if sizing not in ("vc", "capacity"):
         raise ValueError(f"unknown sizing: {sizing}")
     eps, d = _inputs(space, eps, C, d)
@@ -804,52 +802,52 @@ def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
                    {"draws": 0, "targets": heavy.bit_count()})
 
 
-def _disjoint_bound(by_size: list[int]) -> int:
-    """How many masks a first fit over by_size keeps pairwise disjoint: as
-    each needs a point of its own, no hitting set is smaller."""
-    used = bound = 0
-    for m in by_size:
-        if not m & used:
-            bound, used = bound + 1, used | m
+def _disjoint_bound(masks: list[int], cols, todo: int) -> int:
+    """How many masks indexed by todo a first fit in index order keeps
+    pairwise disjoint (an index drops once a kept mask meets it, by the OR
+    of that mask's points' cols): no hitting set of them is smaller."""
+    bound = 0
+    while todo:
+        meet = 0
+        for p in iter_bits(masks[(todo & -todo).bit_length() - 1]):
+            meet |= cols[p]
+        todo &= ~meet
+        bound += 1
     return bound
 
 
 def _min_hit_component(
-    space: RangeSpace, masks: list[int], budget: Budget
+    kept: list[int], cols, comp: int, budget: Budget
 ) -> tuple[list[int], int]:
-    """Minimum hitting set of one component (masks within the support) by
-    branch and bound, and a lower end: its size, or after a trip the root's
-    disjoint bound beside the incumbent. Branches on the smallest uncovered
-    mask, and prunes by the disjoint bound of the uncovered masks.
-    """
-    # Greedy upper bound primes the incumbent.
-    best = _greedy_hit(space, masks)
+    """Minimum hitting set of the masks of kept (sorted by size and value,
+    cols their columns, as _reduce returns them) in component comp, by
+    branch and bound on index masks from a greedy incumbent, and a lower
+    end: its size, or after a trip the root's disjoint bound. The pivot is
+    the lowest uncovered index, the first smallest mask."""
+    todo = 0
+    for p in iter_bits(comp):
+        todo |= cols[p]
+    best = _greedy_pick(cols, list(iter_bits(comp)), todo)
 
-    def rec(unc: list[int], chosen: list[int]) -> None:
+    def rec(unc: int, chosen: list[int]) -> None:
         nonlocal best
         budget.spend()
         if not unc:
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        # One stable sort serves the bound and the pivot: by_size[0] is the
-        # first smallest mask.
-        by_size = sorted(unc, key=int.bit_count)
-        if len(chosen) + _disjoint_bound(by_size) >= len(best):
+        if len(chosen) + _disjoint_bound(kept, cols, unc) >= len(best):
             return
-        pivot = by_size[0]
-        cands = sorted(
-            iter_bits(pivot),
-            key=lambda p: (-sum(1 for m in unc if m >> p & 1), p),
-        )
-        for p in cands:
+        pivot = kept[(unc & -unc).bit_length() - 1]
+        for p in sorted(iter_bits(pivot),
+                        key=lambda p: (-(cols[p] & unc).bit_count(), p)):
             chosen.append(p)
-            rec([m for m in unc if not (m >> p & 1)], chosen)
+            rec(unc & ~cols[p], chosen)
             chosen.pop()
 
-    if budget.run(rec, masks, []):
+    if budget.run(rec, todo, []):
         return best, len(best)
-    return best, _disjoint_bound(sorted(masks, key=int.bit_count))
+    return best, _disjoint_bound(kept, cols, todo)
 
 
 def _minimal_masks(
@@ -877,7 +875,7 @@ def _minimal_masks(
     return kept
 
 
-def _reduce(masks: list[int], n: int) -> tuple[int, list[int]]:
+def _reduce(masks: list[int], n: int) -> tuple[int, list[int], list[int]]:
     """Weihe's hitting-set reduction rules ("Covering trains by
     stations", ALENEX 1998) on nonempty point masks, to a fixpoint: take
     the point of a one-point mask and drop the masks it hits; drop a mask
@@ -886,8 +884,8 @@ def _reduce(masks: list[int], n: int) -> tuple[int, list[int]]:
     point lies in all of its masks (the rest of their intersection),
     keeping the lowest of points with equal columns. Domination is a
     strict order, so every dropped point keeps a dominator and the
-    minimum is preserved. Returns the taken points' mask and the masks
-    left, sorted by size and value."""
+    minimum is preserved. Returns the taken points' mask, the masks left,
+    sorted by size and value, and the last round's columns of them."""
     taken = 0
     while True:
         single = 0
@@ -914,7 +912,7 @@ def _reduce(masks: list[int], n: int) -> tuple[int, list[int]]:
                     drop |= 1 << p
                     break
         if not drop:
-            return taken, masks
+            return taken, masks, cols
         masks = [m & ~drop for m in masks]
 
 
@@ -926,11 +924,12 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
     support point weighs > 0, on the space's incidence columns. Those
     masks are reduced once by _reduce, whose taken points lie in every
     minimum; each point-sharing component of what is left is solved by
-    branch and bound within one budget of EXACT_NET_NODES nodes. Past it
-    the net is the incumbent, and stat lower (present only below the size)
-    sums the taken points and the components' lower ends. The stat targets
-    counts the distinct heavy masks within the support, and
-    kept_after_pruning the masks the branch and bound sees.
+    branch and bound on _reduce's columns within one budget of
+    EXACT_NET_NODES nodes. Past it the net is the incumbent, and stat
+    lower (present only below the size) sums the taken points and the
+    components' lower ends. The stat targets counts the distinct heavy
+    masks within the support, and kept_after_pruning the masks the branch
+    and bound sees.
     """
     eps = _unit_eps(eps)
     support, heavy = space.support_mask, space.ranges_at_least(eps)
@@ -938,11 +937,11 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
         space.ranges, space.measure_order[space.count_below(eps):],
         space.incidence, heavy, support,
     )
-    taken, kept = _reduce(minimal, space.n)
+    taken, kept, cols = _reduce(minimal, space.n)
     budget = Budget(EXACT_NET_NODES, "hitting-set search")
     lower = taken.bit_count()
     for comp in components(kept):
-        best, low = _min_hit_component(space, [m for m in kept if m & comp], budget)
+        best, low = _min_hit_component(kept, cols, comp, budget)
         taken, lower = taken | mask_of(best), lower + low
     targets = len({space.ranges[i] & support for i in iter_bits(heavy)})
     stats = {"draws": 0, "targets": targets, "kept_after_pruning": len(kept)}

@@ -156,6 +156,23 @@ def oracle_min_hitting(space, eps):
     raise AssertionError("support itself always hits qualifying ranges")
 
 
+def oracle_greedy_hitting(space, eps):
+    """Greedy hitting set of the ranges of measure >= eps, one set per
+    range (repeats count apart): pick the support point that meets the
+    most ranges not yet hit, ties to the lowest point, until all are hit.
+    The points in the order picked."""
+    unhit = [s for s in as_sets(space) if set_measure(space, s) >= eps]
+    support = [p for p in range(space.n) if space.weights[p] > 0]
+    picked = []
+    while unhit:
+        best = max(support, key=lambda p: (sum(p in s for s in unhit), -p))
+        if not any(best in s for s in unhit):
+            raise AssertionError("a qualifying range holds no support point")
+        picked.append(best)
+        unhit = [s for s in unhit if best not in s]
+    return picked
+
+
 def oracle_max_packing(space, delta, eligible=None):
     """Largest pairwise delta-separated subfamily, by include/exclude
     recursion (every branch filters to the still-compatible tail)."""

@@ -342,6 +342,30 @@ def test_net_sample_size_past_sys_maxsize_is_exit_2(
     assert "is not a finite draw count" in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    ["--method", "iid", "--eps", "1/2", "--delta", "1e-400"],
+    ["--method", "iid", "--eps", "1e-400"],
+    ["--method", "iid-capacity", "--eps", "1e-400"],
+], ids=["iid-delta", "iid-eps", "iid-capacity-eps"])
+def test_net_eps_or_delta_underflowing_a_float_is_exit_2_naming_it(
+    args, chain_file, capsys, monkeypatch,
+):
+    # 1e-400 lies in (0, 1], but the i.i.d. sizing divides by its float,
+    # 0.0: that is a usage error before any VC walk, capacity or draw.
+    calls = []
+    for name in ("vc_dimension", "alexander_capacity", "hit_mask"):
+        real = getattr(nets, name)
+        monkeypatch.setattr(
+            nets, name,
+            lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+    assert main(["net", str(chain_file), *args]) == 2
+    captured = capsys.readouterr()
+    assert calls == [] and captured.out == ""
+    # delta is checked with the net command's settings, eps by the builder.
+    name = "'delta'" if "--delta" in args else "eps"
+    assert f"error: {name} is below the smallest positive float" in captured.err
+
+
 def test_pack_subcommand(chain_file, capsys):
     assert main(["pack", str(chain_file), "--delta", "1/4"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -606,6 +630,27 @@ def test_experiment_config_range_errors_are_the_builders_errors(settings):
     with pytest.raises(InstanceError) as config:
         ExperimentConfig(**settings)
     assert str(config.value) == str(builder.value)
+
+
+@pytest.mark.parametrize("setting", [
+    {"eps": ["1/4", "1e-400"]}, {"delta": "1e-400"},
+], ids=["eps", "delta"])
+def test_experiment_eps_or_delta_underflowing_a_float_is_exit_2_naming_it(
+    setting, chain_file, tmp_path, capsys,
+):
+    # Every row's size-bound columns divide by eps as a float, and the
+    # i.i.d. rows by delta: a value whose float is 0.0 is rejected with
+    # the config's other range checks, before any row.
+    doc = {"instances": [chain_file.name], "eps": ["1/4"],
+           "methods": ["greedy"], "seeds": [0], **setting}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 2
+    (key,) = setting
+    assert (f"error: '{key}' is below the smallest positive float"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # Each case was silently coerced (or crashed with a traceback) before

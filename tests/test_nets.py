@@ -38,7 +38,7 @@ from epsnet.nets import (
 from epsnet.packing import Packing
 
 from corpus import CORPUS, EPS_GRID
-from oracles import oracle_min_hitting
+from oracles import oracle_greedy_hitting, oracle_min_hitting
 
 SMALL = [k for k, sp in CORPUS.items() if sp.n <= 10 and len(sp.ranges) <= 25]
 
@@ -587,14 +587,14 @@ def _weighted_spaces_with_zero_weights():
 
 def test_greedy_net_equals_greedy_hit_over_the_heavy_ranges():
     # greedy_net scores on the space's incidence index masked by the
-    # heavy ranges; _greedy_hit builds the index of an explicit target
-    # list. Both must make the same picks.
+    # heavy ranges; the reference greedy counts set memberships over an
+    # explicit target list. Both must make the same picks.
     spaces = list(CORPUS.values()) + list(_weighted_spaces_with_zero_weights())
     for sp in spaces:
         for eps in EPS_GRID:
             targets = [r for i, r in enumerate(sp.ranges) if sp.measure(i) >= eps]
             rep = greedy_net(sp, eps)
-            assert rep.points == tuple(sorted(nets._greedy_hit(sp, targets))), (
+            assert rep.points == tuple(sorted(oracle_greedy_hitting(sp, eps))), (
                 sp.name, eps)
             assert rep.stats["targets"] == len(targets)
             assert rep.is_net
@@ -717,6 +717,53 @@ def test_min_net_drops_superset_ranges_on_the_space_columns(monkeypatch):
     assert rep.stats["targets"] == 826 and rep.is_net
     assert seen == [24]
     assert sizes and max(sizes) <= 24
+
+
+def test_hitting_sets_build_no_column_table_past_reduce(monkeypatch):
+    # The repairs score on the space's own incidence columns, and the
+    # minimum-net search and its greedy incumbent on the columns _reduce
+    # returns with its masks: no column table is built outside _reduce.
+    inside, outside = [], []
+    build, reduce_ = nets.incidence_columns, nets._reduce
+    reducing = False
+
+    def spy_columns(masks, n):
+        (inside if reducing else outside).append(len(masks))
+        return build(masks, n)
+
+    def spy_reduce(masks, n):
+        nonlocal reducing
+        reducing = True
+        try:
+            return reduce_(masks, n)
+        finally:
+            reducing = False
+
+    sp = MIN_NET_SPACES["random-n20r300s1"]()
+    sp.incidence
+    monkeypatch.setattr(nets, "incidence_columns", spy_columns)
+    monkeypatch.setattr(nets, "_reduce", spy_reduce)
+    eps = Fraction(1, 8)
+    for build_net in (stratified_net, doubling_net):
+        rep = build_net(sp, eps, C=0.01)
+        assert rep.is_net and rep.stats["repair_points"] > 0
+    assert outside == inside == []
+    rep = min_net_exact(sp, eps)
+    assert rep.is_net and rep.stats["kept_after_pruning"] == 59
+    assert outside == [] and inside
+
+
+def test_min_net_on_forty_disks_is_pinned(budgets):
+    # 8,019 distinct heavy disks reduce to 200 masks, whose minimum of 11
+    # the branch and bound proves in 128,911 nodes.
+    sp = gen_geometric("disks", random_points(40, 2, seed=7))
+    rep = min_net_exact(sp, Fraction(1, 8))
+    assert rep.points == (1, 2, 3, 4, 7, 9, 16, 17, 21, 26, 30)
+    assert rep.is_net and "lower" not in rep.stats
+    assert rep.stats["kept_after_pruning"] == 200
+    assert rep.stats["targets"] == 8019
+    (budget,) = budgets
+    assert budget.spent == 128_911
 
 
 def test_reduction_rules_alone_solve_intervals(monkeypatch):

@@ -5,7 +5,8 @@ pi and the star number on disjoint unions, the pi rows computed
 together against each row alone and on near-duplicate ranges,
 the capacity table at every scale, the exact doubling sweep and its
 budget-tripped bracket, the minimum net (and its superset filter and
-reduction rules on ranges that are equal within the support), the net
+reduction rules on ranges that are equal within the support, and the
+search's disjoint bound against a first fit over a list), the net
 verifier, the dyadic buckets, the range-index masks of heavy ranges and
 buckets and the quarter groups agree with the brute-force oracles on
 small weighted random spaces, as does the max-clique search at every
@@ -539,9 +540,29 @@ def test_superset_filter_and_reduction_keep_the_minimum_on_support_twins(
     assert got == [m for m in cands if m in minimal]
 
     want = oracle_min_hitting(space, eps)
-    taken, kept = nets._reduce(heavy, space.n)
+    taken, kept, _ = nets._reduce(heavy, space.n)
     assert not any(m & taken for m in kept)
     assert taken.bit_count() + brute_min_hitting(kept) == want
     rep = min_net_exact(space, eps)
     assert rep.is_net and rep.size == want
     assert rep.stats["targets"] == len(distinct)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=16),
+    st.integers(0, (1 << 16) - 1),
+)))
+def test_disjoint_bound_is_a_first_fit_over_the_masks_by_size(case):
+    # The search's bound walks an index mask over _reduce's masks, sorted
+    # by size, on their columns; it keeps as many pairwise disjoint masks
+    # as a first fit over the list of the masks the index mask picks.
+    n, masks, pick = case
+    masks.sort(key=int.bit_count)
+    todo = pick & ((1 << len(masks)) - 1)
+    first_fit, used = 0, 0
+    for m in [m for i, m in enumerate(masks) if todo >> i & 1]:
+        if not m & used:
+            first_fit, used = first_fit + 1, used | m
+    cols = oracle_incidence_columns(masks, n)
+    assert nets._disjoint_bound(masks, cols, todo) == first_fit

@@ -1,6 +1,7 @@
-"""The README's library quick start runs as written, and the module
-names it documents exist."""
+"""The README's library quick start runs as written, the module names
+it documents exist, and so do the private helpers the docstrings cite."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -29,3 +30,23 @@ def test_readme_module_names_resolve():
     missing = [f"{mod}.{name}" for mod, name in sorted(cited)
                if not hasattr(importlib.import_module(f"epsnet.{mod}"), name)]
     assert not missing, missing
+
+
+def test_docstring_helper_names_resolve():
+    # A private helper deleted or renamed must not stay cited: every bare
+    # _name in a module, class or function docstring of an epsnet module
+    # has to exist in that module. A dotted one (core._add) is not bare.
+    missing = []
+    for mod in ["epsnet"] + [f"epsnet.{m.name}"
+                             for m in pkgutil.iter_modules(epsnet.__path__)]:
+        module = importlib.import_module(mod)
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                continue
+            for name in re.findall(r"(?<![\w.])_[A-Za-z]\w*",
+                                   ast.get_docstring(node) or ""):
+                if not hasattr(module, name):
+                    missing.append(f"{mod}: {name}")
+    assert not missing, sorted(set(missing))
