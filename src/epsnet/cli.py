@@ -18,6 +18,7 @@ from .core import (
     InstanceError,
     RangeSpace,
     TheoremViolationError,
+    _float_unit,
     draw_points,
     format_rational,
     parse_json,
@@ -116,12 +117,14 @@ def cmd_profile(args) -> int:
 
 
 def cmd_pack(args) -> int:
+    delta = parse_rational(args.delta)
+    _float_unit(delta, "delta")  # the packing bound divides by it
     space = load_instance(args.instance)
     # Exact mode: the maximum packing, or (exact: false) the clique
     # search's incumbent past its budget. The bound is checked on the
     # packing printed.
     find = max_packing_exact if args.mode == "exact" else greedy_packing
-    packing = find(space, parse_rational(args.delta))
+    packing = find(space, delta)
     cert = haussler_certificate(space, packing, strict=False)
     doc = {
         "delta": format_rational(packing.delta),

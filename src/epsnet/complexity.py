@@ -1,15 +1,15 @@
 """Combinatorial and measure-theoretic complexity of a range space.
 
-Every estimate is a Bound: what the search found and the ceiling it
-already knows, exact exactly when the two meet. The VC, pi, phi and star
-walks and the clique search count their nodes on a core.Budget of work
-done, not a cap on instance size. Budget.run alone catches a trip, past
-the budget or Python's recursion limit; after one, the estimate returns
-a bracket whose lower end is the incumbent or a sampled estimate. Only
-sauer_check, a certificate that needs exact values, turns a bracket into
-a CapExceededError. Suprema over a continuous scale parameter are finite
-maxima over breakpoint values where the objective can change, so every
-returned rational is exact.
+Every estimate is a core.Bound, the answer of every exact search: what
+the search found and the ceiling it already knows, exact when the two
+meet. The VC, pi, phi and star walks and the clique search count their
+nodes on a core.Budget of work done, not a cap on instance size.
+Budget.run alone catches a trip, past the budget or Python's recursion
+limit; after one, the estimate returns a bracket whose lower end is the
+incumbent or a sampled estimate. Only sauer_check, a certificate that
+needs exact values, turns a bracket into a CapExceededError. Suprema
+over a continuous scale parameter are finite maxima over breakpoints
+where the objective can change, so every returned rational is exact.
 
 The exact enumerations over point sets (pi, phi, VC) walk the sets depth
 first and keep the partition of the ranges by their trace on the current
@@ -37,6 +37,7 @@ from operator import or_
 from typing import Sequence
 
 from .core import (
+    Bound,
     Budget,
     CapExceededError,
     RangeSpace,
@@ -56,32 +57,6 @@ from .packing import FarGraph, colour_bound, max_clique
 WALK_NODES = 300_000
 # Point sets drawn by the sampled estimates of pi and phi.
 ESTIMATE_DRAWS = 2000
-
-
-@dataclass(frozen=True)
-class Bound:
-    """lower <= true value <= upper, exact iff the ends meet. witness
-    certifies the lower end (a shattered set, a star set, a packing's
-    members); eps0 is the scale of a doubling packing."""
-
-    lower: int
-    upper: int
-    witness: tuple[int, ...] = ()
-    eps0: Fraction | None = None
-
-    @property
-    def exact(self) -> bool:
-        return self.lower == self.upper
-
-    @property
-    def mode(self) -> str:
-        return "exact" if self.exact else "bracket"
-
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise ValueError("no single exact value in bracket mode")
-        return self.lower
 
 
 def _split(classes: list[int], col: int) -> tuple[list[int], list[int]]:
@@ -516,12 +491,12 @@ def doubling_constant(
     greedy colouring in vertex order with no more classes than the
     incumbent, with no search and no node spent.
 
-    When a clique search runs out of packing.DEFAULT_CLIQUE_NODES, its
-    incumbent, or one eligible range if it is empty, is the lower end and
-    the sweep stops searching: the tripped breakpoint and every later one
-    with more eligible ranges than the current upper end add a greedy
-    colouring's class count to the upper end, and the rest are bounded by
-    their eligible count.
+    When a search runs out of packing.DEFAULT_CLIQUE_NODES short of a
+    proof, its Bound's witness, or one eligible range if it is empty, is a
+    lower end, its upper end (a colouring's class count) starts the sweep's
+    upper end, and the sweep stops searching: each later breakpoint with
+    more eligible ranges than the upper end adds a greedy colouring's
+    class count, and the rest are bounded by their eligible count.
     Returns Bound(packing size, D itself or the colouring upper end, the
     packing's members, its scale eps0).
     mode and range_cap are accepted and ignored, for callers that still
@@ -546,20 +521,18 @@ def doubling_constant(
         if j <= (best if upper is None else upper):
             continue
         far = graph.rows(j, space.ceil_weight(eps0))
-        if upper is None:
-            size, members, exact = max_clique(far, lower_bound=best)
-            if not exact:
-                # One eligible range is a packing even if the search
-                # tripped before its first leaf.
-                members = members or (0,)
-                size = len(members)
-                upper = best
-            if size > best:
-                best = size
-                best_eps0 = eps0
-                best_members = tuple(sorted(sorted_idx[v] for v in members))
         if upper is not None:
             upper = max(upper, colour_bound(far))
+            continue
+        clique = max_clique(far, lower_bound=best)
+        members = clique.witness
+        if not clique.exact:
+            # One eligible range is a packing even if the search tripped
+            # before its first leaf.
+            members, upper = members or (0,), clique.upper
+        if len(members) > best:
+            best, best_eps0 = len(members), eps0
+            best_members = tuple(sorted(sorted_idx[v] for v in members))
     return Bound(best, best if upper is None else upper, best_members, best_eps0)
 
 

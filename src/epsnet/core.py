@@ -67,6 +67,33 @@ class Budget:
         return False
 
 
+@dataclass(frozen=True)
+class Bound:
+    """lower <= true value <= upper, exact iff the ends meet. witness is
+    the incumbent: it proves the lower end of a maximum (a shattered set,
+    a star set, a clique, a packing) and the upper end of a minimum (a
+    hitting set). eps0 is the scale of a doubling packing."""
+
+    lower: int
+    upper: int
+    witness: tuple[int, ...] = ()
+    eps0: Fraction | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.exact else "bracket"
+
+    @property
+    def value(self) -> int:
+        if not self.exact:
+            raise ValueError("no single exact value in bracket mode")
+        return self.lower
+
+
 class TheoremViolationError(RuntimeError):
     """A certified inequality failed; indicates a bug, not bad data."""
 
@@ -205,6 +232,14 @@ def _unit_eps(eps, name: str = "eps") -> Fraction:
     if not 0 < eps <= 1:
         raise ValueError(f"{name} must be in (0, 1], got {eps}")
     return eps
+
+
+def _float_unit(q, name: str = "eps") -> float:
+    """float(q) for q in (0, 1] (_unit_eps), which the size formulas and
+    the packing bound divide by: a q whose float is 0.0 is a ValueError."""
+    if x := float(_unit_eps(q, name)):
+        return x
+    raise ValueError(f"{name} is below the smallest positive float")
 
 
 def ceil_log2(q: Fraction) -> int:

@@ -24,6 +24,7 @@ from .core import (
     InstanceError,
     PRNG_ALGORITHM,
     RangeSpace,
+    _float_unit,
     _items,
     format_rational,
     parse_rational,
@@ -32,7 +33,6 @@ from .complexity import doubling_constant, vc_dimension
 from .nets import (
     DEFAULT_C,
     _check_C,
-    _float_unit,
     build_decomposition,
     cal_net,
     capacity_size_bound,

@@ -40,13 +40,12 @@ range.
 Only the samples are random. The dyadic builders take the space's
 decomposition at eps as an optional dec=; one shared between calls keeps
 the seed-free parts they derive from it (each scale's packing and the
-quarter groups built so far, the small-D head and tail, and each scale's
-draw size per C, d and D) in its memo, so a sweep computes them at most
-once per (instance, eps). It keeps doubling_net's report per (C, seed,
-D, d) too, so the fallback of doubling_net_small_d, which makes the same
-call, reads the doubling row's report rather than drawing again. A
-builder called without dec= builds its own and keeps nothing past the
-call.
+quarter groups built so far, the small-D head and tail, D when none is
+given, each scale's draw size per C, d and D) in its memo, so a sweep
+computes them at most once per (instance, eps). It keeps doubling_net's
+report per (C, seed, D, d) too, which the doubling_net_small_d fallback
+reads rather than drawing again. A builder called without dec= builds
+its own and keeps nothing past the call.
 
 One greedy scoring loop, _greedy_pick, serves every hitting set on a
 column table it already holds: greedy_net and the repairs on the space's
@@ -73,12 +72,14 @@ from typing import Callable
 
 from .core import (
     DRAW_BLOCK,
+    Bound,
     Budget,
     InstanceError,
     RangeSpace,
     TheoremViolationError,
     _add,
     _at_least,
+    _float_unit,
     _unit_eps,
     _weigher,
     ceil_log2,
@@ -327,14 +328,13 @@ def _quarter_groups(
 class DyadicDecomposition:
     """The dyadic buckets of one space at one eps, each as its ascending
     range indices and as their bitmask. The builders handed one shared
-    decomposition (the dec= argument) keep in memo, the first time one
-    asks, what depends on (space, eps) and their own inputs alone, so
-    they compute it once: each scale's packing and its members' quarter
-    groups, each built when a repair first reads it, the small-D
-    builder's head and tail per cut, each scale's draw size per builder
-    and (C, d, D) it reads, and doubling_net's report per (C, seed, D,
-    d), which the small-D fallback reuses. It records the space it was
-    built for, and keeps nothing on it."""
+    decomposition (dec=) keep in memo, the first time one asks, what
+    depends on (space, eps) and their own inputs alone: each scale's
+    packing and its members' quarter groups, the small-D builder's head
+    and tail per cut, D when none is given, each scale's draw size per
+    builder and (C, d, D), and doubling_net's report per (C, seed, D, d),
+    which the small-D fallback reuses. It records the space it was built
+    for, and keeps nothing on it."""
 
     space: RangeSpace = field(compare=False, repr=False)
     eps: Fraction
@@ -449,14 +449,6 @@ def _check_C(C: float) -> None:
         raise ValueError(f"C must be positive and finite, got {C!r}")
 
 
-def _float_unit(q, name: str = "eps") -> float:
-    """float(q) for q in (0, 1] (core._unit_eps), which the size formulas
-    divide by: a q that underflows to 0.0 is a ValueError naming it."""
-    if x := float(_unit_eps(q, name)):
-        return x
-    raise ValueError(f"{name} is below the smallest positive float")
-
-
 def _inputs(
     space: RangeSpace, eps, C: float, d: int | None, D: float | None = None
 ) -> tuple[Fraction, int]:
@@ -472,12 +464,13 @@ def _inputs(
     return eps, d
 
 
-def _sizing_D(space: RangeSpace, eps: Fraction, D: float | None) -> float:
-    """The doubling value a packing-guided sizing uses: D, or the upper
-    end of doubling_constant(space, eps) when None, at least 1."""
-    if D is None:
-        D = float(doubling_constant(space, eps).upper)
-    return max(D, 1.0)
+def _sizing_D(dec: DyadicDecomposition, D: float | None) -> float:
+    """The doubling value a packing-guided sizing uses, at least 1: D, or
+    when None the upper end of doubling_constant at dec's scale, kept in
+    dec.memo."""
+    if D is None and "D" not in dec.memo:
+        dec.memo["D"] = float(doubling_constant(dec.space, dec.eps).upper)
+    return max(dec.memo["D"] if D is None else D, 1.0)
 
 
 def _draw_count(x: float) -> int:
@@ -629,14 +622,14 @@ def doubling_net(
     hitting sets, so the result always verifies. There are no redraws.
 
     dec is build_decomposition(space, eps), built here when None; a
-    shared one keeps the packings, quarter groups and draw sizes of each
-    scale, and the report per (C, seed, D, d), which a second call with
-    the same inputs returns.
+    shared one keeps D when none is given, the packings, quarter groups
+    and draw sizes of each scale, and the report per (C, seed, D, d),
+    which a second call with the same inputs returns.
     """
     eps, d = _inputs(space, eps, C, d, D)
     d_eff = max(d, 1)
-    D = _sizing_D(space, eps, D)
     dec = _decomposition(space, eps, dec)
+    D = _sizing_D(dec, D)
     # The stats echo C, seed, D and d as given, so the key tells 8 from 8.0.
     key = ("doubling",) + tuple((type(v), v) for v in (C, seed, D, d))
     if key in dec.memo:
@@ -667,8 +660,8 @@ def doubling_net(
 def _small_d_parts(space: RangeSpace, dec: DyadicDecomposition, i0: int):
     """The seed-free parts of doubling_net_small_d at the cut i0, kept in
     dec.memo: the head net mask (scales 1..i0, repaired from an empty
-    net), its points added per scale, and the tail as (scale, subfamily,
-    its decomposition, its doubling value), or None when no range lies
+    net), its points added per scale, and the tail as the decomposition
+    of its subfamily at the cut's scale, or None when no range lies
     above the cut."""
     key = ("small-d", i0)
     if key in dec.memo:
@@ -677,13 +670,9 @@ def _small_d_parts(space: RangeSpace, dec: DyadicDecomposition, i0: int):
         space, dec, range(1, i0 + 1), lambda b: _quarter_groups(space, dec, b)
     )
     tail = [i for b in range(i0 + 1, dec.z + 1) for i in dec.buckets[b]]
-    tail_parts = None
-    if tail:
-        lam = dec.levels[i0]
-        sub = space.subfamily(tail)
-        tail_parts = (lam, sub, build_decomposition(sub, lam),
-                      _sizing_D(sub, lam, None))
-    dec.memo[key] = net_mask, tuple(member_net_sizes), tail_parts
+    tail_dec = (build_decomposition(space.subfamily(tail), dec.levels[i0])
+                if tail else None)
+    dec.memo[key] = net_mask, tuple(member_net_sizes), tail_dec
     return dec.memo[key]
 
 
@@ -705,29 +694,27 @@ def doubling_net_small_d(
     Falls back to the plain builder outside the small-D regime.
 
     dec is build_decomposition(space, eps), built here when None; a
-    shared one keeps the head and the tail's subfamily, decomposition
-    and doubling value per cut, so only the tail's draw is per seed. The
-    fallback hands it to doubling_net, so it reuses the report that a
-    doubling call with the same seed, C, D and d kept there.
+    shared one keeps D when none is given, and the head and the tail's
+    decomposition (which keeps the tail's D) per cut, so only the tail's
+    draw is per seed. The fallback hands it to doubling_net, so it reuses
+    the report that a doubling call with the same inputs kept there.
     """
     eps, d = _inputs(space, eps, C, d, D)
-    D = _sizing_D(space, eps, D)
+    dec = _decomposition(space, eps, dec)
+    D = _sizing_D(dec, D)
     DF = Fraction(D)  # exact binary value of the float
     if DF > Fraction(1, 2) / eps:
         rep = doubling_net(space, eps, C=C, seed=seed, D=D, d=d, dec=dec)
         return replace(rep, method="doubling-small",
                        stats={**rep.stats, "fallback": True})
-    dec = _decomposition(space, eps, dec)
     # Rational cut: smallest i0 >= 1 with 2^i0 >= e/(D*eps), capped at z.
     i0 = max(min(ceil_log2(E_UPPER / (DF * eps)), dec.z), 1)
     net_mask, member_net_sizes, tail = _small_d_parts(space, dec, i0)
     tail_stats: dict = {"size": 0}
     if tail is not None:
-        lam, sub, sub_dec, sub_D = tail
-        tail_rep = doubling_net(sub, lam, C=C, seed=seed, D=sub_D, d=d,
-                                dec=sub_dec)
+        tail_rep = doubling_net(tail.space, tail.eps, C=C, seed=seed, d=d, dec=tail)
         net_mask |= tail_rep.mask
-        tail_stats = {"size": tail_rep.size, "scale": lam,
+        tail_stats = {"size": tail_rep.size, "scale": tail.eps,
                       "draws": tail_rep.stats.get("draws", 0)}
     stats = {"seed": seed, "C": C, "d": d, "D": D, "i0": i0, "z": dec.z,
              "member_net_sizes": list(member_net_sizes), "tail": tail_stats,
@@ -818,12 +805,12 @@ def _disjoint_bound(masks: list[int], cols, todo: int) -> int:
 
 def _min_hit_component(
     kept: list[int], cols, comp: int, budget: Budget
-) -> tuple[list[int], int]:
+) -> Bound:
     """Minimum hitting set of the masks of kept (sorted by size and value,
     cols their columns, as _reduce returns them) in component comp, by
-    branch and bound on index masks from a greedy incumbent, and a lower
-    end: its size, or after a trip the root's disjoint bound. The pivot is
-    the lowest uncovered index, the first smallest mask."""
+    branch and bound on index masks from a greedy incumbent, as Bound(its
+    size, or after a trip the root's disjoint bound, size, points). The
+    pivot is the lowest uncovered index, the first smallest mask."""
     todo = 0
     for p in iter_bits(comp):
         todo |= cols[p]
@@ -845,9 +832,9 @@ def _min_hit_component(
             rec(unc & ~cols[p], chosen)
             chosen.pop()
 
-    if budget.run(rec, todo, []):
-        return best, len(best)
-    return best, _disjoint_bound(kept, cols, todo)
+    finished = budget.run(rec, todo, [])
+    lower = len(best) if finished else _disjoint_bound(kept, cols, todo)
+    return Bound(lower, len(best), tuple(sorted(best)))
 
 
 def _minimal_masks(
@@ -925,11 +912,11 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
     masks are reduced once by _reduce, whose taken points lie in every
     minimum; each point-sharing component of what is left is solved by
     branch and bound on _reduce's columns within one budget of
-    EXACT_NET_NODES nodes. Past it the net is the incumbent, and stat
-    lower (present only below the size) sums the taken points and the
-    components' lower ends. The stat targets counts the distinct heavy
-    masks within the support, and kept_after_pruning the masks the branch
-    and bound sees.
+    EXACT_NET_NODES nodes into a core.Bound, its witness a hitting set.
+    The net is the taken points and every witness; stat lower, present
+    only when the net is not proven minimal, sums the taken points and
+    the components' lower ends. Stat targets counts the distinct heavy
+    masks within the support, kept_after_pruning the masks searched.
     """
     eps = _unit_eps(eps)
     support, heavy = space.support_mask, space.ranges_at_least(eps)
@@ -941,8 +928,8 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
     budget = Budget(EXACT_NET_NODES, "hitting-set search")
     lower = taken.bit_count()
     for comp in components(kept):
-        best, low = _min_hit_component(kept, cols, comp, budget)
-        taken, lower = taken | mask_of(best), lower + low
+        hit = _min_hit_component(kept, cols, comp, budget)
+        taken, lower = taken | mask_of(hit.witness), lower + hit.lower
     targets = len({space.ranges[i] & support for i in iter_bits(heavy)})
     stats = {"draws": 0, "targets": targets, "kept_after_pruning": len(kept)}
     if lower < taken.bit_count():

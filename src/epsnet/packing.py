@@ -15,10 +15,10 @@ settles that branch for one node, the node the search without
 propagation would have spent first on it. So an exact answer, members
 included, is the one that search gives, and a search trips only where
 that search trips, with an incumbent at least as large. Its core.Budget
-catches the trip, and max_clique answers (size, members, exact) either
-way, with exact False after a trip; both callers read that flag and
-answer with the incumbent labelled inexact: max_packing_exact with
-exact=False and doubling_constant as the lower end of a bracket.
+catches the trip, and max_clique answers a core.Bound either way, its
+witness the clique, after a trip the incumbent below a greedy
+colouring's class count. max_packing_exact labels its packing with the
+Bound's exact, and doubling_constant reads both ends.
 
 greedy_packing and max_packing_exact check that delta is in (0, 1].
 haussler_certificate and projection_count_estimate check the packing
@@ -36,11 +36,13 @@ from struct import unpack_from
 from typing import Sequence
 
 from .core import (
+    Bound,
     Budget,
     RangeSpace,
     TheoremViolationError,
     _add,
     _at_least,
+    _float_unit,
     _unit_eps,
     _weigher,
     draw_mask,
@@ -133,7 +135,7 @@ def _relabel(adj: list[int], order: list[int]) -> list[int]:
     return [cols[v] for v in order]
 
 
-def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ...], bool]:
+def max_clique(adj: list[int], lower_bound: int = 0) -> Bound:
     """Exact maximum clique of a graph given as adjacency bitmasks.
 
     Branch and bound: vertices ordered by descending degree, greedy
@@ -152,16 +154,16 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
 
     adj must be symmetric; a vertex in its own row or a neighbour index
     >= n raises ValueError. lower_bound primes the incumbent size: the
-    answer is (max(lower_bound, clique number), members, True), with
-    members empty when no clique beats lower_bound. A positive
-    lower_bound is first tried against a greedy colouring in vertex
-    order; if it needs no more than lower_bound classes, no clique beats
-    it, and the call returns (lower_bound, (), True) at once, before the
+    answer is the exact Bound(max(lower_bound, clique number)) with the
+    clique's members as witness, empty when no clique beats lower_bound.
+    A greedy colouring in vertex order (colour_bound's) comes first; if
+    it needs no more than lower_bound classes, no clique beats it, and
+    the call returns Bound(lower_bound, lower_bound) at once, before the
     degree sort and without spending a node. A search that would expand
     more than DEFAULT_CLIQUE_NODES nodes, or pass Python's recursion
-    limit, stops and returns (incumbent size, members, False): the
-    largest clique it found that beats lower_bound (members empty and
-    size lower_bound if none did).
+    limit, stops and returns Bound(incumbent size, max(incumbent size,
+    class count), members): the largest clique it found that beats
+    lower_bound (members empty and size lower_bound if none did).
     """
     n = len(adj)
     for v, a in enumerate(adj):
@@ -170,12 +172,11 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
         if a >> n:
             raise ValueError(f"max clique: vertex {v} has a neighbour "
                              f"index past its {n} vertices")
-    if lower_bound > 0 and not _colour((1 << n) - 1, [~a for a in adj], lower_bound):
+    coloured = _colour((1 << n) - 1, [~a for a in adj], lower_bound)
+    if not coloured:
         # No vertex is coloured above lower_bound, so no clique beats it:
         # the search's own answer, settled before any node is spent.
-        return lower_bound, (), True
-    if n == 0:
-        return 0, (), True
+        return Bound(lower_bound, lower_bound)
     order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
     # Candidate masks shrink toward high bits as the search deepens.
     radj = _relabel(adj, order)
@@ -217,7 +218,8 @@ def max_clique(adj: list[int], lower_bound: int = 0) -> tuple[int, tuple[int, ..
     # expand refers to itself; dropping the name breaks that cycle so the
     # search tables are freed now rather than at a full collection.
     del expand
-    return best, tuple(sorted(order[i] for i in best_members)), finished
+    upper = best if finished else max(best, coloured[-1][1])
+    return Bound(best, upper, tuple(sorted(order[i] for i in best_members)))
 
 
 @dataclass(frozen=True)
@@ -354,15 +356,15 @@ def greedy_packing(
 def max_packing_exact(space: RangeSpace, delta: Fraction) -> Packing:
     """Maximum delta-packing via exact max clique of the far graph. Past
     the clique node budget, the search's incumbent, or the greedy packing
-    if it held none larger, labelled exact=False. A delta outside (0, 1]
-    is a ValueError, from greedy_packing."""
+    if it held none larger, labelled with the clique Bound's exact. A
+    delta outside (0, 1] is a ValueError, from greedy_packing."""
     greedy = greedy_packing(space, delta)
     delta = greedy.delta
     far = FarGraph(space, space.ranges).rows(len(space.ranges), space.ceil_weight(delta))
     # Seed the incumbent with the greedy packing's size so pruning bites
     # early; any clique the search holds, even when it trips, is as large.
-    _, members, exact = max_clique(far, lower_bound=len(greedy.members) - 1)
-    return Packing(delta, members or greedy.members, exact)
+    clique = max_clique(far, lower_bound=len(greedy.members) - 1)
+    return Packing(delta, clique.witness or greedy.members, clique.exact)
 
 
 @dataclass(frozen=True)
@@ -391,8 +393,8 @@ def haussler_certificate(
     packed family and delta is packing.delta.
 
     Runs no packing search: the caller passes the packing, from
-    max_packing_exact or greedy_packing. strict raises on violation.
-    """
+    max_packing_exact or greedy_packing. strict raises on violation; at
+    d >= 1 a delta whose float is 0.0 is a ValueError."""
     delta = packing.delta
     if not packing.members:
         return HausslerReport(packing, -1, 0.0, True)
@@ -400,7 +402,7 @@ def haussler_certificate(
     if d == 0:
         bound = math.e * 1.0
     else:
-        bound = math.e * (d + 1) * (2 * math.e / float(delta)) ** d
+        bound = math.e * (d + 1) * (2 * math.e / _float_unit(delta, "delta")) ** d
     ok = len(packing.members) <= bound * (1 + 1e-9)
     if strict and not ok:
         raise TheoremViolationError(

@@ -412,8 +412,8 @@ def dudley_style_bound(d, delta):
 
 class ReferenceCliqueTrip(Exception):
     """The reference clique search ran out of nodes; members is its
-    incumbent, as the members of the package's max_clique answer with
-    exact False are."""
+    incumbent, as the witness of the package's max_clique answer is
+    after a trip."""
 
     def __init__(self, members):
         super().__init__(f"reference clique search tripped with {members}")

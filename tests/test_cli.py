@@ -366,6 +366,24 @@ def test_net_eps_or_delta_underflowing_a_float_is_exit_2_naming_it(
     assert f"error: {name} is below the smallest positive float" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_pack_delta_underflowing_a_float_is_exit_2_naming_it(
+    mode, chain_file, capsys, monkeypatch,
+):
+    # 1e-400 lies in (0, 1], but the packing bound divides by its float,
+    # 0.0: that is a usage error before any packing or clique search.
+    def no_search(*args, **kwargs):
+        raise AssertionError("a packing search ran")
+
+    for name in ("FarGraph", "max_clique"):
+        monkeypatch.setattr(packing, name, no_search)
+    assert main(["pack", str(chain_file), "--delta", "1e-400",
+                 "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: delta is below the smallest positive float" in captured.err
+
+
 def test_pack_subcommand(chain_file, capsys):
     assert main(["pack", str(chain_file), "--delta", "1/4"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -238,9 +238,9 @@ def test_doubling_reads_the_same_from_a_pair_at_a_time_far_graph(monkeypatch):
     asked = []
 
     def recording(adj, lower_bound=0):
-        size, members, exact = out = packing.max_clique(adj, lower_bound)
-        assert exact
-        asked.append((lower_bound, (size, members)))
+        out = packing.max_clique(adj, lower_bound)
+        assert out.exact
+        asked.append((lower_bound, (out.lower, out.witness)))
         return out
 
     monkeypatch.setattr(complexity, "max_clique", recording)

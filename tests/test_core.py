@@ -24,7 +24,7 @@ from epsnet import (
 )
 from epsnet.complexity import alexander_capacity, doubling_constant, star_number
 from epsnet.core import (
-    DRAW_BLOCK, Budget, CapExceededError, _unit_eps, cached_index, ceil_log2, components, iter_bits, mask_of,
+    DRAW_BLOCK, Bound, Budget, CapExceededError, _unit_eps, cached_index, ceil_log2, components, iter_bits, mask_of,
     points_of,
 )
 from epsnet.nets import greedy_net, verify_net
@@ -195,6 +195,16 @@ def test_unit_eps_passes_an_in_range_fraction_and_rejects_the_rest():
         _unit_eps("abc")
     with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\], got 0$"):
         _unit_eps(0, "delta")
+
+
+def test_every_exact_search_answers_the_one_bound_class():
+    # complexity, packing and nets answer core.Bound, under every name
+    # the package gives it, with the repr the estimates always had.
+    from epsnet import complexity, nets, packing
+
+    assert complexity.Bound is packing.Bound is nets.Bound is Bound
+    assert epsnet.Bound is Bound
+    assert repr(Bound(1, 2)) == "Bound(lower=1, upper=2, witness=(), eps0=None)"
 
 
 @pytest.mark.parametrize(
@@ -404,10 +414,11 @@ def _package_nodes():
 
 
 def test_only_budget_run_and_the_cli_catch_a_trip():
-    # A search that trips answers a value (a bracket, max_clique's
-    # exact=False, or the minimum net's incumbent and lower end), so the
-    # package catches CapExceededError in two places: Budget.run, for
-    # every walk, and the CLI, which turns it into exit 2.
+    # A search that trips answers a value, a core.Bound (a bracket, a
+    # clique's incumbent below a colouring count, or the minimum net's
+    # incumbent above a lower end), so the package catches
+    # CapExceededError in two places: Budget.run, for every walk, and the
+    # CLI, which turns it into exit 2.
     sites = set()
     for scope, node in _package_nodes():
         if isinstance(node, ast.ExceptHandler) and node.type is not None:

@@ -12,6 +12,7 @@ import pytest
 from epsnet import core, nets
 from epsnet.complexity import alexander_capacity, capacity_vector
 from epsnet.core import (
+    Bound,
     InstanceError,
     RangeSpace,
     TheoremViolationError,
@@ -800,12 +801,39 @@ def test_min_net_past_its_node_budget_answers_its_incumbent_and_a_lower_end(
     # needs the branch and bound; two nodes are not enough to prove it.
     # The greedy incumbent is a minimum, and two disjoint edges bound it.
     sp = build_range_space(5, [1] * 5, [[i, (i + 1) % 5] for i in range(5)])
+    # The one component answers a Bound: the disjoint bound as its lower
+    # end, and the incumbent as its witness and upper end.
     monkeypatch.setattr(nets, "EXACT_NET_NODES", 2)
+    answers = []
+    search = nets._min_hit_component
+    monkeypatch.setattr(nets, "_min_hit_component",
+                        lambda *args: answers.append(search(*args)) or answers[-1])
     rep = min_net_exact(sp, Fraction(2, 5))
     assert rep.is_net and rep.points == (0, 2, 3) and rep.stats["lower"] == 2
+    assert answers == [Bound(2, 3, (0, 2, 3))]
     (budget,) = budgets
     assert budget.spent == 2
     assert budget.error == "hitting-set search exceeded its budget of 2 nodes"
+
+
+def test_a_shared_decomposition_computes_D_once(monkeypatch):
+    # Given no D, the doubling builders size by doubling_constant's upper
+    # end. A shared dec keeps it, so three seeds of both builders compute
+    # it once (D = 63 on these disks at 1/8, so the small-D builder falls
+    # back), and every report is the one a builder with its own dec gives.
+    sp = MIN_NET_SPACES["disks14"]()
+    eps = Fraction(1, 8)
+    builders = (doubling_net, doubling_net_small_d)
+    alone = [b(sp, eps, seed=s).to_dict() for s in range(3) for b in builders]
+    calls = []
+    real = nets.doubling_constant
+    monkeypatch.setattr(nets, "doubling_constant",
+                        lambda *args: calls.append(args) or real(*args))
+    dec = build_decomposition(sp, eps)
+    shared = [b(sp, eps, seed=s, dec=dec).to_dict()
+              for s in range(3) for b in builders]
+    assert shared == alone
+    assert len(calls) == 1
 
 
 def test_sandwich_min_le_greedy_le_constructions():

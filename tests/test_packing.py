@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import epsnet.complexity as complexity
 import epsnet.packing as packing
 from epsnet.core import (
+    Bound,
     Budget,
     TheoremViolationError,
     build_range_space,
@@ -64,20 +65,19 @@ def _random_graph(rng, n, p=0.5):
 def test_max_clique_known_graphs():
     # triangle plus an isolated vertex
     adj = _adj_from_edges(4, [(0, 1), (1, 2), (0, 2)])
-    size, members, exact = max_clique(adj)
-    assert size == 3 and set(members) == {0, 1, 2} and exact
+    assert max_clique(adj) == Bound(3, 3, (0, 1, 2))
     # 5-cycle: max clique 2
     c5 = _adj_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert max_clique(c5)[0] == 2
+    assert max_clique(c5).value == 2
     # complete graph K6
     k6 = _adj_from_edges(6, [(a, b) for a in range(6) for b in range(a)])
-    assert max_clique(k6)[0] == 6
+    assert max_clique(k6).value == 6
     # complete bipartite K33: max clique 2
     k33 = _adj_from_edges(6, [(a, b + 3) for a in range(3) for b in range(3)])
-    assert max_clique(k33)[0] == 2
+    assert max_clique(k33).value == 2
     # empty graph
-    assert max_clique([0, 0, 0])[0] == 1
-    assert max_clique([])[0] == 0
+    assert max_clique([0, 0, 0]).value == 1
+    assert max_clique([]) == Bound(0, 0)
 
 
 def test_max_clique_random_vs_brute():
@@ -92,27 +92,28 @@ def test_max_clique_random_vs_brute():
                 if rng.random() < 0.5:
                     adj[a] |= 1 << b
                     adj[b] |= 1 << a
-        size, members, exact = max_clique(adj)
-        assert exact and size == oracle_clique_number(adj), trial
-        assert len(members) == size
-        for a, b in combinations(members, 2):
+        clique = max_clique(adj)
+        assert clique.value == oracle_clique_number(adj), trial
+        assert len(clique.witness) == clique.value
+        for a, b in combinations(clique.witness, 2):
             assert adj[a] >> b & 1
 
 
 def test_max_clique_lower_bound_priming_keeps_answer():
     adj = _adj_from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-    full, _, _ = max_clique(adj)
-    primed, _, _ = max_clique(adj, lower_bound=2)
+    full = max_clique(adj).value
+    primed = max_clique(adj, lower_bound=2).value
     assert full == primed == 3
 
 
 def test_max_clique_node_budget_trips_with_work_spent(monkeypatch, budgets):
     adj = _adj_from_edges(6, combinations(range(6), 2))
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 7)
-    assert max_clique(adj) == (6, tuple(range(6)), True)  # one node per depth
+    assert max_clique(adj) == Bound(6, 6, tuple(range(6)))  # one node per depth
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 3)
-    # The trip comes before the first leaf: no clique, the lower bound.
-    assert max_clique(adj) == (0, (), False)
+    # The trip comes before the first leaf: no clique, the lower bound,
+    # and the six classes of the colouring as the upper end.
+    assert max_clique(adj) == Bound(0, 6)
     assert budgets[-1].spent == 3
     assert budgets[-1].error == "max clique search exceeded its budget of 3 nodes"
 
@@ -120,10 +121,11 @@ def test_max_clique_node_budget_trips_with_work_spent(monkeypatch, budgets):
 def test_max_clique_deeper_than_the_recursion_limit_reports_the_nodes_spent(budgets):
     # A 1,200-vertex complete graph: the first path of the search is
     # 1,200 nodes deep, past the recursion limit, which is a tripped
-    # budget carrying the nodes visited so far, and no clique.
+    # budget carrying the nodes visited so far, and no clique; the
+    # colouring's 1,200 classes are the upper end.
     n = 1200
     adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
-    assert max_clique(adj) == (0, (), False)
+    assert max_clique(adj) == Bound(0, n)
     (budget,) = budgets
     assert 0 < budget.spent <= packing.DEFAULT_CLIQUE_NODES
     assert budget.error == (
@@ -134,15 +136,16 @@ def test_max_clique_out_of_budget_leaves_its_incumbent(monkeypatch):
     rng = random.Random(0)
     adj = _adj_from_edges(
         24, [e for e in combinations(range(24), 2) if rng.random() < 0.5])
-    omega = max_clique(adj)[0]
+    omega = max_clique(adj).value
     found = 0
     for budget in range(1, 200):
         monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", budget)
-        size, members, exact = max_clique(adj)
-        if exact:
-            assert size == omega
+        clique = max_clique(adj)
+        members = clique.witness
+        if clique.exact:
+            assert clique.lower == omega
             break
-        assert size == len(members) <= omega
+        assert clique.lower == len(members) <= omega <= clique.upper
         for a, b in combinations(members, 2):
             assert adj[a] >> b & 1
         found = max(found, len(members))
@@ -179,9 +182,9 @@ def test_max_clique_results_are_frozen(monkeypatch, make, calls, digest):
     seen = []
 
     def recording(adj, lower_bound=0):
-        size, members, exact = out = max_clique(adj, lower_bound)
-        assert exact
-        seen.append((lower_bound, (size, members)))
+        out = max_clique(adj, lower_bound)
+        assert out.exact
+        seen.append((lower_bound, (out.lower, out.witness)))
         return out
 
     monkeypatch.setattr(complexity, "max_clique", recording)
@@ -192,11 +195,12 @@ def test_max_clique_results_are_frozen(monkeypatch, make, calls, digest):
 
 def test_max_clique_trip_is_frozen(monkeypatch, budgets):
     # The search finds a 5-clique, then a 6-clique, and trips at node 12
-    # before it reaches the maximum, a 7-clique.
+    # before it reaches the maximum, a 7-clique; a greedy colouring in
+    # vertex order has 8 classes, the tripped search's upper end.
     adj = _random_graph(random.Random(1), 24, 0.6)
-    assert max_clique(adj) == (7, (1, 6, 7, 8, 11, 14, 18), True)
+    assert max_clique(adj) == Bound(7, 7, (1, 6, 7, 8, 11, 14, 18))
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 12)
-    assert max_clique(adj) == (6, (4, 6, 16, 17, 22, 23), False)
+    assert max_clique(adj) == Bound(6, 8, (4, 6, 16, 17, 22, 23))
     assert budgets[-1].spent == 12
 
 
@@ -230,12 +234,12 @@ def test_colouring_certificate_settles_doubling_calls_without_a_node(
 def test_max_clique_settled_by_its_colouring_needs_no_node(monkeypatch, budgets):
     adj = _random_graph(random.Random(1), 24, 0.6)
     classes = colour_bound(adj)
-    assert classes > max_clique(adj)[0] == 7
+    assert classes > max_clique(adj).value == 7
     monkeypatch.setattr(packing, "DEFAULT_CLIQUE_NODES", 0)
     budgets.clear()
-    assert max_clique(adj, classes) == (classes, (), True)
+    assert max_clique(adj, classes) == Bound(classes, classes)
     assert budgets == []  # settled before a Budget is made
-    assert max_clique(adj, classes - 1) == (classes - 1, (), False)
+    assert max_clique(adj, classes - 1) == Bound(classes - 1, classes)
     assert budgets[-1].spent == 0
 
 
@@ -275,19 +279,24 @@ def test_pruned_search_keeps_the_reference_cliques_and_trips(adj, data):
     # Propagation cuts only branches that hold no improvement and charges
     # each one node, so an exact run returns the reference's clique, and
     # a budget that trips the new search trips the reference too, with an
-    # incumbent no larger.
+    # incumbent no larger. A tripped search's upper end is the class
+    # count of a greedy colouring, at least the clique number.
     omega = reference_max_clique(adj)[0]
     lower_bound = data.draw(st.integers(0, omega + 1), label="lower_bound")
-    size, members, exact = max_clique(adj, lower_bound)
-    assert exact and (size, members) == reference_max_clique(adj, lower_bound)
+    clique = max_clique(adj, lower_bound)
+    assert clique.exact
+    assert (clique.lower, clique.witness) == reference_max_clique(adj, lower_bound)
     if len(adj) <= 12:
-        assert size == max(lower_bound, oracle_clique_number(adj))
+        assert clique.lower == max(lower_bound, oracle_clique_number(adj))
     nodes = data.draw(st.integers(1, 60), label="nodes")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packing, "DEFAULT_CLIQUE_NODES", nodes)
-        size, members, exact = max_clique(adj, lower_bound)
-    if not exact:
-        assert size == max(lower_bound, len(members))
+        clique = max_clique(adj, lower_bound)
+    if not clique.exact:
+        members = clique.witness
+        assert clique.lower == max(lower_bound, len(members))
+        assert clique.upper == max(clique.lower, colour_bound(adj))
+        assert clique.upper >= max(lower_bound, omega)
         with pytest.raises(ReferenceCliqueTrip) as ref:
             reference_max_clique(adj, lower_bound, nodes)
         assert len(members) >= len(ref.value.members)
@@ -369,7 +378,7 @@ def test_colour_bound_bounds_the_clique_number():
     for n, edges in [(0, []), (3, []), (5, list(combinations(range(5), 2))),
                      (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])]:
         adj = _adj_from_edges(n, edges)
-        assert max_clique(adj)[0] <= colour_bound(adj) <= n
+        assert max_clique(adj).value <= colour_bound(adj) <= n
 
 
 def test_exact_packing_over_node_budget_is_the_greedy_packing(monkeypatch):

@@ -398,8 +398,9 @@ def test_max_clique_matches_the_oracle_at_every_lower_bound(adj):
     # colouring settles it before the search or the search finds nothing.
     omega = oracle_clique_number(adj)
     for lower_bound in range(len(adj) + 2):
-        size, members, exact = packing.max_clique(adj, lower_bound)
-        assert exact and size == max(lower_bound, omega)
+        clique = packing.max_clique(adj, lower_bound)
+        members = clique.witness
+        assert clique.value == max(lower_bound, omega)
         if omega > lower_bound:
             assert len(members) == omega
             assert list(members) == sorted(set(members))
