@@ -287,7 +287,8 @@ class RangeSpace:
     are also built with it, from weights alone, and make no mask_weight
     call; they are empty on a uniform space. The cached indices
     (incidence, weight_planes, capacity_table, point_components,
-    population) are built on first read and call no mask_weight.
+    support_classes, population) are built on first read and call no
+    mask_weight.
     """
 
     n: int
@@ -425,6 +426,15 @@ class RangeSpace:
         """Point masks of the point-sharing components of the ranges
         (components), by lowest point."""
         return tuple(components(self.ranges))
+
+    @cached_index
+    def support_classes(self) -> int:
+        """Bitmask over range indices of the lowest index of each class of
+        ranges equal within the support; a class is heavy as a whole."""
+        first: dict[int, int] = {}
+        for i, r in enumerate(self.ranges):
+            first.setdefault(r & self.support_mask, i)
+        return mask_of(first.values())
 
     @cached_index
     def population(self) -> tuple[list[int], list[int] | None]:

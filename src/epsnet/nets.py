@@ -789,16 +789,13 @@ def greedy_net(space: RangeSpace, eps: Fraction) -> NetReport:
                    {"draws": 0, "targets": heavy.bit_count()})
 
 
-def _disjoint_bound(masks: list[int], cols, todo: int) -> int:
+def _disjoint_bound(meet: list[int], todo: int) -> int:
     """How many masks indexed by todo a first fit in index order keeps
-    pairwise disjoint (an index drops once a kept mask meets it, by the OR
-    of that mask's points' cols): no hitting set of them is smaller."""
+    pairwise disjoint (meet[i], the index mask of the masks meeting mask
+    i, i included, drops them once i is kept): no hitting set is smaller."""
     bound = 0
     while todo:
-        meet = 0
-        for p in iter_bits(masks[(todo & -todo).bit_length() - 1]):
-            meet |= cols[p]
-        todo &= ~meet
+        todo &= ~meet[(todo & -todo).bit_length() - 1]
         bound += 1
     return bound
 
@@ -810,11 +807,17 @@ def _min_hit_component(
     cols their columns, as _reduce returns them) in component comp, by
     branch and bound on index masks from a greedy incumbent, as Bound(its
     size, or after a trip the root's disjoint bound, size, points). The
-    pivot is the lowest uncovered index, the first smallest mask."""
+    pivot is the lowest uncovered index, the first smallest mask. The
+    disjoint bound reads meet, built once here: meet[i] is the OR of the
+    columns of kept[i]'s points, for each index i in comp."""
     todo = 0
     for p in iter_bits(comp):
         todo |= cols[p]
     best = _greedy_pick(cols, list(iter_bits(comp)), todo)
+    meet = [0] * len(kept)
+    for i in iter_bits(todo):
+        for p in iter_bits(kept[i]):
+            meet[i] |= cols[p]
 
     def rec(unc: int, chosen: list[int]) -> None:
         nonlocal best
@@ -823,7 +826,7 @@ def _min_hit_component(
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        if len(chosen) + _disjoint_bound(kept, cols, unc) >= len(best):
+        if len(chosen) + _disjoint_bound(meet, unc) >= len(best):
             return
         pivot = kept[(unc & -unc).bit_length() - 1]
         for p in sorted(iter_bits(pivot),
@@ -833,7 +836,7 @@ def _min_hit_component(
             chosen.pop()
 
     finished = budget.run(rec, todo, [])
-    lower = len(best) if finished else _disjoint_bound(kept, cols, todo)
+    lower = len(best) if finished else _disjoint_bound(meet, todo)
     return Bound(lower, len(best), tuple(sorted(best)))
 
 
@@ -930,8 +933,8 @@ def min_net_exact(space: RangeSpace, eps: Fraction) -> NetReport:
     for comp in components(kept):
         hit = _min_hit_component(kept, cols, comp, budget)
         taken, lower = taken | mask_of(hit.witness), lower + hit.lower
-    targets = len({space.ranges[i] & support for i in iter_bits(heavy)})
-    stats = {"draws": 0, "targets": targets, "kept_after_pruning": len(kept)}
+    stats = {"draws": 0, "targets": (heavy & space.support_classes).bit_count(),
+             "kept_after_pruning": len(kept)}
     if lower < taken.bit_count():
         stats["lower"] = lower
     return _report(space, taken, eps, "exact", stats)

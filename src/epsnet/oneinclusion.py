@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import RangeSpace, TheoremViolationError, incidence_columns
+from .core import RangeSpace, TheoremViolationError, incidence_columns, mask_of
 from .complexity import vc_of_masks
 
 
@@ -51,23 +51,24 @@ def trace_vertices(space: RangeSpace, sample: list[int]) -> tuple[int, ...]:
     the range.
     """
     for p in sample:
-        if not 0 <= p < space.n:
-            raise ValueError(f"sample point {p} outside 0..{space.n - 1}")
-    # Row i of the transposed sample columns is range i's trace.
-    cols = space.incidence
-    traces = incidence_columns([cols[p] for p in sample], len(space.ranges))
-    return tuple(sorted(set(traces)))
+        if type(p) is not int or not 0 <= p < space.n:
+            raise ValueError(f"sample point {p!r} is not an integer in 0..{space.n - 1}")
+    smask = mask_of(sample)
+    distinct = list({r & smask for r in space.ranges})
+    # Row i of their columns at the sample positions is distinct[i]'s trace.
+    cols = incidence_columns(distinct, smask.bit_length())
+    return tuple(sorted(incidence_columns([cols[p] for p in sample], len(distinct))))
 
 
 def build_oig(source, sample: list[int] | None = None, m: int | None = None) -> OneInclusionGraph:
     """One-inclusion graph of a family on a sample, or of explicit masks.
 
-    Pass a RangeSpace plus sample positions, or an iterable of trace
-    masks plus m (the mask 0 is a valid vertex there).
+    Pass a RangeSpace plus a nonempty list of sample positions, or an
+    iterable of trace masks plus m (the mask 0 is a valid vertex there).
     """
     if isinstance(source, RangeSpace):
-        if sample is None:
-            raise ValueError("a RangeSpace source needs a sample")
+        if not sample:
+            raise ValueError("a RangeSpace source needs a nonempty sample")
         m = len(sample)
         vertices = trace_vertices(source, sample)
     else:
@@ -78,14 +79,16 @@ def build_oig(source, sample: list[int] | None = None, m: int | None = None) -> 
             if v < 0 or v >> m:
                 raise ValueError(f"mask {v} does not fit in {m} bits")
     index = {v: i for i, v in enumerate(vertices)}
+    full = (1 << m) - 1
     edges = []
     for i, v in enumerate(vertices):
-        for coord in range(m):
-            w = v ^ (1 << coord)
-            if w > v:
-                j = index.get(w)
-                if j is not None:
-                    edges.append((i, j, coord))
+        zeros = full ^ v  # edges go up, to v with one zero bit set
+        while zeros:
+            bit = zeros & -zeros
+            j = index.get(v | bit)
+            if j is not None:
+                edges.append((i, j, bit.bit_length() - 1))
+            zeros ^= bit
     return OneInclusionGraph(m, vertices, tuple(edges))
 
 
@@ -176,11 +179,15 @@ def predict(orientation: Orientation, v_idx: int, coord: int) -> int:
 
 def loo_error(orientation: Orientation, v_idx: int) -> Fraction:
     """Exact leave-one-out error of the orientation's rule when v_idx is
-    the truth: mismatches over all m held-out coordinates."""
+    the truth: the held-out coordinates where an edge leaves v_idx (the
+    rule's mistakes, see predict) over all m >= 1 of them."""
     graph = orientation.graph
-    v = graph.vertices[v_idx]
+    if not graph.m:
+        raise ValueError("leave-one-out error needs a sample of m >= 1 points")
+    edge_at, tails = graph.edge_at, orientation.tails
     mistakes = 0
     for coord in range(graph.m):
-        if predict(orientation, v_idx, coord) != (v >> coord & 1):
+        k = edge_at.get((v_idx, coord))
+        if k is not None and tails[k] == v_idx:
             mistakes += 1
     return Fraction(mistakes, graph.m)

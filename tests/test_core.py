@@ -27,7 +27,7 @@ from epsnet.core import (
     DRAW_BLOCK, Bound, Budget, CapExceededError, _unit_eps, cached_index, ceil_log2, components, iter_bits, mask_of,
     points_of,
 )
-from epsnet.nets import greedy_net, verify_net
+from epsnet.nets import greedy_net, min_net_exact, verify_net
 
 from corpus import CORPUS
 
@@ -127,6 +127,7 @@ def test_readers_keep_only_the_declared_per_space_index():
         draw_mask(sp, 3 * sp.n, stream_rng(0, "guard"))
         doubling_constant(sp, eps)
         star_number(sp)
+        min_net_exact(sp, eps)
         assert set(vars(sp)) == declared | cached, key
         w, m = sp.total_weight, len(sp.ranges)
         for x in set(sp.range_weights):

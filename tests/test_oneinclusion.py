@@ -57,6 +57,25 @@ def test_trace_vertices_match_the_per_bit_oracle():
             trace_vertices(sp, [-1])
 
 
+@pytest.mark.parametrize("sample", [[True, 1], [1.0], [0, "1"]])
+def test_sample_points_must_be_true_ints(sample):
+    # build_range_space's rule: a bool is not taken as the point 1, and a
+    # float is refused rather than failing inside the column lookup.
+    sp = CORPUS["powerset3"]
+    for call in (trace_vertices, build_oig):
+        with pytest.raises(ValueError, match="not an integer"):
+            call(sp, sample)
+
+
+def test_an_empty_sample_is_refused_and_m_zero_has_no_loo_error():
+    with pytest.raises(ValueError, match="nonempty sample"):
+        build_oig(CORPUS["powerset3"], [])
+    g = build_oig([0], m=0)
+    o = orient_bounded(g, 0)
+    with pytest.raises(ValueError, match="m >= 1"):
+        loo_error(o, 0)
+
+
 def test_build_oig_from_space_nonempty_family():
     sp = CORPUS["powerset3"]
     g = build_oig(sp, sample=[0, 1, 2])

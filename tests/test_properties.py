@@ -35,6 +35,7 @@ from epsnet.complexity import (
     vc_dimension,
 )
 from epsnet.core import (
+    RangeSpace,
     build_range_space,
     canonical_key,
     components,
@@ -43,6 +44,7 @@ from epsnet.core import (
     points_of,
 )
 from epsnet.nets import build_decomposition, min_net_exact, verify_net
+from epsnet.oneinclusion import trace_vertices
 
 from oracles import (
     as_sets,
@@ -54,6 +56,7 @@ from oracles import (
     oracle_shallow,
     oracle_star,
     oracle_tau,
+    oracle_trace_vertices,
     oracle_vc,
     set_measure,
     set_weight,
@@ -566,4 +569,38 @@ def test_disjoint_bound_is_a_first_fit_over_the_masks_by_size(case):
         if not m & used:
             first_fit, used = first_fit + 1, used | m
     cols = oracle_incidence_columns(masks, n)
-    assert nets._disjoint_bound(masks, cols, todo) == first_fit
+    meet = [reduce(or_, (cols[p] for p in points_of(m)), 0) for m in masks]
+    assert nets._disjoint_bound(meet, todo) == first_fit
+
+
+@st.composite
+def raw_spaces(draw):
+    """support_twin_spaces built as RangeSpace directly, past
+    build_range_space's canonicalization: its ranges (twins within the
+    support among them) plus repeats of some, in a drawn order."""
+    space = draw(support_twin_spaces())
+    ranges = list(space.ranges)
+    if ranges:
+        ranges += draw(st.lists(st.sampled_from(ranges), max_size=3))
+    ranges = draw(st.permutations(ranges))
+    return RangeSpace(n=space.n, weights=space.weights, ranges=tuple(ranges))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(small_spaces(), raw_spaces()).flatmap(lambda sp: st.tuples(
+    st.just(sp), st.lists(st.integers(0, sp.n - 1), max_size=2 * sp.n))))
+def test_trace_vertices_match_the_oracle_with_repeated_sample_points(case):
+    space, sample = case
+    assert trace_vertices(space, sample) == oracle_trace_vertices(space, sample)
+
+
+@PROPERTY_SETTINGS
+@given(raw_spaces(), st.sampled_from([Fraction(1), Fraction(1, 2),
+                                      Fraction(1, 4), Fraction(1, 16)]))
+def test_min_net_targets_count_distinct_heavy_masks_on_a_raw_space(space, eps):
+    # Duplicate ranges and twins within the support are one target each.
+    support = frozenset(p for p in range(space.n) if space.weights[p])
+    heavy = {s & support for s in as_sets(space) if set_measure(space, s) >= eps}
+    rep = min_net_exact(space, eps)
+    assert rep.stats["targets"] == len(heavy)
+    assert rep.is_net and rep.size == oracle_min_hitting(space, eps)
